@@ -222,6 +222,23 @@ def _refined_inner(spec: ProblemSpec, n: int, x, l_pi: float, k_x, l_x, scaling:
     return np.cos(n * x) * (1.0 + k_x / n) - (np.sin(n * x) / scaling) * bracket
 
 
+def _kl_profile(spec: ProblemSpec, n: int, xs: np.ndarray, quadrature_points: int):
+    """L(pi, n) and the arrays K(x, n), L(x, n) over xs (zero at x = 0),
+    the retardation integrals every refined eigenfunction form needs."""
+    _, l_pi = kl_integrals(spec, math.pi, float(n), quadrature_points)
+    k_x = np.zeros_like(xs)
+    l_x = np.zeros_like(xs)
+    for i, xi in enumerate(xs):
+        if xi != 0.0:
+            k_x[i], l_x[i] = kl_integrals(spec, float(xi), float(n), quadrature_points)
+    return l_pi, k_x, l_x
+
+
+def _right_amplitude(spec: ProblemSpec, n: int) -> float:
+    """sin(alpha) / (n^(2/3) delta), the amplitude past the interface."""
+    return math.sin(spec.alpha) / (n ** (2.0 / 3.0) * spec.coupling)
+
+
 def predict_eigenfunction(spec: ProblemSpec, n: int, x, order: str = "leading",
                           quadrature_points: int = DEFAULT_QUAD):
     """Asymptotic eigenfunction value(s) at x, omitting the remainder.
@@ -243,11 +260,12 @@ def predict_eigenfunction(spec: ProblemSpec, n: int, x, order: str = "leading",
         raise ValueError("x must lie in [0, pi/2) u (pi/2, pi]")
     sin_a = math.sin(spec.alpha)
     right = xs > HALF
+    left = ~right
     out = np.empty_like(xs)
 
     if order == "leading":
-        out[~right] = sin_a * np.cos(n * xs[~right])
-        out[right] = (sin_a / (n ** (2.0 / 3.0) * spec.coupling)) * np.cos(n * xs[right])
+        out[left] = sin_a * np.cos(n * xs[left])
+        out[right] = _right_amplitude(spec, n) * np.cos(n * xs[right])
         return float(out[0]) if scalar else out
 
     if not is_case1(spec):
@@ -256,38 +274,14 @@ def predict_eigenfunction(spec: ProblemSpec, n: int, x, order: str = "leading",
     if not _refined_available(spec):
         raise Case1RequiredError(
             "refined eigenfunctions need the smoothness/retardation conditions")
-    _, l_pi = kl_integrals(spec, math.pi, float(n), quadrature_points)
-    k_x = np.empty_like(xs)
-    l_x = np.empty_like(xs)
-    for i, xi in enumerate(xs):
-        if xi == 0.0:
-            k_x[i] = 0.0
-            l_x[i] = 0.0
-        else:
-            k_x[i], l_x[i] = kl_integrals(spec, float(xi), float(n), quadrature_points)
-
-    left = ~right
+    l_pi, k_x, l_x = _kl_profile(spec, n, xs, quadrature_points)
     out[left] = sin_a * _refined_inner(
         spec, n, xs[left], l_pi, k_x[left], l_x[left], scaling=n * math.pi)
-    # right interval as printed: prefactor sin(alpha)/(n^(2/3) delta) and the
-    # inner sine term scaled by n^(5/3) pi
-    out[right] = (sin_a / (n ** (2.0 / 3.0) * spec.coupling)) * _refined_inner(
+    # right interval as printed: the inner sine term scaled by n^(5/3) pi
+    out[right] = _right_amplitude(spec, n) * _refined_inner(
         spec, n, xs[right], l_pi, k_x[right], l_x[right],
         scaling=(n ** (5.0 / 3.0)) * math.pi)
     return float(out[0]) if scalar else out
-
-
-def _right_refined_variant(spec: ProblemSpec, n: int, xs, quadrature_points: int):
-    """Right-interval refined form with the 1/(n pi) inner scaling that
-    parallels the left interval (the adjudication variant)."""
-    _, l_pi = kl_integrals(spec, math.pi, float(n), quadrature_points)
-    k_x = np.empty_like(xs)
-    l_x = np.empty_like(xs)
-    for i, xi in enumerate(xs):
-        k_x[i], l_x[i] = kl_integrals(spec, float(xi), float(n), quadrature_points)
-    sin_a = math.sin(spec.alpha)
-    return (sin_a / (n ** (2.0 / 3.0) * spec.coupling)) * _refined_inner(
-        spec, n, xs, l_pi, k_x, l_x, scaling=n * math.pi)
 
 
 def apriori_bounds(spec: ProblemSpec, lam: float,
@@ -401,10 +395,13 @@ def verify_rates(spec: ProblemSpec, pairs: list[Eigenpair],
             u_left - predict_eigenfunction(spec, n, xs_left, "leading", quadrature_points)))
         ref_err[k] = np.max(np.abs(
             u_left - predict_eigenfunction(spec, n, xs_left, "refined", quadrature_points)))
-        right_err_printed[k] = np.max(np.abs(
-            u_right - predict_eigenfunction(spec, n, xs_right, "refined", quadrature_points)))
-        right_err_alt[k] = np.max(np.abs(
-            u_right - _right_refined_variant(spec, n, xs_right, quadrature_points)))
+        # one K/L profile serves the inner scaling as printed, 1/(n^(5/3) pi),
+        # and the 1/(n pi) variant that parallels the left interval
+        l_pi, k_x, l_x = _kl_profile(spec, n, xs_right, quadrature_points)
+        for errs, scaling in ((right_err_printed, (n ** (5.0 / 3.0)) * math.pi),
+                              (right_err_alt, n * math.pi)):
+            errs[k] = np.max(np.abs(u_right - _right_amplitude(spec, n) * _refined_inner(
+                spec, n, xs_right, l_pi, k_x, l_x, scaling)))
 
     n_top = indices[-1]
     top = by_n[n_top]

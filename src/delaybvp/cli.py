@@ -78,8 +78,10 @@ def _expr_field(section: dict, key: str) -> str:
 def _positive(raw, key: str, kind=float):
     try:
         value = kind(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key}: expected a positive number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: must be a finite number")
     if value <= 0:
         raise ConfigError(f"{key}: must be positive")
     return value
@@ -180,6 +182,15 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
+def _write(text: str, out_path: str | None) -> None:
+    """Primary output goes to ``out_path`` when given, else to stdout."""
+    if out_path:
+        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _emit_table(columns: list[str], rows: list[tuple], fmt: str, out_path: str | None) -> None:
     if fmt == "csv":
         lines = [",".join(columns)]
@@ -189,11 +200,7 @@ def _emit_table(columns: list[str], rows: list[tuple], fmt: str, out_path: str |
         payload = [dict(zip(columns, (v if isinstance(v, (bool, int)) else float(v)
                                       for v in row))) for row in rows]
         text = json.dumps(payload, indent=2) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, out_path)
 
 
 def _validated_or_fail(cfg: RunConfig) -> None:
@@ -310,12 +317,7 @@ def cmd_verify(cfg: RunConfig, out_path: str | None, fmt: str) -> int:
                               "fit": _slope_dict(report.osc_fit)},
         "residual_table": table,
     }
-    text = json.dumps(payload, indent=2) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(payload, indent=2) + "\n", out_path)
 
     def show(name, fit, threshold):
         state = ("floor-limited" if fit.floor_limited
@@ -363,11 +365,7 @@ def cmd_validate(cfg: RunConfig, out_path: str | None, fmt: str) -> int:
         lines.append(f"valid: {report.passed}; refined conditions: "
                      f"{conditions.passed}; case1: {conditions.case1}")
         text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, out_path)
     return EXIT_OK if report.passed else EXIT_CONFIG
 
 

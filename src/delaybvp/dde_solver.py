@@ -4,16 +4,23 @@ The equation y'' = -q(x) y(x - Delta(x)) - lambda y is integrated on one
 subinterval at a time with the classical fourth-order one-step scheme.  A
 cubic Hermite interpolant per step provides the C1 dense output required by
 the retarded term: the delayed argument never exceeds the current x, so the
-value is read from the part of the segment already built.  When the delayed
-argument lands inside the step currently being computed (Delta smaller than
-the step size), the cubic extrapolant of the last completed step is used;
-on the very first step a Taylor extrapolant from the initial data stands in.
+value is read from the part of the segment already built.
 
-Because the grid is fixed, every coefficient sample and every delayed-lookup
-stencil is independent of lambda.  They are computed once per problem and
-reused, and the integration itself runs vectorized over a whole batch of
-lambda values at once -- eigenvalue scans and bracket refinements pay for
-one sweep per round instead of one per lambda.
+Every delayed lookup has one form, a cubic Hermite stencil on two rows of
+the solution built so far.  Reading the current state is the stencil that
+puts weight 1 on the newest row; a delayed argument inside the step being
+computed (Delta smaller than the step size) uses the extrapolating stencil
+of the last completed step.  Only the first step has no completed step
+before it, so it is peeled off the loop and reads a Taylor extrapolant of
+the initial data instead.
+
+Because the grid is fixed, every coefficient sample and every stencil is
+independent of lambda.  They are computed once per problem and reused, and
+the integration itself runs vectorized over a whole batch of lambda values
+at once -- eigenvalue scans and bracket refinements pay for one sweep per
+round instead of one per lambda.  Each column of a batch sees the same
+operations in the same order, so a lambda gives bit-identical results alone
+or in any batch.
 
 Only lambda > 0 is addressed; the transmission scaling uses the real cube
 root of lambda, computed as exp(log(lambda)/3).
@@ -45,10 +52,6 @@ __all__ = [
 DEFAULT_STEPS = 4096
 # batch width per sweep; bounds transient memory at ~70 MB for default steps
 DEFAULT_CHUNK = 1024
-
-_MODE_HERMITE = 1
-_MODE_CURRENT = 0
-_MODE_TAYLOR = 2
 
 
 class NonFiniteStateError(RuntimeError):
@@ -125,74 +128,41 @@ class ShootingResult:
     lam: float
 
 
-class _StageTable:
-    """Delayed-lookup stencils for one family of stage times.
-
-    Each stage belongs to a context step i (rows 0..i of the solution arrays
-    are known when it fires).  mode 0 reads the current state, mode 1 applies
-    a precomputed cubic Hermite stencil (possibly the extrapolating one of
-    the previous step), mode 2 is the first-step Taylor fallback.
-    """
-
-    def __init__(self, xi, ctx, a, h, nodes, n_steps):
-        x_ctx = a + ctx * h
-        if np.any(xi < a - 1e-12):
-            k = int(np.argmin(xi))
-            raise DelayRangeError(
-                f"delayed argument {xi[k]:.12g} below segment start {a:.12g}")
-        # fp tidy-up only; the non-negative-delay check has already run
-        xi = np.minimum(np.maximum(xi, a), x_ctx + h)
-        inside = xi > x_ctx + 1e-14
-        mode = np.full(xi.shape, _MODE_HERMITE, dtype=np.uint8)
-        mode[~inside & (x_ctx - xi <= 1e-14)] = _MODE_CURRENT
-        mode[inside & (ctx == 0)] = _MODE_TAYLOR
-
-        t_idx = (xi - a) / h
-        j = np.floor(t_idx).astype(np.int64)
-        j = np.minimum(np.maximum(j, 0), n_steps - 1)
-        j = np.where(inside, np.maximum(ctx - 1, 0), j)
-        theta = t_idx - j
-        t2 = theta * theta
-        t3 = t2 * theta
-        self.mode = mode.tolist()
-        self.j = j.tolist()
-        self.w00 = (2.0 * t3 - 3.0 * t2 + 1.0).tolist()
-        self.w01 = (-2.0 * t3 + 3.0 * t2).tolist()
-        self.w10 = (h * (t3 - 2.0 * t2 + theta)).tolist()
-        self.w11 = (h * (t3 - t2)).tolist()
-        self.d = (xi - a).tolist()
-        self.any_taylor = bool(np.any(mode == _MODE_TAYLOR))
-
-    def value(self, k, Y, V, current, taylor):
-        m = self.mode[k]
-        if m == _MODE_HERMITE:
-            j = self.j[k]
-            return (self.w00[k] * Y[j] + self.w01[k] * Y[j + 1]
-                    + self.w10[k] * V[j] + self.w11[k] * V[j + 1])
-        if m == _MODE_CURRENT:
-            return current
-        y0, v0, a0 = taylor
-        d = self.d[k]
-        return y0 + d * v0 + (0.5 * d * d) * a0
+# stencil term k reads row (j + _ROW_OFFSET[k]) of channel _CHANNEL[k] of
+# the stacked (Y, V) array: y(xi) = w0 Y[j] + w1 Y[j+1] + w2 V[j] + w3 V[j+1]
+_CHANNEL = np.array([0, 0, 1, 1])
+_ROW_OFFSET = np.array([0, 1, 0, 1])
 
 
 class _SegmentTables:
-    """All lambda-independent data for integrating one subinterval."""
+    """All lambda-independent data for integrating one subinterval.
+
+    Step i evaluates the retarded term at three stages: the node x_i, the
+    half step and the step end.  Every stage reads y(x - Delta(x)) through a
+    cubic Hermite stencil on rows j, j+1 <= i of the part already built;
+    ``gather[i]`` holds the (3, 4) flat row indices into the stacked (Y, V)
+    array and ``weights[i]`` the matching weights, so one step is a single
+    gather, multiply and sum.  A lookup of the current state is the stencil
+    (0, 1, 0, 0) on rows (i-1, i); a delayed argument inside step i (Delta
+    below the step size) extrapolates the cubic of step i-1.  Step 0 has no
+    previous step and is peeled: its half and end stages read the Taylor
+    extrapolant y0 + d y0' + d^2/2 y0'' of the initial data at distance
+    ``first_d`` (0 where the stage reads the current state).  Row n holds
+    the node stage that gives y'' at the last node.
+    """
 
     def __init__(self, q_expr: Expr, delta_expr: Expr, a: float, b: float, steps: int):
         if steps < 2:
             raise ValueError("need at least 2 steps per segment")
         self.a = float(a)
         self.b = float(b)
-        self.steps = int(steps)
-        self.h = (self.b - self.a) / self.steps
-        self.nodes = np.linspace(self.a, self.b, self.steps + 1)
-        t_half = self.nodes[:-1] + 0.5 * self.h
+        self.steps = n = int(steps)
+        self.h = h = (self.b - self.a) / n
+        self.nodes = np.linspace(self.a, self.b, n + 1)
+        t_half = self.nodes[:-1] + 0.5 * h
 
         q_node = np.asarray(q_expr.eval(self.nodes), dtype=float)
         q_half = np.asarray(q_expr.eval(t_half), dtype=float)
-        self.negq_node = (-q_node).tolist()
-        self.negq_half = (-q_half).tolist()
         self.q_zero = bool(np.all(q_node == 0.0) and np.all(q_half == 0.0))
 
         d_node = np.asarray(delta_expr.eval(self.nodes), dtype=float)
@@ -200,14 +170,34 @@ class _SegmentTables:
         if np.any(d_node < -1e-12) or np.any(d_half < -1e-12):
             raise DelayRangeError("negative retardation encountered")
 
-        ctx_node = np.arange(self.steps + 1)
-        ctx_step = np.arange(self.steps)
-        self.node_tab = _StageTable(self.nodes - d_node, ctx_node,
-                                    self.a, self.h, self.nodes, self.steps)
-        self.half_tab = _StageTable(t_half - d_half, ctx_step,
-                                    self.a, self.h, self.nodes, self.steps)
-        self.end_tab = _StageTable(self.nodes[1:] - d_node[1:], ctx_step,
-                                   self.a, self.h, self.nodes, self.steps)
+        # stages (node, half, end) of steps 0..n; the half and end slots of
+        # row n are never read and are filled with current-state lookups
+        ctx = np.arange(n + 1)[:, None]
+        x_ctx = self.a + ctx * h
+        xi = np.stack([self.nodes - d_node,
+                       np.append(t_half - d_half, x_ctx[-1]),
+                       np.append(self.nodes[1:] - d_node[1:], x_ctx[-1])], axis=1)
+        self.negq = -np.stack([q_node, np.append(q_half, 0.0),
+                               np.append(q_node[1:], 0.0)], axis=1)[:, :, None]
+        for stage in xi.T:
+            if np.any(stage < self.a - 1e-12):
+                raise DelayRangeError(
+                    f"delayed argument {stage.min():.12g} below segment start {self.a:.12g}")
+        # fp tidy-up only; the non-negative-delay check has already run
+        xi = np.minimum(np.maximum(xi, self.a), x_ctx + h)
+        inside = xi > x_ctx + 1e-14
+        current = ~inside & (x_ctx - xi <= 1e-14)
+        t_idx = (xi - self.a) / h
+        j = np.minimum(np.maximum(np.floor(t_idx).astype(np.int64), 0), n - 1)
+        j = np.where(inside | current, np.maximum(ctx - 1, 0), j)
+        theta = np.where(current, ctx - j, t_idx - j)
+        t2 = theta * theta
+        t3 = t2 * theta
+        self.weights = np.stack([2.0 * t3 - 3.0 * t2 + 1.0, -2.0 * t3 + 3.0 * t2,
+                                 h * (t3 - 2.0 * t2 + theta), h * (t3 - t2)],
+                                axis=-1)[..., None]
+        self.gather = _CHANNEL * (n + 1) + j[..., None] + _ROW_OFFSET
+        self.first_d = np.where(inside[0, 1:], xi[0, 1:] - self.a, 0.0)[:, None]
 
     def sweep(self, lam: np.ndarray, y0: np.ndarray, v0: np.ndarray,
               keep_second: bool = False):
@@ -234,8 +224,8 @@ class _SegmentTables:
         t2 = 2.0 * h / 3.0 - (h2 * h / 12.0) * z
         t3 = h / 6.0
 
-        Y = np.zeros((n + 1, m))
-        V = np.zeros((n + 1, m))
+        YV = np.zeros((2, n + 1, m))
+        Y, V = YV
         A = np.zeros((n + 1, m)) if keep_second else None
         Y[0] = y0
         V[0] = v0
@@ -250,29 +240,26 @@ class _SegmentTables:
                 A[:] = -z * Y
             return Y, V, A
 
-        negq_node = self.negq_node
-        negq_half = self.negq_half
-        node_tab = self.node_tab
-        half_tab = self.half_tab
-        end_tab = self.end_tab
-        taylor = None
-        a_row = None
-        for i in range(n):
+        rows = YV.reshape(2 * (n + 1), m)
+        negq = self.negq
+        # peeled step 0: the node stage is the initial state, the others
+        # read its Taylor extrapolant
+        g = np.empty((3, m))
+        g[0] = negq[0, 0] * Y[0]
+        a0 = g[0] - z * Y[0]
+        g[1:] = negq[0, 1:] * (Y[0] + self.first_d * V[0]
+                               + (0.5 * self.first_d * self.first_d) * a0)
+        for i, (idx, w, nq) in enumerate(zip(self.gather[1:], self.weights[1:], negq[1:])):
             y = Y[i]
             v = V[i]
-            g1 = negq_node[i] * node_tab.value(i, Y, V, y, taylor)
-            if i == 0:
-                a_row = g1 - z * y
-                taylor = (y, v, a_row)
             if keep_second:
-                A[i] = g1 - z * y
-            gh = negq_half[i] * half_tab.value(i, Y, V, y, taylor)
-            ge = negq_node[i + 1] * end_tab.value(i, Y, V, y, taylor)
-            Y[i + 1] = p_c * y + q_c * v + r1 * g1 + r2 * gh
-            V[i + 1] = s_c * y + p_c * v + t1 * g1 + t2 * gh + t3 * ge
+                A[i] = g[0] - z * y
+            Y[i + 1] = p_c * y + q_c * v + r1 * g[0] + r2 * g[1]
+            V[i + 1] = s_c * y + p_c * v + t1 * g[0] + t2 * g[1] + t3 * g[2]
+            # stages of step i + 1, read from rows up to i + 1
+            g = nq * (rows.take(idx, axis=0) * w).sum(axis=1)
         if keep_second:
-            g_last = negq_node[n] * node_tab.value(n, Y, V, Y[n], taylor)
-            A[n] = g_last - z * Y[n]
+            A[n] = g[0] - z * Y[n]
         return Y, V, A
 
 
@@ -310,14 +297,11 @@ def _segment_from_columns(tables: _SegmentTables, lam: float, Y, V, A, col: int)
 
 
 def integrate_segment(spec: ProblemSpec, lam: float, interval, y0: float, dy0: float,
-                      history: SolutionSegment | None = None,
                       steps: int = DEFAULT_STEPS) -> SolutionSegment:
     """Integrate one subinterval with given initial data at its left end.
 
     ``interval`` must lie within [0, pi/2] or within [pi/2, pi]; the matching
-    coefficient expressions of the problem are used.  ``history`` is accepted
-    for the degenerate left-endpoint lookup x - Delta(x) = a, which the
-    scheme resolves from the initial data itself, so it is never consulted.
+    coefficient expressions of the problem are used.
     """
     if lam <= 0.0:
         raise ValueError("lambda must be positive")
@@ -337,36 +321,46 @@ def integrate_segment(spec: ProblemSpec, lam: float, interval, y0: float, dy0: f
     return _segment_from_columns(tabs, lam, Y, V, A, 0)
 
 
-def shoot_many(spec: ProblemSpec, lams, steps_per_segment: int = DEFAULT_STEPS,
-               chunk: int = DEFAULT_CHUNK) -> list[ShootingResult]:
-    """Shooting solutions for a batch of positive lambda values.
+def _shoot_chunks(spec: ProblemSpec, lams: np.ndarray, steps: int, chunk: int,
+                  keep_second: bool):
+    """The sweep driver behind every shooting call.
 
     The left segment starts from y(0) = sin(alpha), y'(0) = -cos(alpha); the
     right segment continues from the transmission mapping
     y(pi/2+) = lambda^(-1/3) delta^(-1) y(pi/2-) (and likewise for y').
+    Yields (cols, left, right) for each slice ``cols`` of at most ``chunk``
+    lambda values, where left and right are (tables, Y, V, A).
     """
-    lams = np.asarray(lams, dtype=float)
     if np.any(lams <= 0.0):
         raise ValueError("lambda must be positive")
-    lt = _left_tables(spec, steps_per_segment)
-    rt = _right_tables(spec, steps_per_segment)
-    out: list[ShootingResult] = []
+    lt = _left_tables(spec, steps)
+    rt = _right_tables(spec, steps)
     sin_a = math.sin(spec.alpha)
     cos_a = math.cos(spec.alpha)
     for start in range(0, lams.shape[0], chunk):
-        z = lams[start:start + chunk]
+        cols = slice(start, start + chunk)
+        z = lams[cols]
         m = z.shape[0]
-        Yl, Vl, Al = lt.sweep(z, np.full(m, sin_a), np.full(m, -cos_a),
-                              keep_second=True)
+        Yl, Vl, Al = lt.sweep(z, np.full(m, sin_a), np.full(m, -cos_a), keep_second)
         _check_finite(Yl, Vl, lt, z)
         scale = 1.0 / (lam_cbrt(z) * spec.coupling)
-        Yr, Vr, Ar = rt.sweep(z, scale * Yl[-1], scale * Vl[-1], keep_second=True)
+        Yr, Vr, Ar = rt.sweep(z, scale * Yl[-1], scale * Vl[-1], keep_second)
         _check_finite(Yr, Vr, rt, z)
-        for k in range(m):
+        yield cols, (lt, Yl, Vl, Al), (rt, Yr, Vr, Ar)
+
+
+def shoot_many(spec: ProblemSpec, lams, steps_per_segment: int = DEFAULT_STEPS,
+               chunk: int = DEFAULT_CHUNK) -> list[ShootingResult]:
+    """Shooting solutions for a batch of positive lambda values."""
+    lams = np.asarray(lams, dtype=float)
+    out: list[ShootingResult] = []
+    for cols, (lt, Yl, Vl, Al), (rt, Yr, Vr, Ar) in _shoot_chunks(
+            spec, lams, steps_per_segment, chunk, keep_second=True):
+        for k, lam in enumerate(lams[cols]):
             out.append(ShootingResult(
-                left=_segment_from_columns(lt, z[k], Yl, Vl, Al, k),
-                right=_segment_from_columns(rt, z[k], Yr, Vr, Ar, k),
-                lam=float(z[k]),
+                left=_segment_from_columns(lt, lam, Yl, Vl, Al, k),
+                right=_segment_from_columns(rt, lam, Yr, Vr, Ar, k),
+                lam=float(lam),
             ))
     return out
 
@@ -384,22 +378,10 @@ def shoot_endpoints(spec: ProblemSpec, lams, steps_per_segment: int = DEFAULT_ST
     characteristic-function scans.
     """
     lams = np.asarray(lams, dtype=float)
-    if np.any(lams <= 0.0):
-        raise ValueError("lambda must be positive")
-    lt = _left_tables(spec, steps_per_segment)
-    rt = _right_tables(spec, steps_per_segment)
     w = np.empty(lams.shape[0])
     wp = np.empty(lams.shape[0])
-    sin_a = math.sin(spec.alpha)
-    cos_a = math.cos(spec.alpha)
-    for start in range(0, lams.shape[0], chunk):
-        z = lams[start:start + chunk]
-        m = z.shape[0]
-        Yl, Vl, _ = lt.sweep(z, np.full(m, sin_a), np.full(m, -cos_a))
-        _check_finite(Yl, Vl, lt, z)
-        scale = 1.0 / (lam_cbrt(z) * spec.coupling)
-        Yr, Vr, _ = rt.sweep(z, scale * Yl[-1], scale * Vl[-1])
-        _check_finite(Yr, Vr, rt, z)
-        w[start:start + m] = Yr[-1]
-        wp[start:start + m] = Vr[-1]
+    for cols, _, (_, Yr, Vr, _) in _shoot_chunks(spec, lams, steps_per_segment, chunk,
+                                                 keep_second=False):
+        w[cols] = Yr[-1]
+        wp[cols] = Vr[-1]
     return w, wp

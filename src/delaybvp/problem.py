@@ -23,7 +23,7 @@ read of the instance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -69,7 +69,7 @@ class ProblemSpec:
     ``q_left``/``retard_left`` apply on [0, pi/2), ``q_right``/``retard_right``
     on (pi/2, pi].  ``alpha`` and ``beta`` are the boundary angles in radians,
     ``coupling`` is the nonzero transmission constant.  The interface point is
-    fixed at pi/2 and stored only for clarity.
+    fixed at pi/2.
     """
 
     q_left: Expr
@@ -79,7 +79,6 @@ class ProblemSpec:
     alpha: float
     beta: float
     coupling: float
-    interface_point: float = field(default=HALF)
 
     def __post_init__(self):
         if self.coupling == 0.0:
@@ -98,12 +97,6 @@ class ProblemSpec:
             beta=float(beta),
             coupling=float(coupling),
         )
-
-    def q(self, x, side: str):
-        return (self.q_left if side == "left" else self.q_right).eval(x)
-
-    def retard(self, x, side: str):
-        return (self.retard_left if side == "left" else self.retard_right).eval(x)
 
 
 @dataclass(frozen=True)

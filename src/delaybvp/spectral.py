@@ -142,7 +142,9 @@ def _refine_brackets(spec: ProblemSpec, lo, hi, f_lo, refine_tol: float,
     Every round evaluates ``probes`` interior points of all brackets in one
     batched sweep and keeps the first subinterval with a sign change, so the
     width shrinks by (probes + 1) per round while the bracket invariant is
-    preserved exactly as in bisection.
+    preserved exactly as in bisection.  A round that changes no bracket
+    ends the loop: the brackets are then as narrow as floating point allows,
+    which is wider than a ``refine_tol`` below one ulp of the root.
     """
     lo = np.asarray(lo, dtype=float).copy()
     hi = np.asarray(hi, dtype=float).copy()
@@ -167,6 +169,8 @@ def _refine_brackets(spec: ProblemSpec, lo, hi, f_lo, refine_tol: float,
         # no flip among the probes: the change sits in the last subinterval
         new_lo = np.where(~any_flip, grid[idx, probes - 1], new_lo)
         new_f_lo = np.where(~any_flip, F[idx, probes - 1], new_f_lo)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
         lo, hi, f_lo = new_lo, new_hi, new_f_lo
     return lo, hi
 

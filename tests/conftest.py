@@ -1,4 +1,5 @@
 import math
+import signal
 
 import pytest
 
@@ -36,3 +37,15 @@ def constq_pairs(constq_spec):
 def delayed_pairs(delayed_spec):
     """Localized eigenpairs n = 5..50 for the delayed problem."""
     return spectral.localize_range(delayed_spec, range(5, 51))
+
+
+@pytest.fixture
+def alarm():
+    """Turns a hang of the test body into a TimeoutError after 60 s."""
+    def fail(signum, frame):
+        raise TimeoutError("no result within 60 s")
+    previous = signal.signal(signal.SIGALRM, fail)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

@@ -184,3 +184,25 @@ def test_rerun_byte_identical(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(out1)]) == 0
     assert main(["solve", "--config", cfg, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_refine_tol_below_one_ulp_terminates(tmp_path, alarm):
+    # no bracket can shrink below one ulp of s; refinement stops there
+    cfg = write_config(tmp_path, solver={"steps_per_segment": 256, "refine_tol": 1e-17})
+    out = tmp_path / "table.csv"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    rows = read_csv(out)
+    assert [r["n"] for r in rows] == ["1", "2", "3"]
+    for r in rows:
+        assert abs(float(r["s_n"]) - int(r["n"])) < 1e-6
+        assert abs(float(r["F_residual"])) < 1e-12
+
+
+@pytest.mark.parametrize("key, value", [("refine_tol", math.nan),
+                                        ("refine_tol", math.inf),
+                                        ("refine_tol", -math.inf),
+                                        ("steps_per_segment", math.inf)])
+def test_non_finite_solver_setting_rejected(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, solver={key: value})
+    assert main(["solve", "--config", cfg]) == 1
+    assert f"solver.{key}" in capsys.readouterr().err

@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delaybvp.dde_solver import (DelayRangeError, NonFiniteStateError,
                                  integrate_segment, lam_cbrt, shoot,
@@ -124,6 +125,24 @@ def test_shoot_many_matches_single(delayed_spec):
     for lam, res in zip(lams, many):
         single = shoot(delayed_spec, lam, 512)
         assert np.array_equal(res.right.eval(xs), single.right.eval(xs))
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=st.sampled_from([spec_of("sin(x)", "cos(x)", "0.5*x*(pi/2 - x)",
+                                     "(x - pi/2)*(pi - x)*0.25"),
+                             spec_of("1", "1")]),
+       steps=st.integers(64, 256),
+       lams=st.lists(st.floats(0.5, 2500.0), min_size=1, max_size=8),
+       chunk=st.integers(1, 8))
+def test_shoot_endpoints_batch_invariant(spec, steps, lams, chunk):
+    # every column sees the same operations in the same order, whatever the
+    # batch around it; byte-identical reruns and bracket refinement rely on it
+    w, wp = shoot_endpoints(spec, lams, steps)
+    w_chunked, wp_chunked = shoot_endpoints(spec, lams, steps, chunk=chunk)
+    assert w.tobytes() == w_chunked.tobytes() and wp.tobytes() == wp_chunked.tobytes()
+    for k, lam in enumerate(lams):
+        w1, wp1 = shoot_endpoints(spec, [lam], steps)
+        assert w1.tobytes() == w[k:k + 1].tobytes() and wp1.tobytes() == wp[k:k + 1].tobytes()
 
 
 def test_shoot_endpoints_matches_segments(constq_spec):

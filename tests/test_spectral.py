@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from delaybvp.problem import Case1RequiredError, HALF, ProblemSpec
-from delaybvp.spectral import (ZeroOrManyError, char_fn, char_fn_picard,
-                               char_fn_samples, localize_near_n,
-                               localize_range, scan_roots,
+from delaybvp.spectral import (ZeroOrManyError, _refine_brackets, char_fn,
+                               char_fn_picard, char_fn_samples,
+                               localize_near_n, localize_range, scan_roots,
                                simplicity_certificate)
 
 PI = math.pi
@@ -148,3 +148,11 @@ def test_positive_s_required(null_spec):
         char_fn_samples(null_spec, [-1.0])
     with pytest.raises(ValueError):
         scan_roots(null_spec, 0.0, 2.0)
+
+
+def test_refinement_below_one_ulp_keeps_its_bracket(null_spec, alarm):
+    f_lo = char_fn_samples(null_spec, [2.5], 256)
+    lo, hi = _refine_brackets(null_spec, [2.5], [3.5], f_lo, 1e-17, 256)
+    F = char_fn_samples(null_spec, [lo[0], hi[0]], 256)
+    assert (F[0] <= 0.0) != (F[1] <= 0.0)
+    assert 0.0 < hi[0] - lo[0] <= 2.0 * np.spacing(lo[0])
