@@ -9,6 +9,9 @@ retardation integrals
     L(x, s) = 1/2 * integral_0^x q(t) cos(s Delta(t)) dt,
 
 namely  s_n = n + (cot(beta) - cot(alpha) - L(pi, n)) / (n pi) + O(1/n^2).
+K and L at any set of points x come from one cumulative Simpson pass per
+subinterval, read between quadrature nodes by cubic Hermite interpolation,
+so a whole eigenfunction profile costs the same as a single point.
 Matching refined eigenfunction forms exist on both subintervals; on the
 right interval the printed inner correction carries a 1/(n^(5/3) pi)
 scaling that looks inconsistent with the structurally parallel left form
@@ -31,10 +34,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dde_solver import lam_cbrt
 from .problem import (HALF, Case1RequiredError, ProblemSpec,
                       check_refined_conditions, is_case1, q_norms)
-from .quadrature import odd_point_count, simpson
+from .quadrature import cumulative_simpson, hermite, odd_point_count
 from .spectral import Eigenpair
 
 __all__ = [
@@ -156,33 +158,33 @@ class RateReport:
                 and self.osc_fit.ok(OSC_DECAY_SLOPE_MAX))
 
 
-def _piece_integrals(q_expr, d_expr, a: float, b: float, s: float, points: int):
-    xs = np.linspace(a, b, points)
-    h = float(xs[1] - xs[0])
-    q = np.asarray(q_expr.eval(xs), dtype=float)
-    d = np.asarray(d_expr.eval(xs), dtype=float)
-    k = simpson(q * np.sin(s * d), h)
-    l = simpson(q * np.cos(s * d), h)
-    return k, l
-
-
-def kl_integrals(spec: ProblemSpec, x: float, s: float,
-                 quadrature_points: int = DEFAULT_QUAD) -> tuple[float, float]:
-    """The retardation integrals (K(x, s), L(x, s)) for x in (0, pi].
-
-    The quadrature splits at the interface when x > pi/2 so each piece uses
-    its own coefficient expressions.
-    """
-    if not 0.0 < x <= math.pi:
+def kl_integrals(spec: ProblemSpec, x, s: float, quadrature_points: int = DEFAULT_QUAD):
+    """The retardation integrals (K(x, s), L(x, s)) for x in (0, pi], scalar
+    or array: one cumulative Simpson pass per subinterval, with that side's
+    coefficient expressions, gives them at the nodes, and between nodes they
+    are the cubic Hermite interpolant with the integrands as slopes.  Any x
+    gets the same value alone or in any array."""
+    scalar = np.ndim(x) == 0
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all((xs > 0.0) & (xs <= math.pi)):
         raise ValueError("x must lie in (0, pi]")
     pts = odd_point_count(quadrature_points)
-    if x <= HALF:
-        k, l = _piece_integrals(spec.q_left, spec.retard_left, 0.0, x, s, pts)
-    else:
-        k1, l1 = _piece_integrals(spec.q_left, spec.retard_left, 0.0, HALF, s, pts)
-        k2, l2 = _piece_integrals(spec.q_right, spec.retard_right, HALF, x, s, pts)
-        k, l = k1 + k2, l1 + l2
-    return 0.5 * k, 0.5 * l
+    right = xs > HALF
+    kl = np.empty((2,) + xs.shape)
+    offset = np.zeros(2)
+    for q_expr, d_expr, a, b, side in (
+            (spec.q_left, spec.retard_left, 0.0, HALF, ~right),
+            (spec.q_right, spec.retard_right, HALF, math.pi, right)):
+        nodes = np.linspace(a, b, pts)
+        h = float(nodes[1] - nodes[0])
+        q = np.asarray(q_expr.eval(nodes), dtype=float)
+        d = np.asarray(d_expr.eval(nodes), dtype=float)
+        for c, integrand in enumerate((q * np.sin(s * d), q * np.cos(s * d))):
+            running = cumulative_simpson(integrand, h)
+            kl[c, side] = offset[c] + hermite(nodes, running, integrand, xs[side])
+            offset[c] += running[-1]
+    k, l = 0.5 * kl
+    return (float(k[0]), float(l[0])) if scalar else (k, l)
 
 
 @lru_cache(maxsize=8)
@@ -225,13 +227,11 @@ def _refined_inner(spec: ProblemSpec, n: int, x, l_pi: float, k_x, l_x, scaling:
 def _kl_profile(spec: ProblemSpec, n: int, xs: np.ndarray, quadrature_points: int):
     """L(pi, n) and the arrays K(x, n), L(x, n) over xs (zero at x = 0),
     the retardation integrals every refined eigenfunction form needs."""
-    _, l_pi = kl_integrals(spec, math.pi, float(n), quadrature_points)
-    k_x = np.zeros_like(xs)
-    l_x = np.zeros_like(xs)
-    for i, xi in enumerate(xs):
-        if xi != 0.0:
-            k_x[i], l_x[i] = kl_integrals(spec, float(xi), float(n), quadrature_points)
-    return l_pi, k_x, l_x
+    nonzero = xs != 0.0
+    k, l = kl_integrals(spec, np.append(xs[nonzero], math.pi), float(n), quadrature_points)
+    k_x, l_x = np.zeros((2,) + xs.shape)
+    k_x[nonzero], l_x[nonzero] = k[:-1], l[:-1]
+    return l[-1], k_x, l_x
 
 
 def _right_amplitude(spec: ProblemSpec, n: int) -> float:
@@ -326,7 +326,7 @@ def oscillatory_q_integral(spec: ProblemSpec, s: float, x: float = HALF,
     h = float(xs[1] - xs[0])
     q = np.asarray(spec.q_left.eval(xs), dtype=float)
     d = np.asarray(spec.retard_left.eval(xs), dtype=float)
-    return simpson(q * np.cos(s * (2.0 * xs - d)), h)
+    return float(cumulative_simpson(q * np.cos(s * (2.0 * xs - d)), h)[-1])
 
 
 def _fit_slope(n_values, residuals, floor: float = RESIDUAL_FLOOR) -> SlopeFit:

@@ -75,9 +75,9 @@ def _expr_field(section: dict, key: str) -> str:
     return raw
 
 
-def _positive(raw, key: str, kind=float):
+def _positive(raw, key: str) -> float:
     try:
-        value = kind(raw)
+        value = float(raw)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key}: expected a positive number") from None
     if not math.isfinite(value):
@@ -85,6 +85,17 @@ def _positive(raw, key: str, kind=float):
     if value <= 0:
         raise ConfigError(f"{key}: must be positive")
     return value
+
+
+def _integer(raw, key: str, minimum: int = 1) -> int:
+    """A whole number of at least ``minimum``; bools and fractions fail."""
+    if isinstance(raw, float) and raw.is_integer():
+        raw = int(raw)
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise ConfigError(f"{key}: expected an integer")
+    if raw < minimum:
+        raise ConfigError(f"{key}: must be at least {minimum}")
+    return raw
 
 
 def load_config(path: str) -> RunConfig:
@@ -120,14 +131,12 @@ def load_config(path: str) -> RunConfig:
     if not isinstance(sol, dict):
         raise ConfigError("solver: expected an object")
     settings = SolverSettings(
-        steps_per_segment=_positive(sol.get("steps_per_segment",
-                                            dde_solver.DEFAULT_STEPS),
-                                    "solver.steps_per_segment", int),
+        steps_per_segment=_integer(sol.get("steps_per_segment", dde_solver.DEFAULT_STEPS),
+                                   "solver.steps_per_segment", minimum=2),
         refine_tol=_positive(sol.get("refine_tol", spectral.DEFAULT_REFINE_TOL),
                              "solver.refine_tol"),
-        quadrature_points=_positive(sol.get("quadrature_points",
-                                            asymptotics.DEFAULT_QUAD),
-                                    "solver.quadrature_points", int),
+        quadrature_points=_integer(sol.get("quadrature_points", asymptotics.DEFAULT_QUAD),
+                                   "solver.quadrature_points", minimum=3),
     )
 
     rng = doc.get("range")
@@ -138,8 +147,8 @@ def load_config(path: str) -> RunConfig:
     if "n_min" in rng or "n_max" in rng:
         if "s_min" in rng or "s_max" in rng:
             raise ConfigError("range: give either an n-range or an s-range, not both")
-        n_min = _positive(rng.get("n_min"), "range.n_min", int)
-        n_max = _positive(rng.get("n_max"), "range.n_max", int)
+        n_min = _integer(rng.get("n_min"), "range.n_min")
+        n_max = _integer(rng.get("n_max"), "range.n_max")
         if n_max < n_min:
             raise ConfigError("range.n_max: must be >= range.n_min")
         n_range = (n_min, n_max)
@@ -148,9 +157,7 @@ def load_config(path: str) -> RunConfig:
         s_max = _positive(rng.get("s_max"), "range.s_max")
         if s_max <= s_min:
             raise ConfigError("range.s_max: must exceed range.s_min")
-        samples = _positive(rng.get("samples"), "range.samples", int)
-        if samples < 2:
-            raise ConfigError("range.samples: need at least 2")
+        samples = _integer(rng.get("samples"), "range.samples", minimum=2)
         s_range = (s_min, s_max, samples)
     else:
         raise ConfigError("range: need n_min/n_max or s_min/s_max/samples")
@@ -164,7 +171,7 @@ def load_config(path: str) -> RunConfig:
     grid = doc.get("grid", {})
     if not isinstance(grid, dict):
         raise ConfigError("grid: expected an object")
-    x_samples = _positive(grid.get("x_samples", 201), "grid.x_samples", int)
+    x_samples = _integer(grid.get("x_samples", 201), "grid.x_samples")
 
     return RunConfig(problem=spec, solver=settings, n_range=n_range,
                      s_range=s_range, out_format=fmt,

@@ -36,6 +36,7 @@ import numpy as np
 
 from .exprlang import Expr
 from .problem import HALF, ProblemSpec
+from .quadrature import hermite
 
 __all__ = [
     "SolutionSegment",
@@ -85,29 +86,11 @@ class SolutionSegment:
     derivs: np.ndarray
     second_derivs: np.ndarray
 
-    def _locate(self, x):
+    def _hermite(self, x, f, df):
         x = np.asarray(x, dtype=float)
         if np.any(x < self.a - 1e-12) or np.any(x > self.b + 1e-12):
             raise ValueError(f"evaluation outside [{self.a}, {self.b}]")
-        n = self.nodes.shape[0] - 1
-        h = (self.b - self.a) / n
-        j = np.clip(np.floor((x - self.a) / h).astype(np.int64), 0, n - 1)
-        # snap to the upper node when x matches it bit-exactly
-        snap = x == self.nodes[np.minimum(j + 1, n)]
-        j = np.where(snap, np.minimum(j + 1, n - 1), j)
-        theta = (x - self.nodes[j]) / h
-        theta = np.where(snap & (j == n - 1), 1.0, theta)
-        theta = np.where(snap & (j < n - 1), 0.0, theta)
-        return j, theta, h
-
-    def _hermite(self, x, f, df):
-        j, t, h = self._locate(x)
-        t2 = t * t
-        t3 = t2 * t
-        out = ((2.0 * t3 - 3.0 * t2 + 1.0) * f[j]
-               + (-2.0 * t3 + 3.0 * t2) * f[j + 1]
-               + h * ((t3 - 2.0 * t2 + t) * df[j] + (t3 - t2) * df[j + 1]))
-        return float(out) if out.ndim == 0 else out
+        return hermite(self.nodes, f, df, x)
 
     def eval(self, x):
         """Value of the solution at x (scalar or array)."""

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import exprlang
 from .exprlang import Expr
-from .quadrature import odd_point_count, simpson
+from .quadrature import cumulative_simpson, odd_point_count
 
 __all__ = [
     "HALF",
@@ -273,11 +273,11 @@ def _q_norms_cached(spec: ProblemSpec, quadrature_points: int) -> QNorms:
     n = odd_point_count(quadrature_points)
     left = np.linspace(0.0, HALF, n)
     right = np.linspace(HALF, math.pi, n)
-    q1 = simpson(np.abs(np.asarray(spec.q_left.eval(left), dtype=float)),
-                 float(left[1] - left[0]))
-    q2 = simpson(np.abs(np.asarray(spec.q_right.eval(right), dtype=float)),
-                 float(right[1] - right[0]))
-    return QNorms(q1=q1, q2=q2)
+    q1 = cumulative_simpson(np.abs(np.asarray(spec.q_left.eval(left), dtype=float)),
+                            float(left[1] - left[0]))[-1]
+    q2 = cumulative_simpson(np.abs(np.asarray(spec.q_right.eval(right), dtype=float)),
+                            float(right[1] - right[0]))[-1]
+    return QNorms(q1=float(q1), q2=float(q2))
 
 
 def q_norms(spec: ProblemSpec, quadrature_points: int = 4097) -> QNorms:

@@ -1,34 +1,24 @@
-"""Composite-Simpson quadrature on uniform grids.
+"""Cumulative composite-Simpson quadrature and cubic Hermite interpolation
+on uniform grids.
 
-Both the plain rule and a cumulative variant are provided; the cumulative
-variant returns the running integral at every grid node, which the Volterra
-iteration and the eigenfunction correction integrals need.  Odd-indexed
-nodes are handled with the one-sided three-point rule so the cumulative
-result stays fourth-order accurate everywhere.
+``cumulative_simpson`` returns the running integral at every node (a full
+integral is its last entry); odd-indexed nodes use the one-sided three-point
+rule so the result stays fourth-order accurate everywhere.  ``hermite``
+reads node values and slopes between the nodes: the integrator's dense
+output, and K, L between quadrature nodes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["simpson", "cumulative_simpson", "odd_point_count"]
+__all__ = ["cumulative_simpson", "hermite", "odd_point_count"]
 
 
 def odd_point_count(n: int) -> int:
     """Round a requested point count up to the next odd value >= 3."""
     n = max(int(n), 3)
     return n if n % 2 == 1 else n + 1
-
-
-def simpson(y: np.ndarray, h: float) -> float:
-    """Integrate uniformly sampled values with the composite Simpson rule.
-
-    Requires an odd number of samples (even number of intervals).
-    """
-    y = np.asarray(y, dtype=float)
-    if y.shape[-1] % 2 == 0:
-        raise ValueError("composite Simpson needs an odd sample count")
-    return float((h / 3.0) * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum()))
 
 
 def cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
@@ -61,3 +51,23 @@ def cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
         inc[-1] = (h / 12.0) * (-y[n - 3] + 8.0 * y[n - 2] + 5.0 * y[n - 1])
     out[k] = out[k - 1] + inc
     return out
+
+
+def hermite(nodes: np.ndarray, f: np.ndarray, df: np.ndarray, x):
+    """Cubic Hermite interpolant of values ``f`` and slopes ``df`` on the
+    uniform grid ``nodes`` at x (scalar or array), without a range check;
+    an x equal to a node bit-exactly gets that node's value exactly."""
+    x = np.asarray(x, dtype=float)
+    a = nodes[0]
+    n = nodes.shape[0] - 1
+    h = (nodes[-1] - a) / n
+    j = np.clip(np.floor((x - a) / h).astype(np.int64), 0, n - 1)
+    # x on the upper node of its interval: t = 1 exactly, where the weights
+    # are exactly (0, 1, 0, 0); on the lower node t is 0 exactly already
+    t = np.where(x == nodes[j + 1], 1.0, (x - nodes[j]) / h)
+    t2 = t * t
+    t3 = t2 * t
+    out = ((2.0 * t3 - 3.0 * t2 + 1.0) * f[j]
+           + (-2.0 * t3 + 3.0 * t2) * f[j + 1]
+           + h * ((t3 - 2.0 * t2 + t) * df[j] + (t3 - t2) * df[j + 1]))
+    return float(out) if out.ndim == 0 else out

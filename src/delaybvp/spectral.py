@@ -135,16 +135,15 @@ def char_fn_samples(spec: ProblemSpec, s_values, steps: int = dde_solver.DEFAULT
     return _assemble_F(spec, w, wp)
 
 
-def _refine_brackets(spec: ProblemSpec, lo, hi, f_lo, refine_tol: float,
-                     steps: int, probes: int = DEFAULT_PROBES):
+def _refine_brackets(spec: ProblemSpec, lo, hi, f_lo, refine_tol: float, steps: int):
     """Shrink sign-change brackets [lo_i, hi_i] in s to width < refine_tol.
 
-    Every round evaluates ``probes`` interior points of all brackets in one
-    batched sweep and keeps the first subinterval with a sign change, so the
-    width shrinks by (probes + 1) per round while the bracket invariant is
-    preserved exactly as in bisection.  A round that changes no bracket
-    ends the loop: the brackets are then as narrow as floating point allows,
-    which is wider than a ``refine_tol`` below one ulp of the root.
+    Every round evaluates ``DEFAULT_PROBES`` interior points of all brackets
+    in one batched sweep and keeps the first subinterval with a sign change,
+    so the width shrinks by (DEFAULT_PROBES + 1) per round while the bracket
+    invariant is preserved exactly as in bisection.  A round that changes no
+    bracket ends the loop: the brackets are then as narrow as floating point
+    allows, which is wider than a ``refine_tol`` below one ulp of the root.
     """
     lo = np.asarray(lo, dtype=float).copy()
     hi = np.asarray(hi, dtype=float).copy()
@@ -152,23 +151,23 @@ def _refine_brackets(spec: ProblemSpec, lo, hi, f_lo, refine_tol: float,
     m = lo.shape[0]
     if m == 0:
         return lo, hi
-    frac = np.arange(1, probes + 1) / (probes + 1.0)
+    frac = np.arange(1, DEFAULT_PROBES + 1) / (DEFAULT_PROBES + 1.0)
     while np.max(hi - lo) >= refine_tol:
         grid = lo[:, None] + (hi - lo)[:, None] * frac[None, :]
-        F = char_fn_samples(spec, grid.ravel(), steps).reshape(m, probes)
+        F = char_fn_samples(spec, grid.ravel(), steps).reshape(m, DEFAULT_PROBES)
         sign_lo = f_lo <= 0.0
         # first probe with a sign different from the left end, per bracket
         flips = (F <= 0.0) != sign_lo[:, None]
         any_flip = flips.any(axis=1)
-        first = np.where(any_flip, flips.argmax(axis=1), probes - 1)
+        first = np.where(any_flip, flips.argmax(axis=1), DEFAULT_PROBES - 1)
         idx = np.arange(m)
         new_hi = np.where(any_flip, grid[idx, first], hi)
         left_of = first - 1
         new_lo = np.where(any_flip & (left_of >= 0), grid[idx, np.maximum(left_of, 0)], lo)
         new_f_lo = np.where(any_flip & (left_of >= 0), F[idx, np.maximum(left_of, 0)], f_lo)
         # no flip among the probes: the change sits in the last subinterval
-        new_lo = np.where(~any_flip, grid[idx, probes - 1], new_lo)
-        new_f_lo = np.where(~any_flip, F[idx, probes - 1], new_f_lo)
+        new_lo = np.where(~any_flip, grid[idx, DEFAULT_PROBES - 1], new_lo)
+        new_f_lo = np.where(~any_flip, F[idx, DEFAULT_PROBES - 1], new_f_lo)
         if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
             break
         lo, hi, f_lo = new_lo, new_hi, new_f_lo

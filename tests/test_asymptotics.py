@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delaybvp import dde_solver
 from delaybvp.asymptotics import (DegenerateNormError, InsufficientRangeError,
@@ -36,11 +37,26 @@ def test_kl_zero_q(null_spec):
 
 def test_kl_constant_delay_closed_form():
     # q = 1, Delta = 0.3 (quadrature check only; a constant delay violates
-    # the retardation conditions and is never used as a problem instance)
+    # the retardation conditions and is never used as a problem instance);
+    # 0.37, 1.0 and 2.5 fall between quadrature nodes on either side
     spec = spec_of(q_l="1", q_r="1", d_l="0.3", d_r="0.3")
     for s in (2.0, 11.5):
-        k, _ = kl_integrals(spec, HALF, s)
-        assert k == pytest.approx((PI / 4) * math.sin(0.3 * s), rel=1e-10)
+        for x in (0.37, 1.0, HALF, 2.5, PI):
+            k, l = kl_integrals(spec, x, s)
+            assert k == pytest.approx((x / 2) * math.sin(0.3 * s), rel=1e-12)
+            assert l == pytest.approx((x / 2) * math.cos(0.3 * s), rel=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(xs=st.lists(st.one_of(st.sampled_from([HALF, PI]),
+                             st.floats(0.0, PI, exclude_min=True)),
+                   min_size=1, max_size=12),
+       s=st.floats(0.0, 60.0, exclude_min=True))
+def test_kl_array_matches_scalar_calls(delayed_spec, xs, s):
+    k, l = kl_integrals(delayed_spec, np.array(xs), s)
+    singles = np.array([kl_integrals(delayed_spec, x, s) for x in xs])
+    assert np.array_equal(k, singles[:, 0])
+    assert np.array_equal(l, singles[:, 1])
 
 
 def test_kl_small_s_limits(delayed_spec):

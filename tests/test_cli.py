@@ -201,7 +201,15 @@ def test_refine_tol_below_one_ulp_terminates(tmp_path, alarm):
 @pytest.mark.parametrize("key, value", [("refine_tol", math.nan),
                                         ("refine_tol", math.inf),
                                         ("refine_tol", -math.inf),
-                                        ("steps_per_segment", math.inf)])
+                                        ("steps_per_segment", math.inf),
+                                        # integer keys: no bools, no fractions,
+                                        # no values the solver cannot use
+                                        ("steps_per_segment", 1),
+                                        ("steps_per_segment", True),
+                                        ("steps_per_segment", 256.9),
+                                        ("quadrature_points", 1),
+                                        ("quadrature_points", 2),
+                                        ("quadrature_points", True)])
 def test_non_finite_solver_setting_rejected(tmp_path, capsys, key, value):
     cfg = write_config(tmp_path, solver={key: value})
     assert main(["solve", "--config", cfg]) == 1

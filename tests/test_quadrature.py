@@ -1,0 +1,50 @@
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from delaybvp.quadrature import cumulative_simpson, hermite
+
+coefficient = st.floats(-10.0, 10.0)
+
+
+def _grid(count, length):
+    """Uniform nodes t_k = k h on [0, length] and their spacing."""
+    h = length / (count - 1)
+    return np.arange(count) * h, h
+
+
+def _tolerance(count, length, y):
+    # count roundings, each at most eps times a running sum <= length * max|y|
+    return 8 * np.finfo(float).eps * count * length * (1.0 + np.max(np.abs(y)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(count=st.integers(3, 400), length=st.floats(0.1, 10.0),
+       c=st.tuples(coefficient, coefficient, coefficient))
+def test_cumulative_simpson_exact_on_quadratics(count, length, c):
+    t, h = _grid(count, length)
+    y = c[0] + c[1] * t + c[2] * t ** 2
+    exact = c[0] * t + c[1] * t ** 2 / 2 + c[2] * t ** 3 / 3
+    err = np.abs(cumulative_simpson(y, h) - exact)
+    assert np.max(err) <= _tolerance(count, length, y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(count=st.integers(3, 400), length=st.floats(0.1, 10.0),
+       c=st.tuples(coefficient, coefficient, coefficient, coefficient))
+def test_cumulative_simpson_exact_on_cubics_at_even_nodes(count, length, c):
+    # odd nodes use the one-sided quadratic rule, which is not exact on cubics
+    t, h = _grid(count, length)
+    y = c[0] + c[1] * t + c[2] * t ** 2 + c[3] * t ** 3
+    exact = c[0] * t + c[1] * t ** 2 / 2 + c[2] * t ** 3 / 3 + c[3] * t ** 4 / 4
+    err = np.abs(cumulative_simpson(y, h) - exact)[::2]
+    assert np.max(err) <= _tolerance(count, length, y)
+
+
+def test_hermite_reproduces_cubics_and_snaps_to_nodes():
+    nodes = np.linspace(0.3, 2.1, 13)
+    f = nodes ** 3 - 2.0 * nodes
+    df = 3.0 * nodes ** 2 - 2.0
+    xs = np.linspace(0.3, 2.1, 101)
+    assert np.allclose(hermite(nodes, f, df, xs), xs ** 3 - 2.0 * xs, rtol=0, atol=1e-13)
+    assert np.array_equal(hermite(nodes, f, df, nodes), f)
+    assert hermite(nodes, f, df, nodes[-1]) == f[-1]
