@@ -76,6 +76,9 @@ def _expr_field(section: dict, key: str) -> str:
 
 
 def _positive(raw, key: str) -> float:
+    """A finite number above 0; bools fail."""
+    if isinstance(raw, bool):
+        raise ConfigError(f"{key}: expected a positive number")
     try:
         value = float(raw)
     except (TypeError, ValueError, OverflowError):

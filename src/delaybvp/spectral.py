@@ -13,10 +13,12 @@ Two locators are provided: a general scan over an s-range for the low end of
 the spectrum (no completeness claim there), and a per-index localization
 that finds the unique root in the unit window around each integer n, which
 is the regime the asymptotic theory guarantees.  Refinement keeps a
-sign-change bracket throughout (subdividing it with several probe points per
-round, which degenerates to plain bisection with one probe); brackets for
-distinct roots are refined in lock-step so each round costs a single batched
-sweep of the integrator.
+sign-change bracket throughout: each round probes every bracket on both
+sides of its regula-falsi point, so it closes from both ends and narrows
+superlinearly near a simple root, with a midpoint probe whenever the
+previous round did not halve it, so it never needs more than twice
+bisection's rounds.  Brackets for distinct roots are refined in lock-step
+so each round costs a single batched sweep of the integrator.
 
 All eigenvalues of the problem are simple; numerically that shows up as a
 transversal crossing of F, which ``simplicity_certificate`` checks through a
@@ -49,21 +51,24 @@ __all__ = [
 ]
 
 DEFAULT_REFINE_TOL = 1e-10
-# probe points per refinement round; 1 recovers plain bisection
-DEFAULT_PROBES = 31
 LOCALIZE_SUBGRID = 64
 SCAN_SAMPLES_PER_UNIT = 100
 
 
 class ZeroOrManyError(RuntimeError):
-    """The localization window held no single sign change (the index is
-    below the asymptotic regime; fall back to a scan)."""
+    """Localization windows held no single sign change (those indices are
+    below the asymptotic regime; fall back to a scan).
 
-    def __init__(self, n: int, count: int):
-        self.n = n
-        self.count = count
-        super().__init__(
-            f"window [{n - 0.5}, {n + 0.5}] contains {count} sign changes, expected 1")
+    ``windows`` maps every failing n to its sign-change count; ``n`` and
+    ``count`` are those of the first one.
+    """
+
+    def __init__(self, windows: dict[int, int]):
+        self.windows = dict(windows)
+        self.n, self.count = next(iter(self.windows.items()))
+        listed = ", ".join(f"{count} in [{n - 0.5}, {n + 0.5}] (n = {n})"
+                           for n, count in self.windows.items())
+        super().__init__(f"expected 1 sign change per window, found {listed}")
 
 
 @dataclass(frozen=True)
@@ -135,42 +140,59 @@ def char_fn_samples(spec: ProblemSpec, s_values, steps: int = dde_solver.DEFAULT
     return _assemble_F(spec, w, wp)
 
 
-def _refine_brackets(spec: ProblemSpec, lo, hi, f_lo, refine_tol: float, steps: int):
+def _refine_brackets(spec: ProblemSpec, lo, hi, f_lo, f_hi, refine_tol: float, steps: int):
     """Shrink sign-change brackets [lo_i, hi_i] in s to width < refine_tol.
 
-    Every round evaluates ``DEFAULT_PROBES`` interior points of all brackets
-    in one batched sweep and keeps the first subinterval with a sign change,
-    so the width shrinks by (DEFAULT_PROBES + 1) per round while the bracket
-    invariant is preserved exactly as in bisection.  A round that changes no
-    bracket ends the loop: the brackets are then as narrow as floating point
-    allows, which is wider than a ``refine_tol`` below one ulp of the root.
+    A safeguarded two-probe secant, all brackets in lock-step.  Each round
+    probes every bracket still at least ``refine_tol`` wide at x - d and
+    x + d, where x is its regula-falsi point (the midpoint if that is not
+    strictly inside) and d = max(refine_tol/4, min(w^2, w/8)) for width w.
+    Near a simple root x is off by O(w^2), so the two probes straddle the
+    root and the bracket closes from both sides.  A bracket that the
+    previous round did not halve is also probed at its midpoint, so two
+    rounds at least halve it: at worst twice bisection's round count.
+    Probes that are not strictly inside their bracket are dropped; all
+    others go through one batched sweep, and each bracket becomes the
+    first subinterval of its sorted points with a sign change, so the
+    bracket invariant holds exactly as in bisection.  A round that changes
+    no bracket ends the loop: the brackets are then as narrow as floating
+    point allows, which is wider than a ``refine_tol`` below one ulp of the
+    root.
     """
-    lo = np.asarray(lo, dtype=float).copy()
-    hi = np.asarray(hi, dtype=float).copy()
-    f_lo = np.asarray(f_lo, dtype=float).copy()
-    m = lo.shape[0]
-    if m == 0:
-        return lo, hi
-    frac = np.arange(1, DEFAULT_PROBES + 1) / (DEFAULT_PROBES + 1.0)
-    while np.max(hi - lo) >= refine_tol:
-        grid = lo[:, None] + (hi - lo)[:, None] * frac[None, :]
-        F = char_fn_samples(spec, grid.ravel(), steps).reshape(m, DEFAULT_PROBES)
-        sign_lo = f_lo <= 0.0
-        # first probe with a sign different from the left end, per bracket
-        flips = (F <= 0.0) != sign_lo[:, None]
-        any_flip = flips.any(axis=1)
-        first = np.where(any_flip, flips.argmax(axis=1), DEFAULT_PROBES - 1)
-        idx = np.arange(m)
-        new_hi = np.where(any_flip, grid[idx, first], hi)
-        left_of = first - 1
-        new_lo = np.where(any_flip & (left_of >= 0), grid[idx, np.maximum(left_of, 0)], lo)
-        new_f_lo = np.where(any_flip & (left_of >= 0), F[idx, np.maximum(left_of, 0)], f_lo)
-        # no flip among the probes: the change sits in the last subinterval
-        new_lo = np.where(~any_flip, grid[idx, DEFAULT_PROBES - 1], new_lo)
-        new_f_lo = np.where(~any_flip, F[idx, DEFAULT_PROBES - 1], new_f_lo)
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+    lo, hi, f_lo, f_hi = (np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi))
+    halved = np.ones(lo.shape[0], dtype=bool)
+    while True:
+        act = np.nonzero(hi - lo >= refine_tol)[0]
+        if act.size == 0:
             break
-        lo, hi, f_lo = new_lo, new_hi, new_f_lo
+        a, b, fa, fb = lo[act], hi[act], f_lo[act], f_hi[act]
+        w = b - a
+        mid = 0.5 * (a + b)
+        with np.errstate(all="ignore"):
+            x = a - fa * w / (fb - fa)
+        x = np.where((a < x) & (x < b), x, mid)
+        d = np.maximum(0.25 * refine_tol, np.minimum(w * w, 0.125 * w))
+        probes = np.stack([x - d, x + d, np.where(halved[act], np.nan, mid)], axis=1)
+        inside = (a[:, None] < probes) & (probes < b[:, None])
+        if not inside.any():
+            break
+        F = np.empty_like(probes)
+        F[inside] = char_fn_samples(spec, probes[inside], steps)
+        # a dropped probe becomes a copy of hi, which adds no sign change
+        pts = np.column_stack([a, np.where(inside, probes, b[:, None]), b])
+        vals = np.column_stack([fa, np.where(inside, F, fb[:, None]), fb])
+        order = np.argsort(pts, axis=1, kind="stable")
+        pts = np.take_along_axis(pts, order, axis=1)
+        vals = np.take_along_axis(vals, order, axis=1)
+        neg = vals <= 0.0
+        first = (neg[:, :-1] != neg[:, 1:]).argmax(axis=1)
+        rows = np.arange(act.size)
+        new_lo, new_hi = pts[rows, first], pts[rows, first + 1]
+        if np.array_equal(new_lo, a) and np.array_equal(new_hi, b):
+            break
+        halved[act] = new_hi - new_lo <= 0.5 * w
+        lo[act], hi[act] = new_lo, new_hi
+        f_lo[act], f_hi[act] = vals[rows, first], vals[rows, first + 1]
     return lo, hi
 
 
@@ -207,7 +229,7 @@ def scan_roots(spec: ProblemSpec, s_min: float, s_max: float,
     F = char_fn_samples(spec, grid, steps)
     flips = np.nonzero(np.sign(F[:-1]) * np.sign(F[1:]) < 0)[0]
     lo, hi = _refine_brackets(spec, grid[flips], grid[flips + 1], F[flips],
-                              refine_tol, steps)
+                              F[flips + 1], refine_tol, steps)
     roots = 0.5 * (lo + hi)
     return _pairs_from_roots(spec, roots, range(len(roots)), steps)
 
@@ -215,8 +237,8 @@ def scan_roots(spec: ProblemSpec, s_min: float, s_max: float,
 def _window_brackets(spec: ProblemSpec, n_values, steps: int):
     """One sign-change bracket per unit window around each integer n.
 
-    Raises ZeroOrManyError for the first window whose subgrid does not show
-    exactly one sign change.
+    Returns lo, hi and F at both ends.  Raises ZeroOrManyError naming every
+    window whose subgrid does not show exactly one sign change.
     """
     n_values = [int(n) for n in n_values]
     grid = np.concatenate([np.linspace(n - 0.5, n + 0.5, LOCALIZE_SUBGRID)
@@ -226,16 +248,22 @@ def _window_brackets(spec: ProblemSpec, n_values, steps: int):
     lo = np.empty(len(n_values))
     hi = np.empty(len(n_values))
     f_lo = np.empty(len(n_values))
+    f_hi = np.empty(len(n_values))
+    failed = {}
     for k, n in enumerate(n_values):
         row = F[k]
         flips = np.nonzero(np.sign(row[:-1]) * np.sign(row[1:]) < 0)[0]
         if flips.shape[0] != 1:
-            raise ZeroOrManyError(n, int(flips.shape[0]))
+            failed[n] = int(flips.shape[0])
+            continue
         j = int(flips[0])
         lo[k] = grid[k, j]
         hi[k] = grid[k, j + 1]
         f_lo[k] = row[j]
-    return lo, hi, f_lo
+        f_hi[k] = row[j + 1]
+    if failed:
+        raise ZeroOrManyError(failed)
+    return lo, hi, f_lo, f_hi
 
 
 def localize_range(spec: ProblemSpec, n_values, refine_tol: float = DEFAULT_REFINE_TOL,
@@ -251,8 +279,8 @@ def localize_range(spec: ProblemSpec, n_values, refine_tol: float = DEFAULT_REFI
     n_values = sorted(int(n) for n in n_values)
     if any(n < 1 for n in n_values):
         raise ValueError("indices must be positive integers")
-    lo, hi, f_lo = _window_brackets(spec, n_values, steps)
-    lo, hi = _refine_brackets(spec, lo, hi, f_lo, refine_tol, steps)
+    lo, hi, f_lo, f_hi = _window_brackets(spec, n_values, steps)
+    lo, hi = _refine_brackets(spec, lo, hi, f_lo, f_hi, refine_tol, steps)
     roots = 0.5 * (lo + hi)
     return _pairs_from_roots(spec, roots, n_values, steps)
 

@@ -46,7 +46,8 @@ def test_solve_n_range(tmp_path):
     assert [r["n"] for r in rows] == ["1", "2", "3", "4", "5"]
     for r in rows:
         assert abs(float(r["s_n"]) - int(r["n"])) < 1e-7
-        assert float(r["lambda_n"]) == float(r["s_n"]) ** 2
+        s = float(r["s_n"])
+        assert float(r["lambda_n"]) == s * s
         assert r["simplicity_ok"] == "true"
 
 
@@ -209,8 +210,18 @@ def test_refine_tol_below_one_ulp_terminates(tmp_path, alarm):
                                         ("steps_per_segment", 256.9),
                                         ("quadrature_points", 1),
                                         ("quadrature_points", 2),
-                                        ("quadrature_points", True)])
+                                        ("quadrature_points", True),
+                                        # float keys: no bools either
+                                        ("refine_tol", True),
+                                        ("range.s_min", True),
+                                        ("range.s_max", True)])
 def test_non_finite_solver_setting_rejected(tmp_path, capsys, key, value):
-    cfg = write_config(tmp_path, solver={key: value})
+    if key.startswith("range."):
+        range_ = {"s_min": 0.5, "s_max": 3.5, "samples": 300}
+        range_[key.split(".")[1]] = value
+        cfg = write_config(tmp_path, range_=range_)
+    else:
+        cfg = write_config(tmp_path, solver={key: value})
+        key = f"solver.{key}"
     assert main(["solve", "--config", cfg]) == 1
-    assert f"solver.{key}" in capsys.readouterr().err
+    assert key in capsys.readouterr().err

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from delaybvp import spectral
 from delaybvp.problem import Case1RequiredError, HALF, ProblemSpec
-from delaybvp.spectral import (ZeroOrManyError, _refine_brackets, char_fn,
+from delaybvp.spectral import (ZeroOrManyError, _refine_brackets, _window_brackets, char_fn,
                                char_fn_picard, char_fn_samples,
                                localize_near_n, localize_range, scan_roots,
                                simplicity_certificate)
@@ -106,6 +108,16 @@ def test_zero_or_many_below_asymptotic_regime():
     assert err.value.n == 1
 
 
+def test_zero_or_many_names_every_failing_window():
+    rough = spec_of(q_l="25", q_r="25")
+    with pytest.raises(ZeroOrManyError) as err:
+        localize_range(rough, [1, 2, 3], steps=1024)
+    assert err.value.windows == {1: 0, 2: 0}
+    assert (err.value.n, err.value.count) == (1, 0)
+    assert "[0.5, 1.5] (n = 1)" in str(err.value)
+    assert "[1.5, 2.5] (n = 2)" in str(err.value)
+
+
 def test_counting_thirty_windows(null_spec):
     pairs = scan_roots(null_spec, 0.5, 30.5, refine_tol=1e-9, steps=1024)
     assert len(pairs) == 30
@@ -151,8 +163,50 @@ def test_positive_s_required(null_spec):
 
 
 def test_refinement_below_one_ulp_keeps_its_bracket(null_spec, alarm):
-    f_lo = char_fn_samples(null_spec, [2.5], 256)
-    lo, hi = _refine_brackets(null_spec, [2.5], [3.5], f_lo, 1e-17, 256)
+    f_lo, f_hi = char_fn_samples(null_spec, [2.5, 3.5], 256)
+    lo, hi = _refine_brackets(null_spec, [2.5], [3.5], [f_lo], [f_hi], 1e-17, 256)
     F = char_fn_samples(null_spec, [lo[0], hi[0]], 256)
     assert (F[0] <= 0.0) != (F[1] <= 0.0)
     assert 0.0 < hi[0] - lo[0] <= 2.0 * np.spacing(lo[0])
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(exponent=st.floats(-17.0, -2.0), n=st.integers(1, 6), offset=st.floats(0.05, 0.95))
+def test_refinement_keeps_a_bracket_for_any_tolerance(null_spec, alarm, exponent, n, offset):
+    # a unit bracket around the root near n, refined to any tolerance down to
+    # below one ulp: it ends with its sign change and as narrow as asked or
+    # as floating point allows
+    tol = 10.0 ** exponent
+    lo0 = n - offset
+    f_lo, f_hi = char_fn_samples(null_spec, [lo0, lo0 + 1.0], 256)
+    lo, hi = _refine_brackets(null_spec, [lo0], [lo0 + 1.0], [f_lo], [f_hi], tol, 256)
+    F = char_fn_samples(null_spec, [lo[0], hi[0]], 256)
+    assert (F[0] <= 0.0) != (F[1] <= 0.0)
+    assert lo0 <= lo[0] < hi[0] <= lo0 + 1.0
+    assert hi[0] - lo[0] < tol or hi[0] - lo[0] <= 2.0 * np.spacing(lo[0])
+
+
+def test_refinement_rounds_and_roots_against_bisection(delayed_spec, monkeypatch):
+    n_values, tol, steps = range(5, 13), 1e-10, 512
+    calls = []
+    sampled = spectral.char_fn_samples
+
+    def counted(spec, s_values, steps):
+        calls.append(len(s_values))
+        return sampled(spec, s_values, steps)
+
+    monkeypatch.setattr(spectral, "char_fn_samples", counted)
+    pairs = localize_range(delayed_spec, n_values, tol, steps)
+    monkeypatch.undo()
+    # the first call samples the windows, every later one is a round
+    assert len(calls) - 1 <= 4
+    lo, hi, f_lo, _ = _window_brackets(delayed_spec, n_values, steps)
+    while np.max(hi - lo) >= tol:
+        mid = 0.5 * (lo + hi)
+        f_mid = char_fn_samples(delayed_spec, mid, steps)
+        right = (f_mid <= 0.0) == (f_lo <= 0.0)
+        lo, f_lo = np.where(right, mid, lo), np.where(right, f_mid, f_lo)
+        hi = np.where(right, hi, mid)
+    roots = np.array([p.s for p in pairs])
+    assert np.max(np.abs(roots - 0.5 * (lo + hi))) <= tol
