@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import asymptotics, dde_solver, picard, spectral
-from .exprlang import ExprError, parse as parse_expr
+from .exprlang import ExprDomainError, ExprError, parse as parse_expr
 from .problem import (HALF, Case1RequiredError, ProblemSpec,
                       check_refined_conditions, validate)
 
@@ -90,14 +90,16 @@ def _positive(raw, key: str) -> float:
     return value
 
 
-def _integer(raw, key: str, minimum: int = 1) -> int:
-    """A whole number of at least ``minimum``; bools and fractions fail."""
+def _integer(raw, key: str, minimum: int = 1, maximum: int | None = None) -> int:
+    """A whole number in [minimum, maximum]; bools and fractions fail."""
     if isinstance(raw, float) and raw.is_integer():
         raw = int(raw)
     if isinstance(raw, bool) or not isinstance(raw, int):
         raise ConfigError(f"{key}: expected an integer")
     if raw < minimum:
         raise ConfigError(f"{key}: must be at least {minimum}")
+    if maximum is not None and raw > maximum:
+        raise ConfigError(f"{key}: must be at most {maximum}")
     return raw
 
 
@@ -133,13 +135,15 @@ def load_config(path: str) -> RunConfig:
     sol = doc.get("solver", {})
     if not isinstance(sol, dict):
         raise ConfigError("solver: expected an object")
+    # upper bounds keep one lambda column of a sweep (2 x 65537 x 8 B) and
+    # one K/L sample array (2^20 + 1 points) near 1 MiB and 8 MiB
     settings = SolverSettings(
         steps_per_segment=_integer(sol.get("steps_per_segment", dde_solver.DEFAULT_STEPS),
-                                   "solver.steps_per_segment", minimum=2),
+                                   "solver.steps_per_segment", minimum=2, maximum=65536),
         refine_tol=_positive(sol.get("refine_tol", spectral.DEFAULT_REFINE_TOL),
                              "solver.refine_tol"),
         quadrature_points=_integer(sol.get("quadrature_points", asymptotics.DEFAULT_QUAD),
-                                   "solver.quadrature_points", minimum=3),
+                                   "solver.quadrature_points", minimum=3, maximum=1048577),
     )
 
     rng = doc.get("range")
@@ -175,10 +179,13 @@ def load_config(path: str) -> RunConfig:
     if not isinstance(grid, dict):
         raise ConfigError("grid: expected an object")
     x_samples = _integer(grid.get("x_samples", 201), "grid.x_samples")
+    out_path = out.get("path")
+    if out_path is not None and not isinstance(out_path, str):
+        raise ConfigError("output.path: expected a file path string")
 
     return RunConfig(problem=spec, solver=settings, n_range=n_range,
                      s_range=s_range, out_format=fmt,
-                     out_path=out.get("path"), x_samples=x_samples)
+                     out_path=out_path, x_samples=x_samples)
 
 
 # --- output helpers ---------------------------------------------------------
@@ -195,8 +202,11 @@ def _fmt(value) -> str:
 def _write(text: str, out_path: str | None) -> None:
     """Primary output goes to ``out_path`` when given, else to stdout."""
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -261,8 +271,8 @@ def cmd_charfn(cfg: RunConfig, out_path: str | None, fmt: str) -> int:
 
 def cmd_eigfn(cfg: RunConfig, n: int | None, out_path: str | None, fmt: str) -> int:
     _validated_or_fail(cfg)
-    if n is None:
-        raise ConfigError("--n: eigfn needs the eigenvalue index")
+    if n is None or n < 1:
+        raise ConfigError("--n: eigfn needs an eigenvalue index of at least 1")
     pair = spectral.localize_near_n(cfg.problem, n, cfg.solver.refine_tol,
                                     cfg.solver.steps_per_segment)
     xs = np.linspace(0.0, math.pi, cfg.x_samples)
@@ -425,8 +435,10 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command]()
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (ConfigError, ExprDomainError) as exc:
+        # an expression can parse and still leave its domain on [0, pi]
+        where = "problem: " if isinstance(exc, ExprDomainError) else ""
+        print(f"config error: {where}{exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SystemExit as exc:
         return int(exc.code)

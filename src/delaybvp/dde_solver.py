@@ -6,21 +6,26 @@ cubic Hermite interpolant per step provides the C1 dense output required by
 the retarded term: the delayed argument never exceeds the current x, so the
 value is read from the part of the segment already built.
 
-Every delayed lookup has one form, a cubic Hermite stencil on two rows of
-the solution built so far.  Reading the current state is the stencil that
-puts weight 1 on the newest row; a delayed argument inside the step being
-computed (Delta smaller than the step size) uses the extrapolating stencil
-of the last completed step.  Only the first step has no completed step
-before it, so it is peeled off the loop and reads a Taylor extrapolant of
-the initial data instead.
+Every step has one form.  The retarded term g at its three stages is one
+gather, multiply and sum over cubic Hermite stencils on two rows of the
+solution built so far (the current state is the stencil with weight 1 on the
+newest row; a delayed argument inside the step extrapolates the last
+completed step), and the new state is a second contraction,
+(Y, Y')[i+1] = sum_k C[:, k] (y, y', g0, g1, g2)[k], with C the scheme
+coefficients of each lambda.  Only the first step has no completed step
+before it; its stages are peeled off the loop and read a Taylor extrapolant
+of the initial data.  With q = 0 the stages stay zero and the stencil is
+skipped.  Second derivatives, needed only for dense output, are computed
+after the sweep from the node-stage stencils.
 
-Because the grid is fixed, every coefficient sample and every stencil is
-independent of lambda.  They are computed once per problem and reused, and
-the integration itself runs vectorized over a whole batch of lambda values
-at once -- eigenvalue scans and bracket refinements pay for one sweep per
-round instead of one per lambda.  Each column of a batch sees the same
-operations in the same order, so a lambda gives bit-identical results alone
-or in any batch.
+Every coefficient sample and stencil is independent of lambda, so they are
+computed once per problem and the integration runs vectorized over a batch
+of lambda values -- eigenvalue scans and bracket refinements pay for one
+sweep per round instead of one per lambda.  A batch is swept in slices as
+wide as ``SWEEP_BYTES`` (64 MiB) allows for the (2, steps+1, width) state
+array: 1023 columns at the default 4096 steps.  Each column sees the same
+operations in the same order, so a lambda gives bit-identical results
+alone, in any batch and under any split.
 
 Only lambda > 0 is addressed; the transmission scaling uses the real cube
 root of lambda, computed as exp(log(lambda)/3).
@@ -51,8 +56,9 @@ __all__ = [
 ]
 
 DEFAULT_STEPS = 4096
-# batch width per sweep; bounds transient memory at ~70 MB for default steps
-DEFAULT_CHUNK = 1024
+# bytes of one sweep's (2, steps+1, width) state array; sets the batch width
+# (1023 lambda columns at the default steps, 63 at 65536)
+SWEEP_BYTES = 64 * 2**20
 
 
 class NonFiniteStateError(RuntimeError):
@@ -121,15 +127,11 @@ class _SegmentTables:
     """All lambda-independent data for integrating one subinterval.
 
     Step i evaluates the retarded term at three stages: the node x_i, the
-    half step and the step end.  Every stage reads y(x - Delta(x)) through a
-    cubic Hermite stencil on rows j, j+1 <= i of the part already built;
-    ``gather[i]`` holds the (3, 4) flat row indices into the stacked (Y, V)
-    array and ``weights[i]`` the matching weights, so one step is a single
-    gather, multiply and sum.  A lookup of the current state is the stencil
-    (0, 1, 0, 0) on rows (i-1, i); a delayed argument inside step i (Delta
-    below the step size) extrapolates the cubic of step i-1.  Step 0 has no
-    previous step and is peeled: its half and end stages read the Taylor
-    extrapolant y0 + d y0' + d^2/2 y0'' of the initial data at distance
+    half step and the step end.  ``gather[i]`` holds their (3, 4) flat row
+    indices into the stacked (Y, V) array and ``weights[i]`` the matching
+    Hermite weights; a lookup of the current state is the stencil
+    (0, 1, 0, 0) on rows (i-1, i).  Step 0 is peeled: its half and end stages
+    read the Taylor extrapolant y0 + d y0' + d^2/2 y0'' at distance
     ``first_d`` (0 where the stage reads the current state).  Row n holds
     the node stage that gives y'' at the last node.
     """
@@ -182,68 +184,73 @@ class _SegmentTables:
         self.gather = _CHANNEL * (n + 1) + j[..., None] + _ROW_OFFSET
         self.first_d = np.where(inside[0, 1:], xi[0, 1:] - self.a, 0.0)[:, None]
 
-    def sweep(self, lam: np.ndarray, y0: np.ndarray, v0: np.ndarray,
-              keep_second: bool = False):
-        """Integrate the batch; returns (Y, V, A) arrays of shape
-        (steps+1, m).  A is None unless keep_second.  Overflow is allowed to
-        propagate silently here; callers run the finiteness check."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self._sweep(lam, y0, v0, keep_second)
-
-    def _sweep(self, lam: np.ndarray, y0: np.ndarray, v0: np.ndarray,
-               keep_second: bool):
+    def sweep(self, lam: np.ndarray, y0, v0) -> np.ndarray:
+        """Integrate the batch; returns the stacked (Y, V) array of shape
+        (2, steps+1, m).  A state that overflows raises NonFiniteStateError
+        naming the first lambda column to go non-finite, and where."""
         z = np.asarray(lam, dtype=float)
         m = z.shape[0]
         n = self.steps
         h = self.h
         h2 = h * h
+        # (Y, V)[i+1] = sum_k C[:, k] * (y, v, g0, g1, g2)[k]
+        C = np.zeros((2, 5, m))
+        C[0, 0] = C[1, 1] = 1.0 - 0.5 * h2 * z + (h2 * h2 / 24.0) * z * z
+        C[0, 1] = h * (1.0 - (h2 / 6.0) * z)
+        C[1, 0] = -z * C[0, 1]
+        C[0, 2] = h2 / 6.0 - (h2 * h2 / 24.0) * z
+        C[0, 3] = h2 / 3.0
+        C[1, 2] = (h / 6.0) * (1.0 - 0.5 * h2 * z)
+        C[1, 3] = 2.0 * h / 3.0 - (h2 * h / 12.0) * z
+        C[1, 4] = h / 6.0
 
-        p_c = 1.0 - 0.5 * h2 * z + (h2 * h2 / 24.0) * z * z
-        q_c = h * (1.0 - (h2 / 6.0) * z)
-        s_c = -z * q_c
-        r1 = h2 / 6.0 - (h2 * h2 / 24.0) * z
-        r2 = h2 / 3.0
-        t1 = (h / 6.0) * (1.0 - 0.5 * h2 * z)
-        t2 = 2.0 * h / 3.0 - (h2 * h / 12.0) * z
-        t3 = h / 6.0
-
-        YV = np.zeros((2, n + 1, m))
-        Y, V = YV
-        A = np.zeros((n + 1, m)) if keep_second else None
-        Y[0] = y0
-        V[0] = v0
-
-        if self.q_zero:
-            for i in range(n):
-                y = Y[i]
-                v = V[i]
-                Y[i + 1] = p_c * y + q_c * v
-                V[i + 1] = s_c * y + p_c * v
-            if keep_second:
-                A[:] = -z * Y
-            return Y, V, A
-
+        YV = np.empty((2, n + 1, m))
         rows = YV.reshape(2 * (n + 1), m)
-        negq = self.negq
-        # peeled step 0: the node stage is the initial state, the others
-        # read its Taylor extrapolant
-        g = np.empty((3, m))
-        g[0] = negq[0, 0] * Y[0]
-        a0 = g[0] - z * Y[0]
-        g[1:] = negq[0, 1:] * (Y[0] + self.first_d * V[0]
-                               + (0.5 * self.first_d * self.first_d) * a0)
-        for i, (idx, w, nq) in enumerate(zip(self.gather[1:], self.weights[1:], negq[1:])):
-            y = Y[i]
-            v = V[i]
-            if keep_second:
-                A[i] = g[0] - z * y
-            Y[i + 1] = p_c * y + q_c * v + r1 * g[0] + r2 * g[1]
-            V[i + 1] = s_c * y + p_c * v + t1 * g[0] + t2 * g[1] + t3 * g[2]
-            # stages of step i + 1, read from rows up to i + 1
-            g = nq * (rows.take(idx, axis=0) * w).sum(axis=1)
-        if keep_second:
-            A[n] = g[0] - z * Y[n]
-        return Y, V, A
+        u = np.zeros((5, m))
+        yv, g = u[:2], u[2:]
+        yv[0] = y0
+        yv[1] = v0
+        YV[:, 0] = yv
+        # with q = 0 every stage is zero: the stencil is skipped and the
+        # contraction stops after (y, v)
+        stages = not self.q_zero
+        Ck, uk = (C, u) if stages else (C[:, :2], yv)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if stages:
+                # peeled step 0: the node stage is the initial state, the
+                # others read its Taylor extrapolant
+                nq = self.negq[0]
+                g[0] = nq[0] * yv[0]
+                a0 = g[0] - z * yv[0]
+                g[1:] = nq[1:] * (yv[0] + self.first_d * yv[1]
+                                  + (0.5 * self.first_d * self.first_d) * a0)
+            for i in range(n):
+                if i and stages:
+                    (rows.take(self.gather[i], axis=0) * self.weights[i]).sum(axis=1, out=g)
+                    g *= self.negq[i]
+                (Ck * uk).sum(axis=1, out=yv)
+                YV[:, i + 1] = yv
+        # one channel at a time keeps the temporary at (steps+1, m) booleans
+        if not all(np.isfinite(channel).all() for channel in YV):
+            bad = ~np.isfinite(YV).all(axis=0)
+            row = int(np.argmax(bad.any(axis=1)))
+            col = int(np.argmax(bad[row]))
+            raise NonFiniteStateError(f"state became non-finite near x = {self.nodes[row]:.6g} "
+                                      f"(lambda = {float(z[col])!r})")
+        return YV
+
+    def second_derivs(self, lam: np.ndarray, YV: np.ndarray) -> np.ndarray:
+        """y'' = -q y(x - Delta) - lambda y at every node of a finished
+        sweep, shape (steps+1, m).  The node-stage stencil terms are added
+        one at a time in the order the sweep sums them, so the values are
+        the ones the sweep used and no temporary exceeds (steps+1, m)."""
+        rows = YV.reshape(-1, YV.shape[-1])
+        idx = self.gather[:, 0]
+        w = self.weights[:, 0]
+        acc = rows[idx[:, 0]] * w[:, 0]
+        for k in range(1, 4):
+            acc += rows[idx[:, k]] * w[:, k]
+        return self.negq[:, 0] * acc - np.asarray(lam, dtype=float) * YV[0]
 
 
 @lru_cache(maxsize=32)
@@ -259,24 +266,13 @@ def _right_tables(spec: ProblemSpec, steps: int) -> _SegmentTables:
     return _tables(spec.q_right, spec.retard_right, HALF, math.pi, steps)
 
 
-def _check_finite(Y: np.ndarray, V: np.ndarray, tables: _SegmentTables, lam) -> None:
-    ok = np.isfinite(Y).all() and np.isfinite(V).all()
-    if ok:
-        return
-    rows = np.isfinite(Y).all(axis=1) & np.isfinite(V).all(axis=1)
-    first_bad = int(np.argmin(rows))
-    x_bad = tables.nodes[first_bad]
-    raise NonFiniteStateError(
-        f"state became non-finite near x = {x_bad:.6g} (lambda = {lam})")
-
-
-def _segment_from_columns(tables: _SegmentTables, lam: float, Y, V, A, col: int) -> SolutionSegment:
-    return SolutionSegment(
-        a=tables.a, b=tables.b, lam=float(lam), nodes=tables.nodes,
-        values=np.ascontiguousarray(Y[:, col]),
-        derivs=np.ascontiguousarray(V[:, col]),
-        second_derivs=np.ascontiguousarray(A[:, col]),
-    )
+def _segments(tables: _SegmentTables, lams: np.ndarray, YV: np.ndarray) -> list[SolutionSegment]:
+    A = tables.second_derivs(lams, YV)
+    return [SolutionSegment(a=tables.a, b=tables.b, lam=float(lam), nodes=tables.nodes,
+                            values=np.ascontiguousarray(YV[0, :, k]),
+                            derivs=np.ascontiguousarray(YV[1, :, k]),
+                            second_derivs=np.ascontiguousarray(A[:, k]))
+            for k, lam in enumerate(lams)]
 
 
 def integrate_segment(spec: ProblemSpec, lam: float, interval, y0: float, dy0: float,
@@ -298,53 +294,41 @@ def integrate_segment(spec: ProblemSpec, lam: float, interval, y0: float, dy0: f
     else:
         raise ValueError("interval must not straddle the interface point pi/2")
     lam_arr = np.array([float(lam)])
-    Y, V, A = tabs.sweep(lam_arr, np.array([float(y0)]), np.array([float(dy0)]),
-                         keep_second=True)
-    _check_finite(Y, V, tabs, lam)
-    return _segment_from_columns(tabs, lam, Y, V, A, 0)
+    return _segments(tabs, lam_arr, tabs.sweep(lam_arr, float(y0), float(dy0)))[0]
 
 
-def _shoot_chunks(spec: ProblemSpec, lams: np.ndarray, steps: int, chunk: int,
-                  keep_second: bool):
+def _shoot_chunks(spec: ProblemSpec, lams: np.ndarray, steps: int):
     """The sweep driver behind every shooting call.
 
     The left segment starts from y(0) = sin(alpha), y'(0) = -cos(alpha); the
     right segment continues from the transmission mapping
     y(pi/2+) = lambda^(-1/3) delta^(-1) y(pi/2-) (and likewise for y').
-    Yields (cols, left, right) for each slice ``cols`` of at most ``chunk``
-    lambda values, where left and right are (tables, Y, V, A).
+    Lambda values are swept in slices as wide as ``SWEEP_BYTES`` allows for
+    one (2, steps+1, width) state array.  Yields (cols, left, right) for
+    each slice ``cols``, where left and right are (tables, YV).
     """
     if np.any(lams <= 0.0):
         raise ValueError("lambda must be positive")
     lt = _left_tables(spec, steps)
     rt = _right_tables(spec, steps)
-    sin_a = math.sin(spec.alpha)
-    cos_a = math.cos(spec.alpha)
-    for start in range(0, lams.shape[0], chunk):
-        cols = slice(start, start + chunk)
+    width = max(1, SWEEP_BYTES // (2 * (steps + 1) * 8))
+    for start in range(0, lams.shape[0], width):
+        cols = slice(start, start + width)
         z = lams[cols]
-        m = z.shape[0]
-        Yl, Vl, Al = lt.sweep(z, np.full(m, sin_a), np.full(m, -cos_a), keep_second)
-        _check_finite(Yl, Vl, lt, z)
+        left = lt.sweep(z, math.sin(spec.alpha), -math.cos(spec.alpha))
         scale = 1.0 / (lam_cbrt(z) * spec.coupling)
-        Yr, Vr, Ar = rt.sweep(z, scale * Yl[-1], scale * Vl[-1], keep_second)
-        _check_finite(Yr, Vr, rt, z)
-        yield cols, (lt, Yl, Vl, Al), (rt, Yr, Vr, Ar)
+        right = rt.sweep(z, scale * left[0, -1], scale * left[1, -1])
+        yield cols, (lt, left), (rt, right)
 
 
-def shoot_many(spec: ProblemSpec, lams, steps_per_segment: int = DEFAULT_STEPS,
-               chunk: int = DEFAULT_CHUNK) -> list[ShootingResult]:
+def shoot_many(spec: ProblemSpec, lams, steps_per_segment: int = DEFAULT_STEPS) -> list[ShootingResult]:
     """Shooting solutions for a batch of positive lambda values."""
     lams = np.asarray(lams, dtype=float)
     out: list[ShootingResult] = []
-    for cols, (lt, Yl, Vl, Al), (rt, Yr, Vr, Ar) in _shoot_chunks(
-            spec, lams, steps_per_segment, chunk, keep_second=True):
-        for k, lam in enumerate(lams[cols]):
-            out.append(ShootingResult(
-                left=_segment_from_columns(lt, lam, Yl, Vl, Al, k),
-                right=_segment_from_columns(rt, lam, Yr, Vr, Ar, k),
-                lam=float(lam),
-            ))
+    for cols, (lt, left), (rt, right) in _shoot_chunks(spec, lams, steps_per_segment):
+        z = lams[cols]
+        out += [ShootingResult(left=l, right=r, lam=float(lam))
+                for l, r, lam in zip(_segments(lt, z, left), _segments(rt, z, right), z)]
     return out
 
 
@@ -353,18 +337,14 @@ def shoot(spec: ProblemSpec, lam: float, steps_per_segment: int = DEFAULT_STEPS)
     return shoot_many(spec, [lam], steps_per_segment)[0]
 
 
-def shoot_endpoints(spec: ProblemSpec, lams, steps_per_segment: int = DEFAULT_STEPS,
-                    chunk: int = DEFAULT_CHUNK):
+def shoot_endpoints(spec: ProblemSpec, lams, steps_per_segment: int = DEFAULT_STEPS):
     """Values (w(pi), w'(pi)) of the shooting solution for a lambda batch.
 
     Skips segment construction entirely; this is the fast path behind
     characteristic-function scans.
     """
     lams = np.asarray(lams, dtype=float)
-    w = np.empty(lams.shape[0])
-    wp = np.empty(lams.shape[0])
-    for cols, _, (_, Yr, Vr, _) in _shoot_chunks(spec, lams, steps_per_segment, chunk,
-                                                 keep_second=False):
-        w[cols] = Yr[-1]
-        wp[cols] = Vr[-1]
-    return w, wp
+    ends = np.empty((2, lams.shape[0]))
+    for cols, _, (_, right) in _shoot_chunks(spec, lams, steps_per_segment):
+        ends[:, cols] = right[:, -1]
+    return ends[0], ends[1]

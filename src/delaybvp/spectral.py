@@ -132,7 +132,7 @@ def char_fn_picard(spec: ProblemSpec, lam: float,
 
 
 def char_fn_samples(spec: ProblemSpec, s_values, steps: int = dde_solver.DEFAULT_STEPS) -> np.ndarray:
-    """F(s^2) on a batch of s values (one chunked sweep per segment)."""
+    """F(s^2) on a batch of s values (one batched sweep per segment)."""
     s_values = np.asarray(s_values, dtype=float)
     if np.any(s_values <= 0.0):
         raise ValueError("s must be positive")

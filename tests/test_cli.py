@@ -132,6 +132,14 @@ def test_eigfn_needs_index(tmp_path, capsys):
     assert "--n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_eigfn_index_must_be_positive(tmp_path, capsys, n):
+    cfg = write_config(tmp_path)
+    assert main(["eigfn", "--config", cfg, "--n", n]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --n") and "Traceback" not in err
+
+
 def test_verify_insufficient_range(tmp_path, capsys):
     cfg = write_config(tmp_path, range_={"n_min": 5, "n_max": 9})
     assert main(["verify", "--config", cfg]) == 1
@@ -211,6 +219,10 @@ def test_refine_tol_below_one_ulp_terminates(tmp_path, alarm):
                                         ("quadrature_points", 1),
                                         ("quadrature_points", 2),
                                         ("quadrature_points", True),
+                                        # upper bounds, checked before any
+                                        # table is allocated
+                                        ("steps_per_segment", 65537),
+                                        ("quadrature_points", 1048578),
                                         # float keys: no bools either
                                         ("refine_tol", True),
                                         ("range.s_min", True),
@@ -225,3 +237,35 @@ def test_non_finite_solver_setting_rejected(tmp_path, capsys, key, value):
         key = f"solver.{key}"
     assert main(["solve", "--config", cfg]) == 1
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, expr", [("q_left", "log(x)"),
+                                       ("q_left", "1/x"),
+                                       ("q_left", "exp(1000*x)"),
+                                       ("q_right", "sqrt(2 - x)")])
+def test_expression_leaving_its_domain_is_config_error(tmp_path, capsys, key, expr):
+    # these parse, but fail when evaluated on [0, pi]
+    cfg = write_config(tmp_path, problem={key: expr},
+                       solver={"steps_per_segment": 64})
+    assert main(["solve", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: problem: ") and "Traceback" not in err
+
+
+def test_output_path_must_be_a_string(tmp_path, capsys):
+    cfg = write_config(tmp_path, output={"path": 5})
+    assert main(["validate", "--config", cfg]) == 1
+    assert "output.path" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("via", ["config", "flag"])
+def test_unwritable_output_path_named(tmp_path, capsys, via):
+    target = str(tmp_path / "missing" / "out.csv")
+    if via == "config":
+        cfg = write_config(tmp_path, output={"path": target})
+        argv = ["validate", "--config", cfg]
+    else:
+        argv = ["validate", "--config", write_config(tmp_path), "--out", target]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write output") and target in err

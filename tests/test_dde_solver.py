@@ -1,3 +1,4 @@
+import contextlib
 import math
 import random
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from delaybvp import dde_solver
 from delaybvp.dde_solver import (DelayRangeError, NonFiniteStateError,
                                  integrate_segment, lam_cbrt, shoot,
                                  shoot_endpoints, shoot_many)
@@ -110,6 +112,19 @@ def test_segment_node_exact_and_continuous(delayed_spec):
     assert abs(seg.eval_deriv(x - eps) - seg.eval_deriv(x + eps)) < 1e-8
 
 
+@pytest.mark.parametrize("lam", [2.0, 30.0, 400.0])
+def test_second_derivs_satisfy_the_equation(delayed_spec, lam):
+    # y'' = -q(x) y(x - Delta(x)) - lambda y at every node, the retarded
+    # value read from the segment's own dense output
+    res = shoot(delayed_spec, lam, 512)
+    for seg, q, d in ((res.left, delayed_spec.q_left, delayed_spec.retard_left),
+                      (res.right, delayed_spec.q_right, delayed_spec.retard_right)):
+        x = seg.nodes
+        want = -q.eval(x) * seg.eval(np.maximum(x - d.eval(x), seg.a)) - lam * seg.values
+        scale = np.max(np.abs(seg.second_derivs))
+        assert np.max(np.abs(seg.second_derivs - want)) < 1e-13 * scale
+
+
 def test_eval_outside_interval_rejected(null_spec):
     seg = integrate_segment(null_spec, 1.0, LEFT, 1.0, 0.0, steps=32)
     with pytest.raises(ValueError):
@@ -127,22 +142,65 @@ def test_shoot_many_matches_single(delayed_spec):
         assert np.array_equal(res.right.eval(xs), single.right.eval(xs))
 
 
+BATCH_SPECS = [spec_of("sin(x)", "cos(x)", "0.5*x*(pi/2 - x)", "(x - pi/2)*(pi - x)*0.25"),
+               spec_of("1", "1")]
+
+
+@contextlib.contextmanager
+def split_sweeps(steps, width):
+    """Shrink the sweep byte budget so that batches split every ``width``
+    lambda columns."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dde_solver, "SWEEP_BYTES", width * 2 * (steps + 1) * 8)
+        yield
+
+
+def test_sweep_width_follows_the_byte_budget(null_spec):
+    def slices(lams, steps):
+        return [cols for cols, _, _ in dde_solver._shoot_chunks(null_spec, lams, steps)]
+    # 64 MiB over 2 x 4097 doubles per column: 1023 columns per sweep
+    assert slices(np.linspace(1.0, 50.0, 1024), 4096) == [slice(0, 1023), slice(1023, 2046)]
+    with split_sweeps(64, 3):
+        assert slices(np.arange(1.0, 8.0), 64) == [slice(0, 3), slice(3, 6), slice(6, 9)]
+
+
 @settings(max_examples=30, deadline=None)
-@given(spec=st.sampled_from([spec_of("sin(x)", "cos(x)", "0.5*x*(pi/2 - x)",
-                                     "(x - pi/2)*(pi - x)*0.25"),
-                             spec_of("1", "1")]),
+@given(spec=st.sampled_from(BATCH_SPECS),
        steps=st.integers(64, 256),
        lams=st.lists(st.floats(0.5, 2500.0), min_size=1, max_size=8),
-       chunk=st.integers(1, 8))
-def test_shoot_endpoints_batch_invariant(spec, steps, lams, chunk):
+       width=st.integers(1, 8))
+def test_shoot_endpoints_batch_invariant(spec, steps, lams, width):
     # every column sees the same operations in the same order, whatever the
     # batch around it; byte-identical reruns and bracket refinement rely on it
     w, wp = shoot_endpoints(spec, lams, steps)
-    w_chunked, wp_chunked = shoot_endpoints(spec, lams, steps, chunk=chunk)
-    assert w.tobytes() == w_chunked.tobytes() and wp.tobytes() == wp_chunked.tobytes()
+    with split_sweeps(steps, width):
+        w_split, wp_split = shoot_endpoints(spec, lams, steps)
+    assert w.tobytes() == w_split.tobytes() and wp.tobytes() == wp_split.tobytes()
     for k, lam in enumerate(lams):
         w1, wp1 = shoot_endpoints(spec, [lam], steps)
         assert w1.tobytes() == w[k:k + 1].tobytes() and wp1.tobytes() == wp[k:k + 1].tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(spec=st.sampled_from(BATCH_SPECS + [spec_of()]),
+       steps=st.integers(32, 160),
+       lams=st.lists(st.floats(0.5, 2500.0), min_size=1, max_size=6),
+       width=st.integers(1, 6))
+def test_shoot_many_batch_invariant(spec, steps, lams, width):
+    # segments, second derivatives included, match bit for bit whether a
+    # lambda is shot alone, in a batch or in a batch split into sweeps
+    batch = shoot_many(spec, lams, steps)
+    with split_sweeps(steps, width):
+        split = shoot_many(spec, lams, steps)
+    for k, lam in enumerate(lams):
+        alone = shoot_many(spec, [lam], steps)[0]
+        for res in (batch[k], split[k]):
+            assert res.lam == alone.lam
+            for side in ("left", "right"):
+                for field in ("values", "derivs", "second_derivs"):
+                    got = getattr(getattr(res, side), field)
+                    want = getattr(getattr(alone, side), field)
+                    assert got.tobytes() == want.tobytes(), (side, field)
 
 
 def test_shoot_endpoints_matches_segments(constq_spec):
@@ -178,5 +236,17 @@ def test_delay_below_segment_start_aborts():
 
 def test_overflow_reported():
     # q = -10^6 makes y'' ~ 10^6 y: growth ~ e^(1000 x) overflows mid-segment
-    with pytest.raises(NonFiniteStateError):
-        integrate_segment(spec_of(q_l="-1000000"), 1.0, LEFT, 1.0, 0.0, steps=512)
+    spec = spec_of(q_l="-1000000")
+    with pytest.raises(NonFiniteStateError) as single:
+        integrate_segment(spec, 1.0, LEFT, 1.0, 0.0, steps=512)
+    assert "(lambda = 1.0)" in str(single.value)
+    # in a batch the error names the column that overflows first (the
+    # fastest growth, sqrt(10^6 - lambda), has the smallest lambda) and
+    # where it did, not the whole batch
+    with pytest.raises(NonFiniteStateError) as batch:
+        shoot_endpoints(spec, [9.9e5, 1.0, 5e5, 9e5], 512)
+    message = str(batch.value)
+    assert "(lambda = 1.0)" in message and "[" not in message
+    with pytest.raises(NonFiniteStateError) as alone:
+        shoot_endpoints(spec, [1.0], 512)
+    assert str(alone.value) == message
