@@ -12,7 +12,13 @@ variable s = sqrt(lambda) because they are asymptotically equispaced there
 Two locators are provided: a general scan over an s-range for the low end of
 the spectrum (no completeness claim there), and a per-index localization
 that finds the unique root in the unit window around each integer n, which
-is the regime the asymptotic theory guarantees.  Refinement keeps a
+is the regime the asymptotic theory guarantees.  A sign change needs no
+accuracy beyond its sign, so localization screens its windows on a coarse
+integrator grid (s h <= ``SCREEN_SH``) and confirms each window's
+sign-change cell with four full-resolution values around it; only windows
+the coarse screen cannot settle are screened again at full resolution.
+One sign rule holds throughout: F <= 0 counts as negative, so an F that is
+exactly zero at a sample still makes a sign change.  Refinement keeps a
 sign-change bracket throughout: each round probes every bracket on both
 sides of its regula-falsi point, so it closes from both ends and narrows
 superlinearly near a simple root, with a midpoint probe whenever the
@@ -33,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dde_solver, picard
-from .problem import Case1RequiredError, ProblemSpec, is_case1
+from .problem import HALF, Case1RequiredError, ProblemSpec, is_case1
 
 __all__ = [
     "CharacteristicSample",
@@ -52,6 +58,11 @@ __all__ = [
 
 DEFAULT_REFINE_TOL = 1e-10
 LOCALIZE_SUBGRID = 64
+# window screening runs at the fewest steps (at least SCREEN_MIN_STEPS, at
+# most the configured ones) that keep s * h <= SCREEN_SH at the largest s,
+# h = (pi/2) / steps: 265 steps for n <= 50, 108 for n <= 20
+SCREEN_SH = 0.3
+SCREEN_MIN_STEPS = 64
 SCAN_SAMPLES_PER_UNIT = 100
 
 
@@ -140,6 +151,16 @@ def char_fn_samples(spec: ProblemSpec, s_values, steps: int = dde_solver.DEFAULT
     return _assemble_F(spec, w, wp)
 
 
+def _sign_changes(F) -> np.ndarray:
+    """Where consecutive values along the last axis of F change sign.
+
+    F <= 0 counts as negative: the one sign rule of screening, scanning and
+    refinement, under which an exact zero still makes a sign change.
+    """
+    neg = np.asarray(F) <= 0.0
+    return neg[..., :-1] != neg[..., 1:]
+
+
 def _refine_brackets(spec: ProblemSpec, lo, hi, f_lo, f_hi, refine_tol: float, steps: int):
     """Shrink sign-change brackets [lo_i, hi_i] in s to width < refine_tol.
 
@@ -184,8 +205,7 @@ def _refine_brackets(spec: ProblemSpec, lo, hi, f_lo, f_hi, refine_tol: float, s
         order = np.argsort(pts, axis=1, kind="stable")
         pts = np.take_along_axis(pts, order, axis=1)
         vals = np.take_along_axis(vals, order, axis=1)
-        neg = vals <= 0.0
-        first = (neg[:, :-1] != neg[:, 1:]).argmax(axis=1)
+        first = _sign_changes(vals).argmax(axis=1)
         rows = np.arange(act.size)
         new_lo, new_hi = pts[rows, first], pts[rows, first + 1]
         if np.array_equal(new_lo, a) and np.array_equal(new_hi, b):
@@ -227,43 +247,85 @@ def scan_roots(spec: ProblemSpec, s_min: float, s_max: float,
         raise ValueError("need at least 2 samples")
     grid = np.linspace(s_min, s_max, samples)
     F = char_fn_samples(spec, grid, steps)
-    flips = np.nonzero(np.sign(F[:-1]) * np.sign(F[1:]) < 0)[0]
+    flips = np.nonzero(_sign_changes(F))[0]
     lo, hi = _refine_brackets(spec, grid[flips], grid[flips + 1], F[flips],
                               F[flips + 1], refine_tol, steps)
     roots = 0.5 * (lo + hi)
     return _pairs_from_roots(spec, roots, range(len(roots)), steps)
 
 
+def _screen(spec: ProblemSpec, grid: np.ndarray, steps: int):
+    """Sign changes of F along each row of ``grid``, in one batched sweep.
+
+    Returns per row the number of sign changes, the cell of the first one
+    and F at both ends of that cell.
+    """
+    F = char_fn_samples(spec, grid.ravel(), steps).reshape(grid.shape)
+    flips = _sign_changes(F)
+    cell = flips.argmax(axis=1)
+    rows = np.arange(grid.shape[0])
+    return flips.sum(axis=1), cell, F[rows, cell], F[rows, cell + 1]
+
+
+def _confirm(spec: ProblemSpec, grid: np.ndarray, cell, f_lo, f_hi, steps: int):
+    """Check coarse one-sign-change brackets at full resolution.
+
+    F is evaluated, in one batched sweep, at points cell - 1 .. cell + 2 of
+    each row, clipped to the row (a clipped point repeats its neighbour and
+    adds no sign change).  A row is confirmed when these four values change
+    sign exactly once and the outer two keep the signs the coarse F had
+    there, which for a row with one coarse sign change are the signs of the
+    coarse ``f_lo`` and ``f_hi``.  Returns per row whether it is confirmed,
+    the cell of its first full-resolution sign change and F at both ends.
+    """
+    cols = np.clip(cell[:, None] + np.arange(-1, 3), 0, LOCALIZE_SUBGRID - 1)
+    rows = np.arange(grid.shape[0])
+    F = char_fn_samples(spec, grid[rows[:, None], cols].ravel(), steps).reshape(cols.shape)
+    flips = _sign_changes(F)
+    at = flips.argmax(axis=1)
+    ok = ((flips.sum(axis=1) == 1) & ((F[:, 0] <= 0.0) == (f_lo <= 0.0))
+          & ((F[:, -1] <= 0.0) == (f_hi <= 0.0)))
+    return ok, cols[rows, at], F[rows, at], F[rows, at + 1]
+
+
 def _window_brackets(spec: ProblemSpec, n_values, steps: int):
     """One sign-change bracket per unit window around each integer n.
 
-    Returns lo, hi and F at both ends.  Raises ZeroOrManyError naming every
-    window whose subgrid does not show exactly one sign change.
+    Each window is sampled at ``LOCALIZE_SUBGRID`` points.  All windows are
+    first screened at ``coarse`` steps, the fewest (at least
+    ``SCREEN_MIN_STEPS``, at most ``steps``) that keep s * h <= ``SCREEN_SH``
+    at the largest s.  A window with exactly one coarse sign change is then
+    confirmed at full resolution from four points around it (``_confirm``),
+    all windows in one sweep; the cell that changes sign there is its
+    bracket.  Every window not confirmed is screened again at full
+    resolution.
+    When ``coarse == steps`` the coarse screen already is the full one.
+    The brackets are therefore those of a full-resolution screen whenever
+    the coarse and full-resolution F agree in sign away from the confirmed
+    cells.
+
+    Returns lo, hi and the full-resolution F at both ends.  Raises
+    ZeroOrManyError naming every window whose full-resolution subgrid does
+    not show exactly one sign change.
     """
     n_values = [int(n) for n in n_values]
-    grid = np.concatenate([np.linspace(n - 0.5, n + 0.5, LOCALIZE_SUBGRID)
-                           for n in n_values])
-    F = char_fn_samples(spec, grid, steps).reshape(len(n_values), LOCALIZE_SUBGRID)
-    grid = grid.reshape(len(n_values), LOCALIZE_SUBGRID)
-    lo = np.empty(len(n_values))
-    hi = np.empty(len(n_values))
-    f_lo = np.empty(len(n_values))
-    f_hi = np.empty(len(n_values))
-    failed = {}
-    for k, n in enumerate(n_values):
-        row = F[k]
-        flips = np.nonzero(np.sign(row[:-1]) * np.sign(row[1:]) < 0)[0]
-        if flips.shape[0] != 1:
-            failed[n] = int(flips.shape[0])
-            continue
-        j = int(flips[0])
-        lo[k] = grid[k, j]
-        hi[k] = grid[k, j + 1]
-        f_lo[k] = row[j]
-        f_hi[k] = row[j + 1]
+    grid = np.array([np.linspace(n - 0.5, n + 0.5, LOCALIZE_SUBGRID) for n in n_values])
+    coarse = min(steps, max(SCREEN_MIN_STEPS, math.ceil(grid.max() * HALF / SCREEN_SH)))
+    count, cell, f_lo, f_hi = _screen(spec, grid, coarse)
+    if coarse < steps:
+        single = np.nonzero(count == 1)[0]
+        ok = np.zeros(len(n_values), dtype=bool)
+        if single.size:
+            ok[single], cell[single], f_lo[single], f_hi[single] = _confirm(
+                spec, grid[single], cell[single], f_lo[single], f_hi[single], steps)
+        redo = np.nonzero(~ok)[0]
+        if redo.size:
+            count[redo], cell[redo], f_lo[redo], f_hi[redo] = _screen(spec, grid[redo], steps)
+    failed = {n: int(c) for n, c in zip(n_values, count) if c != 1}
     if failed:
         raise ZeroOrManyError(failed)
-    return lo, hi, f_lo, f_hi
+    rows = np.arange(len(n_values))
+    return grid[rows, cell], grid[rows, cell + 1], f_lo, f_hi
 
 
 def localize_range(spec: ProblemSpec, n_values, refine_tol: float = DEFAULT_REFINE_TOL,

@@ -187,21 +187,28 @@ def test_refinement_keeps_a_bracket_for_any_tolerance(null_spec, alarm, exponent
     assert hi[0] - lo[0] < tol or hi[0] - lo[0] <= 2.0 * np.spacing(lo[0])
 
 
-def test_refinement_rounds_and_roots_against_bisection(delayed_spec, monkeypatch):
-    n_values, tol, steps = range(5, 13), 1e-10, 512
+def counted_sampling(monkeypatch):
+    """Patches spectral.char_fn_samples to log (columns, steps) per call."""
     calls = []
     sampled = spectral.char_fn_samples
 
     def counted(spec, s_values, steps):
-        calls.append(len(s_values))
+        calls.append((len(s_values), steps))
         return sampled(spec, s_values, steps)
 
     monkeypatch.setattr(spectral, "char_fn_samples", counted)
+    return calls
+
+
+def test_refinement_rounds_and_roots_against_bisection(delayed_spec, monkeypatch):
+    n_values, tol, steps = range(5, 13), 1e-10, 512
     pairs = localize_range(delayed_spec, n_values, tol, steps)
+    lo, hi, f_lo, f_hi = _window_brackets(delayed_spec, n_values, steps)
+    # every char_fn_samples call made inside _refine_brackets is one round
+    calls = counted_sampling(monkeypatch)
+    _refine_brackets(delayed_spec, lo, hi, f_lo, f_hi, tol, steps)
     monkeypatch.undo()
-    # the first call samples the windows, every later one is a round
-    assert len(calls) - 1 <= 4
-    lo, hi, f_lo, _ = _window_brackets(delayed_spec, n_values, steps)
+    assert len(calls) <= 4
     while np.max(hi - lo) >= tol:
         mid = 0.5 * (lo + hi)
         f_mid = char_fn_samples(delayed_spec, mid, steps)
@@ -210,3 +217,117 @@ def test_refinement_rounds_and_roots_against_bisection(delayed_spec, monkeypatch
         hi = np.where(right, hi, mid)
     roots = np.array([p.s for p in pairs])
     assert np.max(np.abs(roots - 0.5 * (lo + hi))) <= tol
+
+
+def test_exact_zero_at_a_sample_is_a_sign_change(null_spec, monkeypatch):
+    # a synthetic F that is exactly 0.0 at one subgrid point of the window
+    # around n = 5 (and of a scan on the same grid)
+    grid = np.linspace(4.5, 5.5, spectral.LOCALIZE_SUBGRID)
+    root = grid[20]
+    monkeypatch.setattr(spectral, "char_fn_samples",
+                        lambda spec, s_values, steps: root - np.asarray(s_values, dtype=float))
+    lo, hi, f_lo, f_hi = _window_brackets(null_spec, [5], 4096)
+    assert (lo[0], hi[0], f_lo[0], f_hi[0]) == (grid[19], root, root - grid[19], 0.0)
+    lo, hi = _refine_brackets(null_spec, lo, hi, f_lo, f_hi, 1e-10, 4096)
+    assert lo[0] <= root <= hi[0] < lo[0] + 1e-10
+    pairs = scan_roots(null_spec, 4.5, 5.5, samples=spectral.LOCALIZE_SUBGRID, steps=256)
+    assert [p.s for p in pairs] == pytest.approx([root], abs=1e-10)
+
+
+def full_resolution_brackets(spec, n_values, steps):
+    """Window brackets from screening every subgrid point at ``steps``."""
+    grid = [np.linspace(n - 0.5, n + 0.5, spectral.LOCALIZE_SUBGRID) for n in n_values]
+    F = spectral.char_fn_samples(spec, np.concatenate(grid), steps).reshape(len(grid), -1)
+    brackets, failed = [], {}
+    for n, s, row in zip(n_values, grid, F):
+        neg = row <= 0.0
+        flips = np.nonzero(neg[:-1] != neg[1:])[0]
+        if flips.shape[0] != 1:
+            failed[n] = int(flips.shape[0])
+            continue
+        j = flips[0]
+        brackets.append((s[j], s[j + 1], row[j], row[j + 1]))
+    if failed:
+        raise ZeroOrManyError(failed)
+    return tuple(np.array(column) for column in zip(*brackets))
+
+
+def test_windows_the_coarse_screen_gets_wrong_are_screened_again(null_spec, monkeypatch):
+    # synthetic F with one root per window at full resolution; the coarse F
+    # agrees in window 5, has its root 0.3 away in window 7 (confirmation
+    # fails), three roots in window 9 and none in window 11
+    n_values, steps = [5, 7, 9, 11], 4096
+    roots = np.array([5.1, 7.2, 8.9, 11.3])
+    calls = []
+
+    def synthetic(spec, s_values, steps_):
+        s = np.asarray(s_values, dtype=float)
+        window = np.searchsorted([5.5, 7.5, 9.5], s)
+        F = roots[window] - s
+        if steps_ < steps:
+            F = np.select([window == 1, window == 2, window == 3],
+                          [F - 0.3, (s - 8.7) * (s - 8.8) * (s - 8.9), np.ones_like(s)], F)
+        calls.append((s.size, steps_))
+        return F
+
+    monkeypatch.setattr(spectral, "char_fn_samples", synthetic)
+    expected = full_resolution_brackets(null_spec, n_values, steps)
+    calls.clear()
+    got = _window_brackets(null_spec, n_values, steps)
+    for g, e in zip(got, expected):
+        assert np.array_equal(g, e)
+    # one coarse screen, then 4 confirmation points for windows 5 and 7 and
+    # a full screen of windows 7, 9 and 11
+    assert calls == [(256, 64), (8, steps), (192, steps)]
+
+
+@st.composite
+def screening_specs(draw):
+    kind = draw(st.sampled_from(["delayed", "constant_q", "null", "sine"]))
+    if kind == "delayed":
+        return spec_of("sin(x)", "cos(x)", "0.5*x*(pi/2 - x)", "(x - pi/2)*(pi - x)*0.25")
+    if kind == "constant_q":
+        return spec_of("1", "1")
+    if kind == "null":
+        return spec_of()
+    c0, c1 = draw(st.floats(-4.0, 4.0)), draw(st.floats(-4.0, 4.0))
+    k, c2 = draw(st.integers(1, 4)), draw(st.floats(0.0, 0.6))
+    q = f"({c0!r}) + ({c1!r})*sin({k}*x)"
+    return spec_of(q, q, f"({c2!r})*x*(pi/2 - x)")
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=screening_specs(), steps=st.integers(256, 1024),
+       n_values=st.lists(st.integers(1, 12), min_size=1, max_size=12, unique=True).map(sorted))
+def test_coarse_screening_matches_full_resolution(alarm, spec, steps, n_values):
+    # the coarse screen, its confirmation and its fallback give bitwise the
+    # brackets and F values of a full-resolution screen, or the same error
+    try:
+        expected = full_resolution_brackets(spec, n_values, steps)
+    except ZeroOrManyError as err:
+        with pytest.raises(ZeroOrManyError) as got:
+            _window_brackets(spec, n_values, steps)
+        assert got.value.windows == err.windows
+        return
+    got = _window_brackets(spec, n_values, steps)
+    for g, e in zip(got, expected):
+        assert np.array_equal(g, e)
+
+
+def test_screening_confirms_with_four_columns_per_window(delayed_spec, monkeypatch):
+    n_values = range(5, 51)
+    calls = counted_sampling(monkeypatch)
+    _window_brackets(delayed_spec, n_values, 4096)
+    full = sum(columns for columns, steps in calls if steps == 4096)
+    assert calls[0] == (len(n_values) * spectral.LOCALIZE_SUBGRID, 265)
+    assert full <= 4 * len(n_values)
+
+
+@pytest.mark.parametrize("steps", [64, 100, 108])
+def test_screening_at_most_the_coarse_steps_is_one_call(delayed_spec, monkeypatch, steps):
+    # n <= 20 screens at 108 steps; at or below that nothing is confirmed
+    n_values = range(5, 21)
+    calls = counted_sampling(monkeypatch)
+    _window_brackets(delayed_spec, n_values, steps)
+    assert calls == [(len(n_values) * spectral.LOCALIZE_SUBGRID, steps)]
