@@ -7,25 +7,41 @@ the retarded term: the delayed argument never exceeds the current x, so the
 value is read from the part of the segment already built.
 
 Every step has one form.  The retarded term g at its three stages is one
-gather, multiply and sum over cubic Hermite stencils on two rows of the
-solution built so far (the current state is the stencil with weight 1 on the
-newest row; a delayed argument inside the step extrapolates the last
-completed step), and the new state is a second contraction,
-(Y, Y')[i+1] = sum_k C[:, k] (y, y', g0, g1, g2)[k], with C the scheme
-coefficients of each lambda.  Only the first step has no completed step
-before it; its stages are peeled off the loop and read a Taylor extrapolant
-of the initial data.  With q = 0 the stages stay zero and the stencil is
-skipped.  Second derivatives, needed only for dense output, are computed
-after the sweep from the node-stage stencils.
+gather, multiply and sum over cubic Hermite stencils, scaled by -q, on two
+rows of the solution built so far (the current state is the stencil with
+weight 1 on the newest row; a delayed argument inside the step extrapolates
+the last completed step), and the new state is a second contraction,
+(Y, Y')[i+1] = sum_k C[:, k] (y, y', g0, g1, g2)[k], with C = [A | B] the
+scheme coefficients of each lambda.  Only the first step has no completed
+step before it; its stages are read from a Taylor extrapolant of the
+initial data.  With q = 0 the stages stay zero and the stencil is skipped.
+Second derivatives, needed only for dense output, are computed after the
+sweep from the node-stage stencils.
 
-Every coefficient sample and stencil is independent of lambda, so they are
-computed once per problem and the integration runs vectorized over a batch
-of lambda values -- eigenvalue scans and bracket refinements pay for one
-sweep per round instead of one per lambda.  A batch is swept in slices as
-wide as ``SWEEP_BYTES`` (64 MiB) allows for the (2, steps+1, width) state
-array: 1023 columns at the default 4096 steps.  Each column sees the same
-operations in the same order, so a lambda gives bit-identical results
-alone, in any batch and under any split.
+Because the argument is retarded, long stretches of steps read only rows
+that are already built: the method of steps.  The steps are partitioned
+once per segment into runs, maximal stretches whose stencils read no row
+past the one where the run starts (one run when q = 0, one step per run
+with zero delay, 23 and 46 runs on the shipped delayed config at 4096
+steps).  All stage values of a run come from one gather, and the linear
+recurrence inside it has the closed form
+u[b+j] = A^j (u[b] + sum_{l<j} A^-(l+1) B g[b+l]), so the sweep loops over
+runs, not steps, with the powers of A built by doubling once per sweep.  A
+run of one step is the step above.  Runs are cut into pieces of at most
+(steps + 1) // ``PIECE_SHARE`` steps (21 at the default resolution), which
+keeps a piece's stencil gather within 1/32 of the state array, and shorter
+where s h is so large that the inverse powers would lose more than a bit.
+
+Every coefficient sample, stencil and run is independent of lambda, so they
+are computed once per problem and the integration runs vectorized over a
+batch of lambda values -- eigenvalue scans and bracket refinements pay for
+one sweep per round instead of one per lambda.  A batch is swept in slices
+as wide as ``SWEEP_BYTES`` (64 MiB) allows for the (steps+1, 2, width)
+state array: 1023 columns at the default 4096 steps.  Each column sees the
+same operations in the same order -- the pieces depend on the steps and on
+the column's own lambda only, and every 2x2 product is written out
+elementwise -- so a lambda gives bit-identical results alone, in any batch
+and under any split.
 
 Only lambda > 0 is addressed; the transmission scaling uses the real cube
 root of lambda, computed as exp(log(lambda)/3).
@@ -56,9 +72,13 @@ __all__ = [
 ]
 
 DEFAULT_STEPS = 4096
-# bytes of one sweep's (2, steps+1, width) state array; sets the batch width
+# bytes of one sweep's (steps+1, 2, width) state array; sets the batch width
 # (1023 lambda columns at the default steps, 63 at 65536)
 SWEEP_BYTES = 64 * 2**20
+# runs are integrated in pieces of at most (steps + 1) // PIECE_SHARE steps,
+# so a piece's (L, 3, 4, width) stencil gather takes at most 1/32 of the
+# (steps+1, 2, width) state array, whatever the width
+PIECE_SHARE = 192
 
 
 class NonFiniteStateError(RuntimeError):
@@ -117,8 +137,8 @@ class ShootingResult:
     lam: float
 
 
-# stencil term k reads row (j + _ROW_OFFSET[k]) of channel _CHANNEL[k] of
-# the stacked (Y, V) array: y(xi) = w0 Y[j] + w1 Y[j+1] + w2 V[j] + w3 V[j+1]
+# stencil term k reads channel _CHANNEL[k] of node (j + _ROW_OFFSET[k]) of
+# the (steps+1, 2) state rows: y(xi) = w0 Y[j] + w1 Y[j+1] + w2 V[j] + w3 V[j+1]
 _CHANNEL = np.array([0, 0, 1, 1])
 _ROW_OFFSET = np.array([0, 1, 0, 1])
 
@@ -127,13 +147,27 @@ class _SegmentTables:
     """All lambda-independent data for integrating one subinterval.
 
     Step i evaluates the retarded term at three stages: the node x_i, the
-    half step and the step end.  ``gather[i]`` holds their (3, 4) flat row
-    indices into the stacked (Y, V) array and ``weights[i]`` the matching
-    Hermite weights; a lookup of the current state is the stencil
+    half step and the step end.  ``gather[i]`` holds their (3, 4) flat
+    indices into the (steps+1, 2) rows of (y, y') and ``weights[i]`` the
+    matching Hermite weights times -q at the stage, so that g is their
+    weighted sum; a lookup of the current state is the Hermite stencil
     (0, 1, 0, 0) on rows (i-1, i).  Step 0 is peeled: its half and end stages
     read the Taylor extrapolant y0 + d y0' + d^2/2 y0'' at distance
     ``first_d`` (0 where the stage reads the current state).  Row n holds
     the node stage that gives y'' at the last node.
+
+    ``run_bounds`` holds the first step of every run and, last, n.  A run
+    is a maximal stretch of steps whose stencils read only rows at or
+    before the row b where it starts, so all its stage values g are known
+    when it begins and the scheme's recurrence u[i+1] = A u[i] + B g[i]
+    (u = (y, y'), A and B fixed per lambda) has the closed form
+
+        u[b+j] = A^j (u[b] + sum_{l<j} A^-(l+1) B g[b+l]).
+
+    The peeled step 0 is a run of its own unless q = 0, when nothing is
+    read and the segment is one run.  Any piece of a run is a run itself;
+    ``pieces`` cuts them to at most ``piece_cap`` steps,
+    (steps + 1) // ``PIECE_SHARE``.
     """
 
     def __init__(self, q_expr: Expr, delta_expr: Expr, a: float, b: float, steps: int):
@@ -178,22 +212,99 @@ class _SegmentTables:
         theta = np.where(current, ctx - j, t_idx - j)
         t2 = theta * theta
         t3 = t2 * theta
-        self.weights = np.stack([2.0 * t3 - 3.0 * t2 + 1.0, -2.0 * t3 + 3.0 * t2,
-                                 h * (t3 - 2.0 * t2 + theta), h * (t3 - t2)],
-                                axis=-1)[..., None]
-        self.gather = _CHANNEL * (n + 1) + j[..., None] + _ROW_OFFSET
+        weights = np.stack([2.0 * t3 - 3.0 * t2 + 1.0, -2.0 * t3 + 3.0 * t2,
+                            h * (t3 - 2.0 * t2 + theta), h * (t3 - t2)], axis=-1)
+        weights *= self.negq
+        self.weights = weights[..., None]
+        self.gather = j[..., None] + _ROW_OFFSET
+        self.gather *= 2
+        self.gather += _CHANNEL
         self.first_d = np.where(inside[0, 1:], xi[0, 1:] - self.a, 0.0)[:, None]
 
+        # newest row each step reads: row j + 1 of its stencils, never past
+        # the step's own row; the peeled step 0 reads only row 0, through its
+        # Taylor extrapolant, and step 1 always reads row 1, so step 0 is a
+        # run of its own unless q = 0, when nothing is read
+        reach = j[:n].max(axis=1) + 1
+        reach[0] = 0
+        if self.q_zero:
+            reach[:] = 0
+        self.run_bounds = _run_bounds(reach)
+        self.piece_cap = max(1, (n + 1) // PIECE_SHARE)
+        self._pieces: dict[int, list[tuple[int, int]]] = {}
+
+    def pieces(self, cap: int) -> list[tuple[int, int]]:
+        """Steps [b, e) of every run cut into pieces of at most ``cap``."""
+        if cap not in self._pieces:
+            bounds = self.run_bounds.tolist()
+            self._pieces[cap] = [(s, min(s + cap, e)) for b, e in zip(bounds[:-1], bounds[1:])
+                                 for s in range(b, e, cap)]
+        return self._pieces[cap]
+
+    def piece_caps(self, lam: np.ndarray) -> np.ndarray:
+        """The longest piece each lambda column is integrated in.
+
+        A piece of L steps uses the powers A^(1-L) .. A^(L-1), which grow
+        like det(A)^(-(L-1)/2) in one direction or the other; det A =
+        |R(i s h)|^2 = 1 - (s h)^6/72 + (s h)^8/576 for the scheme's
+        stability function R, 1 - 7e-13 at s = 50 and 4096 steps.  A
+        lambda with det(A)^(-(piece_cap-1)/2) > 2 gets the longest
+        power-of-two length that keeps that factor within 2, so the inverse
+        powers lose at most one bit; every other lambda gets ``piece_cap``.
+        """
+        t = (self.h * self.h) * np.asarray(lam, dtype=float)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            det = 1.0 - t ** 3 / 72.0 + t ** 4 / 576.0
+            longest = np.where(det < 1.0, 1.0 + math.log(4.0) / -np.log(det), np.inf)
+        return np.minimum(self.piece_cap, 2.0 ** np.floor(np.log2(longest))).astype(np.int64)
+
     def sweep(self, lam: np.ndarray, y0, v0) -> np.ndarray:
-        """Integrate the batch; returns the stacked (Y, V) array of shape
-        (2, steps+1, m).  A state that overflows raises NonFiniteStateError
-        naming the first lambda column to go non-finite, and where."""
+        """Integrate the batch; returns the states (y, y') at every node, shape
+        (steps+1, 2, m).  A state that overflows raises NonFiniteStateError
+        naming the first lambda column to go non-finite, and where.
+
+        Columns with equal ``piece_caps`` are integrated together, so each
+        column sees the same operations in the same order alone, in any
+        batch and under any split.
+        """
         z = np.asarray(lam, dtype=float)
         m = z.shape[0]
-        n = self.steps
+        caps = self.piece_caps(z)
+        groups = sorted(set(caps.tolist()))
+        if len(groups) == 1:
+            # the usual case: no per-group copy of the state array
+            YV = self._integrate(z, y0, v0, groups[0])
+        else:
+            YV = np.empty((self.steps + 1, 2, m))
+            y0 = np.broadcast_to(np.asarray(y0, dtype=float), (m,))
+            v0 = np.broadcast_to(np.asarray(v0, dtype=float), (m,))
+            for cap in groups:
+                cols = caps == cap
+                YV[..., cols] = self._integrate(z[cols], y0[cols], v0[cols], cap)
+        # one channel at a time keeps the temporary at (steps+1, m) booleans
+        if not all(np.isfinite(YV[:, k]).all() for k in (0, 1)):
+            bad = ~np.isfinite(YV).all(axis=1)
+            row = int(np.argmax(bad.any(axis=1)))
+            col = int(np.argmax(bad[row]))
+            raise NonFiniteStateError(f"state became non-finite near x = {self.nodes[row]:.6g} "
+                                      f"(lambda = {float(z[col])!r})")
+        return YV
+
+    def _integrate(self, z: np.ndarray, y0, v0, cap: int) -> np.ndarray:
+        """The sweep of one batch in pieces of at most ``cap`` steps.
+
+        A step is u[i+1] = C (u[i], g[i]) with C = [A | B] the (2, 5) scheme
+        coefficients.  A piece [b, e) contracts its inputs (u[b], g[b]),
+        (0, g[b+1]), .., (0, g[e-1]) with C, A^-1 C, .., A^-(e-b-1) C, sums
+        them cumulatively and multiplies partial sum l by A^l:
+
+            u[b+1+l] = A^l (C (u[b], g[b]) + sum_{0<k<=l} A^-k B g[b+k]),
+
+        the closed form above; a piece of one step is C (u[b], g[b]).
+        """
+        m = z.shape[0]
         h = self.h
         h2 = h * h
-        # (Y, V)[i+1] = sum_k C[:, k] * (y, v, g0, g1, g2)[k]
         C = np.zeros((2, 5, m))
         C[0, 0] = C[1, 1] = 1.0 - 0.5 * h2 * z + (h2 * h2 / 24.0) * z * z
         C[0, 1] = h * (1.0 - (h2 / 6.0) * z)
@@ -203,40 +314,56 @@ class _SegmentTables:
         C[1, 2] = (h / 6.0) * (1.0 - 0.5 * h2 * z)
         C[1, 3] = 2.0 * h / 3.0 - (h2 * h / 12.0) * z
         C[1, 4] = h / 6.0
+        A = C[:, :2]
+        pieces = self.pieces(cap)
+        longest = max(e - b for b, e in pieces)
 
-        YV = np.empty((2, n + 1, m))
-        rows = YV.reshape(2 * (n + 1), m)
-        u = np.zeros((5, m))
-        yv, g = u[:2], u[2:]
-        yv[0] = y0
-        yv[1] = v0
-        YV[:, 0] = yv
-        # with q = 0 every stage is zero: the stencil is skipped and the
-        # contraction stops after (y, v)
+        YV = np.empty((self.steps + 1, 2, m))
+        rows = YV.reshape(-1, m)
+        # inputs of the current piece; the (y, v) slots past row 0 stay zero
+        u = np.zeros((longest, 5, m))
+        u[0, 0] = y0
+        u[0, 1] = v0
+        YV[0] = u[0, :2]
+        # with q = 0 every stage is zero and no stencil is read
         stages = not self.q_zero
-        Ck, uk = (C, u) if stages else (C[:, :2], yv)
         with np.errstate(over="ignore", invalid="ignore"):
+            # powers[l-1] = A^l and K[l] = A^-l C for 0 < l < longest
+            powers = _powers(A, longest - 1)
+            inverse = np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]]) / (
+                A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])
+            K = np.empty((longest, 2, 5, m))
+            K[0] = C
+            (_powers(inverse, longest - 1)[:, :, :, None] * C).sum(axis=2, out=K[1:])
             if stages:
                 # peeled step 0: the node stage is the initial state, the
                 # others read its Taylor extrapolant
                 nq = self.negq[0]
-                g[0] = nq[0] * yv[0]
-                a0 = g[0] - z * yv[0]
-                g[1:] = nq[1:] * (yv[0] + self.first_d * yv[1]
+                g = u[0, 2:]
+                g[0] = nq[0] * u[0, 0]
+                a0 = g[0] - z * u[0, 0]
+                g[1:] = nq[1:] * (u[0, 0] + self.first_d * u[0, 1]
                                   + (0.5 * self.first_d * self.first_d) * a0)
-            for i in range(n):
-                if i and stages:
-                    (rows.take(self.gather[i], axis=0) * self.weights[i]).sum(axis=1, out=g)
-                    g *= self.negq[i]
-                (Ck * uk).sum(axis=1, out=yv)
-                YV[:, i + 1] = yv
-        # one channel at a time keeps the temporary at (steps+1, m) booleans
-        if not all(np.isfinite(channel).all() for channel in YV):
-            bad = ~np.isfinite(YV).all(axis=0)
-            row = int(np.argmax(bad.any(axis=1)))
-            col = int(np.argmax(bad[row]))
-            raise NonFiniteStateError(f"state became non-finite near x = {self.nodes[row]:.6g} "
-                                      f"(lambda = {float(z[col])!r})")
+            for b, e in pieces:
+                L = e - b
+                U = u[:L]
+                if b:
+                    U[0, :2] = YV[b]
+                    if stages:
+                        g = rows.take(self.gather[b:e], axis=0)
+                        g *= self.weights[b:e]
+                        np.add.reduce(g, axis=2, out=U[:, 2:])
+                out = YV[b + 1:e + 1]
+                np.add.reduce(K[:L] * U[:, None], axis=2, out=out)
+                if L > 1:
+                    # the same sequential sums either way; row by row is
+                    # faster across wide batches
+                    if m > 64:
+                        for l in range(1, L):
+                            out[l] += out[l - 1]
+                    else:
+                        np.add.accumulate(out, axis=0, out=out)
+                    np.add.reduce(powers[:L - 1] * out[1:, None], axis=2, out=out[1:])
         return YV
 
     def second_derivs(self, lam: np.ndarray, YV: np.ndarray) -> np.ndarray:
@@ -250,7 +377,35 @@ class _SegmentTables:
         acc = rows[idx[:, 0]] * w[:, 0]
         for k in range(1, 4):
             acc += rows[idx[:, k]] * w[:, k]
-        return self.negq[:, 0] * acc - np.asarray(lam, dtype=float) * YV[0]
+        return acc - np.asarray(lam, dtype=float) * YV[:, 0]
+
+
+def _run_bounds(reach: np.ndarray) -> np.ndarray:
+    """First step of every run, then the step count, given the newest row
+    ``reach[i] <= i`` that step i reads.  The run from step b ends at the
+    first step that reads a row past b: one ``searchsorted`` per run on the
+    running maximum of ``reach``."""
+    top = np.maximum.accumulate(reach)
+    bounds = [0]
+    while bounds[-1] < reach.shape[0]:
+        bounds.append(int(np.searchsorted(top, bounds[-1], side="right")))
+    return np.array(bounds)
+
+
+def _powers(A: np.ndarray, count: int) -> np.ndarray:
+    """A^1 .. A^count of a batch of 2x2 matrices A of shape (2, 2, m), as
+    (count, 2, 2, m).  By doubling: A^(k+i) = A^k A^i with k the largest
+    power of two below k + i, so each power is the same product whatever
+    ``count`` is.  The products are written out elementwise per column."""
+    P = np.empty((count,) + A.shape)
+    if count:
+        P[0] = A
+    k = 1
+    while k < count:
+        top = min(2 * k, count)
+        (P[k - 1][:, :, None] * P[:top - k, None]).sum(axis=2, out=P[k:top])
+        k = top
+    return P
 
 
 @lru_cache(maxsize=32)
@@ -269,8 +424,8 @@ def _right_tables(spec: ProblemSpec, steps: int) -> _SegmentTables:
 def _segments(tables: _SegmentTables, lams: np.ndarray, YV: np.ndarray) -> list[SolutionSegment]:
     A = tables.second_derivs(lams, YV)
     return [SolutionSegment(a=tables.a, b=tables.b, lam=float(lam), nodes=tables.nodes,
-                            values=np.ascontiguousarray(YV[0, :, k]),
-                            derivs=np.ascontiguousarray(YV[1, :, k]),
+                            values=np.ascontiguousarray(YV[:, 0, k]),
+                            derivs=np.ascontiguousarray(YV[:, 1, k]),
                             second_derivs=np.ascontiguousarray(A[:, k]))
             for k, lam in enumerate(lams)]
 
@@ -282,8 +437,8 @@ def integrate_segment(spec: ProblemSpec, lam: float, interval, y0: float, dy0: f
     ``interval`` must lie within [0, pi/2] or within [pi/2, pi]; the matching
     coefficient expressions of the problem are used.
     """
-    if lam <= 0.0:
-        raise ValueError("lambda must be positive")
+    if not (lam > 0.0 and math.isfinite(lam)):
+        raise ValueError("lambda must be positive and finite")
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise ValueError("interval must have positive length")
@@ -304,11 +459,11 @@ def _shoot_chunks(spec: ProblemSpec, lams: np.ndarray, steps: int):
     right segment continues from the transmission mapping
     y(pi/2+) = lambda^(-1/3) delta^(-1) y(pi/2-) (and likewise for y').
     Lambda values are swept in slices as wide as ``SWEEP_BYTES`` allows for
-    one (2, steps+1, width) state array.  Yields (cols, left, right) for
+    one (steps+1, 2, width) state array.  Yields (cols, left, right) for
     each slice ``cols``, where left and right are (tables, YV).
     """
-    if np.any(lams <= 0.0):
-        raise ValueError("lambda must be positive")
+    if not np.all((lams > 0.0) & np.isfinite(lams)):
+        raise ValueError("lambda must be positive and finite")
     lt = _left_tables(spec, steps)
     rt = _right_tables(spec, steps)
     width = max(1, SWEEP_BYTES // (2 * (steps + 1) * 8))
@@ -317,7 +472,7 @@ def _shoot_chunks(spec: ProblemSpec, lams: np.ndarray, steps: int):
         z = lams[cols]
         left = lt.sweep(z, math.sin(spec.alpha), -math.cos(spec.alpha))
         scale = 1.0 / (lam_cbrt(z) * spec.coupling)
-        right = rt.sweep(z, scale * left[0, -1], scale * left[1, -1])
+        right = rt.sweep(z, scale * left[-1, 0], scale * left[-1, 1])
         yield cols, (lt, left), (rt, right)
 
 
@@ -346,5 +501,5 @@ def shoot_endpoints(spec: ProblemSpec, lams, steps_per_segment: int = DEFAULT_ST
     lams = np.asarray(lams, dtype=float)
     ends = np.empty((2, lams.shape[0]))
     for cols, _, (_, right) in _shoot_chunks(spec, lams, steps_per_segment):
-        ends[:, cols] = right[:, -1]
+        ends[:, cols] = right[-1]
     return ends[0], ends[1]

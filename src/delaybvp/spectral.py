@@ -124,8 +124,8 @@ def _assemble_F(spec: ProblemSpec, w_pi, wp_pi):
 
 def char_fn(spec: ProblemSpec, lam: float, steps: int = dde_solver.DEFAULT_STEPS) -> CharacteristicSample:
     """Characteristic value F(lambda) from a fresh shooting solution."""
-    if lam <= 0.0:
-        raise ValueError("lambda must be positive")
+    if not (lam > 0.0 and math.isfinite(lam)):
+        raise ValueError("lambda must be positive and finite")
     w, wp = dde_solver.shoot_endpoints(spec, [lam], steps)
     return CharacteristicSample(lam=float(lam), F=float(_assemble_F(spec, w[0], wp[0])),
                                 method="shooting")
@@ -145,8 +145,8 @@ def char_fn_picard(spec: ProblemSpec, lam: float,
 def char_fn_samples(spec: ProblemSpec, s_values, steps: int = dde_solver.DEFAULT_STEPS) -> np.ndarray:
     """F(s^2) on a batch of s values (one batched sweep per segment)."""
     s_values = np.asarray(s_values, dtype=float)
-    if np.any(s_values <= 0.0):
-        raise ValueError("s must be positive")
+    if not np.all((s_values > 0.0) & np.isfinite(s_values)):
+        raise ValueError("s must be positive and finite")
     w, wp = dde_solver.shoot_endpoints(spec, s_values * s_values, steps)
     return _assemble_F(spec, w, wp)
 
@@ -341,6 +341,8 @@ def localize_range(spec: ProblemSpec, n_values, refine_tol: float = DEFAULT_REFI
     n_values = sorted(int(n) for n in n_values)
     if any(n < 1 for n in n_values):
         raise ValueError("indices must be positive integers")
+    if not n_values:
+        return []
     lo, hi, f_lo, f_hi = _window_brackets(spec, n_values, steps)
     lo, hi = _refine_brackets(spec, lo, hi, f_lo, f_hi, refine_tol, steps)
     roots = 0.5 * (lo + hi)

@@ -250,3 +250,155 @@ def test_overflow_reported():
     with pytest.raises(NonFiniteStateError) as alone:
         shoot_endpoints(spec, [1.0], 512)
     assert str(alone.value) == message
+
+
+def stepwise_sweep(tables, lam, y0, v0):
+    """Reference integrator: the scheme one step at a time, u[i+1] =
+    C (u[i], g[i]), each step's stages gathered from the rows before it.
+    ``_SegmentTables.sweep`` must reproduce it to rounding."""
+    z = np.asarray(lam, dtype=float)
+    m, n, h = z.shape[0], tables.steps, tables.h
+    h2 = h * h
+    C = np.zeros((2, 5, m))
+    C[0, 0] = C[1, 1] = 1.0 - 0.5 * h2 * z + (h2 * h2 / 24.0) * z * z
+    C[0, 1] = h * (1.0 - (h2 / 6.0) * z)
+    C[1, 0] = -z * C[0, 1]
+    C[0, 2] = h2 / 6.0 - (h2 * h2 / 24.0) * z
+    C[0, 3] = h2 / 3.0
+    C[1, 2] = (h / 6.0) * (1.0 - 0.5 * h2 * z)
+    C[1, 3] = 2.0 * h / 3.0 - (h2 * h / 12.0) * z
+    C[1, 4] = h / 6.0
+    YV = np.empty((n + 1, 2, m))
+    rows = YV.reshape(-1, m)
+    u = np.zeros((5, m))
+    yv, g = u[:2], u[2:]
+    yv[0], yv[1] = y0, v0
+    YV[0] = yv
+    with np.errstate(over="ignore", invalid="ignore"):
+        nq, d = tables.negq[0], tables.first_d
+        g[0] = nq[0] * yv[0]
+        g[1:] = nq[1:] * (yv[0] + d * yv[1] + (0.5 * d * d) * (g[0] - z * yv[0]))
+        for i in range(n):
+            if i:
+                (rows.take(tables.gather[i], axis=0) * tables.weights[i]).sum(axis=1, out=g)
+            (C * u).sum(axis=1, out=yv)
+            YV[i + 1] = yv
+    return YV
+
+
+@st.composite
+def sweep_specs(draw):
+    """The batch specs, the null spec, and q = c0 + c1 sin(kx) with
+    Delta = c2 x (pi/2 - x) on the left."""
+    kind = draw(st.sampled_from(["batch", "null", "sine"]))
+    if kind == "batch":
+        return draw(st.sampled_from(BATCH_SPECS))
+    if kind == "null":
+        return spec_of()
+    c0, c1 = draw(st.floats(-4.0, 4.0)), draw(st.floats(-4.0, 4.0))
+    k, c2 = draw(st.integers(1, 4)), draw(st.floats(0.0, 0.6))
+    q = f"({c0!r}) + ({c1!r})*sin({k}*x)"
+    return spec_of(q, q, f"({c2!r})*x*(pi/2 - x)")
+
+
+def both_tables(spec, steps):
+    return dde_solver._left_tables(spec, steps), dde_solver._right_tables(spec, steps)
+
+
+def rows_read(tables):
+    """The newest row each step's stencils read."""
+    return (tables.gather[:tables.steps] // 2).max(axis=(1, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=sweep_specs(), steps=st.integers(2, 1024))
+def test_runs_partition_the_steps(spec, steps):
+    for tables in both_tables(spec, steps):
+        n, bounds = tables.steps, tables.run_bounds.tolist()
+        assert bounds[0] == 0 and bounds[-1] == n
+        assert all(b < e for b, e in zip(bounds, bounds[1:]))
+        if tables.q_zero:
+            # no stage is read: one run
+            assert bounds == [0, n]
+        else:
+            # the peeled step 0 reads the initial state alone
+            assert bounds[1] == 1
+            reads = rows_read(tables)
+            assert np.all(reads[1:] <= np.arange(1, n))
+            for b, e in zip(bounds[1:], bounds[2:]):
+                assert reads[b:e].max() <= b
+                # maximal: the next step reads a row the run computes
+                assert e == n or reads[e] > b
+        for cap in (1, 3, tables.piece_cap):
+            starts, ends = zip(*tables.pieces(cap))
+            assert starts[0] == 0 and ends[-1] == n and starts[1:] == ends[:-1]
+            # no piece straddles two runs
+            assert set(bounds) <= set(starts) | {n}
+            assert all(0 < e - b <= cap for b, e in zip(starts, ends))
+
+
+def test_runs_of_the_shipped_kinds(null_spec, constq_spec, delayed_spec):
+    # q = 0 reads nothing: each segment is one run
+    assert [t.run_bounds.tolist() for t in both_tables(null_spec, 4096)] == [[0, 4096]] * 2
+    # zero delay reads the current state: every run is one step
+    for tables in both_tables(constq_spec, 4096):
+        assert tables.run_bounds.tolist() == list(range(4097))
+    left, right = both_tables(delayed_spec, 4096)
+    assert (len(left.run_bounds) - 1, len(right.run_bounds) - 1) == (23, 46)
+    assert np.diff(left.run_bounds).max() == 788
+    left, right = both_tables(delayed_spec, 265)
+    assert (len(left.run_bounds) - 1, len(right.run_bounds) - 1) == (17, 31)
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=sweep_specs(), steps=st.integers(64, 4096),
+       sh=st.lists(st.floats(0.01, 3.2), min_size=1, max_size=3))
+def test_blocked_sweep_matches_stepwise(spec, steps, sh):
+    # s h past the scheme's stability limit (about 2.83) overflows on long
+    # segments: then both must fail, naming the same lambda
+    for tables, y0, v0 in zip(both_tables(spec, steps), (0.0, 0.7), (-1.0, -0.4)):
+        for lam in [(x / tables.h) ** 2 for x in sh]:
+            want = stepwise_sweep(tables, [lam], y0, v0)
+            if not np.isfinite(want).all():
+                with pytest.raises(NonFiniteStateError, match=f"lambda = {lam!r}"):
+                    tables.sweep(np.array([lam]), y0, v0)
+                continue
+            got = tables.sweep(np.array([lam]), y0, v0)
+            scale = np.abs(want).max()
+            assert np.abs(got - want).max() <= 1e-11 * scale, (lam, tables.a)
+
+
+def test_sweep_at_full_resolution_matches_stepwise(delayed_spec):
+    lams = np.array([4.0, 625.0, 2500.0])
+    for tables in both_tables(delayed_spec, 4096):
+        got = tables.sweep(lams, 1.0, 0.5)
+        want = stepwise_sweep(tables, lams, 1.0, 0.5)
+        scale = np.abs(want).max(axis=(0, 1))
+        assert np.all(np.abs(got - want).max(axis=(0, 1)) <= 1e-11 * scale)
+
+
+def test_short_pieces_for_large_s_h_stay_batch_invariant(delayed_spec):
+    # at 1024 steps pieces are 5 steps long; s h of 1.8 and 2.5 shorten them,
+    # so the batch is integrated in three groups of columns
+    steps = 1024
+    left, _ = both_tables(delayed_spec, steps)
+    lams = [4.0, (1.8 / left.h) ** 2, 900.0, (2.5 / left.h) ** 2]
+    assert left.piece_caps(np.array(lams)).tolist() == [5, 4, 5, 2]
+    w, wp = shoot_endpoints(delayed_spec, lams, steps)
+    with split_sweeps(steps, 3):
+        w_split, wp_split = shoot_endpoints(delayed_spec, lams, steps)
+    assert w.tobytes() == w_split.tobytes() and wp.tobytes() == wp_split.tobytes()
+    for k, lam in enumerate(lams):
+        w1, wp1 = shoot_endpoints(delayed_spec, [lam], steps)
+        assert w1.tobytes() == w[k:k + 1].tobytes() and wp1.tobytes() == wp[k:k + 1].tobytes()
+
+
+def test_wide_batches_sum_pieces_like_narrow_ones(delayed_spec):
+    # a batch wider than 64 columns adds the partial sums of a piece row by
+    # row, a narrower one in one accumulate call: the same additions in the
+    # same order, so a 70-column sweep matches ten 7-column ones bit for bit
+    lams = np.linspace(1.0, 2500.0, 70)
+    w, wp = shoot_endpoints(delayed_spec, lams, 1024)
+    with split_sweeps(1024, 7):
+        w7, wp7 = shoot_endpoints(delayed_spec, lams, 1024)
+    assert w.tobytes() == w7.tobytes() and wp.tobytes() == wp7.tobytes()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from delaybvp import spectral
+from delaybvp import dde_solver, spectral
 from delaybvp.problem import Case1RequiredError, HALF, ProblemSpec
 from delaybvp.spectral import (ZeroOrManyError, _refine_brackets, _window_brackets, char_fn,
                                char_fn_picard, char_fn_samples,
@@ -99,6 +99,10 @@ def test_localize_requires_case1():
         localize_near_n(spec_of(alpha=0.0), 5)
 
 
+def test_localize_no_indices(delayed_spec):
+    assert localize_range(delayed_spec, []) == []
+
+
 def test_zero_or_many_below_asymptotic_regime():
     # a strong potential pushes the lowest eigenvalue far from s = 1: the
     # unit window around n = 1 holds no sign change
@@ -160,6 +164,23 @@ def test_positive_s_required(null_spec):
         char_fn_samples(null_spec, [-1.0])
     with pytest.raises(ValueError):
         scan_roots(null_spec, 0.0, 2.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("entry", ["shoot_endpoints", "char_fn_samples",
+                                   "integrate_segment", "char_fn"])
+def test_lambda_must_be_positive_and_finite(delayed_spec, entry, bad):
+    # a NaN passes a `<= 0` check; it must not reach the integrator and be
+    # reported as a non-finite state
+    calls = {
+        "shoot_endpoints": lambda: dde_solver.shoot_endpoints(delayed_spec, [4.0, bad], 64),
+        "char_fn_samples": lambda: char_fn_samples(delayed_spec, [2.0, bad], 64),
+        "integrate_segment": lambda: dde_solver.integrate_segment(
+            delayed_spec, bad, (0.0, HALF), 1.0, 0.0, steps=64),
+        "char_fn": lambda: char_fn(delayed_spec, bad, 64),
+    }
+    with pytest.raises(ValueError, match="positive and finite"):
+        calls[entry]()
 
 
 def test_refinement_below_one_ulp_keeps_its_bracket(null_spec, alarm):
