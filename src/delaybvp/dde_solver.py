@@ -37,7 +37,9 @@ are computed once per problem and the integration runs vectorized over a
 batch of lambda values -- eigenvalue scans and bracket refinements pay for
 one sweep per round instead of one per lambda.  A batch is swept in slices
 as wide as ``SWEEP_BYTES`` (64 MiB) allows for the (steps+1, 2, width)
-state array: 1023 columns at the default 4096 steps.  Each column sees the
+state array: 1023 columns at the default 4096 steps, half that for a batch
+whose columns need different piece lengths, because such a sweep holds one
+group's states beside the batch's.  Each column sees the
 same operations in the same order -- the pieces depend on the steps and on
 the column's own lambda only, and every 2x2 product is written out
 elementwise -- so a lambda gives bit-identical results alone, in any batch
@@ -73,7 +75,8 @@ __all__ = [
 
 DEFAULT_STEPS = 4096
 # bytes of one sweep's (steps+1, 2, width) state array; sets the batch width
-# (1023 lambda columns at the default steps, 63 at 65536)
+# (1023 lambda columns at the default steps, 63 at 65536; half of that when
+# the batch mixes piece caps, whose sweep holds a second, per-cap array)
 SWEEP_BYTES = 64 * 2**20
 # runs are integrated in pieces of at most (steps + 1) // PIECE_SHARE steps,
 # so a piece's (L, 3, 4, width) stencil gather takes at most 1/32 of the
@@ -265,7 +268,8 @@ class _SegmentTables:
 
         Columns with equal ``piece_caps`` are integrated together, so each
         column sees the same operations in the same order alone, in any
-        batch and under any split.
+        batch and under any split.  With more than one cap each group gets
+        its own state array, copied into the batch's.
         """
         z = np.asarray(lam, dtype=float)
         m = z.shape[0]
@@ -300,7 +304,11 @@ class _SegmentTables:
 
             u[b+1+l] = A^l (C (u[b], g[b]) + sum_{0<k<=l} A^-k B g[b+k]),
 
-        the closed form above; a piece of one step is C (u[b], g[b]).
+        the closed form above; a piece of one step is C (u[b], g[b]).  The
+        partial sums are one ``np.add.accumulate`` down the piece's rows.
+        With q = 0 the g inputs are zero, so only A u[b] is computed and
+        every partial sum is that.  The buffer views of each piece length
+        are built once per sweep.
         """
         m = z.shape[0]
         h = self.h
@@ -325,7 +333,8 @@ class _SegmentTables:
         u[0, 0] = y0
         u[0, 1] = v0
         YV[0] = u[0, :2]
-        # with q = 0 every stage is zero and no stencil is read
+        # with q = 0 every stage is zero: no stencil is read, and the only
+        # input of a piece is u[b], so each of its partial sums is A u[b]
         stages = not self.q_zero
         with np.errstate(over="ignore", invalid="ignore"):
             # powers[l-1] = A^l and K[l] = A^-l C for 0 < l < longest
@@ -335,6 +344,8 @@ class _SegmentTables:
             K = np.empty((longest, 2, 5, m))
             K[0] = C
             (_powers(inverse, longest - 1)[:, :, :, None] * C).sum(axis=2, out=K[1:])
+            # per piece length L: its stage slots, inputs and coefficients
+            views = [None] + [(u[:L, 2:], u[:L, None], K[:L]) for L in range(1, longest + 1)]
             if stages:
                 # peeled step 0: the node stage is the initial state, the
                 # others read its Taylor extrapolant
@@ -344,25 +355,24 @@ class _SegmentTables:
                 a0 = g[0] - z * u[0, 0]
                 g[1:] = nq[1:] * (u[0, 0] + self.first_d * u[0, 1]
                                   + (0.5 * self.first_d * self.first_d) * a0)
+            state = u[0, :2]
             for b, e in pieces:
                 L = e - b
-                U = u[:L]
-                if b:
-                    U[0, :2] = YV[b]
-                    if stages:
+                out = YV[b + 1:e + 1]
+                if stages:
+                    g_out, inputs, coef = views[L]
+                    if b:
+                        state[...] = YV[b]
                         g = rows.take(self.gather[b:e], axis=0)
                         g *= self.weights[b:e]
-                        np.add.reduce(g, axis=2, out=U[:, 2:])
-                out = YV[b + 1:e + 1]
-                np.add.reduce(K[:L] * U[:, None], axis=2, out=out)
-                if L > 1:
-                    # the same sequential sums either way; row by row is
-                    # faster across wide batches
-                    if m > 64:
-                        for l in range(1, L):
-                            out[l] += out[l - 1]
-                    else:
+                        np.add.reduce(g, axis=2, out=g_out)
+                    np.add.reduce(coef * inputs, axis=2, out=out)
+                    if L > 1:
                         np.add.accumulate(out, axis=0, out=out)
+                else:
+                    np.add.reduce(A * YV[b], axis=1, out=out[0])
+                    out[1:] = out[0]
+                if L > 1:
                     np.add.reduce(powers[:L - 1] * out[1:, None], axis=2, out=out[1:])
         return YV
 
@@ -467,6 +477,9 @@ def _shoot_chunks(spec: ProblemSpec, lams: np.ndarray, steps: int):
     lt = _left_tables(spec, steps)
     rt = _right_tables(spec, steps)
     width = max(1, SWEEP_BYTES // (2 * (steps + 1) * 8))
+    if len(set(lt.piece_caps(lams).tolist()) | set(rt.piece_caps(lams).tolist())) > 1:
+        # a sweep of mixed piece caps holds one group's states beside its own
+        width = max(1, width // 2)
     for start in range(0, lams.shape[0], width):
         cols = slice(start, start + width)
         z = lams[cols]

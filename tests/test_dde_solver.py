@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from delaybvp import dde_solver
 from delaybvp.dde_solver import (DelayRangeError, NonFiniteStateError,
@@ -165,12 +165,29 @@ def test_sweep_width_follows_the_byte_budget(null_spec):
         assert slices(np.arange(1.0, 8.0), 64) == [slice(0, 3), slice(3, 6), slice(6, 9)]
 
 
+@st.composite
+def batch_cases(draw, fewest_steps, most_steps, most_lams):
+    """(steps, lams) for the batch-invariance properties: steps from the
+    given range, or 383 and more, where pieces are longer than one step;
+    lambda values in [0.5, 2500], or with s h in [1.3, 2.6], where
+    ``piece_caps`` cuts the pieces shorter and a batch mixes caps."""
+    steps = draw(st.one_of(st.integers(fewest_steps, most_steps),
+                           st.sampled_from([383, 1024, 2048])))
+    h = HALF / steps
+    lam = st.one_of(st.floats(0.5, 2500.0), st.floats(1.3, 2.6).map(lambda sh: (sh / h) ** 2))
+    return steps, draw(st.lists(lam, min_size=1, max_size=most_lams))
+
+
+# four columns with caps 5, 4, 5 and 2 at 1024 steps (see test_piece_caps)
+MIXED_CAPS = (1024, [4.0, (1.8 * 1024 / HALF) ** 2, 900.0, (2.5 * 1024 / HALF) ** 2])
+
+
 @settings(max_examples=30, deadline=None)
-@given(spec=st.sampled_from(BATCH_SPECS),
-       steps=st.integers(64, 256),
-       lams=st.lists(st.floats(0.5, 2500.0), min_size=1, max_size=8),
+@given(spec=st.sampled_from(BATCH_SPECS), case=batch_cases(64, 256, 8),
        width=st.integers(1, 8))
-def test_shoot_endpoints_batch_invariant(spec, steps, lams, width):
+@example(spec=BATCH_SPECS[0], case=MIXED_CAPS, width=3)
+def test_shoot_endpoints_batch_invariant(spec, case, width):
+    steps, lams = case
     # every column sees the same operations in the same order, whatever the
     # batch around it; byte-identical reruns and bracket refinement rely on it
     w, wp = shoot_endpoints(spec, lams, steps)
@@ -183,11 +200,11 @@ def test_shoot_endpoints_batch_invariant(spec, steps, lams, width):
 
 
 @settings(max_examples=20, deadline=None)
-@given(spec=st.sampled_from(BATCH_SPECS + [spec_of()]),
-       steps=st.integers(32, 160),
-       lams=st.lists(st.floats(0.5, 2500.0), min_size=1, max_size=6),
+@given(spec=st.sampled_from(BATCH_SPECS + [spec_of()]), case=batch_cases(32, 160, 6),
        width=st.integers(1, 6))
-def test_shoot_many_batch_invariant(spec, steps, lams, width):
+@example(spec=BATCH_SPECS[0], case=MIXED_CAPS, width=3)
+def test_shoot_many_batch_invariant(spec, case, width):
+    steps, lams = case
     # segments, second derivatives included, match bit for bit whether a
     # lambda is shot alone, in a batch or in a batch split into sweeps
     batch = shoot_many(spec, lams, steps)
@@ -378,28 +395,15 @@ def test_sweep_at_full_resolution_matches_stepwise(delayed_spec):
         assert np.all(np.abs(got - want).max(axis=(0, 1)) <= 1e-11 * scale)
 
 
-def test_short_pieces_for_large_s_h_stay_batch_invariant(delayed_spec):
-    # at 1024 steps pieces are 5 steps long; s h of 1.8 and 2.5 shorten them,
-    # so the batch is integrated in three groups of columns
-    steps = 1024
-    left, _ = both_tables(delayed_spec, steps)
-    lams = [4.0, (1.8 / left.h) ** 2, 900.0, (2.5 / left.h) ** 2]
-    assert left.piece_caps(np.array(lams)).tolist() == [5, 4, 5, 2]
-    w, wp = shoot_endpoints(delayed_spec, lams, steps)
-    with split_sweeps(steps, 3):
-        w_split, wp_split = shoot_endpoints(delayed_spec, lams, steps)
-    assert w.tobytes() == w_split.tobytes() and wp.tobytes() == wp_split.tobytes()
-    for k, lam in enumerate(lams):
-        w1, wp1 = shoot_endpoints(delayed_spec, [lam], steps)
-        assert w1.tobytes() == w[k:k + 1].tobytes() and wp1.tobytes() == wp[k:k + 1].tobytes()
-
-
-def test_wide_batches_sum_pieces_like_narrow_ones(delayed_spec):
-    # a batch wider than 64 columns adds the partial sums of a piece row by
-    # row, a narrower one in one accumulate call: the same additions in the
-    # same order, so a 70-column sweep matches ten 7-column ones bit for bit
-    lams = np.linspace(1.0, 2500.0, 70)
-    w, wp = shoot_endpoints(delayed_spec, lams, 1024)
-    with split_sweeps(1024, 7):
-        w7, wp7 = shoot_endpoints(delayed_spec, lams, 1024)
-    assert w.tobytes() == w7.tobytes() and wp.tobytes() == wp7.tobytes()
+def test_piece_caps(delayed_spec):
+    # (steps + 1) // 192 steps at most; s h of 1.8 and 2.5 cut pieces shorter
+    assert both_tables(delayed_spec, 4096)[0].piece_cap == 21
+    assert both_tables(delayed_spec, 382)[0].piece_cap == 1
+    steps, lams = MIXED_CAPS
+    for tables in both_tables(delayed_spec, steps):
+        assert tables.piece_caps(np.array(lams)).tolist() == [5, 4, 5, 2]
+    # a sweep of mixed caps holds one group's states beside its own, so a
+    # batch that mixes caps is swept half as wide
+    with split_sweeps(steps, 4):
+        chunks = dde_solver._shoot_chunks(delayed_spec, np.array(lams), steps)
+        assert [cols for cols, _, _ in chunks] == [slice(0, 2), slice(2, 4)]
