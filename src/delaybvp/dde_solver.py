@@ -194,14 +194,14 @@ class _SegmentTables:
 
         # stages (node, half, end) of steps 0..n; the half and end slots of
         # row n are never read and are filled with current-state lookups
-        ctx = np.arange(n + 1)[:, None]
+        ctx = np.arange(n + 1)
         x_ctx = self.a + ctx * h
         xi = np.stack([self.nodes - d_node,
                        np.append(t_half - d_half, x_ctx[-1]),
-                       np.append(self.nodes[1:] - d_node[1:], x_ctx[-1])], axis=1)
+                       np.append(self.nodes[1:] - d_node[1:], x_ctx[-1])])
         self.negq = -np.stack([q_node, np.append(q_half, 0.0),
-                               np.append(q_node[1:], 0.0)], axis=1)[:, :, None]
-        for stage in xi.T:
+                               np.append(q_node[1:], 0.0)])[:, :, None]
+        for stage in xi:
             if np.any(stage < self.a - 1e-12):
                 raise DelayRangeError(
                     f"delayed argument {stage.min():.12g} below segment start {self.a:.12g}")
@@ -215,20 +215,18 @@ class _SegmentTables:
         theta = np.where(current, ctx - j, t_idx - j)
         t2 = theta * theta
         t3 = t2 * theta
-        weights = np.stack([2.0 * t3 - 3.0 * t2 + 1.0, -2.0 * t3 + 3.0 * t2,
-                            h * (t3 - 2.0 * t2 + theta), h * (t3 - t2)], axis=-1)
-        weights *= self.negq
-        self.weights = weights[..., None]
-        self.gather = j[..., None] + _ROW_OFFSET
-        self.gather *= 2
-        self.gather += _CHANNEL
-        self.first_d = np.where(inside[0, 1:], xi[0, 1:] - self.a, 0.0)[:, None]
+        self.weights = np.stack([2.0 * t3 - 3.0 * t2 + 1.0, -2.0 * t3 + 3.0 * t2,
+                                 h * (t3 - 2.0 * t2 + theta), h * (t3 - t2)])[..., None]
+        self.weights *= self.negq
+        self.gather = j + _ROW_OFFSET[:, None, None]
+        self.gather += _CHANNEL[:, None, None] * (n + 1)
+        self.first_d = np.where(inside[1:, 0], xi[1:, 0] - self.a, 0.0)[:, None]
 
         # newest row each step reads: row j + 1 of its stencils, never past
         # the step's own row; the peeled step 0 reads only row 0, through its
         # Taylor extrapolant, and step 1 always reads row 1, so step 0 is a
         # run of its own unless q = 0, when nothing is read
-        reach = j[:n].max(axis=1) + 1
+        reach = j[:, :n].max(axis=0) + 1
         reach[0] = 0
         if self.q_zero:
             reach[:] = 0
@@ -279,15 +277,15 @@ class _SegmentTables:
             # the usual case: no per-group copy of the state array
             YV = self._integrate(z, y0, v0, groups[0])
         else:
-            YV = np.empty((self.steps + 1, 2, m))
+            YV = np.empty((2, self.steps + 1, m))
             y0 = np.broadcast_to(np.asarray(y0, dtype=float), (m,))
             v0 = np.broadcast_to(np.asarray(v0, dtype=float), (m,))
             for cap in groups:
                 cols = caps == cap
                 YV[..., cols] = self._integrate(z[cols], y0[cols], v0[cols], cap)
         # one channel at a time keeps the temporary at (steps+1, m) booleans
-        if not all(np.isfinite(YV[:, k]).all() for k in (0, 1)):
-            bad = ~np.isfinite(YV).all(axis=1)
+        if not all(np.isfinite(YV[k]).all() for k in (0, 1)):
+            bad = ~np.isfinite(YV).all(axis=0)
             row = int(np.argmax(bad.any(axis=1)))
             col = int(np.argmax(bad[row]))
             raise NonFiniteStateError(f"state became non-finite near x = {self.nodes[row]:.6g} "
@@ -313,67 +311,71 @@ class _SegmentTables:
         m = z.shape[0]
         h = self.h
         h2 = h * h
-        C = np.zeros((2, 5, m))
+        # C[k, c] is the weight of input k in output channel c; A[j, c] the
+        # scheme matrix, stored transposed like every table here
+        C = np.zeros((5, 2, m))
         C[0, 0] = C[1, 1] = 1.0 - 0.5 * h2 * z + (h2 * h2 / 24.0) * z * z
-        C[0, 1] = h * (1.0 - (h2 / 6.0) * z)
-        C[1, 0] = -z * C[0, 1]
-        C[0, 2] = h2 / 6.0 - (h2 * h2 / 24.0) * z
-        C[0, 3] = h2 / 3.0
-        C[1, 2] = (h / 6.0) * (1.0 - 0.5 * h2 * z)
-        C[1, 3] = 2.0 * h / 3.0 - (h2 * h / 12.0) * z
-        C[1, 4] = h / 6.0
-        A = C[:, :2]
+        C[1, 0] = h * (1.0 - (h2 / 6.0) * z)
+        C[0, 1] = -z * C[1, 0]
+        C[2, 0] = h2 / 6.0 - (h2 * h2 / 24.0) * z
+        C[3, 0] = h2 / 3.0
+        C[2, 1] = (h / 6.0) * (1.0 - 0.5 * h2 * z)
+        C[3, 1] = 2.0 * h / 3.0 - (h2 * h / 12.0) * z
+        C[4, 1] = h / 6.0
+        A = C[:2]
         pieces = self.pieces(cap)
         longest = max(e - b for b, e in pieces)
 
-        YV = np.empty((self.steps + 1, 2, m))
+        YV = np.empty((2, self.steps + 1, m))
         rows = YV.reshape(-1, m)
         # inputs of the current piece; the (y, v) slots past row 0 stay zero
-        u = np.zeros((longest, 5, m))
+        u = np.zeros((5, longest, m))
         u[0, 0] = y0
-        u[0, 1] = v0
-        YV[0] = u[0, :2]
+        u[1, 0] = v0
+        YV[:, 0] = u[:2, 0]
         # with q = 0 every stage is zero: no stencil is read, and the only
         # input of a piece is u[b], so each of its partial sums is A u[b]
         stages = not self.q_zero
         with np.errstate(over="ignore", invalid="ignore"):
-            # powers[l-1] = A^l and K[l] = A^-l C for 0 < l < longest
+            # powers[:, :, l-1] = A^l and K[:, :, l] = A^-l C for 0 < l < longest
             powers = _powers(A, longest - 1)
             inverse = np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]]) / (
-                A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])
-            K = np.empty((longest, 2, 5, m))
-            K[0] = C
-            (_powers(inverse, longest - 1)[:, :, :, None] * C).sum(axis=2, out=K[1:])
+                A[0, 0] * A[1, 1] - A[1, 0] * A[0, 1])
+            K = np.empty((5, 2, longest, m))
+            K[:, :, 0] = C
+            (C.transpose(1, 0, 2)[:, :, None, None] * _powers(inverse, longest - 1)[:, None]
+             ).sum(axis=0, out=K[:, :, 1:])
             # per piece length L: its stage slots, inputs and coefficients
-            views = [None] + [(u[:L, 2:], u[:L, None], K[:L]) for L in range(1, longest + 1)]
+            views = [None] + [(u[2:, :L], u[:, None, :L], K[:, :, :L])
+                              for L in range(1, longest + 1)]
             if stages:
                 # peeled step 0: the node stage is the initial state, the
                 # others read its Taylor extrapolant
-                nq = self.negq[0]
-                g = u[0, 2:]
+                nq = self.negq[:, 0]
+                g = u[2:, 0]
                 g[0] = nq[0] * u[0, 0]
                 a0 = g[0] - z * u[0, 0]
-                g[1:] = nq[1:] * (u[0, 0] + self.first_d * u[0, 1]
+                g[1:] = nq[1:] * (u[0, 0] + self.first_d * u[1, 0]
                                   + (0.5 * self.first_d * self.first_d) * a0)
-            state = u[0, :2]
+            state = u[:2, 0]
             for b, e in pieces:
                 L = e - b
-                out = YV[b + 1:e + 1]
+                out = YV[:, b + 1:e + 1]
                 if stages:
                     g_out, inputs, coef = views[L]
                     if b:
-                        state[...] = YV[b]
-                        g = rows.take(self.gather[b:e], axis=0)
-                        g *= self.weights[b:e]
-                        np.add.reduce(g, axis=2, out=g_out)
-                    np.add.reduce(coef * inputs, axis=2, out=out)
+                        state[...] = YV[:, b]
+                        g = rows.take(self.gather[:, :, b:e], axis=0)
+                        g *= self.weights[:, :, b:e]
+                        np.add.reduce(g, axis=0, out=g_out)
+                    np.add.reduce(coef * inputs, axis=0, out=out)
                     if L > 1:
-                        np.add.accumulate(out, axis=0, out=out)
+                        np.add.accumulate(out, axis=1, out=out)
                 else:
-                    np.add.reduce(A * YV[b], axis=1, out=out[0])
-                    out[1:] = out[0]
+                    np.add.reduce(A * YV[:, b, None], axis=0, out=out[:, 0])
+                    out[:, 1:] = out[:, :1]
                 if L > 1:
-                    np.add.reduce(powers[:L - 1] * out[1:, None], axis=2, out=out[1:])
+                    np.add.reduce(powers[:, :, :L - 1] * out[:, None, 1:], axis=0, out=out[:, 1:])
         return YV
 
     def second_derivs(self, lam: np.ndarray, YV: np.ndarray) -> np.ndarray:
@@ -384,10 +386,10 @@ class _SegmentTables:
         rows = YV.reshape(-1, YV.shape[-1])
         idx = self.gather[:, 0]
         w = self.weights[:, 0]
-        acc = rows[idx[:, 0]] * w[:, 0]
+        acc = rows[idx[0]] * w[0]
         for k in range(1, 4):
-            acc += rows[idx[:, k]] * w[:, k]
-        return acc - np.asarray(lam, dtype=float) * YV[:, 0]
+            acc += rows[idx[k]] * w[k]
+        return acc - np.asarray(lam, dtype=float) * YV[0]
 
 
 def _run_bounds(reach: np.ndarray) -> np.ndarray:
@@ -403,17 +405,20 @@ def _run_bounds(reach: np.ndarray) -> np.ndarray:
 
 
 def _powers(A: np.ndarray, count: int) -> np.ndarray:
-    """A^1 .. A^count of a batch of 2x2 matrices A of shape (2, 2, m), as
-    (count, 2, 2, m).  By doubling: A^(k+i) = A^k A^i with k the largest
-    power of two below k + i, so each power is the same product whatever
-    ``count`` is.  The products are written out elementwise per column."""
-    P = np.empty((count,) + A.shape)
+    """A^1 .. A^count of a batch of 2x2 matrices, each stored transposed:
+    ``A[j, c]`` is entry (c, j), shape (2, 2, m); returns (2, 2, count, m),
+    power l at [:, :, l-1], stored transposed likewise.  By doubling:
+    A^(k+i) = A^k A^i with k the largest power of two below k + i, so each
+    power is the same product whatever ``count`` is.  The products are
+    written out elementwise per column."""
+    P = np.empty(A.shape[:2] + (count,) + A.shape[2:])
     if count:
-        P[0] = A
+        P[:, :, 0] = A
     k = 1
     while k < count:
         top = min(2 * k, count)
-        (P[k - 1][:, :, None] * P[:top - k, None]).sum(axis=2, out=P[k:top])
+        (P[:, None, :, k - 1, None] * P[:, :, :top - k].transpose(1, 0, 2, 3)[:, :, None]
+         ).sum(axis=0, out=P[:, :, k:top])
         k = top
     return P
 
@@ -434,8 +439,8 @@ def _right_tables(spec: ProblemSpec, steps: int) -> _SegmentTables:
 def _segments(tables: _SegmentTables, lams: np.ndarray, YV: np.ndarray) -> list[SolutionSegment]:
     A = tables.second_derivs(lams, YV)
     return [SolutionSegment(a=tables.a, b=tables.b, lam=float(lam), nodes=tables.nodes,
-                            values=np.ascontiguousarray(YV[:, 0, k]),
-                            derivs=np.ascontiguousarray(YV[:, 1, k]),
+                            values=np.ascontiguousarray(YV[0, :, k]),
+                            derivs=np.ascontiguousarray(YV[1, :, k]),
                             second_derivs=np.ascontiguousarray(A[:, k]))
             for k, lam in enumerate(lams)]
 
@@ -485,7 +490,7 @@ def _shoot_chunks(spec: ProblemSpec, lams: np.ndarray, steps: int):
         z = lams[cols]
         left = lt.sweep(z, math.sin(spec.alpha), -math.cos(spec.alpha))
         scale = 1.0 / (lam_cbrt(z) * spec.coupling)
-        right = rt.sweep(z, scale * left[-1, 0], scale * left[-1, 1])
+        right = rt.sweep(z, scale * left[0, -1], scale * left[1, -1])
         yield cols, (lt, left), (rt, right)
 
 
@@ -514,5 +519,5 @@ def shoot_endpoints(spec: ProblemSpec, lams, steps_per_segment: int = DEFAULT_ST
     lams = np.asarray(lams, dtype=float)
     ends = np.empty((2, lams.shape[0]))
     for cols, _, (_, right) in _shoot_chunks(spec, lams, steps_per_segment):
-        ends[:, cols] = right[-1]
+        ends[:, cols] = right[:, -1]
     return ends[0], ends[1]

@@ -286,21 +286,21 @@ def stepwise_sweep(tables, lam, y0, v0):
     C[1, 2] = (h / 6.0) * (1.0 - 0.5 * h2 * z)
     C[1, 3] = 2.0 * h / 3.0 - (h2 * h / 12.0) * z
     C[1, 4] = h / 6.0
-    YV = np.empty((n + 1, 2, m))
+    YV = np.empty((2, n + 1, m))
     rows = YV.reshape(-1, m)
     u = np.zeros((5, m))
     yv, g = u[:2], u[2:]
     yv[0], yv[1] = y0, v0
-    YV[0] = yv
+    YV[:, 0] = yv
     with np.errstate(over="ignore", invalid="ignore"):
-        nq, d = tables.negq[0], tables.first_d
+        nq, d = tables.negq[:, 0], tables.first_d
         g[0] = nq[0] * yv[0]
         g[1:] = nq[1:] * (yv[0] + d * yv[1] + (0.5 * d * d) * (g[0] - z * yv[0]))
         for i in range(n):
             if i:
-                (rows.take(tables.gather[i], axis=0) * tables.weights[i]).sum(axis=1, out=g)
+                (rows.take(tables.gather[:, :, i], axis=0) * tables.weights[:, :, i]).sum(axis=0, out=g)
             (C * u).sum(axis=1, out=yv)
-            YV[i + 1] = yv
+            YV[:, i + 1] = yv
     return YV
 
 
@@ -325,7 +325,7 @@ def both_tables(spec, steps):
 
 def rows_read(tables):
     """The newest row each step's stencils read."""
-    return (tables.gather[:tables.steps] // 2).max(axis=(1, 2))
+    return (tables.gather[:, :, :tables.steps] % (tables.steps + 1)).max(axis=(0, 1))
 
 
 @settings(max_examples=40, deadline=None)
