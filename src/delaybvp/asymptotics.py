@@ -293,8 +293,8 @@ def apriori_bounds(spec: ProblemSpec, lam: float,
     Degenerate when q1 = 0: the 1/q1 factors are undefined, so identically
     vanishing q is excluded from bound checks.
     """
-    if lam <= 0.0:
-        raise ValueError("lambda must be positive")
+    if not (lam > 0.0 and math.isfinite(lam)):
+        raise ValueError("lambda must be positive and finite")
     norms = q_norms(spec, quadrature_points)
     q1, q2 = norms.q1, norms.q2
     if q1 == 0.0:

@@ -74,14 +74,19 @@ __all__ = [
 ]
 
 DEFAULT_STEPS = 4096
-# bytes of one sweep's (steps+1, 2, width) state array; sets the batch width
-# (1023 lambda columns at the default steps, 63 at 65536; half of that when
-# the batch mixes piece caps, whose sweep holds a second, per-cap array)
+# bytes of one sweep's (2, steps+1, width) state array; sets the batch width
+# of a full-state sweep (1023 lambda columns at the default steps, 63 at 65536)
 SWEEP_BYTES = 64 * 2**20
-# runs are integrated in pieces of at most (steps + 1) // PIECE_SHARE steps,
-# so a piece's (L, 3, 4, width) stencil gather takes at most 1/32 of the
-# (steps+1, 2, width) state array, whatever the width
-PIECE_SHARE = 192
+# runs are integrated in pieces of at most (steps + 1) // PIECE_SHARE steps
+# (85 at the default steps); below SHORTEST_PIECE steps a piece saves fewer
+# numpy calls than its partial sums and powers cost on a wide batch, and
+# the cap is one step (as below 383 steps)
+PIECE_SHARE = 48
+SHORTEST_PIECE = 8
+# bytes of a piece's (4, 3, L, width) stencil gather, its largest temporary;
+# sets the width of the column blocks a sweep works through (128 columns of
+# 85-step pieces), so a wide batch keeps its temporaries within cache
+PIECE_BYTES = 2**20
 
 
 class NonFiniteStateError(RuntimeError):
@@ -231,7 +236,9 @@ class _SegmentTables:
         if self.q_zero:
             reach[:] = 0
         self.run_bounds = _run_bounds(reach)
-        self.piece_cap = max(1, (n + 1) // PIECE_SHARE)
+        self.piece_cap = (n + 1) // PIECE_SHARE
+        if self.piece_cap < SHORTEST_PIECE:
+            self.piece_cap = 1
         self._pieces: dict[int, list[tuple[int, int]]] = {}
 
     def pieces(self, cap: int) -> list[tuple[int, int]]:
@@ -259,35 +266,50 @@ class _SegmentTables:
             longest = np.where(det < 1.0, 1.0 + math.log(4.0) / -np.log(det), np.inf)
         return np.minimum(self.piece_cap, 2.0 ** np.floor(np.log2(longest))).astype(np.int64)
 
-    def sweep(self, lam: np.ndarray, y0, v0) -> np.ndarray:
+    def sweep(self, lam: np.ndarray, y0, v0, every_node: bool = True) -> np.ndarray:
         """Integrate the batch; returns the states (y, y') at every node, shape
-        (steps+1, 2, m).  A state that overflows raises NonFiniteStateError
+        (2, steps+1, m), or with ``every_node`` false at the last node only,
+        shape (2, 1, m).  A state that overflows raises NonFiniteStateError
         naming the first lambda column to go non-finite, and where.
 
-        Columns with equal ``piece_caps`` are integrated together, so each
+        The columns are integrated in blocks of equal ``piece_caps``, each
+        at most as wide as keeps a piece's stencil gather within
+        ``PIECE_BYTES``; a block changes no column's arithmetic, so each
         column sees the same operations in the same order alone, in any
-        batch and under any split.  With more than one cap each group gets
-        its own state array, copied into the batch's.
+        batch and under any split.  A batch of one block is returned as
+        integrated; otherwise each block's states are copied into the
+        batch's and released.
         """
         z = np.asarray(lam, dtype=float)
         m = z.shape[0]
+        y0 = np.broadcast_to(np.asarray(y0, dtype=float), (m,))
+        v0 = np.broadcast_to(np.asarray(v0, dtype=float), (m,))
         caps = self.piece_caps(z)
-        groups = sorted(set(caps.tolist()))
-        if len(groups) == 1:
-            # the usual case: no per-group copy of the state array
-            YV = self._integrate(z, y0, v0, groups[0])
-        else:
-            YV = np.empty((2, self.steps + 1, m))
-            y0 = np.broadcast_to(np.asarray(y0, dtype=float), (m,))
-            v0 = np.broadcast_to(np.asarray(v0, dtype=float), (m,))
-            for cap in groups:
-                cols = caps == cap
-                YV[..., cols] = self._integrate(z[cols], y0[cols], v0[cols], cap)
-        # one channel at a time keeps the temporary at (steps+1, m) booleans
-        if not all(np.isfinite(YV[k]).all() for k in (0, 1)):
-            bad = ~np.isfinite(YV).all(axis=0)
-            row = int(np.argmax(bad.any(axis=1)))
-            col = int(np.argmax(bad[row]))
+        blocks = []
+        for cap in sorted(set(caps.tolist())):
+            cols = np.flatnonzero(caps == cap)
+            width = max(1, PIECE_BYTES // (4 * 3 * 8 * cap))
+            blocks += [(cap, cols[k:k + width]) for k in range(0, cols.shape[0], width)]
+        YV = None if len(blocks) == 1 else np.empty((2, self.steps + 1 if every_node else 1, m))
+        first = None
+        for cap, cols in blocks:
+            if cols[-1] - cols[0] + 1 == cols.shape[0]:
+                cols = slice(int(cols[0]), int(cols[-1]) + 1)
+            block = self._integrate(z[cols], y0[cols], v0[cols], cap)
+            # one channel at a time keeps the temporary at (steps+1, width) booleans
+            if not all(np.isfinite(block[k]).all() for k in (0, 1)):
+                bad = ~np.isfinite(block).all(axis=0)
+                row = int(np.argmax(bad.any(axis=1)))
+                col = int(np.arange(m)[cols][np.argmax(bad[row])])
+                first = min(first or (row, col), (row, col))
+            kept = block if every_node else block[:, -1:].copy()
+            if YV is None:
+                YV = kept
+            else:
+                YV[:, :, cols] = kept
+            del block, kept
+        if first is not None:
+            row, col = first
             raise NonFiniteStateError(f"state became non-finite near x = {self.nodes[row]:.6g} "
                                       f"(lambda = {float(z[col])!r})")
         return YV
@@ -311,20 +333,22 @@ class _SegmentTables:
         m = z.shape[0]
         h = self.h
         h2 = h * h
-        # C[k, c] is the weight of input k in output channel c; A[j, c] the
-        # scheme matrix, stored transposed like every table here
-        C = np.zeros((5, 2, m))
-        C[0, 0] = C[1, 1] = 1.0 - 0.5 * h2 * z + (h2 * h2 / 24.0) * z * z
-        C[1, 0] = h * (1.0 - (h2 / 6.0) * z)
-        C[0, 1] = -z * C[1, 0]
-        C[2, 0] = h2 / 6.0 - (h2 * h2 / 24.0) * z
-        C[3, 0] = h2 / 3.0
-        C[2, 1] = (h / 6.0) * (1.0 - 0.5 * h2 * z)
-        C[3, 1] = 2.0 * h / 3.0 - (h2 * h / 12.0) * z
-        C[4, 1] = h / 6.0
-        A = C[:2]
         pieces = self.pieces(cap)
         longest = max(e - b for b, e in pieces)
+        # K[c, k, l] = (A^-l C)[c, k]: the weight of input k of a piece's row
+        # l in output channel c; C = K[:, :, 0] and A = C[:, :2]
+        K = np.empty((2, 5, longest, m))
+        C = K[:, :, 0]
+        C[0, 0] = C[1, 1] = 1.0 - 0.5 * h2 * z + (h2 * h2 / 24.0) * z * z
+        C[0, 1] = h * (1.0 - (h2 / 6.0) * z)
+        C[1, 0] = -z * C[0, 1]
+        C[0, 2] = h2 / 6.0 - (h2 * h2 / 24.0) * z
+        C[0, 3] = h2 / 3.0
+        C[0, 4] = 0.0
+        C[1, 2] = (h / 6.0) * (1.0 - 0.5 * h2 * z)
+        C[1, 3] = 2.0 * h / 3.0 - (h2 * h / 12.0) * z
+        C[1, 4] = h / 6.0
+        A = C[:, :2]
 
         YV = np.empty((2, self.steps + 1, m))
         rows = YV.reshape(-1, m)
@@ -337,16 +361,14 @@ class _SegmentTables:
         # input of a piece is u[b], so each of its partial sums is A u[b]
         stages = not self.q_zero
         with np.errstate(over="ignore", invalid="ignore"):
-            # powers[:, :, l-1] = A^l and K[:, :, l] = A^-l C for 0 < l < longest
+            # powers[:, :, l-1] = A^l for 0 < l < longest
             powers = _powers(A, longest - 1)
-            inverse = np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]]) / (
-                A[0, 0] * A[1, 1] - A[1, 0] * A[0, 1])
-            K = np.empty((5, 2, longest, m))
-            K[:, :, 0] = C
-            (C.transpose(1, 0, 2)[:, :, None, None] * _powers(inverse, longest - 1)[:, None]
-             ).sum(axis=0, out=K[:, :, 1:])
-            # per piece length L: its stage slots, inputs and coefficients
-            views = [None] + [(u[2:, :L], u[:, None, :L], K[:, :, :L])
+            inverse = _powers(np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]]) / (
+                A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]), longest - 1)
+            (inverse[:, :, None] * C[:, :, None]).sum(axis=1, out=K[:, :, 1:])
+            del inverse
+            # per piece length L: its stage slots, inputs and tables
+            views = [None] + [(u[2:, :L], u[:, :L], K[:, :, :L], powers[:, :, :L - 1])
                               for L in range(1, longest + 1)]
             if stages:
                 # peeled step 0: the node stage is the initial state, the
@@ -361,21 +383,21 @@ class _SegmentTables:
             for b, e in pieces:
                 L = e - b
                 out = YV[:, b + 1:e + 1]
+                g, inputs, coef, power = views[L]
                 if stages:
-                    g_out, inputs, coef = views[L]
                     if b:
                         state[...] = YV[:, b]
-                        g = rows.take(self.gather[:, :, b:e], axis=0)
-                        g *= self.weights[:, :, b:e]
-                        np.add.reduce(g, axis=0, out=g_out)
-                    np.add.reduce(coef * inputs, axis=0, out=out)
+                        gather = rows.take(self.gather[:, :, b:e], axis=0)
+                        gather *= self.weights[:, :, b:e]
+                        np.add.reduce(gather, axis=0, out=g)
+                    np.add.reduce(coef * inputs, axis=1, out=out)
                     if L > 1:
                         np.add.accumulate(out, axis=1, out=out)
                 else:
-                    np.add.reduce(A * YV[:, b, None], axis=0, out=out[:, 0])
+                    np.add.reduce(A * YV[None, :, b], axis=1, out=out[:, 0])
                     out[:, 1:] = out[:, :1]
                 if L > 1:
-                    np.add.reduce(powers[:, :, :L - 1] * out[:, None, 1:], axis=0, out=out[:, 1:])
+                    np.add.reduce(power * out[None, :, 1:], axis=1, out=out[:, 1:])
         return YV
 
     def second_derivs(self, lam: np.ndarray, YV: np.ndarray) -> np.ndarray:
@@ -405,20 +427,18 @@ def _run_bounds(reach: np.ndarray) -> np.ndarray:
 
 
 def _powers(A: np.ndarray, count: int) -> np.ndarray:
-    """A^1 .. A^count of a batch of 2x2 matrices, each stored transposed:
-    ``A[j, c]`` is entry (c, j), shape (2, 2, m); returns (2, 2, count, m),
-    power l at [:, :, l-1], stored transposed likewise.  By doubling:
-    A^(k+i) = A^k A^i with k the largest power of two below k + i, so each
-    power is the same product whatever ``count`` is.  The products are
-    written out elementwise per column."""
+    """A^1 .. A^count of a batch of 2x2 matrices A of shape (2, 2, m), as
+    (2, 2, count, m) with power l at [:, :, l-1].  By doubling: A^(k+i) =
+    A^k A^i with k the largest power of two below k + i, so each power is
+    the same product whatever ``count`` is.  The products are written out
+    elementwise per column."""
     P = np.empty(A.shape[:2] + (count,) + A.shape[2:])
     if count:
         P[:, :, 0] = A
     k = 1
     while k < count:
         top = min(2 * k, count)
-        (P[:, None, :, k - 1, None] * P[:, :, :top - k].transpose(1, 0, 2, 3)[:, :, None]
-         ).sum(axis=0, out=P[:, :, k:top])
+        (P[:, :, None, k - 1, None] * P[None, :, :, :top - k]).sum(axis=1, out=P[:, :, k:top])
         k = top
     return P
 
@@ -467,30 +487,33 @@ def integrate_segment(spec: ProblemSpec, lam: float, interval, y0: float, dy0: f
     return _segments(tabs, lam_arr, tabs.sweep(lam_arr, float(y0), float(dy0)))[0]
 
 
-def _shoot_chunks(spec: ProblemSpec, lams: np.ndarray, steps: int):
+def _shoot_chunks(spec: ProblemSpec, lams: np.ndarray, steps: int, every_node: bool = True):
     """The sweep driver behind every shooting call.
 
     The left segment starts from y(0) = sin(alpha), y'(0) = -cos(alpha); the
     right segment continues from the transmission mapping
     y(pi/2+) = lambda^(-1/3) delta^(-1) y(pi/2-) (and likewise for y').
     Lambda values are swept in slices as wide as ``SWEEP_BYTES`` allows for
-    one (steps+1, 2, width) state array.  Yields (cols, left, right) for
-    each slice ``cols``, where left and right are (tables, YV).
+    one (2, steps+1, width) state array.  Yields (cols, left, right) for
+    each slice ``cols``, where left and right are (tables, states) and the
+    states are those of ``_SegmentTables.sweep`` with ``every_node``; the
+    left states are released before the right segment is swept unless
+    they are kept for every node.
     """
     if not np.all((lams > 0.0) & np.isfinite(lams)):
         raise ValueError("lambda must be positive and finite")
     lt = _left_tables(spec, steps)
     rt = _right_tables(spec, steps)
     width = max(1, SWEEP_BYTES // (2 * (steps + 1) * 8))
-    if len(set(lt.piece_caps(lams).tolist()) | set(rt.piece_caps(lams).tolist())) > 1:
-        # a sweep of mixed piece caps holds one group's states beside its own
-        width = max(1, width // 2)
     for start in range(0, lams.shape[0], width):
         cols = slice(start, start + width)
         z = lams[cols]
-        left = lt.sweep(z, math.sin(spec.alpha), -math.cos(spec.alpha))
+        left = lt.sweep(z, math.sin(spec.alpha), -math.cos(spec.alpha), every_node)
         scale = 1.0 / (lam_cbrt(z) * spec.coupling)
-        right = rt.sweep(z, scale * left[0, -1], scale * left[1, -1])
+        y0, v0 = scale * left[:, -1]
+        if not every_node:
+            left = None
+        right = rt.sweep(z, y0, v0, every_node)
         yield cols, (lt, left), (rt, right)
 
 
@@ -518,6 +541,6 @@ def shoot_endpoints(spec: ProblemSpec, lams, steps_per_segment: int = DEFAULT_ST
     """
     lams = np.asarray(lams, dtype=float)
     ends = np.empty((2, lams.shape[0]))
-    for cols, _, (_, right) in _shoot_chunks(spec, lams, steps_per_segment):
+    for cols, _, (_, right) in _shoot_chunks(spec, lams, steps_per_segment, every_node=False):
         ends[:, cols] = right[:, -1]
     return ends[0], ends[1]

@@ -100,8 +100,8 @@ def picard_w1(spec: ProblemSpec, lam: float, grid_points: int = DEFAULT_GRID,
 
     Requires s = sqrt(lambda) > q1 so the iteration contracts.
     """
-    if lam <= 0.0:
-        raise ValueError("lambda must be positive")
+    if not (lam > 0.0 and math.isfinite(lam)):
+        raise ValueError("lambda must be positive and finite")
     s = math.sqrt(lam)
     q1 = q_norms(spec).q1
     if s <= q1:
@@ -132,8 +132,8 @@ def picard_w2(spec: ProblemSpec, lam: float, w1: SolutionSegment,
     The kernel-free term carries the transmission scaling of the supplied
     left solution at pi/2 (same lambda).  Requires s > q2.
     """
-    if lam <= 0.0:
-        raise ValueError("lambda must be positive")
+    if not (lam > 0.0 and math.isfinite(lam)):
+        raise ValueError("lambda must be positive and finite")
     if abs(w1.lam - lam) > 1e-9 * max(1.0, abs(lam)):
         raise ValueError("w1 was computed at a different lambda")
     s = math.sqrt(lam)

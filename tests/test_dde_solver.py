@@ -148,11 +148,15 @@ BATCH_SPECS = [spec_of("sin(x)", "cos(x)", "0.5*x*(pi/2 - x)", "(x - pi/2)*(pi -
 
 
 @contextlib.contextmanager
-def split_sweeps(steps, width):
+def split_sweeps(steps, width, block=None):
     """Shrink the sweep byte budget so that batches split every ``width``
-    lambda columns."""
+    lambda columns, and the piece budget so that a sweep of full-length
+    pieces works in column blocks of ``block``."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dde_solver, "SWEEP_BYTES", width * 2 * (steps + 1) * 8)
+        if block is not None:
+            cap = dde_solver._left_tables(spec_of(), steps).piece_cap
+            mp.setattr(dde_solver, "PIECE_BYTES", block * 4 * 3 * 8 * cap)
         yield
 
 
@@ -178,20 +182,23 @@ def batch_cases(draw, fewest_steps, most_steps, most_lams):
     return steps, draw(st.lists(lam, min_size=1, max_size=most_lams))
 
 
-# four columns with caps 5, 4, 5 and 2 at 1024 steps (see test_piece_caps)
+# four columns with caps 21, 4, 21 and 2 at 1024 steps (see test_piece_caps)
 MIXED_CAPS = (1024, [4.0, (1.8 * 1024 / HALF) ** 2, 900.0, (2.5 * 1024 / HALF) ** 2])
+# five columns of full-length pieces: blocks of two leave one column over
+STRADDLING = (1024, [4.0, 30.0, 900.0, 2500.0, 100.0])
 
 
 @settings(max_examples=30, deadline=None)
 @given(spec=st.sampled_from(BATCH_SPECS), case=batch_cases(64, 256, 8),
-       width=st.integers(1, 8))
-@example(spec=BATCH_SPECS[0], case=MIXED_CAPS, width=3)
-def test_shoot_endpoints_batch_invariant(spec, case, width):
+       width=st.integers(1, 8), block=st.integers(1, 4))
+@example(spec=BATCH_SPECS[0], case=MIXED_CAPS, width=3, block=1)
+@example(spec=BATCH_SPECS[0], case=STRADDLING, width=5, block=2)
+def test_shoot_endpoints_batch_invariant(spec, case, width, block):
     steps, lams = case
     # every column sees the same operations in the same order, whatever the
     # batch around it; byte-identical reruns and bracket refinement rely on it
     w, wp = shoot_endpoints(spec, lams, steps)
-    with split_sweeps(steps, width):
+    with split_sweeps(steps, width, block):
         w_split, wp_split = shoot_endpoints(spec, lams, steps)
     assert w.tobytes() == w_split.tobytes() and wp.tobytes() == wp_split.tobytes()
     for k, lam in enumerate(lams):
@@ -201,14 +208,16 @@ def test_shoot_endpoints_batch_invariant(spec, case, width):
 
 @settings(max_examples=20, deadline=None)
 @given(spec=st.sampled_from(BATCH_SPECS + [spec_of()]), case=batch_cases(32, 160, 6),
-       width=st.integers(1, 6))
-@example(spec=BATCH_SPECS[0], case=MIXED_CAPS, width=3)
-def test_shoot_many_batch_invariant(spec, case, width):
+       width=st.integers(1, 6), block=st.integers(1, 4))
+@example(spec=BATCH_SPECS[0], case=MIXED_CAPS, width=3, block=1)
+@example(spec=BATCH_SPECS[0], case=STRADDLING, width=5, block=2)
+def test_shoot_many_batch_invariant(spec, case, width, block):
     steps, lams = case
     # segments, second derivatives included, match bit for bit whether a
-    # lambda is shot alone, in a batch or in a batch split into sweeps
+    # lambda is shot alone, in a batch or in a batch split into sweeps and
+    # column blocks
     batch = shoot_many(spec, lams, steps)
-    with split_sweeps(steps, width):
+    with split_sweeps(steps, width, block):
         split = shoot_many(spec, lams, steps)
     for k, lam in enumerate(lams):
         alone = shoot_many(spec, [lam], steps)[0]
@@ -268,6 +277,10 @@ def test_overflow_reported():
     with pytest.raises(NonFiniteStateError) as alone:
         shoot_endpoints(spec, [1.0], 512)
     assert str(alone.value) == message
+    # and so it does when every column is a block of its own
+    with split_sweeps(512, 4, 1), pytest.raises(NonFiniteStateError) as blocked:
+        shoot_endpoints(spec, [9.9e5, 1.0, 5e5, 9e5], 512)
+    assert str(blocked.value) == message
 
 
 def stepwise_sweep(tables, lam, y0, v0):
@@ -396,14 +409,16 @@ def test_sweep_at_full_resolution_matches_stepwise(delayed_spec):
 
 
 def test_piece_caps(delayed_spec):
-    # (steps + 1) // 192 steps at most; s h of 1.8 and 2.5 cut pieces shorter
-    assert both_tables(delayed_spec, 4096)[0].piece_cap == 21
+    # (steps + 1) // 48 steps at most, one step when that is under 8; s h of
+    # 1.8 and 2.5 cut pieces shorter
+    assert both_tables(delayed_spec, 4096)[0].piece_cap == 85
+    assert both_tables(delayed_spec, 383)[0].piece_cap == 8
     assert both_tables(delayed_spec, 382)[0].piece_cap == 1
     steps, lams = MIXED_CAPS
     for tables in both_tables(delayed_spec, steps):
-        assert tables.piece_caps(np.array(lams)).tolist() == [5, 4, 5, 2]
-    # a sweep of mixed caps holds one group's states beside its own, so a
-    # batch that mixes caps is swept half as wide
+        assert tables.piece_caps(np.array(lams)).tolist() == [21, 4, 21, 2]
+    # a sweep of mixed caps works through one column block at a time, so a
+    # batch that mixes caps is swept as wide as any other
     with split_sweeps(steps, 4):
         chunks = dde_solver._shoot_chunks(delayed_spec, np.array(lams), steps)
-        assert [cols for cols, _, _ in chunks] == [slice(0, 2), slice(2, 4)]
+        assert [cols for cols, _, _ in chunks] == [slice(0, 4)]

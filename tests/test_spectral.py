@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from delaybvp import dde_solver, spectral
+from delaybvp import asymptotics, dde_solver, picard, spectral
 from delaybvp.problem import Case1RequiredError, HALF, ProblemSpec
 from delaybvp.spectral import (ZeroOrManyError, _refine_brackets, _window_brackets, char_fn,
                                char_fn_picard, char_fn_samples,
@@ -168,16 +168,22 @@ def test_positive_s_required(null_spec):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
 @pytest.mark.parametrize("entry", ["shoot_endpoints", "char_fn_samples",
-                                   "integrate_segment", "char_fn"])
+                                   "integrate_segment", "char_fn", "picard_w1",
+                                   "picard_w2", "apriori_bounds"])
 def test_lambda_must_be_positive_and_finite(delayed_spec, entry, bad):
     # a NaN passes a `<= 0` check; it must not reach the integrator and be
-    # reported as a non-finite state
+    # reported as a non-finite state, nor make the fixed-point iteration
+    # run to its limit or the bounds come out as NaN
     calls = {
         "shoot_endpoints": lambda: dde_solver.shoot_endpoints(delayed_spec, [4.0, bad], 64),
         "char_fn_samples": lambda: char_fn_samples(delayed_spec, [2.0, bad], 64),
         "integrate_segment": lambda: dde_solver.integrate_segment(
             delayed_spec, bad, (0.0, HALF), 1.0, 0.0, steps=64),
         "char_fn": lambda: char_fn(delayed_spec, bad, 64),
+        "picard_w1": lambda: picard.picard_w1(delayed_spec, bad, 65),
+        "picard_w2": lambda: picard.picard_w2(
+            delayed_spec, bad, dde_solver.shoot(delayed_spec, 4.0, 64).left, 65),
+        "apriori_bounds": lambda: asymptotics.apriori_bounds(delayed_spec, bad),
     }
     with pytest.raises(ValueError, match="positive and finite"):
         calls[entry]()
