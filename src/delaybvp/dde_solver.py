@@ -28,22 +28,36 @@ recurrence inside it has the closed form
 u[b+j] = A^j (u[b] + sum_{l<j} A^-(l+1) B g[b+l]), so the sweep loops over
 runs, not steps, with the powers of A built by doubling once per sweep.  A
 run of one step is the step above.  Runs are cut into pieces of at most
-(steps + 1) // ``PIECE_SHARE`` steps (21 at the default resolution), which
-keeps a piece's stencil gather within 1/32 of the state array, and shorter
-where s h is so large that the inverse powers would lose more than a bit.
+(steps + 1) // ``PIECE_SHARE`` steps (85 at the default resolution), and
+shorter where s h is so large that the inverse powers would lose more than
+a bit.  Below 383 steps that cap would be under ``SHORTEST_PIECE`` steps,
+where a piece saves fewer numpy calls than its partial sums and powers cost
+on a wide batch, and pieces are one step.
+
+The arrays are laid out so that every contraction sums over an axis in
+front of a contiguous (piece rows, lambda columns) block: the states are
+channel-major, (2, steps+1, m), the stencil tables term-major,
+(4, 3, steps+1), and the per-sweep coefficients put the piece row next to
+the columns, (2, 5, L, m) and (2, 2, L, m).  numpy's inner loops then run
+over L m elements instead of m, so a narrow sweep costs a few numpy calls
+per piece, whatever its length.
 
 Every coefficient sample, stencil and run is independent of lambda, so they
 are computed once per problem and the integration runs vectorized over a
 batch of lambda values -- eigenvalue scans and bracket refinements pay for
 one sweep per round instead of one per lambda.  A batch is swept in slices
-as wide as ``SWEEP_BYTES`` (64 MiB) allows for the (steps+1, 2, width)
-state array: 1023 columns at the default 4096 steps, half that for a batch
-whose columns need different piece lengths, because such a sweep holds one
-group's states beside the batch's.  Each column sees the
+as wide as ``SWEEP_BYTES`` (64 MiB) allows for the (2, steps+1, width)
+state array: 1023 columns at the default 4096 steps.  A sweep works through
+its columns in blocks of equal piece length, each as wide as keeps a
+piece's (4, 3, L, width) stencil gather within ``PIECE_BYTES`` (128 columns
+of 85-step pieces), so that long pieces do not push a wide batch's
+temporaries out of cache; a sweep that needs only the last node keeps no
+more of each block.  The width never sets a piece: each column sees the
 same operations in the same order -- the pieces depend on the steps and on
-the column's own lambda only, and every 2x2 product is written out
-elementwise -- so a lambda gives bit-identical results alone, in any batch
-and under any split.
+the column's own lambda only, a block changes no column's arithmetic, and
+every 2x2 product is written out elementwise -- so a lambda gives
+bit-identical results alone, in any batch, under any split and in any
+block.
 
 Only lambda > 0 is addressed; the transmission scaling uses the real cube
 root of lambda, computed as exp(log(lambda)/3).
@@ -75,17 +89,17 @@ __all__ = [
 
 DEFAULT_STEPS = 4096
 # bytes of one sweep's (2, steps+1, width) state array; sets the batch width
-# of a full-state sweep (1023 lambda columns at the default steps, 63 at 65536)
+# (1023 lambda columns at the default steps, 63 at 65536)
 SWEEP_BYTES = 64 * 2**20
 # runs are integrated in pieces of at most (steps + 1) // PIECE_SHARE steps
-# (85 at the default steps); below SHORTEST_PIECE steps a piece saves fewer
-# numpy calls than its partial sums and powers cost on a wide batch, and
-# the cap is one step (as below 383 steps)
+# (85 at the default steps); a cap under SHORTEST_PIECE steps (below 383
+# steps) saves fewer numpy calls than its partial sums and powers cost on a
+# wide batch, so there pieces are one step
 PIECE_SHARE = 48
 SHORTEST_PIECE = 8
 # bytes of a piece's (4, 3, L, width) stencil gather, its largest temporary;
 # sets the width of the column blocks a sweep works through (128 columns of
-# 85-step pieces), so a wide batch keeps its temporaries within cache
+# 85-step pieces), so that a wide batch keeps its temporaries in cache
 PIECE_BYTES = 2**20
 
 
@@ -146,7 +160,7 @@ class ShootingResult:
 
 
 # stencil term k reads channel _CHANNEL[k] of node (j + _ROW_OFFSET[k]) of
-# the (steps+1, 2) state rows: y(xi) = w0 Y[j] + w1 Y[j+1] + w2 V[j] + w3 V[j+1]
+# the (2, steps+1) state rows: y(xi) = w0 Y[j] + w1 Y[j+1] + w2 V[j] + w3 V[j+1]
 _CHANNEL = np.array([0, 0, 1, 1])
 _ROW_OFFSET = np.array([0, 1, 0, 1])
 
@@ -155,10 +169,13 @@ class _SegmentTables:
     """All lambda-independent data for integrating one subinterval.
 
     Step i evaluates the retarded term at three stages: the node x_i, the
-    half step and the step end.  ``gather[i]`` holds their (3, 4) flat
-    indices into the (steps+1, 2) rows of (y, y') and ``weights[i]`` the
-    matching Hermite weights times -q at the stage, so that g is their
-    weighted sum; a lookup of the current state is the Hermite stencil
+    half step and the step end.  ``gather[k, s, i]`` holds the flat index of
+    stencil term k of stage s into the rows of the channel-major
+    (2, steps+1) states of (y, y'), channel c of node r being row
+    c (steps+1) + r, and ``weights[k, s, i]`` the matching Hermite weight
+    times -q at the stage (with a trailing axis for the lambda columns),
+    so that g is their sum over k; a lookup of the current state is the
+    Hermite stencil
     (0, 1, 0, 0) on rows (i-1, i).  Step 0 is peeled: its half and end stages
     read the Taylor extrapolant y0 + d y0' + d^2/2 y0'' at distance
     ``first_d`` (0 where the stage reads the current state).  Row n holds
@@ -175,7 +192,8 @@ class _SegmentTables:
     The peeled step 0 is a run of its own unless q = 0, when nothing is
     read and the segment is one run.  Any piece of a run is a run itself;
     ``pieces`` cuts them to at most ``piece_cap`` steps,
-    (steps + 1) // ``PIECE_SHARE``.
+    (steps + 1) // ``PIECE_SHARE``, or one step when that is under
+    ``SHORTEST_PIECE``.
     """
 
     def __init__(self, q_expr: Expr, delta_expr: Expr, a: float, b: float, steps: int):
@@ -325,10 +343,12 @@ class _SegmentTables:
             u[b+1+l] = A^l (C (u[b], g[b]) + sum_{0<k<=l} A^-k B g[b+k]),
 
         the closed form above; a piece of one step is C (u[b], g[b]).  The
-        partial sums are one ``np.add.accumulate`` down the piece's rows.
-        With q = 0 the g inputs are zero, so only A u[b] is computed and
-        every partial sum is that.  The buffer views of each piece length
-        are built once per sweep.
+        inputs are (5, L, m), the coefficients K (2, 5, L, m) and the powers
+        (2, 2, L, m), so both contractions sum over axis 1 of a product whose
+        inputs broadcast over its leading axis.  The partial sums are one
+        ``np.add.accumulate`` down the piece's rows.  With q = 0 the g inputs
+        are zero, so only A u[b] is computed and every partial sum is that.
+        The views of each piece length are built once per sweep.
         """
         m = z.shape[0]
         h = self.h
@@ -496,9 +516,7 @@ def _shoot_chunks(spec: ProblemSpec, lams: np.ndarray, steps: int, every_node: b
     Lambda values are swept in slices as wide as ``SWEEP_BYTES`` allows for
     one (2, steps+1, width) state array.  Yields (cols, left, right) for
     each slice ``cols``, where left and right are (tables, states) and the
-    states are those of ``_SegmentTables.sweep`` with ``every_node``; the
-    left states are released before the right segment is swept unless
-    they are kept for every node.
+    states those of ``_SegmentTables.sweep`` with ``every_node``.
     """
     if not np.all((lams > 0.0) & np.isfinite(lams)):
         raise ValueError("lambda must be positive and finite")
@@ -511,8 +529,6 @@ def _shoot_chunks(spec: ProblemSpec, lams: np.ndarray, steps: int, every_node: b
         left = lt.sweep(z, math.sin(spec.alpha), -math.cos(spec.alpha), every_node)
         scale = 1.0 / (lam_cbrt(z) * spec.coupling)
         y0, v0 = scale * left[:, -1]
-        if not every_node:
-            left = None
         right = rt.sweep(z, y0, v0, every_node)
         yield cols, (lt, left), (rt, right)
 
@@ -536,8 +552,9 @@ def shoot(spec: ProblemSpec, lam: float, steps_per_segment: int = DEFAULT_STEPS)
 def shoot_endpoints(spec: ProblemSpec, lams, steps_per_segment: int = DEFAULT_STEPS):
     """Values (w(pi), w'(pi)) of the shooting solution for a lambda batch.
 
-    Skips segment construction entirely; this is the fast path behind
-    characteristic-function scans.
+    Skips segment construction entirely, and keeps of each segment sweep
+    only its last node; this is the fast path behind characteristic-function
+    scans.
     """
     lams = np.asarray(lams, dtype=float)
     ends = np.empty((2, lams.shape[0]))
