@@ -175,11 +175,10 @@ class _SegmentTables:
     c (steps+1) + r, and ``weights[k, s, i]`` the matching Hermite weight
     times -q at the stage (with a trailing axis for the lambda columns),
     so that g is their sum over k; a lookup of the current state is the
-    Hermite stencil
-    (0, 1, 0, 0) on rows (i-1, i).  Step 0 is peeled: its half and end stages
-    read the Taylor extrapolant y0 + d y0' + d^2/2 y0'' at distance
-    ``first_d`` (0 where the stage reads the current state).  Row n holds
-    the node stage that gives y'' at the last node.
+    Hermite stencil (0, 1, 0, 0) on rows (i-1, i).  Step 0 is peeled: its
+    half and end stages read the Taylor extrapolant y0 + d y0' + d^2/2 y0''
+    at distance ``first_d`` (0 where the stage reads the current state).
+    Row n holds the node stage that gives y'' at the last node.
 
     ``run_bounds`` holds the first step of every run and, last, n.  A run
     is a maximal stretch of steps whose stencils read only rows at or
@@ -257,14 +256,23 @@ class _SegmentTables:
         self.piece_cap = (n + 1) // PIECE_SHARE
         if self.piece_cap < SHORTEST_PIECE:
             self.piece_cap = 1
-        self._pieces: dict[int, list[tuple[int, int]]] = {}
+        self._pieces: dict[int, tuple[list[tuple], int]] = {}
 
-    def pieces(self, cap: int) -> list[tuple[int, int]]:
-        """Steps [b, e) of every run cut into pieces of at most ``cap``."""
+    def pieces(self, cap: int) -> tuple[list[tuple], int]:
+        """Steps [b, e) of every run cut into pieces of at most ``cap``, as
+        (b, e, gather, weights) with the stencil tables of those steps, and
+        the length of the longest piece.  The tables are views, except for a
+        piece of one step, whose (4, 3) tables are contiguous copies: numpy
+        gathers and weights with them about 1 us faster, and with zero delay
+        every step is such a piece."""
         if cap not in self._pieces:
             bounds = self.run_bounds.tolist()
-            self._pieces[cap] = [(s, min(s + cap, e)) for b, e in zip(bounds[:-1], bounds[1:])
-                                 for s in range(b, e, cap)]
+            cut = [(s, min(s + cap, e)) for b, e in zip(bounds[:-1], bounds[1:])
+                   for s in range(b, e, cap)]
+            self._pieces[cap] = ([
+                (b, e) + ((self.gather[:, :, b:e], self.weights[:, :, b:e]) if e - b > 1 else
+                          (self.gather[:, :, b:e].copy(), self.weights[:, :, b:e].copy()))
+                for b, e in cut], max(e - b for b, e in cut))
         return self._pieces[cap]
 
     def piece_caps(self, lam: np.ndarray) -> np.ndarray:
@@ -291,10 +299,10 @@ class _SegmentTables:
         naming the first lambda column to go non-finite, and where.
 
         The columns are integrated in blocks of equal ``piece_caps``, each
-        at most as wide as keeps a piece's stencil gather within
-        ``PIECE_BYTES``; a block changes no column's arithmetic, so each
-        column sees the same operations in the same order alone, in any
-        batch and under any split.  A batch of one block is returned as
+        at most as wide as keeps the stencil gather of its longest piece
+        within ``PIECE_BYTES``; a block changes no column's arithmetic, so
+        each column sees the same operations in the same order alone, in
+        any batch and under any split.  A batch of one block is returned as
         integrated; otherwise each block's states are copied into the
         batch's and released.
         """
@@ -306,7 +314,7 @@ class _SegmentTables:
         blocks = []
         for cap in sorted(set(caps.tolist())):
             cols = np.flatnonzero(caps == cap)
-            width = max(1, PIECE_BYTES // (4 * 3 * 8 * cap))
+            width = max(1, PIECE_BYTES // (4 * 3 * 8 * self.pieces(cap)[1]))
             blocks += [(cap, cols[k:k + width]) for k in range(0, cols.shape[0], width)]
         YV = None if len(blocks) == 1 else np.empty((2, self.steps + 1 if every_node else 1, m))
         first = None
@@ -353,8 +361,7 @@ class _SegmentTables:
         m = z.shape[0]
         h = self.h
         h2 = h * h
-        pieces = self.pieces(cap)
-        longest = max(e - b for b, e in pieces)
+        pieces, longest = self.pieces(cap)
         # K[c, k, l] = (A^-l C)[c, k]: the weight of input k of a piece's row
         # l in output channel c; C = K[:, :, 0] and A = C[:, :2]
         K = np.empty((2, 5, longest, m))
@@ -400,15 +407,15 @@ class _SegmentTables:
                 g[1:] = nq[1:] * (u[0, 0] + self.first_d * u[1, 0]
                                   + (0.5 * self.first_d * self.first_d) * a0)
             state = u[:2, 0]
-            for b, e in pieces:
+            for b, e, stencil, weights in pieces:
                 L = e - b
                 out = YV[:, b + 1:e + 1]
                 g, inputs, coef, power = views[L]
                 if stages:
                     if b:
                         state[...] = YV[:, b]
-                        gather = rows.take(self.gather[:, :, b:e], axis=0)
-                        gather *= self.weights[:, :, b:e]
+                        gather = rows.take(stencil, axis=0)
+                        gather *= weights
                         np.add.reduce(gather, axis=0, out=g)
                     np.add.reduce(coef * inputs, axis=1, out=out)
                     if L > 1:

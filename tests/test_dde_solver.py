@@ -361,7 +361,9 @@ def test_runs_partition_the_steps(spec, steps):
                 # maximal: the next step reads a row the run computes
                 assert e == n or reads[e] > b
         for cap in (1, 3, tables.piece_cap):
-            starts, ends = zip(*tables.pieces(cap))
+            pieces, longest = tables.pieces(cap)
+            starts, ends = zip(*(piece[:2] for piece in pieces))
+            assert longest == max(e - b for b, e in zip(starts, ends))
             assert starts[0] == 0 and ends[-1] == n and starts[1:] == ends[:-1]
             # no piece straddles two runs
             assert set(bounds) <= set(starts) | {n}
