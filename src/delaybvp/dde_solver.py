@@ -263,8 +263,8 @@ class _SegmentTables:
         (b, e, gather, weights) with the stencil tables of those steps, and
         the length of the longest piece.  The tables are views, except for a
         piece of one step, whose (4, 3) tables are contiguous copies: numpy
-        gathers and weights with them about 1 us faster, and with zero delay
-        every step is such a piece."""
+        gathers and weights through a strided (4, 3) view about half as
+        fast, and with zero delay every step is such a piece."""
         if cap not in self._pieces:
             bounds = self.run_bounds.tolist()
             cut = [(s, min(s + cap, e)) for b, e in zip(bounds[:-1], bounds[1:])
