@@ -45,19 +45,20 @@ per piece, whatever its length.
 Every coefficient sample, stencil and run is independent of lambda, so they
 are computed once per problem and the integration runs vectorized over a
 batch of lambda values -- eigenvalue scans and bracket refinements pay for
-one sweep per round instead of one per lambda.  A batch is swept in slices
-as wide as ``SWEEP_BYTES`` (64 MiB) allows for the (2, steps+1, width)
-state array: 1023 columns at the default 4096 steps.  A sweep works through
-its columns in blocks of equal piece length, each as wide as keeps a
-piece's (4, 3, L, width) stencil gather within ``PIECE_BYTES`` (128 columns
-of 85-step pieces), so that long pieces do not push a wide batch's
-temporaries out of cache; a sweep that needs only the last node keeps no
-more of each block.  The width never sets a piece: each column sees the
-same operations in the same order -- the pieces depend on the steps and on
-the column's own lambda only, a block changes no column's arithmetic, and
-every 2x2 product is written out elementwise -- so a lambda gives
-bit-identical results alone, in any batch, under any split and in any
-block.
+one sweep per round instead of one per lambda.  One loop over column blocks
+drives every shooting call.  A block holds lambda columns of one piece
+length, as many as keep both its (2, steps+1, width) state array within
+``SWEEP_BYTES`` (1023 columns at 4096 steps) and the (4, 3, L, width)
+stencil gather of the longest piece of either segment within
+``PIECE_BYTES`` (128 columns of 85-step pieces), so that long pieces do not
+push a wide batch's temporaries out of cache.  Per block the loop sweeps
+the left segment, applies the transmission and sweeps the right one,
+handing each segment's states on and dropping them before the next sweep,
+so it holds one block's state array at a time.  The width never sets a piece:
+each column sees the same operations in the same order -- the pieces depend
+on the steps and on the column's own lambda only, a block changes no
+column's arithmetic, and every 2x2 product is written out elementwise -- so
+a lambda gives bit-identical results alone, in any batch and in any block.
 
 Only lambda > 0 is addressed; the transmission scaling uses the real cube
 root of lambda, computed as exp(log(lambda)/3).
@@ -88,8 +89,8 @@ __all__ = [
 ]
 
 DEFAULT_STEPS = 4096
-# bytes of one sweep's (2, steps+1, width) state array; sets the batch width
-# (1023 lambda columns at the default steps, 63 at 65536)
+# bytes of one column block's (2, steps+1, width) state array: one bound on
+# the block width (1023 lambda columns at the default steps, 63 at 65536)
 SWEEP_BYTES = 64 * 2**20
 # runs are integrated in pieces of at most (steps + 1) // PIECE_SHARE steps
 # (85 at the default steps); a cap under SHORTEST_PIECE steps (below 383
@@ -97,9 +98,9 @@ SWEEP_BYTES = 64 * 2**20
 # wide batch, so there pieces are one step
 PIECE_SHARE = 48
 SHORTEST_PIECE = 8
-# bytes of a piece's (4, 3, L, width) stencil gather, its largest temporary;
-# sets the width of the column blocks a sweep works through (128 columns of
-# 85-step pieces), so that a wide batch keeps its temporaries in cache
+# bytes of a piece's (4, 3, L, width) stencil gather, its largest temporary:
+# the other bound on the block width (128 columns of 85-step pieces), so that
+# a wide batch keeps its temporaries in cache
 PIECE_BYTES = 2**20
 
 
@@ -192,7 +193,8 @@ class _SegmentTables:
     read and the segment is one run.  Any piece of a run is a run itself;
     ``pieces`` cuts them to at most ``piece_cap`` steps,
     (steps + 1) // ``PIECE_SHARE``, or one step when that is under
-    ``SHORTEST_PIECE``.
+    ``SHORTEST_PIECE``.  ``sweep`` integrates one column block at one cap;
+    the block loop of ``_shoot_blocks`` picks the blocks.
     """
 
     def __init__(self, q_expr: Expr, delta_expr: Expr, a: float, b: float, steps: int):
@@ -292,56 +294,11 @@ class _SegmentTables:
             longest = np.where(det < 1.0, 1.0 + math.log(4.0) / -np.log(det), np.inf)
         return np.minimum(self.piece_cap, 2.0 ** np.floor(np.log2(longest))).astype(np.int64)
 
-    def sweep(self, lam: np.ndarray, y0, v0, every_node: bool = True) -> np.ndarray:
-        """Integrate the batch; returns the states (y, y') at every node, shape
-        (2, steps+1, m), or with ``every_node`` false at the last node only,
-        shape (2, 1, m).  A state that overflows raises NonFiniteStateError
-        naming the first lambda column to go non-finite, and where.
-
-        The columns are integrated in blocks of equal ``piece_caps``, each
-        at most as wide as keeps the stencil gather of its longest piece
-        within ``PIECE_BYTES``; a block changes no column's arithmetic, so
-        each column sees the same operations in the same order alone, in
-        any batch and under any split.  A batch of one block is returned as
-        integrated; otherwise each block's states are copied into the
-        batch's and released.
-        """
-        z = np.asarray(lam, dtype=float)
-        m = z.shape[0]
-        y0 = np.broadcast_to(np.asarray(y0, dtype=float), (m,))
-        v0 = np.broadcast_to(np.asarray(v0, dtype=float), (m,))
-        caps = self.piece_caps(z)
-        blocks = []
-        for cap in sorted(set(caps.tolist())):
-            cols = np.flatnonzero(caps == cap)
-            width = max(1, PIECE_BYTES // (4 * 3 * 8 * self.pieces(cap)[1]))
-            blocks += [(cap, cols[k:k + width]) for k in range(0, cols.shape[0], width)]
-        YV = None if len(blocks) == 1 else np.empty((2, self.steps + 1 if every_node else 1, m))
-        first = None
-        for cap, cols in blocks:
-            if cols[-1] - cols[0] + 1 == cols.shape[0]:
-                cols = slice(int(cols[0]), int(cols[-1]) + 1)
-            block = self._integrate(z[cols], y0[cols], v0[cols], cap)
-            # one channel at a time keeps the temporary at (steps+1, width) booleans
-            if not all(np.isfinite(block[k]).all() for k in (0, 1)):
-                bad = ~np.isfinite(block).all(axis=0)
-                row = int(np.argmax(bad.any(axis=1)))
-                col = int(np.arange(m)[cols][np.argmax(bad[row])])
-                first = min(first or (row, col), (row, col))
-            kept = block if every_node else block[:, -1:].copy()
-            if YV is None:
-                YV = kept
-            else:
-                YV[:, :, cols] = kept
-            del block, kept
-        if first is not None:
-            row, col = first
-            raise NonFiniteStateError(f"state became non-finite near x = {self.nodes[row]:.6g} "
-                                      f"(lambda = {float(z[col])!r})")
-        return YV
-
-    def _integrate(self, z: np.ndarray, y0, v0, cap: int) -> np.ndarray:
-        """The sweep of one batch in pieces of at most ``cap`` steps.
+    def sweep(self, z: np.ndarray, y0, v0, cap: int) -> np.ndarray:
+        """The states (y, y') at every node of one column block, shape
+        (2, steps+1, m), integrated in pieces of at most ``cap`` steps from
+        y0 and v0, scalars or one value per column.  A state may overflow;
+        the caller checks with ``_non_finite``.
 
         A step is u[i+1] = C (u[i], g[i]) with C = [A | B] the (2, 5) scheme
         coefficients.  A piece [b, e) contracts its inputs (u[b], g[b]),
@@ -483,6 +440,26 @@ def _right_tables(spec: ProblemSpec, steps: int) -> _SegmentTables:
     return _tables(spec.q_right, spec.retard_right, HALF, math.pi, steps)
 
 
+def _non_finite(side: int, YV: np.ndarray, cols) -> list[tuple[int, int, int]]:
+    """[(side, row, batch column)] of the first non-finite state of a block
+    of segment ``side`` (0 left, 1 right) by row, or [] if all are finite."""
+    # one channel at a time keeps the temporary at (steps+1, width) booleans
+    if all(np.isfinite(YV[k]).all() for k in (0, 1)):
+        return []
+    bad = ~np.isfinite(YV).all(axis=0)
+    row = int(np.argmax(bad.any(axis=1)))
+    return [(side, row, int(cols[np.argmax(bad[row])]))]
+
+
+def _raise_first(failed: list, tables: tuple, lams: np.ndarray) -> None:
+    """NonFiniteStateError naming the earliest of ``failed``: the left
+    segment before the right, then by x and by batch position."""
+    if failed:
+        side, row, col = min(failed)
+        raise NonFiniteStateError(f"state became non-finite near x = {tables[side].nodes[row]:.6g} "
+                                  f"(lambda = {float(lams[col])!r})")
+
+
 def _segments(tables: _SegmentTables, lams: np.ndarray, YV: np.ndarray) -> list[SolutionSegment]:
     A = tables.second_derivs(lams, YV)
     return [SolutionSegment(a=tables.a, b=tables.b, lam=float(lam), nodes=tables.nodes,
@@ -511,43 +488,59 @@ def integrate_segment(spec: ProblemSpec, lam: float, interval, y0: float, dy0: f
     else:
         raise ValueError("interval must not straddle the interface point pi/2")
     lam_arr = np.array([float(lam)])
-    return _segments(tabs, lam_arr, tabs.sweep(lam_arr, float(y0), float(dy0)))[0]
+    YV = tabs.sweep(lam_arr, float(y0), float(dy0), int(tabs.piece_caps(lam_arr)[0]))
+    _raise_first(_non_finite(0, YV, [0]), (tabs,), lam_arr)
+    return _segments(tabs, lam_arr, YV)[0]
 
 
-def _shoot_chunks(spec: ProblemSpec, lams: np.ndarray, steps: int, every_node: bool = True):
-    """The sweep driver behind every shooting call.
+def _shoot_blocks(spec: ProblemSpec, lams: np.ndarray, steps: int, keep):
+    """The one sweep driver: a loop over column blocks.
 
     The left segment starts from y(0) = sin(alpha), y'(0) = -cos(alpha); the
     right segment continues from the transmission mapping
     y(pi/2+) = lambda^(-1/3) delta^(-1) y(pi/2-) (and likewise for y').
-    Lambda values are swept in slices as wide as ``SWEEP_BYTES`` allows for
-    one (2, steps+1, width) state array.  Yields (cols, left, right) for
-    each slice ``cols``, where left and right are (tables, states) and the
-    states those of ``_SegmentTables.sweep`` with ``every_node``.
+    A block holds lambda columns of one piece cap (both segments have the
+    same step, so the same caps), as many as the two byte budgets allow.
+    Each segment's states go to ``keep(tables, z, states)`` as soon as they
+    are swept and are then dropped; yields (cols, left, right) per block,
+    with what ``keep`` returned.  A non-finite state stops the yields and
+    raises after the last block, naming the batch's first such column.
     """
     if not np.all((lams > 0.0) & np.isfinite(lams)):
         raise ValueError("lambda must be positive and finite")
     lt = _left_tables(spec, steps)
     rt = _right_tables(spec, steps)
-    width = max(1, SWEEP_BYTES // (2 * (steps + 1) * 8))
-    for start in range(0, lams.shape[0], width):
-        cols = slice(start, start + width)
-        z = lams[cols]
-        left = lt.sweep(z, math.sin(spec.alpha), -math.cos(spec.alpha), every_node)
-        scale = 1.0 / (lam_cbrt(z) * spec.coupling)
-        y0, v0 = scale * left[:, -1]
-        right = rt.sweep(z, y0, v0, every_node)
-        yield cols, (lt, left), (rt, right)
+    caps = lt.piece_caps(lams)
+    failed = []
+    for cap in sorted(set(caps.tolist())):
+        group = np.flatnonzero(caps == cap)
+        longest = max(lt.pieces(cap)[1], rt.pieces(cap)[1])
+        width = max(1, min(SWEEP_BYTES // (2 * 8 * (steps + 1)),
+                           PIECE_BYTES // (4 * 3 * 8 * longest)))
+        for cols in np.split(group, range(width, group.shape[0], width)):
+            z = lams[cols]
+            YV = lt.sweep(z, math.sin(spec.alpha), -math.cos(spec.alpha), cap)
+            failed += _non_finite(0, YV, cols)
+            left = None if failed else keep(lt, z, YV)
+            scale = 1.0 / (lam_cbrt(z) * spec.coupling)
+            y0, v0 = scale * YV[:, -1]
+            del YV
+            YV = rt.sweep(z, y0, v0, cap)
+            failed += _non_finite(1, YV, cols)
+            right = None if failed else keep(rt, z, YV)
+            del YV
+            if not failed:
+                yield cols, left, right
+    _raise_first(failed, (lt, rt), lams)
 
 
 def shoot_many(spec: ProblemSpec, lams, steps_per_segment: int = DEFAULT_STEPS) -> list[ShootingResult]:
     """Shooting solutions for a batch of positive lambda values."""
     lams = np.asarray(lams, dtype=float)
-    out: list[ShootingResult] = []
-    for cols, (lt, left), (rt, right) in _shoot_chunks(spec, lams, steps_per_segment):
-        z = lams[cols]
-        out += [ShootingResult(left=l, right=r, lam=float(lam))
-                for l, r, lam in zip(_segments(lt, z, left), _segments(rt, z, right), z)]
+    out: list[ShootingResult] = [None] * lams.shape[0]
+    for cols, left, right in _shoot_blocks(spec, lams, steps_per_segment, _segments):
+        for k, l, r in zip(cols.tolist(), left, right):
+            out[k] = ShootingResult(left=l, right=r, lam=l.lam)
     return out
 
 
@@ -559,12 +552,14 @@ def shoot(spec: ProblemSpec, lam: float, steps_per_segment: int = DEFAULT_STEPS)
 def shoot_endpoints(spec: ProblemSpec, lams, steps_per_segment: int = DEFAULT_STEPS):
     """Values (w(pi), w'(pi)) of the shooting solution for a lambda batch.
 
-    Skips segment construction entirely, and keeps of each segment sweep
-    only its last node; this is the fast path behind characteristic-function
-    scans.
+    Skips segment construction entirely and keeps of each block only the
+    last node of its right segment; this is the fast path behind
+    characteristic-function scans.
     """
     lams = np.asarray(lams, dtype=float)
     ends = np.empty((2, lams.shape[0]))
-    for cols, _, (_, right) in _shoot_chunks(spec, lams, steps_per_segment, every_node=False):
-        ends[:, cols] = right[:, -1]
+    # a copy of the end row: a view would keep the block alive into the next
+    for cols, _, right in _shoot_blocks(spec, lams, steps_per_segment,
+                                        lambda tables, z, YV: YV[:, -1].copy()):
+        ends[:, cols] = right
     return ends[0], ends[1]

@@ -239,8 +239,10 @@ def scan_roots(spec: ProblemSpec, s_min: float, s_max: float,
     produce no sign change and are not found; an empty list is a valid
     outcome.
     """
-    if not (0.0 < s_min < s_max):
+    if not 0.0 < s_min < s_max < math.inf:
         raise ValueError("need 0 < s_min < s_max")
+    if not 0.0 < refine_tol < math.inf:
+        raise ValueError("refine_tol must be positive and finite")
     if samples is None:
         samples = int(math.ceil((s_max - s_min) * SCAN_SAMPLES_PER_UNIT)) + 1
     if samples < 2:
@@ -341,6 +343,8 @@ def localize_range(spec: ProblemSpec, n_values, refine_tol: float = DEFAULT_REFI
     n_values = sorted(int(n) for n in n_values)
     if any(n < 1 for n in n_values):
         raise ValueError("indices must be positive integers")
+    if not 0.0 < refine_tol < math.inf:
+        raise ValueError("refine_tol must be positive and finite")
     if not n_values:
         return []
     lo, hi, f_lo, f_hi = _window_brackets(spec, n_values, steps)
@@ -363,8 +367,8 @@ def simplicity_certificates(spec: ProblemSpec, pairs: list[Eigenpair], h: float 
     a certificate passes when the slope clears 10x the refinement residual
     over h, and is marked unreliable for h > 1.
     """
-    if h <= 0.0:
-        raise ValueError("h must be positive")
+    if not 0.0 < h < math.inf:
+        raise ValueError("h must be positive and finite")
     if any(p.lam <= h for p in pairs):
         raise ValueError("h must be smaller than every eigenvalue")
     if not pairs:

@@ -2,6 +2,7 @@ import contextlib
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,9 +150,9 @@ BATCH_SPECS = [spec_of("sin(x)", "cos(x)", "0.5*x*(pi/2 - x)", "(x - pi/2)*(pi -
 
 @contextlib.contextmanager
 def split_sweeps(steps, width, block=None):
-    """Shrink the sweep byte budget so that batches split every ``width``
-    lambda columns, and the piece budget so that a sweep of full-length
-    pieces works in column blocks of ``block``."""
+    """Shrink the state byte budget so that column blocks are at most
+    ``width`` lambda columns wide, and the piece budget so that blocks of
+    full-length pieces are at most ``block`` wide."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dde_solver, "SWEEP_BYTES", width * 2 * (steps + 1) * 8)
         if block is not None:
@@ -160,13 +161,27 @@ def split_sweeps(steps, width, block=None):
         yield
 
 
-def test_sweep_width_follows_the_byte_budget(null_spec):
-    def slices(lams, steps):
-        return [cols for cols, _, _ in dde_solver._shoot_chunks(null_spec, lams, steps)]
-    # 64 MiB over 2 x 4097 doubles per column: 1023 columns per sweep
-    assert slices(np.linspace(1.0, 50.0, 1024), 4096) == [slice(0, 1023), slice(1023, 2046)]
+def driver_blocks(spec, lams, steps):
+    """The columns of every block the sweep driver works through, in order,
+    with each segment sweep replaced by zero states."""
+    def zeros(tables, z, y0, v0, cap):
+        return np.zeros((2, tables.steps + 1, z.shape[0]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dde_solver._SegmentTables, "sweep", zeros)
+        return [cols.tolist() for cols, _, _ in dde_solver._shoot_blocks(
+            spec, np.asarray(lams, dtype=float), steps, lambda tables, z, YV: None)]
+
+
+def test_sweep_width_follows_the_byte_budget(null_spec, constq_spec):
+    lams = np.linspace(1.0, 50.0, 1024)
+    # one-step pieces (zero delay): 64 MiB over 2 x 4097 doubles per column
+    # gives blocks of 1023 columns
+    assert driver_blocks(constq_spec, lams, 4096) == [list(range(1023)), [1023]]
+    # 85-step pieces: 1 MiB over a (4, 3, 85) gather of doubles per column
+    # gives blocks of 128
+    assert [len(cols) for cols in driver_blocks(null_spec, lams[:300], 4096)] == [128, 128, 44]
     with split_sweeps(64, 3):
-        assert slices(np.arange(1.0, 8.0), 64) == [slice(0, 3), slice(3, 6), slice(6, 9)]
+        assert driver_blocks(null_spec, np.arange(1.0, 8.0), 64) == [[0, 1, 2], [3, 4, 5], [6]]
 
 
 @st.composite
@@ -281,6 +296,27 @@ def test_overflow_reported():
     with split_sweeps(512, 4, 1), pytest.raises(NonFiniteStateError) as blocked:
         shoot_endpoints(spec, [9.9e5, 1.0, 5e5, 9e5], 512)
     assert str(blocked.value) == message
+    # across the whole batch, not within the first block that overflows: 5e5
+    # (a block of its own, swept first) overflows at x ~ 1.41, 1.0 at x ~ 0.83
+    with split_sweeps(512, 1), pytest.raises(NonFiniteStateError) as later:
+        shoot_endpoints(spec, [5e5, 1.0], 512)
+    assert str(later.value) == message
+
+
+def test_endpoint_sweep_holds_one_block(delayed_spec):
+    # the 2944-column coarse screen at 265 steps is one block of one-step
+    # pieces; an endpoint sweep drops the left states before the right sweep
+    # and keeps only a copy of the right end row, so its peak is one
+    # (2, 266, 2944) state array and small temporaries, not two
+    lams = np.linspace(4.5, 50.5, 2944) ** 2
+    shoot_endpoints(delayed_spec, lams[:1], 265)
+    tracemalloc.start()
+    try:
+        shoot_endpoints(delayed_spec, lams, 265)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (2 * 266 * 2944 * 8)
 
 
 def stepwise_sweep(tables, lam, y0, v0):
@@ -392,11 +428,13 @@ def test_blocked_sweep_matches_stepwise(spec, steps, sh):
     for tables, y0, v0 in zip(both_tables(spec, steps), (0.0, 0.7), (-1.0, -0.4)):
         for lam in [(x / tables.h) ** 2 for x in sh]:
             want = stepwise_sweep(tables, [lam], y0, v0)
+            interval = (tables.a, tables.b)
             if not np.isfinite(want).all():
                 with pytest.raises(NonFiniteStateError, match=re.escape(f"lambda = {lam!r}")):
-                    tables.sweep(np.array([lam]), y0, v0)
+                    integrate_segment(spec, lam, interval, y0, v0, steps)
                 continue
-            got = tables.sweep(np.array([lam]), y0, v0)
+            seg = integrate_segment(spec, lam, interval, y0, v0, steps)
+            got = np.stack([seg.values, seg.derivs])[:, :, None]
             scale = np.abs(want).max()
             assert np.abs(got - want).max() <= 1e-11 * scale, (lam, tables.a)
 
@@ -404,7 +442,8 @@ def test_blocked_sweep_matches_stepwise(spec, steps, sh):
 def test_sweep_at_full_resolution_matches_stepwise(delayed_spec):
     lams = np.array([4.0, 625.0, 2500.0])
     for tables in both_tables(delayed_spec, 4096):
-        got = tables.sweep(lams, 1.0, 0.5)
+        assert tables.piece_caps(lams).tolist() == [tables.piece_cap] * 3
+        got = tables.sweep(lams, 1.0, 0.5, tables.piece_cap)
         want = stepwise_sweep(tables, lams, 1.0, 0.5)
         scale = np.abs(want).max(axis=(0, 1))
         assert np.all(np.abs(got - want).max(axis=(0, 1)) <= 1e-11 * scale)
@@ -419,8 +458,7 @@ def test_piece_caps(delayed_spec):
     steps, lams = MIXED_CAPS
     for tables in both_tables(delayed_spec, steps):
         assert tables.piece_caps(np.array(lams)).tolist() == [21, 4, 21, 2]
-    # a sweep of mixed caps works through one column block at a time, so a
-    # batch that mixes caps is swept as wide as any other
+    # a block holds columns of one cap, in order of cap, and a batch that
+    # mixes caps gets no narrower blocks than any other
     with split_sweeps(steps, 4):
-        chunks = dde_solver._shoot_chunks(delayed_spec, np.array(lams), steps)
-        assert [cols for cols, _, _ in chunks] == [slice(0, 4)]
+        assert driver_blocks(delayed_spec, lams, steps) == [[3], [1], [0, 2]]

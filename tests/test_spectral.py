@@ -150,6 +150,9 @@ def test_simplicity_large_h_unreliable(null_spec):
     pair = localize_near_n(null_spec, 5)
     cert = simplicity_certificate(null_spec, pair, h=2.0)
     assert not cert.reliable
+    # a NaN step is refused up front, not as a bad s inside the sweep
+    with pytest.raises(ValueError, match="h must be positive and finite"):
+        spectral.simplicity_certificates(null_spec, [pair], h=math.nan)
 
 
 def test_char_fn_samples_vectorized(null_spec):
@@ -164,6 +167,22 @@ def test_positive_s_required(null_spec):
         char_fn_samples(null_spec, [-1.0])
     with pytest.raises(ValueError):
         scan_roots(null_spec, 0.0, 2.0)
+    with pytest.raises(ValueError, match="need 0 < s_min < s_max"):
+        scan_roots(null_spec, 1.0, math.inf)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-10])
+@pytest.mark.parametrize("entry", ["localize_range", "localize_near_n", "scan_roots"])
+def test_refine_tol_must_be_positive_and_finite(delayed_spec, entry, tol):
+    # a NaN or inf tolerance once skipped refinement and returned the
+    # unrefined cell midpoint, as the CLI's solver.refine_tol rule forbids
+    calls = {
+        "localize_range": lambda: localize_range(delayed_spec, [5], tol, 64),
+        "localize_near_n": lambda: localize_near_n(delayed_spec, 5, tol, 64),
+        "scan_roots": lambda: scan_roots(delayed_spec, 4.5, 5.5, refine_tol=tol, steps=64),
+    }
+    with pytest.raises(ValueError, match="refine_tol must be positive and finite"):
+        calls[entry]()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
