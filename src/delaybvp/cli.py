@@ -224,8 +224,10 @@ def _emit_table(columns: list[str], rows: list[tuple], fmt: str, out_path: str |
 
 
 def _validated_or_fail(cfg: RunConfig) -> None:
-    report = validate(cfg.problem)
+    report = validate(cfg.problem, cfg.solver.steps_per_segment)
     if not report.passed:
+        failed = ", ".join(c.name for c in report.checks if not c.passed)
+        print(f"config error: problem: fails {failed}", file=sys.stderr)
         for line in report.lines():
             print(line, file=sys.stderr)
         raise SystemExit(EXIT_CONFIG)
@@ -368,7 +370,7 @@ def cmd_verify(cfg: RunConfig, out_path: str | None, fmt: str) -> int:
 
 
 def cmd_validate(cfg: RunConfig, out_path: str | None, fmt: str) -> int:
-    report = validate(cfg.problem)
+    report = validate(cfg.problem, cfg.solver.steps_per_segment)
     conditions = check_refined_conditions(cfg.problem)
     if fmt == "json":
         payload = {
@@ -436,7 +438,7 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command]()
     except (ConfigError, ExprDomainError) as exc:
-        # an expression can parse and still leave its domain on [0, pi]
+        # an expression can leave its domain on a grid validate does not sample
         where = "problem: " if isinstance(exc, ExprDomainError) else ""
         print(f"config error: {where}{exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -73,7 +73,8 @@ from functools import lru_cache
 import numpy as np
 
 from .exprlang import Expr
-from .problem import HALF, ProblemSpec
+from .problem import (DEFAULT_STEPS, HALF, DelayRangeError, ProblemSpec, SegmentSamples,
+                      segment_samples)
 from .quadrature import hermite
 
 __all__ = [
@@ -88,7 +89,6 @@ __all__ = [
     "lam_cbrt",
 ]
 
-DEFAULT_STEPS = 4096
 # bytes of one column block's (2, steps+1, width) state array: one bound on
 # the block width (1023 lambda columns at the default steps, 63 at 65536)
 SWEEP_BYTES = 64 * 2**20
@@ -106,10 +106,6 @@ PIECE_BYTES = 2**20
 
 class NonFiniteStateError(RuntimeError):
     """Integration state overflowed to a non-finite value."""
-
-
-class DelayRangeError(ValueError):
-    """A delayed argument left the admissible range [a, x]."""
 
 
 def lam_cbrt(lam):
@@ -169,6 +165,10 @@ _ROW_OFFSET = np.array([0, 1, 0, 1])
 class _SegmentTables:
     """All lambda-independent data for integrating one subinterval.
 
+    Built from the subinterval's ``problem.segment_samples``: samples that
+    fail one of its checks raise that check's ``ExprDomainError`` or
+    ``DelayRangeError``, so the tables accept what ``validate`` passes.
+
     Step i evaluates the retarded term at three stages: the node x_i, the
     half step and the step end.  ``gather[k, s, i]`` holds the flat index of
     stencil term k of stage s into the rows of the channel-major
@@ -197,24 +197,15 @@ class _SegmentTables:
     the block loop of ``_shoot_blocks`` picks the blocks.
     """
 
-    def __init__(self, q_expr: Expr, delta_expr: Expr, a: float, b: float, steps: int):
-        if steps < 2:
-            raise ValueError("need at least 2 steps per segment")
-        self.a = float(a)
-        self.b = float(b)
-        self.steps = n = int(steps)
-        self.h = h = (self.b - self.a) / n
-        self.nodes = np.linspace(self.a, self.b, n + 1)
-        t_half = self.nodes[:-1] + 0.5 * h
-
-        q_node = np.asarray(q_expr.eval(self.nodes), dtype=float)
-        q_half = np.asarray(q_expr.eval(t_half), dtype=float)
+    def __init__(self, samples: SegmentSamples):
+        if samples.error is not None:
+            # the samples are cached and shared: raise their error afresh
+            raise samples.error.with_traceback(None)
+        self.a, self.b, self.h, self.nodes = samples.a, samples.b, samples.h, samples.nodes
+        self.steps = n = self.nodes.shape[0] - 1
+        h, t_half = self.h, samples.half
+        (q_node, q_half), (d_node, d_half) = samples.q, samples.delta
         self.q_zero = bool(np.all(q_node == 0.0) and np.all(q_half == 0.0))
-
-        d_node = np.asarray(delta_expr.eval(self.nodes), dtype=float)
-        d_half = np.asarray(delta_expr.eval(t_half), dtype=float)
-        if np.any(d_node < -1e-12) or np.any(d_half < -1e-12):
-            raise DelayRangeError("negative retardation encountered")
 
         # stages (node, half, end) of steps 0..n; the half and end slots of
         # row n are never read and are filled with current-state lookups
@@ -225,11 +216,7 @@ class _SegmentTables:
                        np.append(self.nodes[1:] - d_node[1:], x_ctx[-1])])
         self.negq = -np.stack([q_node, np.append(q_half, 0.0),
                                np.append(q_node[1:], 0.0)])[:, :, None]
-        for stage in xi:
-            if np.any(stage < self.a - 1e-12):
-                raise DelayRangeError(
-                    f"delayed argument {stage.min():.12g} below segment start {self.a:.12g}")
-        # fp tidy-up only; the non-negative-delay check has already run
+        # fp tidy-up only; the samples passed both delay checks
         xi = np.minimum(np.maximum(xi, self.a), x_ctx + h)
         inside = xi > x_ctx + 1e-14
         current = ~inside & (x_ctx - xi <= 1e-14)
@@ -429,7 +416,7 @@ def _powers(A: np.ndarray, count: int) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _tables(q_expr: Expr, delta_expr: Expr, a: float, b: float, steps: int) -> _SegmentTables:
-    return _SegmentTables(q_expr, delta_expr, a, b, steps)
+    return _SegmentTables(segment_samples(q_expr, delta_expr, a, b, steps))
 
 
 def _left_tables(spec: ProblemSpec, steps: int) -> _SegmentTables:

@@ -18,6 +18,9 @@ spectral parameter through a real coupling constant delta:
 The coefficient q and the retardation Delta are given per subinterval as
 expression trees.  Instances are immutable; every operation here is a pure
 read of the instance.
+
+``segment_samples`` is the one place where q and Delta are read on the
+integrator's grid; ``validate`` and the integrator both take its checks.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import exprlang
-from .exprlang import Expr
+from .exprlang import Expr, ExprDomainError
 from .quadrature import cumulative_simpson, odd_point_count
 
 __all__ = [
@@ -40,6 +43,8 @@ __all__ = [
     "ValidationReport",
     "ConditionReport",
     "Case1RequiredError",
+    "DelayRangeError",
+    "segment_samples",
     "validate",
     "check_refined_conditions",
     "q_norms",
@@ -47,15 +52,20 @@ __all__ = [
 ]
 
 HALF = math.pi / 2.0
+DEFAULT_STEPS = 4096
 
-# absolute tolerance for the "= 0" retardation conditions and inequality slack
+# absolute tolerance for the refined "= 0" retardation conditions and Delta' <= 1
 ZERO_TOL = 1e-9
-# offset used to probe one-sided limits at the interface
-LIMIT_OFFSET = 1e-9
+# slack of Delta >= 0 and x - Delta(x) >= a, the integrator's admissibility rule
+DELAY_TOL = 1e-12
 
 
 class Case1RequiredError(ValueError):
     """Raised when an operation needs sin(alpha) != 0 and sin(beta) != 0."""
+
+
+class DelayRangeError(ValueError):
+    """A delayed argument left the admissible range [a, x]."""
 
 
 def _as_expr(value) -> Expr:
@@ -137,22 +147,68 @@ class ConditionReport(ValidationReport):
     case1: bool
 
 
-def _grids(grid_points: int):
-    """Half-open sampling grids for the two subintervals."""
-    left = np.linspace(0.0, HALF, grid_points, endpoint=False)
-    right = np.linspace(HALF, math.pi, grid_points + 1)[1:]
-    return left, right
+@dataclass(frozen=True)
+class SegmentSamples:
+    """q and Delta at the integrator's nodes ``linspace(a, b, steps+1)`` and
+    half steps ``nodes[:-1] + h/2``, each a (nodes, half steps) pair or None
+    if the domain check fails; the checks and the first failure's exception."""
+
+    a: float
+    b: float
+    h: float
+    nodes: np.ndarray
+    half: np.ndarray
+    q: tuple | None
+    delta: tuple | None
+    checks: tuple[CheckResult, ...]
+    error: Exception | None
 
 
-def _inequality_check(name, xs, values, threshold, sense, tol=ZERO_TOL):
-    """Check values >= threshold (sense '>=') or <= threshold ('<=')."""
-    values = np.asarray(values, dtype=float)
-    margin = values - threshold if sense == ">=" else threshold - values
-    worst = int(np.argmin(margin))
-    passed = bool(margin[worst] >= -tol)
-    detail = (f"min margin {margin[worst]:.3e}" if passed
-              else f"violated by {-margin[worst]:.3e}")
-    return CheckResult(name, passed, float(np.asarray(xs)[worst]), detail)
+def _inequality_check(name, xs, values, threshold, tol=ZERO_TOL):
+    """Check values >= threshold - tol, reporting the margin over threshold."""
+    worst = int(np.argmin(values))
+    margin = float(values[worst]) - threshold
+    passed = bool(values[worst] >= threshold - tol)
+    detail = f"min margin {margin:.3e}" if passed else f"violated by {-margin:.3e}"
+    return CheckResult(name, passed, float(xs[worst]), detail)
+
+
+@lru_cache(maxsize=32)
+def segment_samples(q_expr: Expr, delta_expr: Expr, a: float, b: float,
+                    steps: int) -> SegmentSamples:
+    """q and Delta where the integrator reads them on [a, b] at ``steps``
+    steps, checked by ``domain_<side>`` (evaluation raised nothing), then
+    ``delay_nonnegative_<side>`` and ``delayed_argument_<side>``
+    (x - Delta(x) >= a), both with slack ``DELAY_TOL``."""
+    if steps < 2:
+        raise ValueError("need at least 2 steps per segment")
+    h = (b - a) / steps
+    nodes = np.linspace(a, b, steps + 1)
+    half = nodes[:-1] + 0.5 * h
+    side = "left" if a + b < 2.0 * HALF else "right"
+    q = None
+    try:
+        q = tuple(np.asarray(q_expr.eval(xs), dtype=float) for xs in (nodes, half))
+        delta = tuple(np.asarray(delta_expr.eval(xs), dtype=float) for xs in (nodes, half))
+    except ExprDomainError as exc:
+        key = ("q_" if q is None else "retard_") + side
+        domain = CheckResult(f"domain_{side}", False, exc.x, f"{key}: {exc}")
+        return SegmentSamples(a, b, h, nodes, half, None, None, (domain,),
+                              exc.with_traceback(None))
+    for v in (nodes, half, *q, *delta):  # cached and shared by every reader
+        v.flags.writeable = False
+    xs, ds = np.concatenate([nodes, half]), np.concatenate(delta)
+    checks = (CheckResult(f"domain_{side}", True, None, f"q and Delta defined at {xs.size} points"),
+              _inequality_check(f"delay_nonnegative_{side}", xs, ds, 0.0, DELAY_TOL),
+              _inequality_check(f"delayed_argument_{side}", xs, xs - ds, a, DELAY_TOL))
+    bad = [c for c in checks if not c.passed]
+    error = DelayRangeError(f"{bad[0].name}: {bad[0].detail} at x = {bad[0].worst_x:.12g}") if bad else None
+    return SegmentSamples(a, b, h, nodes, half, q, delta, checks, error)
+
+
+def _spec_samples(spec: ProblemSpec, steps: int) -> tuple[SegmentSamples, SegmentSamples]:
+    return (segment_samples(spec.q_left, spec.retard_left, 0.0, HALF, steps),
+            segment_samples(spec.q_right, spec.retard_right, HALF, math.pi, steps))
 
 
 def _one_sided_limit_check(name, expr: Expr, approach: str) -> CheckResult:
@@ -161,7 +217,10 @@ def _one_sided_limit_check(name, expr: Expr, approach: str) -> CheckResult:
     sign = -1.0 if approach == "left" else +1.0
     offsets = 10.0 ** -np.arange(3, 10, dtype=float)
     xs = HALF + sign * offsets
-    vals = np.asarray(expr.eval(xs), dtype=float)
+    try:
+        vals = np.asarray(expr.eval(xs), dtype=float)
+    except ExprDomainError as exc:
+        return CheckResult(name, False, exc.x, str(exc))
     finite = np.all(np.isfinite(vals))
     diffs = np.abs(np.diff(vals[-4:]))
     scale = 1.0 + abs(float(vals[-1]))
@@ -171,43 +230,26 @@ def _one_sided_limit_check(name, expr: Expr, approach: str) -> CheckResult:
     return CheckResult(name, cauchy, float(xs[-1]), detail)
 
 
-def validate(spec: ProblemSpec, grid_points: int = 4096) -> ValidationReport:
-    """Check the structural constraints of the problem class on a grid.
+def validate(spec: ProblemSpec, steps_per_segment: int = DEFAULT_STEPS) -> ValidationReport:
+    """Check the constraints of the problem class on the integrator's grid
+    at ``steps_per_segment``.
 
-    Verified: coupling != 0, Delta >= 0 on both sides, x - Delta(x) >= 0 on
-    the left and >= pi/2 on the right, and finite one-sided limits of q at
-    the interface.  Failures are report entries, never exceptions; malformed
-    expressions do raise (as expression-language errors).
+    Verified: coupling != 0; on each subinterval the ``segment_samples``
+    checks (q and Delta defined, Delta >= 0, x - Delta(x) >= 0 on the left
+    and >= pi/2 on the right); finite one-sided limits of q at the
+    interface.  Passing means the integrator builds its tables at that step
+    count.  Failures are report entries; fewer than 2 steps is a ValueError.
     """
-    if grid_points < 16:
-        raise ValueError("grid_points must be at least 16")
-    left, right = _grids(grid_points)
-    d_left = np.asarray(spec.retard_left.eval(left), dtype=float)
-    d_right = np.asarray(spec.retard_right.eval(right), dtype=float)
-
+    left, right = _spec_samples(spec, steps_per_segment)
     checks = [
         CheckResult("coupling_nonzero", spec.coupling != 0.0, None,
                     f"coupling = {spec.coupling:.9g}"),
-        _inequality_check("delay_nonnegative_left", left, d_left, 0.0, ">="),
-        _inequality_check("delay_nonnegative_right", right, d_right, 0.0, ">="),
-        _inequality_check("delayed_argument_left", left, left - d_left, 0.0, ">="),
-        _inequality_check("delayed_argument_right", right, right - d_right, HALF, ">="),
+        *left.checks,
+        *right.checks,
         _one_sided_limit_check("q_limit_left", spec.q_left, "left"),
         _one_sided_limit_check("q_limit_right", spec.q_right, "right"),
     ]
     return ValidationReport(tuple(checks))
-
-
-def _fd_first(values: np.ndarray, h: float) -> np.ndarray:
-    return np.gradient(values, h, edge_order=2)
-
-
-def _fd_second(values: np.ndarray, h: float) -> np.ndarray:
-    d2 = np.empty_like(values)
-    d2[1:-1] = (values[2:] - 2.0 * values[1:-1] + values[:-2]) / (h * h)
-    d2[0] = d2[1]
-    d2[-1] = d2[-2]
-    return d2
 
 
 def is_case1(spec: ProblemSpec, tol: float = 1e-12) -> bool:
@@ -216,32 +258,28 @@ def is_case1(spec: ProblemSpec, tol: float = 1e-12) -> bool:
     return abs(math.sin(spec.alpha)) > tol and abs(math.sin(spec.beta)) > tol
 
 
-def check_refined_conditions(spec: ProblemSpec, grid_points: int = 4096) -> ConditionReport:
+def check_refined_conditions(spec: ProblemSpec) -> ConditionReport:
     """Report on the extra smoothness/retardation conditions for the refined
-    asymptotics.
+    asymptotics, read from the integrator's node samples at ``DEFAULT_STEPS``.
 
     Condition a): q' and Delta'' exist and stay bounded on each subinterval
-    (estimated by finite differences).  Condition b): Delta'(x) <= 1 on the
-    grid, Delta(0) = 0 and Delta(pi/2 + 0) = 0 within 1e-9.  The report also
-    flags the angle regime (sin(alpha) != 0 and sin(beta) != 0) required
-    before any refined prediction may be used.
+    (estimated by finite differences).  Condition b): Delta'(x) <= 1 at the
+    nodes, Delta(0) = 0 and Delta(pi/2 + 0) = 0 within 1e-9.  A subinterval
+    whose samples fail their domain check reports that check instead.  The
+    report also flags the angle regime (sin(alpha) != 0 and sin(beta) != 0)
+    required before any refined prediction may be used.
     """
-    if grid_points < 16:
-        raise ValueError("grid_points must be at least 16")
-    left, right = _grids(grid_points)
-    h_l = float(left[1] - left[0])
-    h_r = float(right[1] - right[0])
-
     checks = []
-    for name, xs, h, q_expr, d_expr in (
-        ("left", left, h_l, spec.q_left, spec.retard_left),
-        ("right", right, h_r, spec.q_right, spec.retard_right),
-    ):
-        qv = np.asarray(q_expr.eval(xs), dtype=float)
-        dv = np.asarray(d_expr.eval(xs), dtype=float)
-        qp = _fd_first(qv, h)
-        dp = _fd_first(dv, h)
-        dpp = _fd_second(dv, h)
+    for name, zero_at, label, s in zip(("left", "right"), ("origin", "interface"),
+                                       ("Delta(0)", "Delta(pi/2 + 0)"),
+                                       _spec_samples(spec, DEFAULT_STEPS)):
+        if s.delta is None:
+            checks.append(s.checks[0])
+            continue
+        xs, q, d = s.nodes, s.q[0], s.delta[0]
+        qp = np.gradient(q, s.h, edge_order=2)
+        dp = np.gradient(d, s.h, edge_order=2)
+        dpp = np.gradient(dp, s.h, edge_order=2)
         checks.append(CheckResult(
             f"q_derivative_bounded_{name}", bool(np.all(np.isfinite(qp))),
             float(xs[int(np.argmax(np.abs(qp)))]),
@@ -250,16 +288,10 @@ def check_refined_conditions(spec: ProblemSpec, grid_points: int = 4096) -> Cond
             f"delay_second_derivative_bounded_{name}", bool(np.all(np.isfinite(dpp))),
             float(xs[int(np.argmax(np.abs(dpp)))]),
             f"max |Delta''| ~ {np.max(np.abs(dpp)):.6g}"))
-        checks.append(_inequality_check(
-            f"delay_slope_{name}", xs, dp, 1.0, "<="))
-
-    d0 = float(spec.retard_left.eval(0.0))
-    checks.append(CheckResult(
-        "delay_zero_at_origin", abs(d0) <= ZERO_TOL, 0.0, f"Delta(0) = {d0:.3e}"))
-    d_half = float(spec.retard_right.eval(HALF + LIMIT_OFFSET))
-    checks.append(CheckResult(
-        "delay_zero_at_interface", abs(d_half) <= ZERO_TOL,
-        HALF + LIMIT_OFFSET, f"Delta(pi/2 + 0) = {d_half:.3e}"))
+        checks.append(_inequality_check(f"delay_slope_{name}", xs, -dp, -1.0))
+        d0 = float(d[0])
+        checks.append(CheckResult(f"delay_zero_at_{zero_at}", abs(d0) <= ZERO_TOL, s.a,
+                                  f"{label} = {d0:.3e}"))
 
     case1 = is_case1(spec)
     checks.append(CheckResult(

@@ -252,6 +252,33 @@ def test_expression_leaving_its_domain_is_config_error(tmp_path, capsys, key, ex
     assert err.startswith("config error: problem: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("key, expr", [("q_left", "log(x)"),
+                                       ("q_left", "1/x"),
+                                       ("q_left", "exp(1000*x)"),
+                                       ("q_right", "sqrt(2 - x)")])
+def test_validate_reports_expression_leaving_its_domain(tmp_path, capsys, key, expr):
+    cfg = write_config(tmp_path, problem={key: expr},
+                       solver={"steps_per_segment": 64})
+    assert main(["validate", "--config", cfg]) == 1
+    side = key.split("_")[1]
+    captured = capsys.readouterr()
+    assert f"[FAIL] domain_{side}: {key}: " in captured.out
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("command", ["solve", "validate"])
+@pytest.mark.parametrize("delay, check", [("-1e-10", "delay_nonnegative_left"),
+                                          ("x + 1e-10", "delayed_argument_left")])
+def test_delay_violation_is_config_error(tmp_path, capsys, command, delay, check):
+    cfg = write_config(tmp_path, problem={"retard_left": delay},
+                       solver={"steps_per_segment": 64})
+    assert main([command, "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert f"[FAIL] {check}: " in captured.out + captured.err
+    if command == "solve":
+        assert captured.err.startswith(f"config error: problem: fails {check}")
+
+
 def test_output_path_must_be_a_string(tmp_path, capsys):
     cfg = write_config(tmp_path, output={"path": 5})
     assert main(["validate", "--config", cfg]) == 1

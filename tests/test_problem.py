@@ -1,11 +1,15 @@
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from delaybvp.exprlang import ExprDomainError
-from delaybvp.problem import (HALF, ProblemSpec, check_refined_conditions,
+from delaybvp import dde_solver
+from delaybvp.exprlang import BinOp, Call, ExprDomainError, Num, Var
+from delaybvp.problem import (HALF, DelayRangeError, ProblemSpec, check_refined_conditions,
                               is_case1, q_norms, validate)
+from test_exprlang import _random_tree
 
 PI = math.pi
 
@@ -54,8 +58,11 @@ def test_coupling_must_be_nonzero():
 
 
 def test_validate_min_grid():
-    with pytest.raises(ValueError):
-        validate(spec_of(), grid_points=8)
+    # validate samples the integrator's grid, which needs 2 steps per segment
+    assert validate(spec_of(), steps_per_segment=2).passed
+    for steps in (1, 0):
+        with pytest.raises(ValueError):
+            validate(spec_of(), steps_per_segment=steps)
 
 
 def test_validate_is_deterministic(delayed_spec):
@@ -63,9 +70,55 @@ def test_validate_is_deterministic(delayed_spec):
 
 
 def test_malformed_expression_surfaces_as_expr_error():
-    bad = spec_of(q_l="log(1 - x)")  # log of negative approaching pi/2
-    with pytest.raises(ExprDomainError):
-        validate(bad)
+    # log of a negative value from x = 1 on: a failing check, not an exception
+    report = validate(spec_of(q_l="log(1 - x)"))
+    domain = {c.name: c for c in report.checks}["domain_left"]
+    assert not domain.passed and not report.passed
+    assert domain.detail.startswith("q_left: log of a non-positive value")
+    assert "at x = " in domain.detail
+    assert domain.worst_x == pytest.approx(1.0, abs=HALF / 4096)
+
+
+@pytest.mark.parametrize("d_l, admissible", [("-1e-10", False), ("x + 1e-10", False),
+                                             ("-1e-13", True), ("x + 1e-13", True)])
+def test_delay_slack_is_the_integrators(d_l, admissible):
+    spec = spec_of(q_l="1", d_l=d_l)
+    assert validate(spec, steps_per_segment=64).passed == admissible
+    if admissible:
+        dde_solver._left_tables(spec, 64)
+    else:
+        for _ in range(2):  # the failing samples are cached; the error is raised again
+            with pytest.raises(DelayRangeError):
+                dde_solver._left_tables(spec, 64)
+
+
+SAMPLER_CHECKS = ("domain", "delay_nonnegative", "delayed_argument")
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), admissible_delay=st.booleans(),
+       steps=st.integers(2, 1024))
+def test_validate_passing_means_the_tables_build(seed, admissible_delay, steps):
+    """validate and check_refined_conditions never raise on random formulas,
+    and a segment's tables build exactly when its sampled checks pass."""
+    rng = random.Random(seed)
+    q_l, q_r, d_l, d_r = (_random_tree(rng, depth=4, total_only=False) for _ in range(4))
+    if admissible_delay:
+        # Delta = (x - a) |sin(tree)| keeps Delta >= 0 and x - Delta >= a
+        d_l, d_r = (BinOp("*", BinOp("-", Var(), Num(a)), Call("abs", Call("sin", t)))
+                    for a, t in ((0.0, d_l), (HALF, d_r)))
+    spec = ProblemSpec(q_l, q_r, d_l, d_r, alpha=HALF, beta=HALF, coupling=1.0)
+    report = validate(spec, steps)
+    check_refined_conditions(spec)
+    by_name = {c.name: c for c in report.checks}
+    for side, tables in (("left", dde_solver._left_tables), ("right", dde_solver._right_tables)):
+        if all(by_name[f"{name}_{side}"].passed for name in SAMPLER_CHECKS
+               if f"{name}_{side}" in by_name):
+            tables(spec, steps)
+        else:
+            assert not report.passed
+            with pytest.raises((ExprDomainError, DelayRangeError)):
+                tables(spec, steps)
 
 
 # --- refined conditions -----------------------------------------------------
