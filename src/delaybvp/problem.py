@@ -202,7 +202,8 @@ def segment_samples(q_expr: Expr, delta_expr: Expr, a: float, b: float,
               _inequality_check(f"delay_nonnegative_{side}", xs, ds, 0.0, DELAY_TOL),
               _inequality_check(f"delayed_argument_{side}", xs, xs - ds, a, DELAY_TOL))
     bad = [c for c in checks if not c.passed]
-    error = DelayRangeError(f"{bad[0].name}: {bad[0].detail} at x = {bad[0].worst_x:.12g}") if bad else None
+    error = (DelayRangeError(f"{bad[0].name}: {bad[0].detail} at x = {bad[0].worst_x:.12g}")
+             if bad else None)
     return SegmentSamples(a, b, h, nodes, half, q, delta, checks, error)
 
 

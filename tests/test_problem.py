@@ -80,8 +80,11 @@ def test_malformed_expression_surfaces_as_expr_error():
 
 
 @pytest.mark.parametrize("d_l, admissible", [("-1e-10", False), ("x + 1e-10", False),
-                                             ("-1e-13", True), ("x + 1e-13", True)])
+                                             ("-1e-13", True), ("x + 1e-13", True),
+                                             ("x + 1e-9*sin(128*x)^2", False)])
 def test_delay_slack_is_the_integrators(d_l, admissible):
+    # at 64 steps sin(128 x) vanishes at the nodes, so the last delay puts
+    # x - Delta(x) below 0 only at the half steps, which the integrator reads too
     spec = spec_of(q_l="1", d_l=d_l)
     assert validate(spec, steps_per_segment=64).passed == admissible
     if admissible:
