@@ -173,11 +173,24 @@ def _inequality_check(name, xs, values, threshold, tol=ZERO_TOL):
     return CheckResult(name, passed, float(xs[worst]), detail)
 
 
+def _sampled(expr: Expr, nodes: np.ndarray, half: np.ndarray) -> tuple:
+    """expr at the nodes and the half steps; a value that overflows to a
+    non-finite one (``*``, ``+`` and ``-`` raise nothing) is a domain error
+    at the first x where it does, and numpy emits no warning for it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = tuple(np.asarray(expr.eval(xs), dtype=float) for xs in (nodes, half))
+    bad = np.concatenate([xs[~np.isfinite(v)] for xs, v in zip((nodes, half), values)])
+    if bad.size:
+        raise ExprDomainError(expr, float(bad.min()), "non-finite value")
+    return values
+
+
 @lru_cache(maxsize=32)
 def segment_samples(q_expr: Expr, delta_expr: Expr, a: float, b: float,
                     steps: int) -> SegmentSamples:
     """q and Delta where the integrator reads them on [a, b] at ``steps``
-    steps, checked by ``domain_<side>`` (evaluation raised nothing), then
+    steps, checked by ``domain_<side>`` (evaluation raised nothing and gave
+    finite values), then
     ``delay_nonnegative_<side>`` and ``delayed_argument_<side>``
     (x - Delta(x) >= a), both with slack ``DELAY_TOL``."""
     if steps < 2:
@@ -188,8 +201,8 @@ def segment_samples(q_expr: Expr, delta_expr: Expr, a: float, b: float,
     side = "left" if a + b < 2.0 * HALF else "right"
     q = None
     try:
-        q = tuple(np.asarray(q_expr.eval(xs), dtype=float) for xs in (nodes, half))
-        delta = tuple(np.asarray(delta_expr.eval(xs), dtype=float) for xs in (nodes, half))
+        q = _sampled(q_expr, nodes, half)
+        delta = _sampled(delta_expr, nodes, half)
     except ExprDomainError as exc:
         key = ("q_" if q is None else "retard_") + side
         domain = CheckResult(f"domain_{side}", False, exc.x, f"{key}: {exc}")
@@ -219,13 +232,12 @@ def _one_sided_limit_check(name, expr: Expr, approach: str) -> CheckResult:
     offsets = 10.0 ** -np.arange(3, 10, dtype=float)
     xs = HALF + sign * offsets
     try:
-        vals = np.asarray(expr.eval(xs), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.asarray(expr.eval(xs), dtype=float)
     except ExprDomainError as exc:
         return CheckResult(name, False, exc.x, str(exc))
-    finite = np.all(np.isfinite(vals))
-    diffs = np.abs(np.diff(vals[-4:]))
-    scale = 1.0 + abs(float(vals[-1]))
-    cauchy = bool(finite and np.all(diffs <= 1e-6 * scale))
+    cauchy = bool(np.all(np.isfinite(vals))
+                  and np.all(np.abs(np.diff(vals[-4:])) <= 1e-6 * (1.0 + abs(float(vals[-1])))))
     detail = (f"limit ~ {vals[-1]:.9g}" if cauchy
               else "samples do not settle approaching pi/2")
     return CheckResult(name, cauchy, float(xs[-1]), detail)

@@ -23,8 +23,12 @@ sign-change bracket throughout: each round probes every bracket on both
 sides of its regula-falsi point, so it closes from both ends and narrows
 superlinearly near a simple root, with a midpoint probe whenever the
 previous round did not halve it, so it never needs more than twice
-bisection's rounds.  Brackets for distinct roots are refined in lock-step
-so each round costs a single batched sweep of the integrator.
+bisection's rounds.  The confirmation is refinement's round 0: its four
+full-resolution values (or, for a window screened at full resolution and
+for a scan, the four grid values around the sign change) seed the first
+round at their inverse cubic root, which on the delayed problem saves one
+of three rounds.  Brackets for distinct roots are refined in lock-step so
+each round costs a single batched sweep of the integrator.
 
 All eigenvalues of the problem are simple; numerically that shows up as a
 transversal crossing of F, which ``simplicity_certificate`` checks through a
@@ -39,7 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dde_solver, picard
-from .problem import HALF, Case1RequiredError, ProblemSpec, is_case1
+from .exprlang import ExprDomainError
+from .problem import HALF, Case1RequiredError, DelayRangeError, ProblemSpec, is_case1
 
 __all__ = [
     "CharacteristicSample",
@@ -64,6 +69,11 @@ LOCALIZE_SUBGRID = 64
 SCREEN_SH = 0.3
 SCREEN_MIN_STEPS = 64
 SCAN_SAMPLES_PER_UNIT = 100
+# the first refinement round probes at x_c +- SEED |x_c - x_q| around the
+# inverse cubic root x_c, where x_q are the inverse quadratic roots; its
+# error is at most 0.036 |x_c - x_q| from n = 4 on across the sine specs
+# of the seeded-refinement property, more only further below
+SEED = 0.1
 
 
 class ZeroOrManyError(RuntimeError):
@@ -161,27 +171,88 @@ def _sign_changes(F) -> np.ndarray:
     return neg[..., :-1] != neg[..., 1:]
 
 
-def _refine_brackets(spec: ProblemSpec, lo, hi, f_lo, f_hi, refine_tol: float, steps: int):
-    """Shrink sign-change brackets [lo_i, hi_i] in s to width < refine_tol.
+def _neighbourhood(cell, size: int) -> np.ndarray:
+    """Columns cell - 1 .. cell + 2 of rows ``size`` long, one row per cell,
+    clipped to the row (a clipped column repeats its neighbour)."""
+    return np.clip(np.asarray(cell)[:, None] + np.arange(-1, 3), 0, size - 1)
 
+
+def _inverse_interpolants(pts, vals):
+    """Neville's tableau for s as a polynomial in F, evaluated at F = 0.
+
+    Returns the root of the interpolant through all k points of each row
+    and, as the two columns of an array, those through its first and its
+    last k - 1 points.  Values that are not distinct give non-finite roots.
+    """
+    level = pts
+    for gap in range(1, pts.shape[1]):
+        lower = level
+        f_i, f_j = vals[:, :-gap], vals[:, gap:]
+        level = (f_i * lower[:, 1:] - f_j * lower[:, :-1]) / (f_i - f_j)
+    return level[:, 0], lower
+
+
+def _probe_centres(pts, vals, a, b, fa, fb):
+    """Centre x of a round's two probes and their spread before clamping.
+
+    By default x is the regula-falsi point of [a, b], clamped into it, with
+    spread w^2: a root within rounding of an end then gets a probe beside
+    that end (the midpoint would start a bisection).  Given more than the
+    two bracket points, with F strictly monotone across them, x is instead
+    the root x_c of the inverse interpolant through all of them if that is
+    strictly inside, with spread ``SEED`` times its largest distance to
+    the interpolants through the first and the last k - 1 points.
+    """
+    with np.errstate(all="ignore"):
+        w = b - a
+        x = a - fa * w / (fb - fa)
+        x = np.fmin(np.fmax(x, a), b)
+        spread = w * w
+        if pts.shape[1] > 2:
+            x_c, x_q = _inverse_interpolants(pts, vals)
+            rise = np.diff(vals, axis=1)
+            seeded = (((rise > 0.0).all(axis=1) | (rise < 0.0).all(axis=1))
+                      & (a < x_c) & (x_c < b))
+            x = np.where(seeded, x_c, x)
+            spread = np.where(seeded, SEED * np.abs(x_q - x_c[:, None]).max(axis=1), spread)
+    return x, spread
+
+
+def _refine_brackets(spec: ProblemSpec, pts, vals, refine_tol: float, steps: int):
+    """Shrink sign-change brackets in s to width < refine_tol.
+
+    Row i of ``pts`` holds k >= 2 sorted points in s and row i of ``vals``
+    F there; the bracket is the first cell of the row with a sign change.
     A safeguarded two-probe secant, all brackets in lock-step.  Each round
     probes every bracket still at least ``refine_tol`` wide at x - d and
-    x + d, where x is its regula-falsi point (the midpoint if that is not
-    strictly inside) and d = max(refine_tol/4, min(w^2, w/8)) for width w.
-    Near a simple root x is off by O(w^2), so the two probes straddle the
-    root and the bracket closes from both sides.  A bracket that the
-    previous round did not halve is also probed at its midpoint, so two
-    rounds at least halve it: at worst twice bisection's round count.
-    Probes that are not strictly inside their bracket are dropped; all
-    others go through one batched sweep, and each bracket becomes the
-    first subinterval of its sorted points with a sign change, so the
-    bracket invariant holds exactly as in bisection.  A round that changes
-    no bracket ends the loop: the brackets are then as narrow as floating
-    point allows, which is wider than a ``refine_tol`` below one ulp of the
-    root.
+    x + d, d = max(refine_tol/4, min(spread, w/8)) for width w, with x and
+    spread from ``_probe_centres``: the first round reads all k points,
+    later rounds the bracket ends alone, whose regula-falsi point is off by
+    O(w^2) near a simple root, so the two probes straddle it and the
+    bracket closes from both sides.  From the four points around a window
+    bracket the first round starts at the inverse cubic root (the
+    interpolation step of Alefeld, Potra & Shi, Algorithm 748, ACM TOMS 21,
+    1995), about 250x closer than the regula-falsi point on delayed
+    windows; if F is not strictly monotone across the points (a clipped
+    repeat included) or that root is not strictly inside the bracket, the
+    round starts at the regula-falsi point.  A bracket that the previous
+    round did not halve is also probed at its midpoint, so two rounds at
+    least halve it: at worst twice bisection's round count.  So is one
+    whose probes beside x both fall outside it, as beside an end.  Probes that
+    are not strictly inside their bracket are dropped; all others go
+    through one batched sweep, and each bracket becomes the first
+    subinterval of its sorted points with a sign change, so the bracket
+    invariant holds exactly as in bisection and a poor start costs rounds,
+    never a wrong root.  A round that changes no bracket ends the loop:
+    the brackets are then as narrow as floating point allows, which is
+    wider than a ``refine_tol`` below one ulp of the root.
     """
-    lo, hi, f_lo, f_hi = (np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi))
-    halved = np.ones(lo.shape[0], dtype=bool)
+    pts, vals = np.array(pts, dtype=float), np.array(vals, dtype=float)
+    rows = np.arange(pts.shape[0])
+    first = _sign_changes(vals).argmax(axis=1)
+    lo, hi = pts[rows, first], pts[rows, first + 1]
+    f_lo, f_hi = vals[rows, first], vals[rows, first + 1]
+    halved = np.ones(rows.size, dtype=bool)
     while True:
         act = np.nonzero(hi - lo >= refine_tol)[0]
         if act.size == 0:
@@ -189,30 +260,31 @@ def _refine_brackets(spec: ProblemSpec, lo, hi, f_lo, f_hi, refine_tol: float, s
         a, b, fa, fb = lo[act], hi[act], f_lo[act], f_hi[act]
         w = b - a
         mid = 0.5 * (a + b)
-        with np.errstate(all="ignore"):
-            x = a - fa * w / (fb - fa)
-        x = np.where((a < x) & (x < b), x, mid)
-        d = np.maximum(0.25 * refine_tol, np.minimum(w * w, 0.125 * w))
-        probes = np.stack([x - d, x + d, np.where(halved[act], np.nan, mid)], axis=1)
+        x, spread = _probe_centres(pts[act], vals[act], a, b, fa, fb)
+        d = np.maximum(0.25 * refine_tol, np.minimum(spread, 0.125 * w))
+        probes = np.stack([x - d, x + d, mid], axis=1)
         inside = (a[:, None] < probes) & (probes < b[:, None])
+        inside[:, 2] &= ~halved[act] | ~inside[:, :2].any(axis=1)
         if not inside.any():
             break
         F = np.empty_like(probes)
         F[inside] = char_fn_samples(spec, probes[inside], steps)
         # a dropped probe becomes a copy of hi, which adds no sign change
-        pts = np.column_stack([a, np.where(inside, probes, b[:, None]), b])
-        vals = np.column_stack([fa, np.where(inside, F, fb[:, None]), fb])
-        order = np.argsort(pts, axis=1, kind="stable")
-        pts = np.take_along_axis(pts, order, axis=1)
-        vals = np.take_along_axis(vals, order, axis=1)
-        first = _sign_changes(vals).argmax(axis=1)
-        rows = np.arange(act.size)
-        new_lo, new_hi = pts[rows, first], pts[rows, first + 1]
+        seen = np.column_stack([a, np.where(inside, probes, b[:, None]), b])
+        seen_F = np.column_stack([fa, np.where(inside, F, fb[:, None]), fb])
+        order = np.argsort(seen, axis=1, kind="stable")
+        seen = np.take_along_axis(seen, order, axis=1)
+        seen_F = np.take_along_axis(seen_F, order, axis=1)
+        cut = _sign_changes(seen_F).argmax(axis=1)
+        at = np.arange(act.size)
+        new_lo, new_hi = seen[at, cut], seen[at, cut + 1]
         if np.array_equal(new_lo, a) and np.array_equal(new_hi, b):
             break
         halved[act] = new_hi - new_lo <= 0.5 * w
         lo[act], hi[act] = new_lo, new_hi
-        f_lo[act], f_hi[act] = vals[rows, first], vals[rows, first + 1]
+        f_lo[act], f_hi[act] = seen_F[at, cut], seen_F[at, cut + 1]
+        # later rounds start from the bracket ends alone
+        pts, vals = np.column_stack([lo, hi]), np.column_stack([f_lo, f_hi])
     return lo, hi
 
 
@@ -249,49 +321,45 @@ def scan_roots(spec: ProblemSpec, s_min: float, s_max: float,
         raise ValueError("need at least 2 samples")
     grid = np.linspace(s_min, s_max, samples)
     F = char_fn_samples(spec, grid, steps)
-    flips = np.nonzero(_sign_changes(F))[0]
-    lo, hi = _refine_brackets(spec, grid[flips], grid[flips + 1], F[flips],
-                              F[flips + 1], refine_tol, steps)
+    cols = _neighbourhood(np.nonzero(_sign_changes(F))[0], samples)
+    # an outer cell with a sign change of its own is left out: its inner
+    # end is repeated, so each row keeps the one sign change of its cell
+    neg = F[cols] <= 0.0
+    cols[:, 0] = np.where(neg[:, 0] != neg[:, 1], cols[:, 1], cols[:, 0])
+    cols[:, 3] = np.where(neg[:, 2] != neg[:, 3], cols[:, 2], cols[:, 3])
+    lo, hi = _refine_brackets(spec, grid[cols], F[cols], refine_tol, steps)
     roots = 0.5 * (lo + hi)
     return _pairs_from_roots(spec, roots, range(len(roots)), steps)
 
 
 def _screen(spec: ProblemSpec, grid: np.ndarray, steps: int):
-    """Sign changes of F along each row of ``grid``, in one batched sweep.
-
-    Returns per row the number of sign changes, the cell of the first one
-    and F at both ends of that cell.
-    """
+    """F along each row of ``grid``, in one batched sweep, with per row the
+    number of sign changes and the cell of the first one."""
     F = char_fn_samples(spec, grid.ravel(), steps).reshape(grid.shape)
     flips = _sign_changes(F)
-    cell = flips.argmax(axis=1)
-    rows = np.arange(grid.shape[0])
-    return flips.sum(axis=1), cell, F[rows, cell], F[rows, cell + 1]
+    return F, flips.sum(axis=1), flips.argmax(axis=1)
 
 
-def _confirm(spec: ProblemSpec, grid: np.ndarray, cell, f_lo, f_hi, steps: int):
+def _confirm(spec: ProblemSpec, pts: np.ndarray, coarse: np.ndarray, steps: int):
     """Check coarse one-sign-change brackets at full resolution.
 
-    F is evaluated, in one batched sweep, at points cell - 1 .. cell + 2 of
-    each row, clipped to the row (a clipped point repeats its neighbour and
-    adds no sign change).  A row is confirmed when these four values change
-    sign exactly once and the outer two keep the signs the coarse F had
-    there, which for a row with one coarse sign change are the signs of the
-    coarse ``f_lo`` and ``f_hi``.  Returns per row whether it is confirmed,
-    the cell of its first full-resolution sign change and F at both ends.
+    ``pts`` holds per row the points cell - 1 .. cell + 2 around the coarse
+    sign-change cell, clipped to the window (a clipped point repeats its
+    neighbour and adds no sign change), and ``coarse`` the coarse F there.
+    F is evaluated at them in one batched sweep.  A row is confirmed when
+    these four values change sign exactly once and the outer two keep the
+    signs the coarse F had there.  Returns per row whether it is confirmed
+    and the four full-resolution values.
     """
-    cols = np.clip(cell[:, None] + np.arange(-1, 3), 0, LOCALIZE_SUBGRID - 1)
-    rows = np.arange(grid.shape[0])
-    F = char_fn_samples(spec, grid[rows[:, None], cols].ravel(), steps).reshape(cols.shape)
-    flips = _sign_changes(F)
-    at = flips.argmax(axis=1)
-    ok = ((flips.sum(axis=1) == 1) & ((F[:, 0] <= 0.0) == (f_lo <= 0.0))
-          & ((F[:, -1] <= 0.0) == (f_hi <= 0.0)))
-    return ok, cols[rows, at], F[rows, at], F[rows, at + 1]
+    F = char_fn_samples(spec, pts.ravel(), steps).reshape(pts.shape)
+    ok = ((_sign_changes(F).sum(axis=1) == 1) & ((F[:, 0] <= 0.0) == (coarse[:, 0] <= 0.0))
+          & ((F[:, -1] <= 0.0) == (coarse[:, -1] <= 0.0)))
+    return ok, F
 
 
 def _window_brackets(spec: ProblemSpec, n_values, steps: int):
-    """One sign-change bracket per unit window around each integer n.
+    """One sign-change bracket per unit window around each integer n, with
+    the full-resolution samples around it.
 
     Each window is sampled at ``LOCALIZE_SUBGRID`` points.  All windows are
     first screened at ``coarse`` steps, the fewest (at least
@@ -300,34 +368,48 @@ def _window_brackets(spec: ProblemSpec, n_values, steps: int):
     confirmed at full resolution from four points around it (``_confirm``),
     all windows in one sweep; the cell that changes sign there is its
     bracket.  Every window not confirmed is screened again at full
-    resolution.
-    When ``coarse == steps`` the coarse screen already is the full one.
-    The brackets are therefore those of a full-resolution screen whenever
-    the coarse and full-resolution F agree in sign away from the confirmed
-    cells.
+    resolution.  When ``coarse == steps`` the coarse screen already is the
+    full one, and so it is when the coarse grid's samples of q and Delta
+    fail their checks (it samples points ``validate`` at ``steps`` does
+    not).  The brackets are therefore those of a full-resolution screen
+    whenever the coarse and full-resolution F agree in sign away from the
+    confirmed cells.
 
-    Returns lo, hi and the full-resolution F at both ends.  Raises
-    ZeroOrManyError naming every window whose full-resolution subgrid does
-    not show exactly one sign change.
+    Returns, one row per window, four sorted subgrid points around its
+    bracket and the full-resolution F there: the ``_confirm`` points, or
+    for a window screened at full resolution the points cell - 1 .. cell + 2,
+    clipped as ``_confirm`` clips.  Raises ZeroOrManyError naming every
+    window whose full-resolution subgrid does not show exactly one sign
+    change.
     """
     n_values = [int(n) for n in n_values]
     grid = np.array([np.linspace(n - 0.5, n + 0.5, LOCALIZE_SUBGRID) for n in n_values])
+    rows = np.arange(len(n_values))[:, None]
     coarse = min(steps, max(SCREEN_MIN_STEPS, math.ceil(grid.max() * HALF / SCREEN_SH)))
-    count, cell, f_lo, f_hi = _screen(spec, grid, coarse)
+    try:
+        F, count, cell = _screen(spec, grid, coarse)
+    except (DelayRangeError, ExprDomainError):
+        if coarse == steps:
+            raise
+        coarse = steps
+        F, count, cell = _screen(spec, grid, steps)
+    cols = _neighbourhood(cell, LOCALIZE_SUBGRID)
+    vals = F[rows, cols]
     if coarse < steps:
         single = np.nonzero(count == 1)[0]
         ok = np.zeros(len(n_values), dtype=bool)
         if single.size:
-            ok[single], cell[single], f_lo[single], f_hi[single] = _confirm(
-                spec, grid[single], cell[single], f_lo[single], f_hi[single], steps)
+            ok[single], vals[single] = _confirm(spec, grid[rows[single], cols[single]],
+                                                vals[single], steps)
         redo = np.nonzero(~ok)[0]
         if redo.size:
-            count[redo], cell[redo], f_lo[redo], f_hi[redo] = _screen(spec, grid[redo], steps)
+            F, count[redo], cell[redo] = _screen(spec, grid[redo], steps)
+            cols[redo] = _neighbourhood(cell[redo], LOCALIZE_SUBGRID)
+            vals[redo] = F[rows[:redo.size], cols[redo]]
     failed = {n: int(c) for n, c in zip(n_values, count) if c != 1}
     if failed:
         raise ZeroOrManyError(failed)
-    rows = np.arange(len(n_values))
-    return grid[rows, cell], grid[rows, cell + 1], f_lo, f_hi
+    return grid[rows, cols], vals
 
 
 def localize_range(spec: ProblemSpec, n_values, refine_tol: float = DEFAULT_REFINE_TOL,
@@ -347,8 +429,8 @@ def localize_range(spec: ProblemSpec, n_values, refine_tol: float = DEFAULT_REFI
         raise ValueError("refine_tol must be positive and finite")
     if not n_values:
         return []
-    lo, hi, f_lo, f_hi = _window_brackets(spec, n_values, steps)
-    lo, hi = _refine_brackets(spec, lo, hi, f_lo, f_hi, refine_tol, steps)
+    pts, vals = _window_brackets(spec, n_values, steps)
+    lo, hi = _refine_brackets(spec, pts, vals, refine_tol, steps)
     roots = 0.5 * (lo + hi)
     return _pairs_from_roots(spec, roots, n_values, steps)
 

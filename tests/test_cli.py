@@ -255,7 +255,8 @@ def test_expression_leaving_its_domain_is_config_error(tmp_path, capsys, key, ex
 @pytest.mark.parametrize("key, expr", [("q_left", "log(x)"),
                                        ("q_left", "1/x"),
                                        ("q_left", "exp(1000*x)"),
-                                       ("q_right", "sqrt(2 - x)")])
+                                       ("q_right", "sqrt(2 - x)"),
+                                       ("q_left", "1e200*exp(1000*(0.5 - x))")])
 def test_validate_reports_expression_leaving_its_domain(tmp_path, capsys, key, expr):
     cfg = write_config(tmp_path, problem={key: expr},
                        solver={"steps_per_segment": 64})
@@ -277,6 +278,19 @@ def test_delay_violation_is_config_error(tmp_path, capsys, command, delay, check
     assert f"[FAIL] {check}: " in captured.out + captured.err
     if command == "solve":
         assert captured.err.startswith(f"config error: problem: fails {check}")
+
+
+def test_delay_violation_seen_only_by_the_coarse_screen_is_no_error(tmp_path, capsys):
+    # x - Delta(x) < 0 only within 1e-6 of one node of the 265-step screening
+    # grid of n <= 50, which no grid that validate samples at 512 steps meets
+    cfg = write_config(tmp_path, problem={
+        "retard_left": "x*(1 + 1e-9 - 1e-3*abs(x - 0.04149273316061991))"},
+        solver={"steps_per_segment": 512}, range_={"n_min": 49, "n_max": 50})
+    out = tmp_path / "table.csv"
+    assert main(["validate", "--config", cfg]) == 0
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    assert [r["n"] for r in read_csv(out)] == ["49", "50"]
+    assert capsys.readouterr().err == ""
 
 
 def test_output_path_must_be_a_string(tmp_path, capsys):

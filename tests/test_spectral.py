@@ -208,9 +208,18 @@ def test_lambda_must_be_positive_and_finite(delayed_spec, entry, bad):
         calls[entry]()
 
 
+def bracket_of(pts, vals):
+    """lo, hi and F at both ends of the first sign-change cell of each row."""
+    pts, vals = np.asarray(pts), np.asarray(vals)
+    neg = vals <= 0.0
+    cell = (neg[:, :-1] != neg[:, 1:]).argmax(axis=1)
+    rows = np.arange(pts.shape[0])
+    return pts[rows, cell], pts[rows, cell + 1], vals[rows, cell], vals[rows, cell + 1]
+
+
 def test_refinement_below_one_ulp_keeps_its_bracket(null_spec, alarm):
-    f_lo, f_hi = char_fn_samples(null_spec, [2.5, 3.5], 256)
-    lo, hi = _refine_brackets(null_spec, [2.5], [3.5], [f_lo], [f_hi], 1e-17, 256)
+    F = char_fn_samples(null_spec, [2.5, 3.5], 256)
+    lo, hi = _refine_brackets(null_spec, [[2.5, 3.5]], [F], 1e-17, 256)
     F = char_fn_samples(null_spec, [lo[0], hi[0]], 256)
     assert (F[0] <= 0.0) != (F[1] <= 0.0)
     assert 0.0 < hi[0] - lo[0] <= 2.0 * np.spacing(lo[0])
@@ -225,8 +234,8 @@ def test_refinement_keeps_a_bracket_for_any_tolerance(null_spec, alarm, exponent
     # as floating point allows
     tol = 10.0 ** exponent
     lo0 = n - offset
-    f_lo, f_hi = char_fn_samples(null_spec, [lo0, lo0 + 1.0], 256)
-    lo, hi = _refine_brackets(null_spec, [lo0], [lo0 + 1.0], [f_lo], [f_hi], tol, 256)
+    F = char_fn_samples(null_spec, [lo0, lo0 + 1.0], 256)
+    lo, hi = _refine_brackets(null_spec, [[lo0, lo0 + 1.0]], [F], tol, 256)
     F = char_fn_samples(null_spec, [lo[0], hi[0]], 256)
     assert (F[0] <= 0.0) != (F[1] <= 0.0)
     assert lo0 <= lo[0] < hi[0] <= lo0 + 1.0
@@ -249,11 +258,12 @@ def counted_sampling(monkeypatch):
 def test_refinement_rounds_and_roots_against_bisection(delayed_spec, monkeypatch):
     n_values, tol, steps = range(5, 13), 1e-10, 512
     pairs = localize_range(delayed_spec, n_values, tol, steps)
-    lo, hi, f_lo, f_hi = _window_brackets(delayed_spec, n_values, steps)
+    pts, vals = _window_brackets(delayed_spec, n_values, steps)
     # every char_fn_samples call made inside _refine_brackets is one round
     calls = counted_sampling(monkeypatch)
-    _refine_brackets(delayed_spec, lo, hi, f_lo, f_hi, tol, steps)
+    _refine_brackets(delayed_spec, pts, vals, tol, steps)
     monkeypatch.undo()
+    lo, hi, f_lo, _ = bracket_of(pts, vals)
     assert len(calls) <= 4
     while np.max(hi - lo) >= tol:
         mid = 0.5 * (lo + hi)
@@ -272,30 +282,41 @@ def test_exact_zero_at_a_sample_is_a_sign_change(null_spec, monkeypatch):
     root = grid[20]
     monkeypatch.setattr(spectral, "char_fn_samples",
                         lambda spec, s_values, steps: root - np.asarray(s_values, dtype=float))
-    lo, hi, f_lo, f_hi = _window_brackets(null_spec, [5], 4096)
+    pts, vals = _window_brackets(null_spec, [5], 4096)
+    assert np.array_equal(pts, [grid[18:22]]) and np.array_equal(vals, root - pts)
+    lo, hi, f_lo, f_hi = bracket_of(pts, vals)
     assert (lo[0], hi[0], f_lo[0], f_hi[0]) == (grid[19], root, root - grid[19], 0.0)
-    lo, hi = _refine_brackets(null_spec, lo, hi, f_lo, f_hi, 1e-10, 4096)
+    lo, hi = _refine_brackets(null_spec, pts, vals, 1e-10, 4096)
     assert lo[0] <= root <= hi[0] < lo[0] + 1e-10
     pairs = scan_roots(null_spec, 4.5, 5.5, samples=spectral.LOCALIZE_SUBGRID, steps=256)
     assert [p.s for p in pairs] == pytest.approx([root], abs=1e-10)
 
 
-def full_resolution_brackets(spec, n_values, steps):
-    """Window brackets from screening every subgrid point at ``steps``."""
-    grid = [np.linspace(n - 0.5, n + 0.5, spectral.LOCALIZE_SUBGRID) for n in n_values]
-    F = spectral.char_fn_samples(spec, np.concatenate(grid), steps).reshape(len(grid), -1)
-    brackets, failed = [], {}
-    for n, s, row in zip(n_values, grid, F):
+def full_resolution_screen(spec, n_values, steps):
+    """Window subgrids, F on them at ``steps`` and per window the columns
+    cell - 1 .. cell + 2 (clipped) around its one sign-change cell."""
+    size = spectral.LOCALIZE_SUBGRID
+    grid = np.array([np.linspace(n - 0.5, n + 0.5, size) for n in n_values])
+    F = spectral.char_fn_samples(spec, grid.ravel(), steps).reshape(grid.shape)
+    cols, failed = [], {}
+    for n, row in zip(n_values, F):
         neg = row <= 0.0
         flips = np.nonzero(neg[:-1] != neg[1:])[0]
         if flips.shape[0] != 1:
             failed[n] = int(flips.shape[0])
             continue
         j = flips[0]
-        brackets.append((s[j], s[j + 1], row[j], row[j + 1]))
+        cols.append([max(j - 1, 0), j, j + 1, min(j + 2, size - 1)])
     if failed:
         raise ZeroOrManyError(failed)
-    return tuple(np.array(column) for column in zip(*brackets))
+    return grid, F, np.array(cols)
+
+
+def full_resolution_brackets(spec, n_values, steps):
+    """Window neighbourhoods from screening every subgrid point at ``steps``."""
+    grid, F, cols = full_resolution_screen(spec, n_values, steps)
+    rows = np.arange(len(n_values))[:, None]
+    return grid[rows, cols], F[rows, cols]
 
 
 def test_windows_the_coarse_screen_gets_wrong_are_screened_again(null_spec, monkeypatch):
@@ -323,7 +344,7 @@ def test_windows_the_coarse_screen_gets_wrong_are_screened_again(null_spec, monk
     for g, e in zip(got, expected):
         assert np.array_equal(g, e)
     # one coarse screen, then 4 confirmation points for windows 5 and 7 and
-    # a full screen of windows 7, 9 and 11
+    # a full screen of windows 7, 9 and 11; window 5 keeps its 4 points
     assert calls == [(256, 64), (8, steps), (192, steps)]
 
 
@@ -348,17 +369,23 @@ def screening_specs(draw):
        n_values=st.lists(st.integers(1, 12), min_size=1, max_size=12, unique=True).map(sorted))
 def test_coarse_screening_matches_full_resolution(alarm, spec, steps, n_values):
     # the coarse screen, its confirmation and its fallback give bitwise the
-    # brackets and F values of a full-resolution screen, or the same error
+    # brackets and F values of a full-resolution screen, or the same error;
+    # the four points around each bracket are consecutive subgrid points
+    # (clipped) with bitwise their full-resolution F
     try:
-        expected = full_resolution_brackets(spec, n_values, steps)
+        grid, F, cols = full_resolution_screen(spec, n_values, steps)
     except ZeroOrManyError as err:
         with pytest.raises(ZeroOrManyError) as got:
             _window_brackets(spec, n_values, steps)
         assert got.value.windows == err.windows
         return
-    got = _window_brackets(spec, n_values, steps)
-    for g, e in zip(got, expected):
+    pts, vals = _window_brackets(spec, n_values, steps)
+    rows = np.arange(len(n_values))[:, None]
+    for g, e in zip(bracket_of(pts, vals), bracket_of(grid[rows, cols], F[rows, cols])):
         assert np.array_equal(g, e)
+    at = np.array([np.searchsorted(row, p) for row, p in zip(grid, pts)])
+    assert np.array_equal(at, spectral._neighbourhood(at[:, 2] - 1, spectral.LOCALIZE_SUBGRID))
+    assert np.array_equal(pts, grid[rows, at]) and np.array_equal(vals, F[rows, at])
 
 
 def test_screening_confirms_with_four_columns_per_window(delayed_spec, monkeypatch):
@@ -377,3 +404,56 @@ def test_screening_at_most_the_coarse_steps_is_one_call(delayed_spec, monkeypatc
     calls = counted_sampling(monkeypatch)
     _window_brackets(delayed_spec, n_values, steps)
     assert calls == [(len(n_values) * spectral.LOCALIZE_SUBGRID, steps)]
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=screening_specs(), steps=st.integers(256, 1024), exponent=st.floats(-14.0, -4.0),
+       n_values=st.lists(st.integers(1, 12), min_size=1, max_size=6, unique=True).map(sorted))
+def test_seeded_refinement_never_takes_more_rounds(alarm, monkeypatch, spec, steps, exponent,
+                                                   n_values):
+    # from the four points around each window bracket, refinement ends with
+    # a sign-change bracket narrower than refine_tol (or one ulp wide) in no
+    # more rounds than from the two bracket points alone; below n = 4 a
+    # strong potential can leave a window so far from the asymptotic regime
+    # that the inverse cubic misses by more than its probes' spread, which
+    # costs one round
+    tol = 10.0 ** exponent
+    try:
+        pts, vals = _window_brackets(spec, n_values, steps)
+    except ZeroOrManyError:
+        return
+    a, b, f_a, f_b = bracket_of(pts, vals)
+    calls = counted_sampling(monkeypatch)
+    try:
+        lo, hi = _refine_brackets(spec, pts, vals, tol, steps)
+        seeded = len(calls)
+        calls.clear()
+        _refine_brackets(spec, np.stack([a, b], axis=1), np.stack([f_a, f_b], axis=1),
+                         tol, steps)
+        plain = len(calls)
+    finally:
+        monkeypatch.undo()
+    assert seeded <= plain + (n_values[0] < 4)
+    F = char_fn_samples(spec, np.concatenate([lo, hi]), steps).reshape(2, -1)
+    assert np.all((F[0] <= 0.0) != (F[1] <= 0.0))
+    assert np.all((a <= lo) & (lo < hi) & (hi <= b))
+    assert np.all((hi - lo < tol) | (hi - lo <= 2.0 * np.spacing(lo)))
+
+
+@pytest.mark.parametrize("n", [5, 50])
+def test_localization_refines_in_two_sweeps_after_the_confirmation(delayed_spec, monkeypatch,
+                                                                    n):
+    # the confirmation's four values seed refinement, which then needs two
+    # rounds where the regula-falsi start needed three
+    calls = counted_sampling(monkeypatch)
+    localize_near_n(delayed_spec, n, steps=4096)
+    assert calls[1:] == [(4, 4096), (2, 4096), (2, 4096)]
+
+
+def test_localize_range_sweeps_three_times_at_full_resolution(delayed_spec, monkeypatch):
+    n_values = range(5, 51)
+    calls = counted_sampling(monkeypatch)
+    localize_range(delayed_spec, n_values, steps=4096)
+    assert calls[0] == (len(n_values) * spectral.LOCALIZE_SUBGRID, 265)
+    assert [steps for _, steps in calls[1:]] == [4096] * 3
