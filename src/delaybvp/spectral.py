@@ -236,16 +236,16 @@ def _refine_brackets(spec: ProblemSpec, pts, vals, refine_tol: float, steps: int
     windows; if F is not strictly monotone across the points (a clipped
     repeat included) or that root is not strictly inside the bracket, the
     round starts at the regula-falsi point.  A bracket that the previous
-    round did not halve is also probed at its midpoint, so two rounds at
-    least halve it: at worst twice bisection's round count.  So is one
-    whose probes beside x both fall outside it, as beside an end.  Probes that
-    are not strictly inside their bracket are dropped; all others go
-    through one batched sweep, and each bracket becomes the first
-    subinterval of its sorted points with a sign change, so the bracket
-    invariant holds exactly as in bisection and a poor start costs rounds,
-    never a wrong root.  A round that changes no bracket ends the loop:
-    the brackets are then as narrow as floating point allows, which is
-    wider than a ``refine_tol`` below one ulp of the root.
+    round did not halve, or whose probes beside x both fall outside it, is
+    also probed at its midpoint, so two rounds at least halve it: at worst
+    twice bisection's round count.  Probes that are not strictly inside
+    their bracket are dropped; all others go through one batched sweep, and
+    each bracket becomes the first subinterval of its sorted points with a
+    sign change, so the bracket invariant holds exactly as in bisection and
+    a poor start costs rounds, never a wrong root.  A round that changes no
+    bracket ends the loop: the brackets are then as narrow as floating
+    point allows, which is wider than a ``refine_tol`` below one ulp of the
+    root.
     """
     pts, vals = np.array(pts, dtype=float), np.array(vals, dtype=float)
     rows = np.arange(pts.shape[0])
@@ -405,7 +405,7 @@ def _window_brackets(spec: ProblemSpec, n_values, steps: int):
         if redo.size:
             F, count[redo], cell[redo] = _screen(spec, grid[redo], steps)
             cols[redo] = _neighbourhood(cell[redo], LOCALIZE_SUBGRID)
-            vals[redo] = F[rows[:redo.size], cols[redo]]
+            vals[redo] = F[np.arange(redo.size)[:, None], cols[redo]]
     failed = {n: int(c) for n, c in zip(n_values, count) if c != 1}
     if failed:
         raise ZeroOrManyError(failed)
