@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from delaybvp import asymptotics, dde_solver, picard, spectral
 from delaybvp.problem import Case1RequiredError, HALF, ProblemSpec
@@ -120,6 +120,17 @@ def test_zero_or_many_names_every_failing_window():
     assert (err.value.n, err.value.count) == (1, 0)
     assert "[0.5, 1.5] (n = 1)" in str(err.value)
     assert "[1.5, 2.5] (n = 2)" in str(err.value)
+
+
+def test_scan_refines_roots_in_adjacent_cells_once_each(null_spec, monkeypatch):
+    # a synthetic F with sign changes in three consecutive cells of the scan
+    # grid: each neighbourhood keeps only its own cell's sign change
+    roots = [1.25, 1.35, 1.45]
+    monkeypatch.setattr(spectral, "char_fn_samples",
+                        lambda spec, s_values, steps: -np.prod(
+                            [np.asarray(s_values, dtype=float) - r for r in roots], axis=0))
+    pairs = scan_roots(null_spec, 1.0, 2.0, samples=11, steps=64)
+    assert [p.s for p in pairs] == pytest.approx(roots, abs=1e-10)
 
 
 def test_counting_thirty_windows(null_spec):
@@ -410,6 +421,11 @@ def test_screening_at_most_the_coarse_steps_is_one_call(delayed_spec, monkeypatc
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(spec=screening_specs(), steps=st.integers(256, 1024), exponent=st.floats(-14.0, -4.0),
        n_values=st.lists(st.integers(1, 12), min_size=1, max_size=6, unique=True).map(sorted))
+# a probe one ulp short of the root leaves it within rounding of a bracket
+# end; a midpoint in place of the regula-falsi point there bisects, in 20
+# rounds where 4 do
+@example(spec=spec_of("(4.0) + (4.0)*sin(2*x)", "(4.0) + (4.0)*sin(2*x)", "(0.0)*x*(pi/2 - x)"),
+         steps=1024, exponent=-14.0, n_values=[11])
 def test_seeded_refinement_never_takes_more_rounds(alarm, monkeypatch, spec, steps, exponent,
                                                    n_values):
     # from the four points around each window bracket, refinement ends with
