@@ -10,8 +10,9 @@ retardation integrals
 
 namely  s_n = n + (cot(beta) - cot(alpha) - L(pi, n)) / (n pi) + O(1/n^2).
 K and L at any set of points x come from one cumulative Simpson pass per
-subinterval, read between quadrature nodes by cubic Hermite interpolation,
-so a whole eigenfunction profile costs the same as a single point.
+subinterval over the integrator's node samples of q and Delta, read between
+the nodes by cubic Hermite interpolation, so a whole eigenfunction profile
+costs the same as a single point.
 Matching refined eigenfunction forms exist on both subintervals; on the
 right interval the printed inner correction carries a 1/(n^(5/3) pi)
 scaling that looks inconsistent with the structurally parallel left form
@@ -34,9 +35,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .problem import (HALF, Case1RequiredError, ProblemSpec,
-                      check_refined_conditions, is_case1, q_norms)
-from .quadrature import cumulative_simpson, hermite, odd_point_count
+from .problem import (DEFAULT_STEPS, HALF, Case1RequiredError, ProblemSpec,
+                      check_refined_conditions, coefficient_samples, is_case1, q_norms)
+from .quadrature import cumulative_simpson, hermite
 from .spectral import Eigenpair
 
 __all__ = [
@@ -53,7 +54,6 @@ __all__ = [
     "verify_rates",
 ]
 
-DEFAULT_QUAD = 4097
 # fit-exclusion floors: residuals below these are measurement noise, not
 # signal, and would flatten or invert the slope fits.  Root locations are
 # good to ~1e-8 at the default 4096-step resolution (integrator phase error
@@ -72,6 +72,7 @@ EIGFN_REFINED_SLOPE_MAX = -1.7
 OSC_DECAY_SLOPE_MAX = -0.8
 DRIFT_RATIO_MAX = 1.5
 AMP_REL_ERR_MAX = 0.2
+OSC_S_VALUES = (10.0, 20.0, 40.0, 80.0)  # s of the oscillatory integral's decay fit
 
 
 class DegenerateNormError(ValueError):
@@ -158,27 +159,22 @@ class RateReport:
                 and self.osc_fit.ok(OSC_DECAY_SLOPE_MAX))
 
 
-def kl_integrals(spec: ProblemSpec, x, s: float, quadrature_points: int = DEFAULT_QUAD):
+def kl_integrals(spec: ProblemSpec, x, s: float, steps: int = DEFAULT_STEPS):
     """The retardation integrals (K(x, s), L(x, s)) for x in (0, pi], scalar
-    or array: one cumulative Simpson pass per subinterval, with that side's
-    coefficient expressions, gives them at the nodes, and between nodes they
-    are the cubic Hermite interpolant with the integrands as slopes.  Any x
-    gets the same value alone or in any array."""
+    or array: one cumulative Simpson pass per subinterval over that side's
+    ``coefficient_samples`` at ``steps`` steps gives them at the integrator's
+    nodes, and between nodes they are the cubic Hermite interpolant with the
+    integrands as slopes.  Any x gets the same value alone or in any array."""
     scalar = np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all((xs > 0.0) & (xs <= math.pi)):
         raise ValueError("x must lie in (0, pi]")
-    pts = odd_point_count(quadrature_points)
     right = xs > HALF
     kl = np.empty((2,) + xs.shape)
     offset = np.zeros(2)
-    for q_expr, d_expr, a, b, side in (
-            (spec.q_left, spec.retard_left, 0.0, HALF, ~right),
-            (spec.q_right, spec.retard_right, HALF, math.pi, right)):
-        nodes = np.linspace(a, b, pts)
+    for samples, side in zip(coefficient_samples(spec, steps), (~right, right)):
+        nodes, q, d = samples.nodes, samples.q[0], samples.delta[0]
         h = float(nodes[1] - nodes[0])
-        q = np.asarray(q_expr.eval(nodes), dtype=float)
-        d = np.asarray(d_expr.eval(nodes), dtype=float)
         for c, integrand in enumerate((q * np.sin(s * d), q * np.cos(s * d))):
             running = cumulative_simpson(integrand, h)
             kl[c, side] = offset[c] + hermite(nodes, running, integrand, xs[side])
@@ -192,7 +188,7 @@ def _refined_available(spec: ProblemSpec) -> bool:
     return check_refined_conditions(spec).passed
 
 
-def predict_s(spec: ProblemSpec, n: int, quadrature_points: int = DEFAULT_QUAD,
+def predict_s(spec: ProblemSpec, n: int, steps: int = DEFAULT_STEPS,
               refined: bool = True) -> AsymptoticEstimate:
     """Asymptotic root estimate for index n.
 
@@ -207,7 +203,7 @@ def predict_s(spec: ProblemSpec, n: int, quadrature_points: int = DEFAULT_QUAD,
     if refined and not case1:
         raise Case1RequiredError(
             "refined estimate needs sin(alpha) != 0 and sin(beta) != 0")
-    k_pi, l_pi = kl_integrals(spec, math.pi, float(n), quadrature_points)
+    k_pi, l_pi = kl_integrals(spec, math.pi, float(n), steps)
     s_refined = None
     if case1 and _refined_available(spec):
         correction = (1.0 / math.tan(spec.beta)) - (1.0 / math.tan(spec.alpha)) - l_pi
@@ -224,11 +220,11 @@ def _refined_inner(spec: ProblemSpec, n: int, x, l_pi: float, k_x, l_x, scaling:
     return np.cos(n * x) * (1.0 + k_x / n) - (np.sin(n * x) / scaling) * bracket
 
 
-def _kl_profile(spec: ProblemSpec, n: int, xs: np.ndarray, quadrature_points: int):
+def _kl_profile(spec: ProblemSpec, n: int, xs: np.ndarray, steps: int):
     """L(pi, n) and the arrays K(x, n), L(x, n) over xs (zero at x = 0),
     the retardation integrals every refined eigenfunction form needs."""
     nonzero = xs != 0.0
-    k, l = kl_integrals(spec, np.append(xs[nonzero], math.pi), float(n), quadrature_points)
+    k, l = kl_integrals(spec, np.append(xs[nonzero], math.pi), float(n), steps)
     k_x, l_x = np.zeros((2,) + xs.shape)
     k_x[nonzero], l_x[nonzero] = k[:-1], l[:-1]
     return l[-1], k_x, l_x
@@ -240,7 +236,7 @@ def _right_amplitude(spec: ProblemSpec, n: int) -> float:
 
 
 def predict_eigenfunction(spec: ProblemSpec, n: int, x, order: str = "leading",
-                          quadrature_points: int = DEFAULT_QUAD):
+                          steps: int = DEFAULT_STEPS):
     """Asymptotic eigenfunction value(s) at x, omitting the remainder.
 
     ``order`` selects the leading form (pure cosine with the n^(-2/3)/delta
@@ -274,7 +270,7 @@ def predict_eigenfunction(spec: ProblemSpec, n: int, x, order: str = "leading",
     if not _refined_available(spec):
         raise Case1RequiredError(
             "refined eigenfunctions need the smoothness/retardation conditions")
-    l_pi, k_x, l_x = _kl_profile(spec, n, xs, quadrature_points)
+    l_pi, k_x, l_x = _kl_profile(spec, n, xs, steps)
     out[left] = sin_a * _refined_inner(
         spec, n, xs[left], l_pi, k_x[left], l_x[left], scaling=n * math.pi)
     # right interval as printed: the inner sine term scaled by n^(5/3) pi
@@ -285,7 +281,7 @@ def predict_eigenfunction(spec: ProblemSpec, n: int, x, order: str = "leading",
 
 
 def apriori_bounds(spec: ProblemSpec, lam: float,
-                  quadrature_points: int = DEFAULT_QUAD) -> AprioriBounds:
+                   steps: int = DEFAULT_STEPS) -> AprioriBounds:
     """A-priori sup bounds for |w1|, |w2| and |w1'|/s^(5/3).
 
     The bound values depend only on q1 and the angles (the |w2| bound keeps
@@ -295,7 +291,7 @@ def apriori_bounds(spec: ProblemSpec, lam: float,
     """
     if not (lam > 0.0 and math.isfinite(lam)):
         raise ValueError("lambda must be positive and finite")
-    norms = q_norms(spec, quadrature_points)
+    norms = q_norms(spec, steps)
     q1, q2 = norms.q1, norms.q2
     if q1 == 0.0:
         raise DegenerateNormError("bounds need q1 > 0")
@@ -315,17 +311,12 @@ def apriori_bounds(spec: ProblemSpec, lam: float,
     )
 
 
-def oscillatory_q_integral(spec: ProblemSpec, s: float, x: float = HALF,
-                           quadrature_points: int = DEFAULT_QUAD) -> float:
-    """integral_0^x q(t) cos(s (2t - Delta(t))) dt, the oscillatory integral
-    whose O(1/s) decay underpins the refined formulas."""
-    if not 0.0 < x <= HALF:
-        raise ValueError("x must lie in (0, pi/2]")
-    pts = odd_point_count(quadrature_points)
-    xs = np.linspace(0.0, x, pts)
+def oscillatory_q_integral(spec: ProblemSpec, s: float, steps: int = DEFAULT_STEPS) -> float:
+    """integral_0^(pi/2) q(t) cos(s (2t - Delta(t))) dt over the left node samples,
+    the oscillatory integral whose O(1/s) decay underpins the refined formulas."""
+    left = coefficient_samples(spec, steps)[0]
+    xs, q, d = left.nodes, left.q[0], left.delta[0]
     h = float(xs[1] - xs[0])
-    q = np.asarray(spec.q_left.eval(xs), dtype=float)
-    d = np.asarray(spec.retard_left.eval(xs), dtype=float)
     return float(cumulative_simpson(q * np.cos(s * (2.0 * xs - d)), h)[-1])
 
 
@@ -341,9 +332,8 @@ def _fit_slope(n_values, residuals, floor: float = RESIDUAL_FLOOR) -> SlopeFit:
 
 def verify_rates(spec: ProblemSpec, pairs: list[Eigenpair],
                  estimates: list[AsymptoticEstimate],
-                 quadrature_points: int = DEFAULT_QUAD,
-                 eigfn_samples: int = 257,
-                 osc_s_values=(10.0, 20.0, 40.0, 80.0)) -> RateReport:
+                 steps: int = DEFAULT_STEPS,
+                 eigfn_samples: int = 257) -> RateReport:
     """Measure the remainder orders of every asymptotic claim at once.
 
     Checks, over the supplied indices: boundedness of n^(1/3) |s_n - n|
@@ -392,12 +382,12 @@ def verify_rates(spec: ProblemSpec, pairs: list[Eigenpair],
         u_left = pair.left.eval(xs_left)
         u_right = pair.right.eval(xs_right)
         lead_err[k] = np.max(np.abs(
-            u_left - predict_eigenfunction(spec, n, xs_left, "leading", quadrature_points)))
+            u_left - predict_eigenfunction(spec, n, xs_left, "leading", steps)))
         ref_err[k] = np.max(np.abs(
-            u_left - predict_eigenfunction(spec, n, xs_left, "refined", quadrature_points)))
+            u_left - predict_eigenfunction(spec, n, xs_left, "refined", steps)))
         # one K/L profile serves the inner scaling as printed, 1/(n^(5/3) pi),
         # and the 1/(n pi) variant that parallels the left interval
-        l_pi, k_x, l_x = _kl_profile(spec, n, xs_right, quadrature_points)
+        l_pi, k_x, l_x = _kl_profile(spec, n, xs_right, steps)
         for errs, scaling in ((right_err_printed, (n ** (5.0 / 3.0)) * math.pi),
                               (right_err_alt, n * math.pi)):
             errs[k] = np.max(np.abs(u_right - _right_amplitude(spec, n) * _refined_inner(
@@ -410,9 +400,8 @@ def verify_rates(spec: ProblemSpec, pairs: list[Eigenpair],
     amp_expected = n_top ** (-2.0 / 3.0) / abs(spec.coupling)
     amp_rel_err = abs(amp_ratio - amp_expected) / amp_expected
 
-    osc_vals = np.array([abs(oscillatory_q_integral(spec, s, HALF, quadrature_points))
-                         for s in osc_s_values])
-    osc_fit = _fit_slope(np.asarray(osc_s_values, dtype=float), osc_vals)
+    osc_vals = np.array([abs(oscillatory_q_integral(spec, s, steps)) for s in OSC_S_VALUES])
+    osc_fit = _fit_slope(np.asarray(OSC_S_VALUES), osc_vals)
 
     return RateReport(
         indices=tuple(indices),
@@ -430,7 +419,7 @@ def verify_rates(spec: ProblemSpec, pairs: list[Eigenpair],
         amp_ratio=amp_ratio,
         amp_ratio_expected=amp_expected,
         amp_rel_err=float(amp_rel_err),
-        osc_s=tuple(float(s) for s in osc_s_values),
+        osc_s=OSC_S_VALUES,
         osc_values=tuple(float(v) for v in osc_vals),
         osc_fit=osc_fit,
     )

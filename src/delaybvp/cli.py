@@ -41,7 +41,6 @@ class ConfigError(ValueError):
 class SolverSettings:
     steps_per_segment: int = dde_solver.DEFAULT_STEPS
     refine_tol: float = spectral.DEFAULT_REFINE_TOL
-    quadrature_points: int = asymptotics.DEFAULT_QUAD
 
 
 @dataclass(frozen=True)
@@ -53,6 +52,27 @@ class RunConfig:
     out_format: str
     out_path: str | None
     x_samples: int
+
+
+# every key a config may hold: the sections and the keys of each
+_KEYS = {
+    "problem": ("q_left", "q_right", "retard_left", "retard_right", "alpha", "beta", "coupling"),
+    "solver": ("steps_per_segment", "refine_tol"),
+    "range": ("n_min", "n_max", "s_min", "s_max", "samples"),
+    "output": ("format", "path"),
+    "grid": ("x_samples",),
+}
+
+
+def _section(doc: dict, name: str, required: bool = False) -> dict:
+    """``doc[name]``, an object holding no key that ``_KEYS`` omits."""
+    section = doc.get(name, None if required else {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name}: {'section missing' if required else 'expected an object'}")
+    for key in section:
+        if key not in _KEYS[name]:
+            raise ConfigError(f"{name}.{key}: unknown key")
+    return section
 
 
 def _angle(raw, key: str) -> float:
@@ -113,10 +133,11 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("top level: expected a JSON object")
+    for key in doc:
+        if key not in _KEYS:
+            raise ConfigError(f"{key}: unknown key")
 
-    prob = doc.get("problem")
-    if not isinstance(prob, dict):
-        raise ConfigError("problem: section missing")
+    prob = _section(doc, "problem", required=True)
     try:
         spec = ProblemSpec.from_strings(
             q_left=_expr_field(prob, "q_left"),
@@ -127,28 +148,19 @@ def load_config(path: str) -> RunConfig:
             beta=_angle(prob.get("beta"), "beta"),
             coupling=_angle(prob.get("coupling"), "coupling"),
         )
-    except ExprError as exc:
-        raise ConfigError(f"problem: {exc}") from exc
-    except ValueError as exc:
+    except (ExprError, ValueError) as exc:
         raise ConfigError(f"problem: {exc}") from exc
 
-    sol = doc.get("solver", {})
-    if not isinstance(sol, dict):
-        raise ConfigError("solver: expected an object")
-    # upper bounds keep one lambda column of a sweep (2 x 65537 x 8 B) and
-    # one K/L sample array (2^20 + 1 points) near 1 MiB and 8 MiB
+    sol = _section(doc, "solver")
+    # the upper bound keeps one lambda column of a sweep (2 x 65537 x 8 B) near 1 MiB
     settings = SolverSettings(
         steps_per_segment=_integer(sol.get("steps_per_segment", dde_solver.DEFAULT_STEPS),
                                    "solver.steps_per_segment", minimum=2, maximum=65536),
         refine_tol=_positive(sol.get("refine_tol", spectral.DEFAULT_REFINE_TOL),
                              "solver.refine_tol"),
-        quadrature_points=_integer(sol.get("quadrature_points", asymptotics.DEFAULT_QUAD),
-                                   "solver.quadrature_points", minimum=3, maximum=1048577),
     )
 
-    rng = doc.get("range")
-    if not isinstance(rng, dict):
-        raise ConfigError("range: section missing")
+    rng = _section(doc, "range", required=True)
     n_range = None
     s_range = None
     if "n_min" in rng or "n_max" in rng:
@@ -169,15 +181,11 @@ def load_config(path: str) -> RunConfig:
     else:
         raise ConfigError("range: need n_min/n_max or s_min/s_max/samples")
 
-    out = doc.get("output", {})
-    if not isinstance(out, dict):
-        raise ConfigError("output: expected an object")
+    out = _section(doc, "output")
     fmt = out.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError("output.format: expected 'csv' or 'json'")
-    grid = doc.get("grid", {})
-    if not isinstance(grid, dict):
-        raise ConfigError("grid: expected an object")
+    grid = _section(doc, "grid")
     x_samples = _integer(grid.get("x_samples", 201), "grid.x_samples")
     out_path = out.get("path")
     if out_path is not None and not isinstance(out_path, str):
@@ -283,10 +291,9 @@ def cmd_eigfn(cfg: RunConfig, n: int | None, out_path: str | None, fmt: str) -> 
     u = np.empty_like(xs)
     u[left] = pair.left.eval(xs[left])
     u[~left] = pair.right.eval(xs[~left])
-    u_lead = asymptotics.predict_eigenfunction(cfg.problem, n, xs, "leading",
-                                               cfg.solver.quadrature_points)
-    u_ref = asymptotics.predict_eigenfunction(cfg.problem, n, xs, "refined",
-                                              cfg.solver.quadrature_points)
+    steps = cfg.solver.steps_per_segment
+    u_lead = asymptotics.predict_eigenfunction(cfg.problem, n, xs, "leading", steps)
+    u_ref = asymptotics.predict_eigenfunction(cfg.problem, n, xs, "refined", steps)
     rows = [(float(x), float(uv), float(ul), float(ur),
              float(abs(uv - ul)), float(abs(uv - ur)))
             for x, uv, ul, ur in zip(xs, u, u_lead, u_ref)]
@@ -310,12 +317,10 @@ def cmd_verify(cfg: RunConfig, out_path: str | None, fmt: str) -> int:
         print(f"verify needs at least 8 indices; n range [{n_min}, {n_max}] "
               f"supplies {len(indices)} (widen range.n_max)", file=sys.stderr)
         raise SystemExit(EXIT_CONFIG)
-    pairs = spectral.localize_range(cfg.problem, indices, cfg.solver.refine_tol,
-                                    cfg.solver.steps_per_segment)
-    estimates = [asymptotics.predict_s(cfg.problem, n, cfg.solver.quadrature_points)
-                 for n in indices]
-    report = asymptotics.verify_rates(cfg.problem, pairs, estimates,
-                                      cfg.solver.quadrature_points)
+    steps = cfg.solver.steps_per_segment
+    pairs = spectral.localize_range(cfg.problem, indices, cfg.solver.refine_tol, steps)
+    estimates = [asymptotics.predict_s(cfg.problem, n, steps) for n in indices]
+    report = asymptotics.verify_rates(cfg.problem, pairs, estimates, steps)
 
     table = [{"n": n, "s_n": s, "s_refined": r,
               "abs_residual": abs(s - r), "drift": d}
@@ -438,7 +443,7 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command]()
     except (ConfigError, ExprDomainError) as exc:
-        # an expression can leave its domain on a grid validate does not sample
+        # validate samples q and Delta where the commands do; a domain error is a config error
         where = "problem: " if isinstance(exc, ExprDomainError) else ""
         print(f"config error: {where}{exc}", file=sys.stderr)
         return EXIT_CONFIG

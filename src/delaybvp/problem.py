@@ -19,8 +19,9 @@ The coefficient q and the retardation Delta are given per subinterval as
 expression trees.  Instances are immutable; every operation here is a pure
 read of the instance.
 
-``segment_samples`` is the one place where q and Delta are read on the
-integrator's grid; ``validate`` and the integrator both take its checks.
+``segment_samples`` is the one sampler of q and Delta but for the Picard
+oracle's grid: ``validate`` and the integrator take its checks, and
+``coefficient_samples`` gives its node samples to the q norms and to K/L.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import exprlang
 from .exprlang import Expr, ExprDomainError
-from .quadrature import cumulative_simpson, odd_point_count
+from .quadrature import cumulative_simpson
 
 __all__ = [
     "HALF",
@@ -45,6 +46,7 @@ __all__ = [
     "Case1RequiredError",
     "DelayRangeError",
     "segment_samples",
+    "coefficient_samples",
     "validate",
     "check_refined_conditions",
     "q_norms",
@@ -313,18 +315,19 @@ def check_refined_conditions(spec: ProblemSpec) -> ConditionReport:
     return ConditionReport(tuple(checks), case1=case1)
 
 
-@lru_cache(maxsize=64)
-def _q_norms_cached(spec: ProblemSpec, quadrature_points: int) -> QNorms:
-    n = odd_point_count(quadrature_points)
-    left = np.linspace(0.0, HALF, n)
-    right = np.linspace(HALF, math.pi, n)
-    q1 = cumulative_simpson(np.abs(np.asarray(spec.q_left.eval(left), dtype=float)),
-                            float(left[1] - left[0]))[-1]
-    q2 = cumulative_simpson(np.abs(np.asarray(spec.q_right.eval(right), dtype=float)),
-                            float(right[1] - right[0]))[-1]
+def coefficient_samples(spec: ProblemSpec, steps: int = DEFAULT_STEPS) -> tuple:
+    """Both subintervals' ``segment_samples`` at ``steps`` steps, for
+    quadrature: a side whose q or Delta left its domain raises that
+    ``ExprDomainError`` afresh; a failed delay rule does not stop quadrature."""
+    sides = _spec_samples(spec, steps)
+    for s in sides:
+        if s.delta is None:
+            raise s.error.with_traceback(None)
+    return sides
+
+
+def q_norms(spec: ProblemSpec, steps: int = DEFAULT_STEPS) -> QNorms:
+    """Composite-Simpson integrals of |q| over each subinterval's nodes at ``steps`` steps."""
+    q1, q2 = (cumulative_simpson(np.abs(s.q[0]), float(s.nodes[1] - s.nodes[0]))[-1]
+              for s in coefficient_samples(spec, steps))
     return QNorms(q1=float(q1), q2=float(q2))
-
-
-def q_norms(spec: ProblemSpec, quadrature_points: int = 4097) -> QNorms:
-    """Composite-Simpson integrals of |q| over each subinterval."""
-    return _q_norms_cached(spec, int(quadrature_points))

@@ -445,25 +445,25 @@ def simplicity_certificates(spec: ProblemSpec, pairs: list[Eigenpair], h: float 
                             steps: int = dde_solver.DEFAULT_STEPS) -> list[SimplicityCertificate]:
     """Transversality checks for a batch of eigenpairs (one shared sweep).
 
-    dF/dlambda is estimated by a central difference with step h (in lambda);
-    a certificate passes when the slope clears 10x the refinement residual
-    over h, and is marked unreliable for h > 1.
+    dF/dlambda is estimated by a central difference with step min(h,
+    lambda/2) in lambda, the certificate's ``h``; a certificate passes when
+    the slope clears 10x the refinement residual over its step, and is
+    marked unreliable for a step above 1.
     """
     if not 0.0 < h < math.inf:
         raise ValueError("h must be positive and finite")
-    if any(p.lam <= h for p in pairs):
-        raise ValueError("h must be smaller than every eigenvalue")
     if not pairs:
         return []
-    lams = np.array([[p.lam - h, p.lam + h] for p in pairs])
+    deltas = [min(h, 0.5 * p.lam) for p in pairs]
+    lams = np.array([[p.lam - d, p.lam + d] for p, d in zip(pairs, deltas)])
     F = char_fn_samples(spec, np.sqrt(lams.ravel()), steps).reshape(-1, 2)
     out = []
-    for pair, (f_lo, f_hi) in zip(pairs, F):
-        slope = float((f_hi - f_lo) / (2.0 * h))
-        threshold = 10.0 * abs(pair.F_residual) / h
+    for pair, d, (f_lo, f_hi) in zip(pairs, deltas, F):
+        slope = float((f_hi - f_lo) / (2.0 * d))
+        threshold = 10.0 * abs(pair.F_residual) / d
         out.append(SimplicityCertificate(
-            dF_dlambda=slope, residual=pair.F_residual, threshold=threshold, h=h,
-            passed=bool(abs(slope) > threshold), reliable=bool(h <= 1.0)))
+            dF_dlambda=slope, residual=pair.F_residual, threshold=threshold, h=d,
+            passed=bool(abs(slope) > threshold), reliable=bool(d <= 1.0)))
     return out
 
 

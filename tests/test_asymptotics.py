@@ -9,7 +9,9 @@ from delaybvp.asymptotics import (DegenerateNormError, InsufficientRangeError,
                                   kl_integrals, apriori_bounds,
                                   oscillatory_q_integral, predict_s,
                                   predict_eigenfunction, verify_rates)
+from delaybvp.exprlang import ExprDomainError
 from delaybvp.problem import Case1RequiredError, HALF, ProblemSpec, q_norms
+from delaybvp.quadrature import cumulative_simpson, hermite
 from delaybvp.spectral import localize_range
 
 PI = math.pi
@@ -72,6 +74,40 @@ def test_kl_domain():
         kl_integrals(spec_of(), 0.0, 1.0)
     with pytest.raises(ValueError):
         kl_integrals(spec_of(), PI + 0.1, 1.0)
+
+
+def test_quadrature_reads_the_integrators_node_samples(delayed_spec):
+    # K/L, the oscillatory integral and the q norms integrate q and Delta as
+    # the integrator samples them at 4096 steps: the same bits as evaluating
+    # the expressions directly on linspace(a, b, 4097) and integrating there
+    spec, xs, s = delayed_spec, np.array([0.3, HALF, 2.0, PI]), 7.5
+    kl_ref = np.empty((2, xs.size))
+    offset = np.zeros(2)
+    norms = []
+    for q_expr, d_expr, a, b, side in (
+            (spec.q_left, spec.retard_left, 0.0, HALF, xs <= HALF),
+            (spec.q_right, spec.retard_right, HALF, PI, xs > HALF)):
+        nodes = np.linspace(a, b, 4097)
+        h = float(nodes[1] - nodes[0])
+        q, d = q_expr.eval(nodes), d_expr.eval(nodes)
+        norms.append(float(cumulative_simpson(np.abs(q), h)[-1]))
+        if a == 0.0:
+            osc_ref = float(cumulative_simpson(q * np.cos(s * (2.0 * nodes - d)), h)[-1])
+        for c, integrand in enumerate((q * np.sin(s * d), q * np.cos(s * d))):
+            running = cumulative_simpson(integrand, h)
+            kl_ref[c, side] = offset[c] + hermite(nodes, running, integrand, xs[side])
+            offset[c] += running[-1]
+    k, l = kl_integrals(spec, xs, s)
+    assert np.array_equal(np.stack([k, l]), 0.5 * kl_ref)
+    assert oscillatory_q_integral(spec, s) == osc_ref
+    assert (q_norms(spec).q1, q_norms(spec).q2) == tuple(norms)
+
+
+def test_kl_raises_where_q_overflows():
+    # no numpy warning and no non-finite K/L: the sampler names the first x
+    spec = spec_of(q_l="1e200*exp(1000*(0.5 - x))")
+    with pytest.raises(ExprDomainError, match=r"non-finite value .* at x = 0\.0$"):
+        kl_integrals(spec, PI, 5.0)
 
 
 # --- eigenvalue predictions ---------------------------------------------------

@@ -216,13 +216,9 @@ def test_refine_tol_below_one_ulp_terminates(tmp_path, alarm):
                                         ("steps_per_segment", 1),
                                         ("steps_per_segment", True),
                                         ("steps_per_segment", 256.9),
-                                        ("quadrature_points", 1),
-                                        ("quadrature_points", 2),
-                                        ("quadrature_points", True),
-                                        # upper bounds, checked before any
+                                        # upper bound, checked before any
                                         # table is allocated
                                         ("steps_per_segment", 65537),
-                                        ("quadrature_points", 1048578),
                                         # float keys: no bools either
                                         ("refine_tol", True),
                                         ("range.s_min", True),
@@ -237,6 +233,41 @@ def test_non_finite_solver_setting_rejected(tmp_path, capsys, key, value):
         key = f"solver.{key}"
     assert main(["solve", "--config", cfg]) == 1
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("solver.refine_tl", 1e-3),
+                                        ("ouput", {"format": "json"}),
+                                        ("problem.q_lft", "0"),
+                                        ("range.n_mx", 5),
+                                        ("output.fromat", "json"),
+                                        ("grid.x_sample", 11),
+                                        # the K/L grid follows steps_per_segment
+                                        ("solver.quadrature_points", 4097),
+                                        ("solver.quadrature_points", 1),
+                                        ("solver.quadrature_points", 2),
+                                        ("solver.quadrature_points", True),
+                                        ("solver.quadrature_points", 1048578)])
+def test_unknown_config_key_rejected(tmp_path, capsys, key, value):
+    section, _, name = key.rpartition(".")
+    doc = {"problem": dict(BASE_PROBLEM), "range": {"n_min": 1, "n_max": 3}}
+    (doc.setdefault(section, {}) if section else doc)[name] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"config error: {key}: unknown key\n"
+
+
+def test_eigenvalue_below_the_certificate_step_is_certified(tmp_path):
+    # the root near s = 0.0203 has lambda ~ 4.1e-4, below the default
+    # lambda step 1e-3 of the simplicity certificate
+    cfg = write_config(tmp_path, problem={"beta": 1.5695},
+                       solver={"steps_per_segment": 512},
+                       range_={"s_min": 0.01, "s_max": 0.05, "samples": 11})
+    out = tmp_path / "table.csv"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    rows = read_csv(out)
+    assert len(rows) == 1 and abs(float(rows[0]["s_n"]) - 0.0203) < 1e-4
+    assert rows[0]["simplicity_ok"] == "true"
 
 
 @pytest.mark.parametrize("key, expr", [("q_left", "log(x)"),
