@@ -9,10 +9,10 @@ retardation integrals
     L(x, s) = 1/2 * integral_0^x q(t) cos(s Delta(t)) dt,
 
 namely  s_n = n + (cot(beta) - cot(alpha) - L(pi, n)) / (n pi) + O(1/n^2).
-K and L at any set of points x come from one cumulative Simpson pass per
-subinterval over the integrator's node samples of q and Delta, read between
-the nodes by cubic Hermite interpolation, so a whole eigenfunction profile
-costs the same as a single point.
+K and L at any set of points x in [0, pi] come from one cumulative Simpson
+pass per subinterval over the integrator's node samples of q and Delta, read
+between the nodes by cubic Hermite interpolation, so a whole eigenfunction
+profile and pi cost one evaluation: ``verify_rates`` makes one per index.
 Matching refined eigenfunction forms exist on both subintervals; on the
 right interval the printed inner correction carries a 1/(n^(5/3) pi)
 scaling that looks inconsistent with the structurally parallel left form
@@ -64,12 +64,15 @@ RESIDUAL_FLOOR = 1e-12
 S_RESIDUAL_FLOOR = 1e-7
 EIGFN_RESIDUAL_FLOOR = 1e-6
 
-# slope acceptance thresholds; margins allow pre-asymptotic effects at the
-# modest n reachable on a desk machine
-S_REFINED_SLOPE_MAX = -1.7
-EIGFN_LEADING_SLOPE_MAX = -0.3
-EIGFN_REFINED_SLOPE_MAX = -1.7
-OSC_DECAY_SLOPE_MAX = -0.8
+# the slope gates, as (summary label, ``RateReport`` field, threshold): a fit
+# passes at or below its threshold; margins allow pre-asymptotic effects at
+# the modest n reachable on a desk machine
+SLOPE_GATES = (
+    ("eigenvalue refinement", "refined_s_fit", -1.7),
+    ("eigenfunction (leading)", "leading_eigfn_fit", -0.3),
+    ("eigenfunction (refined)", "refined_eigfn_fit", -1.7),
+    ("oscillatory integral decay", "osc_fit", -0.8),
+)
 DRIFT_RATIO_MAX = 1.5
 AMP_REL_ERR_MAX = 0.2
 OSC_S_VALUES = (10.0, 20.0, 40.0, 80.0)  # s of the oscillatory integral's decay fit
@@ -152,23 +155,22 @@ class RateReport:
     @property
     def passed(self) -> bool:
         return (self.drift_bounded
-                and self.refined_s_fit.ok(S_REFINED_SLOPE_MAX)
-                and self.leading_eigfn_fit.ok(EIGFN_LEADING_SLOPE_MAX)
-                and self.refined_eigfn_fit.ok(EIGFN_REFINED_SLOPE_MAX)
                 and self.amp_rel_err <= AMP_REL_ERR_MAX
-                and self.osc_fit.ok(OSC_DECAY_SLOPE_MAX))
+                and all(getattr(self, field).ok(threshold)
+                        for _, field, threshold in SLOPE_GATES))
 
 
 def kl_integrals(spec: ProblemSpec, x, s: float, steps: int = DEFAULT_STEPS):
-    """The retardation integrals (K(x, s), L(x, s)) for x in (0, pi], scalar
+    """The retardation integrals (K(x, s), L(x, s)) for x in [0, pi], scalar
     or array: one cumulative Simpson pass per subinterval over that side's
     ``coefficient_samples`` at ``steps`` steps gives them at the integrator's
     nodes, and between nodes they are the cubic Hermite interpolant with the
-    integrands as slopes.  Any x gets the same value alone or in any array."""
+    integrands as slopes.  Any x gets the same value alone or in any array;
+    x = 0 gets exactly 0."""
     scalar = np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all((xs > 0.0) & (xs <= math.pi)):
-        raise ValueError("x must lie in (0, pi]")
+    if not np.all((xs >= 0.0) & (xs <= math.pi)):
+        raise ValueError("x must lie in [0, pi]")
     right = xs > HALF
     kl = np.empty((2,) + xs.shape)
     offset = np.zeros(2)
@@ -212,27 +214,23 @@ def predict_s(spec: ProblemSpec, n: int, steps: int = DEFAULT_STEPS,
                               K_pi=k_pi, L_pi=l_pi, case1=case1)
 
 
-def _refined_inner(spec: ProblemSpec, n: int, x, l_pi: float, k_x, l_x, scaling: float):
-    """cos nx [1 + K/n] - sin nx / scaling * [bracket] common to both sides."""
+def _amplitude(spec: ProblemSpec, n: int, xs: np.ndarray) -> np.ndarray:
+    """sin(alpha) on the left, sin(alpha) / (n^(2/3) delta) past the interface."""
+    sin_a = math.sin(spec.alpha)
+    return np.where(xs > HALF, sin_a / (n ** (2.0 / 3.0) * spec.coupling), sin_a)
+
+
+def _refined_form(spec: ProblemSpec, n: int, xs: np.ndarray, k: np.ndarray,
+                  l: np.ndarray, right_scaling: float) -> np.ndarray:
+    """The refined eigenfunction at xs from K and L at xs followed by pi:
+    the amplitude times cos nx [1 + K/n] - sin nx / scaling * [bracket], the
+    inner scaling n pi on the left and ``right_scaling`` past the interface."""
     cot_a = 1.0 / math.tan(spec.alpha)
     cot_b = 1.0 / math.tan(spec.beta)
-    bracket = (cot_b - cot_a - l_pi) * x + (cot_a + l_x) * math.pi
-    return np.cos(n * x) * (1.0 + k_x / n) - (np.sin(n * x) / scaling) * bracket
-
-
-def _kl_profile(spec: ProblemSpec, n: int, xs: np.ndarray, steps: int):
-    """L(pi, n) and the arrays K(x, n), L(x, n) over xs (zero at x = 0),
-    the retardation integrals every refined eigenfunction form needs."""
-    nonzero = xs != 0.0
-    k, l = kl_integrals(spec, np.append(xs[nonzero], math.pi), float(n), steps)
-    k_x, l_x = np.zeros((2,) + xs.shape)
-    k_x[nonzero], l_x[nonzero] = k[:-1], l[:-1]
-    return l[-1], k_x, l_x
-
-
-def _right_amplitude(spec: ProblemSpec, n: int) -> float:
-    """sin(alpha) / (n^(2/3) delta), the amplitude past the interface."""
-    return math.sin(spec.alpha) / (n ** (2.0 / 3.0) * spec.coupling)
+    scaling = np.where(xs > HALF, right_scaling, n * math.pi)
+    bracket = (cot_b - cot_a - l[-1]) * xs + (cot_a + l[:-1]) * math.pi
+    inner = np.cos(n * xs) * (1.0 + k[:-1] / n) - (np.sin(n * xs) / scaling) * bracket
+    return _amplitude(spec, n, xs) * inner
 
 
 def predict_eigenfunction(spec: ProblemSpec, n: int, x, order: str = "leading",
@@ -241,43 +239,31 @@ def predict_eigenfunction(spec: ProblemSpec, n: int, x, order: str = "leading",
 
     ``order`` selects the leading form (pure cosine with the n^(-2/3)/delta
     amplitude drop past the interface) or the refined form with the
-    retardation corrections.  The interface point itself is rejected: the
-    eigenfunction is two-valued there.
+    retardation corrections, whose right-interval inner term carries the
+    printed 1/(n^(5/3) pi) scaling.  The interface point itself is rejected:
+    the eigenfunction is two-valued there.
     """
     if order not in ("leading", "refined"):
         raise ValueError("order must be 'leading' or 'refined'")
     n = int(n)
     if n < 1:
         raise ValueError("n must be a positive integer")
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
+    shape = np.shape(x)
+    xs = np.ravel(np.asarray(x, dtype=float))
     if np.any((xs < 0.0) | (xs > math.pi)) or np.any(xs == HALF):
         raise ValueError("x must lie in [0, pi/2) u (pi/2, pi]")
-    sin_a = math.sin(spec.alpha)
-    right = xs > HALF
-    left = ~right
-    out = np.empty_like(xs)
-
     if order == "leading":
-        out[left] = sin_a * np.cos(n * xs[left])
-        out[right] = _right_amplitude(spec, n) * np.cos(n * xs[right])
-        return float(out[0]) if scalar else out
-
-    if not is_case1(spec):
-        raise Case1RequiredError(
-            "refined eigenfunctions need sin(alpha) != 0 and sin(beta) != 0")
-    if not _refined_available(spec):
-        raise Case1RequiredError(
-            "refined eigenfunctions need the smoothness/retardation conditions")
-    l_pi, k_x, l_x = _kl_profile(spec, n, xs, steps)
-    out[left] = sin_a * _refined_inner(
-        spec, n, xs[left], l_pi, k_x[left], l_x[left], scaling=n * math.pi)
-    # right interval as printed: the inner sine term scaled by n^(5/3) pi
-    out[right] = _right_amplitude(spec, n) * _refined_inner(
-        spec, n, xs[right], l_pi, k_x[right], l_x[right],
-        scaling=(n ** (5.0 / 3.0)) * math.pi)
-    return float(out[0]) if scalar else out
+        out = _amplitude(spec, n, xs) * np.cos(n * xs)
+    else:
+        if not is_case1(spec):
+            raise Case1RequiredError(
+                "refined eigenfunctions need sin(alpha) != 0 and sin(beta) != 0")
+        if not _refined_available(spec):
+            raise Case1RequiredError(
+                "refined eigenfunctions need the smoothness/retardation conditions")
+        k, l = kl_integrals(spec, np.append(xs, math.pi), float(n), steps)
+        out = _refined_form(spec, n, xs, k, l, (n ** (5.0 / 3.0)) * math.pi)
+    return out.reshape(shape) if shape else float(out[0])
 
 
 def apriori_bounds(spec: ProblemSpec, lam: float,
@@ -342,7 +328,9 @@ def verify_rates(spec: ProblemSpec, pairs: list[Eigenpair],
     the leading and refined forms (left interval; the right interval is
     reported for both printed and alternative inner scalings), the
     n^(-2/3)/|delta| amplitude drop across the interface at the largest n,
-    and the O(1/s) decay of the oscillatory q-integral.
+    and the O(1/s) decay of the oscillatory q-integral.  One ``kl_integrals``
+    call per index, over both eigenfunction grids and pi, serves every
+    refined form.
     """
     by_n = {p.index: p for p in pairs}
     est_by_n = {e.n: e for e in estimates}
@@ -373,30 +361,24 @@ def verify_rates(spec: ProblemSpec, pairs: list[Eigenpair],
 
     xs_left = np.linspace(0.0, HALF, eigfn_samples, endpoint=False)
     xs_right = np.linspace(HALF, math.pi, eigfn_samples)[1:]
-    lead_err = np.empty(len(indices))
-    ref_err = np.empty(len(indices))
-    right_err_printed = np.empty(len(indices))
-    right_err_alt = np.empty(len(indices))
+    xs = np.concatenate([xs_left, xs_right])
+    left, right = slice(None, xs_left.size), slice(xs_left.size, None)
+    # sup errors per index: leading and refined on the left, then the right
+    # interval's inner scaling as printed, 1/(n^(5/3) pi), and the 1/(n pi)
+    # variant that parallels the left interval
+    errors = np.empty((4, len(indices)))
     for k, n in enumerate(indices):
-        pair = by_n[n]
-        u_left = pair.left.eval(xs_left)
-        u_right = pair.right.eval(xs_right)
-        lead_err[k] = np.max(np.abs(
-            u_left - predict_eigenfunction(spec, n, xs_left, "leading", steps)))
-        ref_err[k] = np.max(np.abs(
-            u_left - predict_eigenfunction(spec, n, xs_left, "refined", steps)))
-        # one K/L profile serves the inner scaling as printed, 1/(n^(5/3) pi),
-        # and the 1/(n pi) variant that parallels the left interval
-        l_pi, k_x, l_x = _kl_profile(spec, n, xs_right, steps)
-        for errs, scaling in ((right_err_printed, (n ** (5.0 / 3.0)) * math.pi),
-                              (right_err_alt, n * math.pi)):
-            errs[k] = np.max(np.abs(u_right - _right_amplitude(spec, n) * _refined_inner(
-                spec, n, xs_right, l_pi, k_x, l_x, scaling)))
+        u = np.concatenate([by_n[n].left.eval(xs_left), by_n[n].right.eval(xs_right)])
+        kl = kl_integrals(spec, np.append(xs, math.pi), float(n), steps)
+        leading = _amplitude(spec, n, xs) * np.cos(n * xs)
+        printed = _refined_form(spec, n, xs, *kl, (n ** (5.0 / 3.0)) * math.pi)
+        alt = _refined_form(spec, n, xs, *kl, n * math.pi)
+        errors[:, k] = [np.max(np.abs(u[part] - form[part])) for form, part in
+                        ((leading, left), (printed, left), (printed, right), (alt, right))]
 
+    # the loop ends on the largest index: u holds its samples
     n_top = indices[-1]
-    top = by_n[n_top]
-    amp_ratio = float(np.max(np.abs(top.right.eval(xs_right)))
-                      / np.max(np.abs(top.left.eval(xs_left))))
+    amp_ratio = float(np.max(np.abs(u[right])) / np.max(np.abs(u[left])))
     amp_expected = n_top ** (-2.0 / 3.0) / abs(spec.coupling)
     amp_rel_err = abs(amp_ratio - amp_expected) / amp_expected
 
@@ -412,10 +394,10 @@ def verify_rates(spec: ProblemSpec, pairs: list[Eigenpair],
         drift_second_max=drift_second,
         drift_bounded=drift_bounded,
         refined_s_fit=refined_s_fit,
-        leading_eigfn_fit=_fit_slope(ns, lead_err, EIGFN_RESIDUAL_FLOOR),
-        refined_eigfn_fit=_fit_slope(ns, ref_err, EIGFN_RESIDUAL_FLOOR),
-        right_refined_fit_printed=_fit_slope(ns, right_err_printed, EIGFN_RESIDUAL_FLOOR),
-        right_refined_fit_alt=_fit_slope(ns, right_err_alt, EIGFN_RESIDUAL_FLOOR),
+        leading_eigfn_fit=_fit_slope(ns, errors[0], EIGFN_RESIDUAL_FLOOR),
+        refined_eigfn_fit=_fit_slope(ns, errors[1], EIGFN_RESIDUAL_FLOOR),
+        right_refined_fit_printed=_fit_slope(ns, errors[2], EIGFN_RESIDUAL_FLOOR),
+        right_refined_fit_alt=_fit_slope(ns, errors[3], EIGFN_RESIDUAL_FLOOR),
         amp_ratio=amp_ratio,
         amp_ratio_expected=amp_expected,
         amp_rel_err=float(amp_rel_err),

@@ -346,30 +346,22 @@ def cmd_verify(cfg: RunConfig, out_path: str | None, fmt: str) -> int:
     }
     _write(json.dumps(payload, indent=2) + "\n", out_path)
 
-    def show(name, fit, threshold):
-        state = ("floor-limited" if fit.floor_limited
-                 else f"slope {fit.slope:+.3f} (threshold {threshold:+.2f})")
-        print(f"  {name}: {state} -> {'ok' if fit.ok(threshold) else 'FAIL'}",
-              file=sys.stderr)
-
     print(f"verify over n in [{n_min}, {n_max}]:", file=sys.stderr)
     print(f"  drift bound: {report.drift_second_max:.3e} vs "
           f"{report.drift_first_max:.3e} -> "
           f"{'ok' if report.drift_bounded else 'FAIL'}", file=sys.stderr)
-    show("eigenvalue refinement", report.refined_s_fit,
-         asymptotics.S_REFINED_SLOPE_MAX)
-    show("eigenfunction (leading)", report.leading_eigfn_fit,
-         asymptotics.EIGFN_LEADING_SLOPE_MAX)
-    show("eigenfunction (refined)", report.refined_eigfn_fit,
-         asymptotics.EIGFN_REFINED_SLOPE_MAX)
+    for label, field, threshold in asymptotics.SLOPE_GATES:
+        fit = getattr(report, field)
+        state = ("floor-limited" if fit.floor_limited
+                 else f"slope {fit.slope:+.3f} (threshold {threshold:+.2f})")
+        print(f"  {label}: {state} -> {'ok' if fit.ok(threshold) else 'FAIL'}",
+              file=sys.stderr)
     print(f"  right-interval inner scaling, printed vs alternative: "
           f"{report.right_refined_fit_printed.slope} vs "
           f"{report.right_refined_fit_alt.slope}", file=sys.stderr)
     print(f"  amplitude ratio: {report.amp_ratio:.6g} vs expected "
           f"{report.amp_ratio_expected:.6g} "
           f"({100 * report.amp_rel_err:.2f}% off)", file=sys.stderr)
-    show("oscillatory integral decay", report.osc_fit,
-         asymptotics.OSC_DECAY_SLOPE_MAX)
     print(f"  overall: {'PASS' if report.passed else 'FAIL'}", file=sys.stderr)
     return EXIT_OK if report.passed else EXIT_VERIFY
 

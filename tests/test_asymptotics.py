@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from delaybvp import dde_solver
-from delaybvp.asymptotics import (DegenerateNormError, InsufficientRangeError,
+from delaybvp import asymptotics, dde_solver
+from delaybvp.asymptotics import (EIGFN_RESIDUAL_FLOOR, DegenerateNormError,
+                                  InsufficientRangeError, _fit_slope,
                                   kl_integrals, apriori_bounds,
                                   oscillatory_q_integral, predict_s,
                                   predict_eigenfunction, verify_rates)
@@ -69,11 +70,15 @@ def test_kl_small_s_limits(delayed_spec):
     assert l_half == pytest.approx(0.5, rel=1e-6)
 
 
-def test_kl_domain():
-    with pytest.raises(ValueError):
-        kl_integrals(spec_of(), 0.0, 1.0)
-    with pytest.raises(ValueError):
-        kl_integrals(spec_of(), PI + 0.1, 1.0)
+def test_kl_domain(delayed_spec):
+    # both integrals start at x = 0, so K and L are exactly 0 there, alone
+    # or in an array
+    assert kl_integrals(delayed_spec, 0.0, 7.0) == (0.0, 0.0)
+    k, l = kl_integrals(delayed_spec, np.array([0.0, 1.0, PI]), 7.0)
+    assert k[0] == 0.0 and l[0] == 0.0
+    for bad in (math.nan, -1e-300, -0.1, PI + 0.1):
+        with pytest.raises(ValueError, match=r"x must lie in \[0, pi\]"):
+            kl_integrals(delayed_spec, bad, 1.0)
 
 
 def test_quadrature_reads_the_integrators_node_samples(delayed_spec):
@@ -271,3 +276,44 @@ def test_verify_rates_null_spec_floor_limited(null_spec):
     assert report.leading_eigfn_fit.floor_limited
     assert report.drift_bounded
     assert report.passed
+
+
+@pytest.fixture(scope="module")
+def delayed_rate_inputs(delayed_spec):
+    """Eigenpairs and estimates n = 5..12 of the delayed problem at 512 steps."""
+    indices = range(5, 13)
+    return (localize_range(delayed_spec, indices, steps=512),
+            [predict_s(delayed_spec, n, 512) for n in indices])
+
+
+def test_verify_rates_evaluates_kl_once_per_index(delayed_spec, delayed_rate_inputs,
+                                                  monkeypatch):
+    pairs, estimates = delayed_rate_inputs
+    calls = []
+    original = asymptotics.kl_integrals
+
+    def counting(spec, x, s, *args):
+        calls.append(s)
+        return original(spec, x, s, *args)
+
+    monkeypatch.setattr(asymptotics, "kl_integrals", counting)
+    report = verify_rates(delayed_spec, pairs, estimates, steps=512, eigfn_samples=65)
+    assert calls == [float(n) for n in report.indices]
+
+
+def test_verify_rates_fits_match_predict_eigenfunction(delayed_spec, delayed_rate_inputs):
+    # the report's eigenfunction errors are those of predict_eigenfunction on
+    # the report's two grids, bit for bit
+    pairs, estimates = delayed_rate_inputs
+    report = verify_rates(delayed_spec, pairs, estimates, steps=512, eigfn_samples=65)
+    xs_left = np.linspace(0.0, HALF, 65, endpoint=False)
+    xs_right = np.linspace(HALF, PI, 65)[1:]
+    ns = [p.index for p in pairs]
+    for field, order, xs, side in (("leading_eigfn_fit", "leading", xs_left, "left"),
+                                   ("refined_eigfn_fit", "refined", xs_left, "left"),
+                                   ("right_refined_fit_printed", "refined", xs_right, "right")):
+        errors = [np.max(np.abs(getattr(p, side).eval(xs) - predict_eigenfunction(
+            delayed_spec, p.index, xs, order, 512))) for p in pairs]
+        fit = getattr(report, field)
+        assert not fit.floor_limited
+        assert fit == _fit_slope(ns, errors, EIGFN_RESIDUAL_FLOOR)
