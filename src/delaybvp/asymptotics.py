@@ -167,6 +167,8 @@ def kl_integrals(spec: ProblemSpec, x, s: float, steps: int = DEFAULT_STEPS):
     nodes, and between nodes they are the cubic Hermite interpolant with the
     integrands as slopes.  Any x gets the same value alone or in any array;
     x = 0 gets exactly 0."""
+    if not math.isfinite(s):
+        raise ValueError("s must be finite")
     scalar = np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all((xs >= 0.0) & (xs <= math.pi)):
@@ -186,8 +188,8 @@ def kl_integrals(spec: ProblemSpec, x, s: float, steps: int = DEFAULT_STEPS):
 
 
 @lru_cache(maxsize=8)
-def _refined_available(spec: ProblemSpec) -> bool:
-    return check_refined_conditions(spec).passed
+def _refined_available(spec: ProblemSpec, steps: int) -> bool:
+    return check_refined_conditions(spec, steps).passed
 
 
 def predict_s(spec: ProblemSpec, n: int, steps: int = DEFAULT_STEPS,
@@ -207,7 +209,7 @@ def predict_s(spec: ProblemSpec, n: int, steps: int = DEFAULT_STEPS,
             "refined estimate needs sin(alpha) != 0 and sin(beta) != 0")
     k_pi, l_pi = kl_integrals(spec, math.pi, float(n), steps)
     s_refined = None
-    if case1 and _refined_available(spec):
+    if case1 and _refined_available(spec, steps):
         correction = (1.0 / math.tan(spec.beta)) - (1.0 / math.tan(spec.alpha)) - l_pi
         s_refined = n + correction / (n * math.pi)
     return AsymptoticEstimate(n=n, s_leading=float(n), s_refined=s_refined,
@@ -250,7 +252,7 @@ def predict_eigenfunction(spec: ProblemSpec, n: int, x, order: str = "leading",
         raise ValueError("n must be a positive integer")
     shape = np.shape(x)
     xs = np.ravel(np.asarray(x, dtype=float))
-    if np.any((xs < 0.0) | (xs > math.pi)) or np.any(xs == HALF):
+    if not np.all((xs >= 0.0) & (xs <= math.pi) & (xs != HALF)):
         raise ValueError("x must lie in [0, pi/2) u (pi/2, pi]")
     if order == "leading":
         out = _amplitude(spec, n, xs) * np.cos(n * xs)
@@ -258,7 +260,7 @@ def predict_eigenfunction(spec: ProblemSpec, n: int, x, order: str = "leading",
         if not is_case1(spec):
             raise Case1RequiredError(
                 "refined eigenfunctions need sin(alpha) != 0 and sin(beta) != 0")
-        if not _refined_available(spec):
+        if not _refined_available(spec, steps):
             raise Case1RequiredError(
                 "refined eigenfunctions need the smoothness/retardation conditions")
         k, l = kl_integrals(spec, np.append(xs, math.pi), float(n), steps)
@@ -300,6 +302,8 @@ def apriori_bounds(spec: ProblemSpec, lam: float,
 def oscillatory_q_integral(spec: ProblemSpec, s: float, steps: int = DEFAULT_STEPS) -> float:
     """integral_0^(pi/2) q(t) cos(s (2t - Delta(t))) dt over the left node samples,
     the oscillatory integral whose O(1/s) decay underpins the refined formulas."""
+    if not math.isfinite(s):
+        raise ValueError("s must be finite")
     left = coefficient_samples(spec, steps)[0]
     xs, q, d = left.nodes, left.q[0], left.delta[0]
     h = float(xs[1] - xs[0])
@@ -330,8 +334,10 @@ def verify_rates(spec: ProblemSpec, pairs: list[Eigenpair],
     n^(-2/3)/|delta| amplitude drop across the interface at the largest n,
     and the O(1/s) decay of the oscillatory q-integral.  One ``kl_integrals``
     call per index, over both eigenfunction grids and pi, serves every
-    refined form.
+    refined form; ``eigfn_samples`` (at least 2) sets the grids.
     """
+    if eigfn_samples < 2:
+        raise ValueError("eigfn_samples must be at least 2")
     by_n = {p.index: p for p in pairs}
     est_by_n = {e.n: e for e in estimates}
     indices = sorted(set(by_n) & set(est_by_n))

@@ -32,6 +32,12 @@ EXIT_CONFIG = 1
 EXIT_SOLVER = 2
 EXIT_VERIFY = 3
 
+# limits checked before anything is allocated: samples of an s- or x-grid,
+# indices of an n-range, and the largest s whose lambda = s^2 is finite
+MAX_SAMPLES = 2 ** 20
+MAX_INDICES = 2 ** 16
+S_LIMIT = math.sqrt(sys.float_info.max)
+
 
 class ConfigError(ValueError):
     """Malformed configuration; the message names the offending key."""
@@ -170,13 +176,20 @@ def load_config(path: str) -> RunConfig:
         n_max = _integer(rng.get("n_max"), "range.n_max")
         if n_max < n_min:
             raise ConfigError("range.n_max: must be >= range.n_min")
+        if n_max - n_min >= MAX_INDICES:
+            raise ConfigError(f"range.n_max: at most {MAX_INDICES} indices")
+        if n_max > S_LIMIT - 0.5:  # an int compares exactly, however large
+            raise ConfigError("range.n_max: (n_max + 0.5)^2 must be finite")
         n_range = (n_min, n_max)
     elif "s_min" in rng or "s_max" in rng:
         s_min = _positive(rng.get("s_min"), "range.s_min")
         s_max = _positive(rng.get("s_max"), "range.s_max")
         if s_max <= s_min:
             raise ConfigError("range.s_max: must exceed range.s_min")
-        samples = _integer(rng.get("samples"), "range.samples", minimum=2)
+        if s_max > S_LIMIT:
+            raise ConfigError("range.s_max: s_max^2 must be finite")
+        samples = _integer(rng.get("samples"), "range.samples", minimum=2,
+                           maximum=MAX_SAMPLES)
         s_range = (s_min, s_max, samples)
     else:
         raise ConfigError("range: need n_min/n_max or s_min/s_max/samples")
@@ -186,7 +199,7 @@ def load_config(path: str) -> RunConfig:
     if fmt not in ("csv", "json"):
         raise ConfigError("output.format: expected 'csv' or 'json'")
     grid = _section(doc, "grid")
-    x_samples = _integer(grid.get("x_samples", 201), "grid.x_samples")
+    x_samples = _integer(grid.get("x_samples", 201), "grid.x_samples", maximum=MAX_SAMPLES)
     out_path = out.get("path")
     if out_path is not None and not isinstance(out_path, str):
         raise ConfigError("output.path: expected a file path string")
@@ -280,9 +293,11 @@ def cmd_charfn(cfg: RunConfig, out_path: str | None, fmt: str) -> int:
 
 
 def cmd_eigfn(cfg: RunConfig, n: int | None, out_path: str | None, fmt: str) -> int:
-    _validated_or_fail(cfg)
     if n is None or n < 1:
         raise ConfigError("--n: eigfn needs an eigenvalue index of at least 1")
+    if n > S_LIMIT - 0.5:
+        raise ConfigError("--n: (n + 0.5)^2 must be finite")
+    _validated_or_fail(cfg)
     pair = spectral.localize_near_n(cfg.problem, n, cfg.solver.refine_tol,
                                     cfg.solver.steps_per_segment)
     xs = np.linspace(0.0, math.pi, cfg.x_samples)
@@ -368,7 +383,7 @@ def cmd_verify(cfg: RunConfig, out_path: str | None, fmt: str) -> int:
 
 def cmd_validate(cfg: RunConfig, out_path: str | None, fmt: str) -> int:
     report = validate(cfg.problem, cfg.solver.steps_per_segment)
-    conditions = check_refined_conditions(cfg.problem)
+    conditions = check_refined_conditions(cfg.problem, cfg.solver.steps_per_segment)
     if fmt == "json":
         payload = {
             "valid": report.passed,

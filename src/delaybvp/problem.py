@@ -273,9 +273,10 @@ def is_case1(spec: ProblemSpec, tol: float = 1e-12) -> bool:
     return abs(math.sin(spec.alpha)) > tol and abs(math.sin(spec.beta)) > tol
 
 
-def check_refined_conditions(spec: ProblemSpec) -> ConditionReport:
+def check_refined_conditions(spec: ProblemSpec, steps: int = DEFAULT_STEPS) -> ConditionReport:
     """Report on the extra smoothness/retardation conditions for the refined
-    asymptotics, read from the integrator's node samples at ``DEFAULT_STEPS``.
+    asymptotics, read from the integrator's node samples at ``steps`` steps,
+    the grid K and L integrate.
 
     Condition a): q' and Delta'' exist and stay bounded on each subinterval
     (estimated by finite differences).  Condition b): Delta'(x) <= 1 at the
@@ -287,7 +288,7 @@ def check_refined_conditions(spec: ProblemSpec) -> ConditionReport:
     checks = []
     for name, zero_at, label, s in zip(("left", "right"), ("origin", "interface"),
                                        ("Delta(0)", "Delta(pi/2 + 0)"),
-                                       _spec_samples(spec, DEFAULT_STEPS)):
+                                       _spec_samples(spec, steps)):
         if s.delta is None:
             checks.append(s.checks[0])
             continue

@@ -317,3 +317,31 @@ def test_verify_rates_fits_match_predict_eigenfunction(delayed_spec, delayed_rat
         fit = getattr(report, field)
         assert not fit.floor_limited
         assert fit == _fit_slope(ns, errors, EIGFN_RESIDUAL_FLOOR)
+
+
+@pytest.mark.parametrize("entry, bad", [
+    *((entry, bad) for entry in ("kl_integrals_s", "kl_integrals_x", "oscillatory_q_integral",
+                                 "predict_leading", "predict_refined")
+      for bad in (math.nan, math.inf, -math.inf)),
+    ("verify_rates", 1), ("verify_rates", 0)])
+def test_non_finite_asymptotics_input_named(delayed_spec, entry, bad):
+    # a NaN passes every range comparison; it must not come back as a NaN
+    # value, a RuntimeWarning or numpy's zero-size error
+    calls = {
+        "kl_integrals_s": (lambda: kl_integrals(delayed_spec, 1.0, bad, 64),
+                           "s must be finite"),
+        "kl_integrals_x": (lambda: kl_integrals(delayed_spec, [0.5, bad], 3.0, 64),
+                           "x must lie in"),
+        "oscillatory_q_integral": (lambda: oscillatory_q_integral(delayed_spec, bad, 64),
+                                   "s must be finite"),
+        "predict_leading": (lambda: predict_eigenfunction(delayed_spec, 5, bad),
+                            "x must lie in"),
+        "predict_refined": (lambda: predict_eigenfunction(delayed_spec, 5, [0.3, bad],
+                                                          "refined", 64),
+                            "x must lie in"),
+        "verify_rates": (lambda: verify_rates(delayed_spec, [], [], eigfn_samples=bad),
+                         "eigfn_samples must be at least 2"),
+    }
+    call, match = calls[entry]
+    with pytest.raises(ValueError, match=match):
+        call()

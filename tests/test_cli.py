@@ -257,6 +257,30 @@ def test_unknown_config_key_rejected(tmp_path, capsys, key, value):
     assert capsys.readouterr().err == f"config error: {key}: unknown key\n"
 
 
+S_RANGE = {"s_min": 0.5, "s_max": 3.5, "samples": 300}
+
+
+@pytest.mark.parametrize("command, key, range_, grid, n", [
+    # grids too large to allocate
+    ("charfn", "range.samples", dict(S_RANGE, samples=10 ** 11), None, None),
+    ("eigfn", "grid.x_samples", None, {"x_samples": 10 ** 11}, 1),
+    # an n-range too long to localize
+    ("solve", "range.n_max", {"n_min": 5, "n_max": 10 ** 9}, None, None),
+    # an s whose lambda = s^2 overflows
+    ("charfn", "range.s_max", dict(S_RANGE, s_max=1e200), None, None),
+    ("solve", "range.s_max", dict(S_RANGE, s_max=1e200), None, None),
+    ("solve", "range.n_max", {"n_min": 10 ** 160, "n_max": 10 ** 160}, None, None),
+    ("eigfn", "--n", None, None, 10 ** 160),
+])
+def test_oversized_input_is_config_error(tmp_path, capsys, command, key, range_, grid, n):
+    # each of these once ended in a MemoryError or a ValueError traceback
+    cfg = write_config(tmp_path, range_=range_, extra={"grid": grid} if grid else None)
+    argv = [command, "--config", cfg] + ([] if n is None else ["--n", str(n)])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: ") and "Traceback" not in err
+
+
 def test_eigenvalue_below_the_certificate_step_is_certified(tmp_path):
     # the root near s = 0.0203 has lambda ~ 4.1e-4, below the default
     # lambda step 1e-3 of the simplicity certificate

@@ -112,7 +112,7 @@ def test_validate_passing_means_the_tables_build(seed, admissible_delay, steps):
                     for a, t in ((0.0, d_l), (HALF, d_r)))
     spec = ProblemSpec(q_l, q_r, d_l, d_r, alpha=HALF, beta=HALF, coupling=1.0)
     report = validate(spec, steps)
-    check_refined_conditions(spec)
+    check_refined_conditions(spec, steps)
     by_name = {c.name: c for c in report.checks}
     for side, tables in (("left", dde_solver._left_tables), ("right", dde_solver._right_tables)):
         if all(by_name[f"{name}_{side}"].passed for name in SAMPLER_CHECKS
@@ -143,6 +143,18 @@ def test_delayed_slope_peaks_at_origin(delayed_spec):
     assert slope.passed
     assert slope.worst_x == pytest.approx(0.0, abs=1e-3)
     assert report.passed
+
+
+def test_refined_conditions_read_the_grid_of_their_steps():
+    # q' and Delta'' peak inside each subinterval, so a worst x off the
+    # 300-step nodes means the checks sampled a second grid
+    spec = spec_of(q_l="exp(-10*(x - 0.7)^2)", q_r="exp(-10*(x - 2.3)^2)",
+                   d_l="0.5*x*(pi/2 - x)", d_r="(x - pi/2)*(pi - x)*0.25")
+    nodes = np.concatenate([np.linspace(0.0, HALF, 301), np.linspace(HALF, PI, 301)])
+    report = check_refined_conditions(spec, 300)
+    worst = [c.worst_x for c in report.checks if c.worst_x is not None]
+    assert len(worst) == 8
+    assert all(np.any(nodes == x) for x in worst)
 
 
 def test_steep_delay_fails_condition_b():
