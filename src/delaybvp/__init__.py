@@ -14,7 +14,7 @@ eigenvalues and eigenfunctions against the computed spectrum.
 
 from .problem import ProblemSpec, QNorms, q_norms, validate, check_refined_conditions
 from .dde_solver import SolutionSegment, ShootingResult, integrate_segment, shoot
-from .spectral import CharacteristicSample, Eigenpair, char_fn, scan_roots, localize_near_n
+from .spectral import Eigenpair, scan_roots, localize_near_n
 from .asymptotics import AsymptoticEstimate, kl_integrals, predict_s, predict_eigenfunction
 
 __all__ = [
@@ -27,9 +27,7 @@ __all__ = [
     "ShootingResult",
     "integrate_segment",
     "shoot",
-    "CharacteristicSample",
     "Eigenpair",
-    "char_fn",
     "scan_roots",
     "localize_near_n",
     "AsymptoticEstimate",

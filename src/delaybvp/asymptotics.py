@@ -76,6 +76,8 @@ SLOPE_GATES = (
 DRIFT_RATIO_MAX = 1.5
 AMP_REL_ERR_MAX = 0.2
 OSC_S_VALUES = (10.0, 20.0, 40.0, 80.0)  # s of the oscillatory integral's decay fit
+EIGFN_SAMPLES = 257  # points per subinterval of the eigenfunction error grids
+MIN_RATE_INDICES = 8  # fewest shared indices a rate report fits over
 
 
 class DegenerateNormError(ValueError):
@@ -90,17 +92,15 @@ class InsufficientRangeError(ValueError):
 class AsymptoticEstimate:
     """Predicted root location for index n.
 
-    ``s_leading`` is the integer itself; ``s_refined`` adds the first-order
-    correction and is None when the problem fails the angle condition or the
-    smoothness/retardation conditions the refinement needs.
+    The leading estimate is n itself; ``s_refined`` adds the first-order
+    correction and is None when the problem fails the smoothness/retardation
+    conditions the refinement needs.
     """
 
     n: int
-    s_leading: float
     s_refined: float | None
     K_pi: float
     L_pi: float
-    case1: bool
 
 
 @dataclass(frozen=True)
@@ -192,28 +192,25 @@ def _refined_available(spec: ProblemSpec, steps: int) -> bool:
     return check_refined_conditions(spec, steps).passed
 
 
-def predict_s(spec: ProblemSpec, n: int, steps: int = DEFAULT_STEPS,
-              refined: bool = True) -> AsymptoticEstimate:
+def predict_s(spec: ProblemSpec, n: int, steps: int = DEFAULT_STEPS) -> AsymptoticEstimate:
     """Asymptotic root estimate for index n.
 
-    With ``refined`` the first-order correction is required, which demands
-    sin(alpha) != 0 and sin(beta) != 0 (raised otherwise) plus the
-    smoothness/retardation conditions (reported as unavailable otherwise).
+    The first-order correction demands sin(alpha) != 0 and sin(beta) != 0
+    (raised otherwise) plus the smoothness/retardation conditions (reported
+    as unavailable otherwise).
     """
     n = int(n)
     if n < 1:
         raise ValueError("n must be a positive integer")
-    case1 = is_case1(spec)
-    if refined and not case1:
+    if not is_case1(spec):
         raise Case1RequiredError(
             "refined estimate needs sin(alpha) != 0 and sin(beta) != 0")
     k_pi, l_pi = kl_integrals(spec, math.pi, float(n), steps)
     s_refined = None
-    if case1 and _refined_available(spec, steps):
+    if _refined_available(spec, steps):
         correction = (1.0 / math.tan(spec.beta)) - (1.0 / math.tan(spec.alpha)) - l_pi
         s_refined = n + correction / (n * math.pi)
-    return AsymptoticEstimate(n=n, s_leading=float(n), s_refined=s_refined,
-                              K_pi=k_pi, L_pi=l_pi, case1=case1)
+    return AsymptoticEstimate(n=n, s_refined=s_refined, K_pi=k_pi, L_pi=l_pi)
 
 
 def _amplitude(spec: ProblemSpec, n: int, xs: np.ndarray) -> np.ndarray:
@@ -322,8 +319,7 @@ def _fit_slope(n_values, residuals, floor: float = RESIDUAL_FLOOR) -> SlopeFit:
 
 def verify_rates(spec: ProblemSpec, pairs: list[Eigenpair],
                  estimates: list[AsymptoticEstimate],
-                 steps: int = DEFAULT_STEPS,
-                 eigfn_samples: int = 257) -> RateReport:
+                 steps: int = DEFAULT_STEPS) -> RateReport:
     """Measure the remainder orders of every asymptotic claim at once.
 
     Checks, over the supplied indices: boundedness of n^(1/3) |s_n - n|
@@ -333,17 +329,15 @@ def verify_rates(spec: ProblemSpec, pairs: list[Eigenpair],
     reported for both printed and alternative inner scalings), the
     n^(-2/3)/|delta| amplitude drop across the interface at the largest n,
     and the O(1/s) decay of the oscillatory q-integral.  One ``kl_integrals``
-    call per index, over both eigenfunction grids and pi, serves every
-    refined form; ``eigfn_samples`` (at least 2) sets the grids.
+    call per index, over both eigenfunction grids (``EIGFN_SAMPLES`` points
+    per subinterval) and pi, serves every refined form.
     """
-    if eigfn_samples < 2:
-        raise ValueError("eigfn_samples must be at least 2")
     by_n = {p.index: p for p in pairs}
     est_by_n = {e.n: e for e in estimates}
     indices = sorted(set(by_n) & set(est_by_n))
-    if len(indices) < 8:
+    if len(indices) < MIN_RATE_INDICES:
         raise InsufficientRangeError(
-            f"need at least 8 shared indices, got {len(indices)}")
+            f"need at least {MIN_RATE_INDICES} shared indices, got {len(indices)}")
     missing = [n for n in indices if est_by_n[n].s_refined is None]
     if missing:
         raise Case1RequiredError(
@@ -365,8 +359,8 @@ def verify_rates(spec: ProblemSpec, pairs: list[Eigenpair],
 
     refined_s_fit = _fit_slope(ns, np.abs(s_vals - s_ref), S_RESIDUAL_FLOOR)
 
-    xs_left = np.linspace(0.0, HALF, eigfn_samples, endpoint=False)
-    xs_right = np.linspace(HALF, math.pi, eigfn_samples)[1:]
+    xs_left = np.linspace(0.0, HALF, EIGFN_SAMPLES, endpoint=False)
+    xs_right = np.linspace(HALF, math.pi, EIGFN_SAMPLES)[1:]
     xs = np.concatenate([xs_left, xs_right])
     left, right = slice(None, xs_left.size), slice(xs_left.size, None)
     # sup errors per index: leading and refined on the left, then the right

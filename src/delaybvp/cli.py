@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import asymptotics, dde_solver, picard, spectral
+from . import asymptotics, dde_solver, spectral
 from .exprlang import ExprDomainError, ExprError, parse as parse_expr
 from .problem import (HALF, Case1RequiredError, ProblemSpec,
-                      check_refined_conditions, validate)
+                      check_refined_conditions, is_case1, validate)
 
 __all__ = ["main", "load_config", "RunConfig", "ConfigError"]
 
@@ -322,16 +322,19 @@ def _slope_dict(fit: asymptotics.SlopeFit) -> dict:
             "floor_limited": fit.floor_limited}
 
 
-def cmd_verify(cfg: RunConfig, out_path: str | None, fmt: str) -> int:
+def cmd_verify(cfg: RunConfig, out_path: str | None, format_flag: str | None) -> int:
+    """The rate report, always as JSON: an explicit ``--format csv`` is a
+    config error, while a config's ``output.format`` is ignored."""
+    if format_flag == "csv":
+        raise ConfigError("--format: verify writes JSON only")
     _validated_or_fail(cfg)
     if cfg.n_range is None:
         raise ConfigError("range: verify needs an n-range (n_min/n_max)")
     n_min, n_max = cfg.n_range
     indices = range(n_min, n_max + 1)
-    if len(indices) < 8:
-        print(f"verify needs at least 8 indices; n range [{n_min}, {n_max}] "
-              f"supplies {len(indices)} (widen range.n_max)", file=sys.stderr)
-        raise SystemExit(EXIT_CONFIG)
+    if len(indices) < asymptotics.MIN_RATE_INDICES:
+        raise ConfigError(f"range.n_max: verify needs at least {asymptotics.MIN_RATE_INDICES} "
+                          f"indices; n range [{n_min}, {n_max}] supplies {len(indices)}")
     steps = cfg.solver.steps_per_segment
     pairs = spectral.localize_range(cfg.problem, indices, cfg.solver.refine_tol, steps)
     estimates = [asymptotics.predict_s(cfg.problem, n, steps) for n in indices]
@@ -384,6 +387,7 @@ def cmd_verify(cfg: RunConfig, out_path: str | None, fmt: str) -> int:
 def cmd_validate(cfg: RunConfig, out_path: str | None, fmt: str) -> int:
     report = validate(cfg.problem, cfg.solver.steps_per_segment)
     conditions = check_refined_conditions(cfg.problem, cfg.solver.steps_per_segment)
+    case1 = is_case1(cfg.problem)
     if fmt == "json":
         payload = {
             "valid": report.passed,
@@ -391,13 +395,13 @@ def cmd_validate(cfg: RunConfig, out_path: str | None, fmt: str) -> int:
                         "worst_x": c.worst_x, "detail": c.detail}
                        for c in report.checks + conditions.checks],
             "refined_conditions": conditions.passed,
-            "case1": conditions.case1,
+            "case1": case1,
         }
         text = json.dumps(payload, indent=2) + "\n"
     else:
         lines = report.lines() + conditions.lines()
         lines.append(f"valid: {report.passed}; refined conditions: "
-                     f"{conditions.passed}; case1: {conditions.case1}")
+                     f"{conditions.passed}; case1: {case1}")
         text = "\n".join(lines) + "\n"
     _write(text, out_path)
     return EXIT_OK if report.passed else EXIT_CONFIG
@@ -419,7 +423,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON problem config")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", default=None, choices=("csv", "json"),
-                       help="output format (default from config, else csv)")
+                       help="output format (default from config, else csv); "
+                            "verify writes JSON only")
         if name == "eigfn":
             p.add_argument("--n", type=int, default=None,
                            help="eigenvalue index to tabulate")
@@ -427,8 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _SOLVER_ERRORS = (dde_solver.NonFiniteStateError, dde_solver.DelayRangeError,
-                  spectral.ZeroOrManyError, picard.ContractionError,
-                  picard.PicardDivergedError, Case1RequiredError)
+                  spectral.ZeroOrManyError, Case1RequiredError)
 
 
 def main(argv=None) -> int:
@@ -444,7 +448,7 @@ def main(argv=None) -> int:
         "solve": lambda: cmd_solve(cfg, out_path, fmt),
         "charfn": lambda: cmd_charfn(cfg, out_path, fmt),
         "eigfn": lambda: cmd_eigfn(cfg, getattr(args, "n", None), out_path, fmt),
-        "verify": lambda: cmd_verify(cfg, out_path, fmt),
+        "verify": lambda: cmd_verify(cfg, out_path, args.format),
         "validate": lambda: cmd_validate(cfg, out_path, fmt),
     }
     try:

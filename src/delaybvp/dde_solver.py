@@ -29,10 +29,10 @@ u[b+j] = A^j (u[b] + sum_{l<j} A^-(l+1) B g[b+l]), so the sweep loops over
 runs, not steps, with the powers of A built by doubling once per sweep.  A
 run of one step is the step above.  Runs are cut into pieces of at most
 (steps + 1) // ``PIECE_SHARE`` steps (85 at the default resolution), and
-shorter where s h is so large that the inverse powers would lose more than
-a bit.  Below 383 steps that cap would be under ``SHORTEST_PIECE`` steps,
-where a piece saves fewer numpy calls than its partial sums and powers cost
-on a wide batch, and pieces are one step.
+per lambda at most the longest power of two that keeps the inverse powers
+within a bit (64 steps from s h ~ 0.98 on).  Below 383 steps that cap would
+be under ``SHORTEST_PIECE`` steps, where a piece saves fewer numpy calls than
+its partial sums and powers cost on a wide batch, and pieces are one step.
 
 The arrays are laid out so that every contraction sums over an axis in
 front of a contiguous (piece rows, lambda columns) block: the states are
@@ -270,10 +270,13 @@ class _SegmentTables:
         A piece of L steps uses the powers A^(1-L) .. A^(L-1), which grow
         like det(A)^(-(L-1)/2) in one direction or the other; det A =
         |R(i s h)|^2 = 1 - (s h)^6/72 + (s h)^8/576 for the scheme's
-        stability function R, 1 - 7e-13 at s = 50 and 4096 steps.  A
-        lambda with det(A)^(-(piece_cap-1)/2) > 2 gets the longest
-        power-of-two length that keeps that factor within 2, so the inverse
-        powers lose at most one bit; every other lambda gets ``piece_cap``.
+        stability function R, 1 - 7e-13 at s = 50 and 4096 steps.  Every
+        lambda gets the longest power-of-two L that keeps det(A)^(-(L-1)/2)
+        within 2, so the inverse powers lose at most one bit, capped at
+        ``piece_cap``.  The floor to a power of two cuts pieces before the
+        factor at ``piece_cap`` itself passes 2: at 4096 steps (cap 85, whose
+        factor passes 2 from s h ~ 1.054) pieces are 64 steps from
+        s h ~ 0.980, 32 from 1.108, 16 from 1.256 and 8 from 1.430.
         """
         t = (self.h * self.h) * np.asarray(lam, dtype=float)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -306,21 +309,6 @@ class _SegmentTables:
         h = self.h
         h2 = h * h
         pieces, longest = self.pieces(cap)
-        # K[c, k, l] = (A^-l C)[c, k]: the weight of input k of a piece's row
-        # l in output channel c; C = K[:, :, 0] and A = C[:, :2]
-        K = np.empty((2, 5, longest, m))
-        C = K[:, :, 0]
-        C[0, 0] = C[1, 1] = 1.0 - 0.5 * h2 * z + (h2 * h2 / 24.0) * z * z
-        C[0, 1] = h * (1.0 - (h2 / 6.0) * z)
-        C[1, 0] = -z * C[0, 1]
-        C[0, 2] = h2 / 6.0 - (h2 * h2 / 24.0) * z
-        C[0, 3] = h2 / 3.0
-        C[0, 4] = 0.0
-        C[1, 2] = (h / 6.0) * (1.0 - 0.5 * h2 * z)
-        C[1, 3] = 2.0 * h / 3.0 - (h2 * h / 12.0) * z
-        C[1, 4] = h / 6.0
-        A = C[:, :2]
-
         YV = np.empty((2, self.steps + 1, m))
         rows = YV.reshape(-1, m)
         # inputs of the current piece; the (y, v) slots past row 0 stay zero
@@ -332,6 +320,21 @@ class _SegmentTables:
         # input of a piece is u[b], so each of its partial sums is A u[b]
         stages = not self.q_zero
         with np.errstate(over="ignore", invalid="ignore"):
+            # K[c, k, l] = (A^-l C)[c, k]: the weight of input k of a piece's
+            # row l in output channel c; C = K[:, :, 0] and A = C[:, :2].  A
+            # lambda that overflows them ends in a non-finite state
+            K = np.empty((2, 5, longest, m))
+            C = K[:, :, 0]
+            C[0, 0] = C[1, 1] = 1.0 - 0.5 * h2 * z + (h2 * h2 / 24.0) * z * z
+            C[0, 1] = h * (1.0 - (h2 / 6.0) * z)
+            C[1, 0] = -z * C[0, 1]
+            C[0, 2] = h2 / 6.0 - (h2 * h2 / 24.0) * z
+            C[0, 3] = h2 / 3.0
+            C[0, 4] = 0.0
+            C[1, 2] = (h / 6.0) * (1.0 - 0.5 * h2 * z)
+            C[1, 3] = 2.0 * h / 3.0 - (h2 * h / 12.0) * z
+            C[1, 4] = h / 6.0
+            A = C[:, :2]
             # powers[:, :, l-1] = A^l for 0 < l < longest
             powers = _powers(A, longest - 1)
             inverse = _powers(np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]]) / (

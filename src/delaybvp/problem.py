@@ -42,7 +42,6 @@ __all__ = [
     "QNorms",
     "CheckResult",
     "ValidationReport",
-    "ConditionReport",
     "Case1RequiredError",
     "DelayRangeError",
     "segment_samples",
@@ -142,11 +141,6 @@ class ValidationReport:
             loc = "" if c.worst_x is None else f" (worst x = {c.worst_x:.9g})"
             out.append(f"[{mark}] {c.name}: {c.detail}{loc}")
         return out
-
-
-@dataclass(frozen=True)
-class ConditionReport(ValidationReport):
-    case1: bool
 
 
 @dataclass(frozen=True)
@@ -267,13 +261,13 @@ def validate(spec: ProblemSpec, steps_per_segment: int = DEFAULT_STEPS) -> Valid
     return ValidationReport(tuple(checks))
 
 
-def is_case1(spec: ProblemSpec, tol: float = 1e-12) -> bool:
-    """True when sin(alpha) != 0 and sin(beta) != 0, the only angle regime
-    covered by the refined asymptotic formulas."""
-    return abs(math.sin(spec.alpha)) > tol and abs(math.sin(spec.beta)) > tol
+def is_case1(spec: ProblemSpec) -> bool:
+    """True when sin(alpha) != 0 and sin(beta) != 0 (beyond 1e-12), the only
+    angle regime covered by the refined asymptotic formulas."""
+    return abs(math.sin(spec.alpha)) > 1e-12 and abs(math.sin(spec.beta)) > 1e-12
 
 
-def check_refined_conditions(spec: ProblemSpec, steps: int = DEFAULT_STEPS) -> ConditionReport:
+def check_refined_conditions(spec: ProblemSpec, steps: int = DEFAULT_STEPS) -> ValidationReport:
     """Report on the extra smoothness/retardation conditions for the refined
     asymptotics, read from the integrator's node samples at ``steps`` steps,
     the grid K and L integrate.
@@ -282,8 +276,8 @@ def check_refined_conditions(spec: ProblemSpec, steps: int = DEFAULT_STEPS) -> C
     (estimated by finite differences).  Condition b): Delta'(x) <= 1 at the
     nodes, Delta(0) = 0 and Delta(pi/2 + 0) = 0 within 1e-9.  A subinterval
     whose samples fail their domain check reports that check instead.  The
-    report also flags the angle regime (sin(alpha) != 0 and sin(beta) != 0)
-    required before any refined prediction may be used.
+    last check, ``case1_angles``, is the angle regime (sin(alpha) != 0 and
+    sin(beta) != 0) required before any refined prediction may be used.
     """
     checks = []
     for name, zero_at, label, s in zip(("left", "right"), ("origin", "interface"),
@@ -309,11 +303,10 @@ def check_refined_conditions(spec: ProblemSpec, steps: int = DEFAULT_STEPS) -> C
         checks.append(CheckResult(f"delay_zero_at_{zero_at}", abs(d0) <= ZERO_TOL, s.a,
                                   f"{label} = {d0:.3e}"))
 
-    case1 = is_case1(spec)
     checks.append(CheckResult(
-        "case1_angles", case1, None,
+        "case1_angles", is_case1(spec), None,
         f"sin(alpha) = {math.sin(spec.alpha):.6g}, sin(beta) = {math.sin(spec.beta):.6g}"))
-    return ConditionReport(tuple(checks), case1=case1)
+    return ValidationReport(tuple(checks))
 
 
 def coefficient_samples(spec: ProblemSpec, steps: int = DEFAULT_STEPS) -> tuple:

@@ -31,7 +31,7 @@ of three rounds.  Brackets for distinct roots are refined in lock-step so
 each round costs a single batched sweep of the integrator.
 
 All eigenvalues of the problem are simple; numerically that shows up as a
-transversal crossing of F, which ``simplicity_certificate`` checks through a
+transversal crossing of F, which ``simplicity_certificates`` checks through a
 central difference of dF/dlambda against the refinement residual.
 """
 
@@ -47,17 +47,14 @@ from .exprlang import ExprDomainError
 from .problem import HALF, Case1RequiredError, DelayRangeError, ProblemSpec, is_case1
 
 __all__ = [
-    "CharacteristicSample",
     "Eigenpair",
     "SimplicityCertificate",
     "ZeroOrManyError",
-    "char_fn",
     "char_fn_picard",
     "char_fn_samples",
     "scan_roots",
     "localize_near_n",
     "localize_range",
-    "simplicity_certificate",
     "simplicity_certificates",
 ]
 
@@ -68,7 +65,9 @@ LOCALIZE_SUBGRID = 64
 # h = (pi/2) / steps: 265 steps for n <= 50, 108 for n <= 20
 SCREEN_SH = 0.3
 SCREEN_MIN_STEPS = 64
-SCAN_SAMPLES_PER_UNIT = 100
+# lambda step of the simplicity certificates' central difference; below
+# lambda = 2e-3 the step is lambda/2, so that lambda - step stays positive
+CERT_STEP = 1e-3
 # the first refinement round probes at x_c +- SEED |x_c - x_q| around the
 # inverse cubic root x_c, where x_q are the inverse quadratic roots; its
 # error is at most 0.036 |x_c - x_q| from n = 4 on across the sine specs
@@ -93,13 +92,6 @@ class ZeroOrManyError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class CharacteristicSample:
-    lam: float
-    F: float
-    method: str  # "shooting" or "picard"
-
-
-@dataclass(frozen=True)
 class Eigenpair:
     """A located eigenvalue with its eigenfunction segments.
 
@@ -121,35 +113,19 @@ class Eigenpair:
 @dataclass(frozen=True)
 class SimplicityCertificate:
     dF_dlambda: float
-    residual: float
-    threshold: float
     h: float
     passed: bool
-    reliable: bool
 
 
 def _assemble_F(spec: ProblemSpec, w_pi, wp_pi):
     return w_pi * math.cos(spec.beta) + wp_pi * math.sin(spec.beta)
 
 
-def char_fn(spec: ProblemSpec, lam: float, steps: int = dde_solver.DEFAULT_STEPS) -> CharacteristicSample:
-    """Characteristic value F(lambda) from a fresh shooting solution."""
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise ValueError("lambda must be positive and finite")
-    w, wp = dde_solver.shoot_endpoints(spec, [lam], steps)
-    return CharacteristicSample(lam=float(lam), F=float(_assemble_F(spec, w[0], wp[0])),
-                                method="shooting")
-
-
-def char_fn_picard(spec: ProblemSpec, lam: float,
-                   grid_points: int = picard.DEFAULT_GRID,
-                   max_iters: int = picard.DEFAULT_MAX_ITERS,
-                   tol: float = picard.DEFAULT_TOL) -> CharacteristicSample:
+def char_fn_picard(spec: ProblemSpec, lam: float) -> float:
     """F(lambda) assembled from the fixed-point oracle segments."""
-    w1 = picard.picard_w1(spec, lam, grid_points, max_iters, tol)
-    w2 = picard.picard_w2(spec, lam, w1, grid_points, max_iters, tol)
-    F = _assemble_F(spec, w2.values[-1], w2.derivs[-1])
-    return CharacteristicSample(lam=float(lam), F=float(F), method="picard")
+    w1 = picard.picard_w1(spec, lam)
+    w2 = picard.picard_w2(spec, lam, w1)
+    return float(_assemble_F(spec, w2.values[-1], w2.derivs[-1]))
 
 
 def char_fn_samples(spec: ProblemSpec, s_values, steps: int = dde_solver.DEFAULT_STEPS) -> np.ndarray:
@@ -300,23 +276,20 @@ def _pairs_from_roots(spec: ProblemSpec, s_roots, indices, steps: int) -> list[E
     return pairs
 
 
-def scan_roots(spec: ProblemSpec, s_min: float, s_max: float,
-               samples: int | None = None, refine_tol: float = DEFAULT_REFINE_TOL,
+def scan_roots(spec: ProblemSpec, s_min: float, s_max: float, samples: int,
+               refine_tol: float = DEFAULT_REFINE_TOL,
                steps: int = dde_solver.DEFAULT_STEPS) -> list[Eigenpair]:
     """Locate eigenvalues by s-scan over [s_min, s_max].
 
-    Samples F(s^2) uniformly (default 100 samples per unit of s, matching
-    the ~unit spacing of roots), refines every sign change, and returns the
-    eigenpairs ordered by s with ordinal indices.  Roots of even multiplicity
-    produce no sign change and are not found; an empty list is a valid
-    outcome.
+    Samples F(s^2) at ``samples`` uniform points (roots are about a unit
+    apart), refines every sign change, and returns the eigenpairs ordered
+    by s with ordinal indices.  Roots of even multiplicity produce no sign
+    change and are not found; an empty list is a valid outcome.
     """
     if not 0.0 < s_min < s_max < math.inf:
         raise ValueError("need 0 < s_min < s_max")
     if not 0.0 < refine_tol < math.inf:
         raise ValueError("refine_tol must be positive and finite")
-    if samples is None:
-        samples = int(math.ceil((s_max - s_min) * SCAN_SAMPLES_PER_UNIT)) + 1
     if samples < 2:
         raise ValueError("need at least 2 samples")
     grid = np.linspace(s_min, s_max, samples)
@@ -441,33 +414,23 @@ def localize_near_n(spec: ProblemSpec, n: int, refine_tol: float = DEFAULT_REFIN
     return localize_range(spec, [n], refine_tol, steps)[0]
 
 
-def simplicity_certificates(spec: ProblemSpec, pairs: list[Eigenpair], h: float = 1e-3,
+def simplicity_certificates(spec: ProblemSpec, pairs: list[Eigenpair],
                             steps: int = dde_solver.DEFAULT_STEPS) -> list[SimplicityCertificate]:
     """Transversality checks for a batch of eigenpairs (one shared sweep).
 
-    dF/dlambda is estimated by a central difference with step min(h,
-    lambda/2) in lambda, the certificate's ``h``; a certificate passes when
-    the slope clears 10x the refinement residual over its step, and is
-    marked unreliable for a step above 1.
+    dF/dlambda is estimated by a central difference with step
+    min(``CERT_STEP``, lambda/2) in lambda, the certificate's ``h``; a
+    certificate passes when the slope clears 10x the refinement residual
+    over its step.
     """
-    if not 0.0 < h < math.inf:
-        raise ValueError("h must be positive and finite")
     if not pairs:
         return []
-    deltas = [min(h, 0.5 * p.lam) for p in pairs]
+    deltas = [min(CERT_STEP, 0.5 * p.lam) for p in pairs]
     lams = np.array([[p.lam - d, p.lam + d] for p, d in zip(pairs, deltas)])
     F = char_fn_samples(spec, np.sqrt(lams.ravel()), steps).reshape(-1, 2)
     out = []
     for pair, d, (f_lo, f_hi) in zip(pairs, deltas, F):
         slope = float((f_hi - f_lo) / (2.0 * d))
-        threshold = 10.0 * abs(pair.F_residual) / d
         out.append(SimplicityCertificate(
-            dF_dlambda=slope, residual=pair.F_residual, threshold=threshold, h=d,
-            passed=bool(abs(slope) > threshold), reliable=bool(d <= 1.0)))
+            dF_dlambda=slope, h=d, passed=bool(abs(slope) > 10.0 * abs(pair.F_residual) / d)))
     return out
-
-
-def simplicity_certificate(spec: ProblemSpec, pair: Eigenpair, h: float = 1e-3,
-                           steps: int = dde_solver.DEFAULT_STEPS) -> SimplicityCertificate:
-    """Transversality check of the root crossing at one eigenvalue."""
-    return simplicity_certificates(spec, [pair], h, steps)[0]

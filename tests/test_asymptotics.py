@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from delaybvp import asymptotics, dde_solver
-from delaybvp.asymptotics import (EIGFN_RESIDUAL_FLOOR, DegenerateNormError,
+from delaybvp.asymptotics import (EIGFN_RESIDUAL_FLOOR, EIGFN_SAMPLES, DegenerateNormError,
                                   InsufficientRangeError, _fit_slope,
                                   kl_integrals, apriori_bounds,
                                   oscillatory_q_integral, predict_s,
@@ -121,7 +121,6 @@ def test_kl_raises_where_q_overflows():
 def test_predict_identity_for_null(null_spec):
     for n in (1, 7, 40):
         est = predict_s(null_spec, n)
-        assert est.s_leading == n
         assert est.s_refined == n
         assert est.K_pi == 0.0 and est.L_pi == 0.0
 
@@ -140,10 +139,6 @@ def test_predict_constant_q(constq_spec):
 def test_predict_requires_case1():
     with pytest.raises(Case1RequiredError):
         predict_s(spec_of(alpha=0.0), 10)
-    est = predict_s(spec_of(alpha=0.0), 10, refined=False)
-    assert est.s_refined is None
-    assert not est.case1
-    assert est.s_leading == 10
 
 
 # --- eigenfunction predictions --------------------------------------------------
@@ -271,7 +266,7 @@ def test_verify_rates_null_spec_floor_limited(null_spec):
     indices = range(5, 14)
     pairs = localize_range(null_spec, indices, steps=1024)
     estimates = [predict_s(null_spec, n) for n in indices]
-    report = verify_rates(null_spec, pairs, estimates, eigfn_samples=129)
+    report = verify_rates(null_spec, pairs, estimates)
     assert report.refined_s_fit.floor_limited
     assert report.leading_eigfn_fit.floor_limited
     assert report.drift_bounded
@@ -297,7 +292,7 @@ def test_verify_rates_evaluates_kl_once_per_index(delayed_spec, delayed_rate_inp
         return original(spec, x, s, *args)
 
     monkeypatch.setattr(asymptotics, "kl_integrals", counting)
-    report = verify_rates(delayed_spec, pairs, estimates, steps=512, eigfn_samples=65)
+    report = verify_rates(delayed_spec, pairs, estimates, steps=512)
     assert calls == [float(n) for n in report.indices]
 
 
@@ -305,9 +300,9 @@ def test_verify_rates_fits_match_predict_eigenfunction(delayed_spec, delayed_rat
     # the report's eigenfunction errors are those of predict_eigenfunction on
     # the report's two grids, bit for bit
     pairs, estimates = delayed_rate_inputs
-    report = verify_rates(delayed_spec, pairs, estimates, steps=512, eigfn_samples=65)
-    xs_left = np.linspace(0.0, HALF, 65, endpoint=False)
-    xs_right = np.linspace(HALF, PI, 65)[1:]
+    report = verify_rates(delayed_spec, pairs, estimates, steps=512)
+    xs_left = np.linspace(0.0, HALF, EIGFN_SAMPLES, endpoint=False)
+    xs_right = np.linspace(HALF, PI, EIGFN_SAMPLES)[1:]
     ns = [p.index for p in pairs]
     for field, order, xs, side in (("leading_eigfn_fit", "leading", xs_left, "left"),
                                    ("refined_eigfn_fit", "refined", xs_left, "left"),
@@ -322,8 +317,7 @@ def test_verify_rates_fits_match_predict_eigenfunction(delayed_spec, delayed_rat
 @pytest.mark.parametrize("entry, bad", [
     *((entry, bad) for entry in ("kl_integrals_s", "kl_integrals_x", "oscillatory_q_integral",
                                  "predict_leading", "predict_refined")
-      for bad in (math.nan, math.inf, -math.inf)),
-    ("verify_rates", 1), ("verify_rates", 0)])
+      for bad in (math.nan, math.inf, -math.inf))])
 def test_non_finite_asymptotics_input_named(delayed_spec, entry, bad):
     # a NaN passes every range comparison; it must not come back as a NaN
     # value, a RuntimeWarning or numpy's zero-size error
@@ -339,8 +333,6 @@ def test_non_finite_asymptotics_input_named(delayed_spec, entry, bad):
         "predict_refined": (lambda: predict_eigenfunction(delayed_spec, 5, [0.3, bad],
                                                           "refined", 64),
                             "x must lie in"),
-        "verify_rates": (lambda: verify_rates(delayed_spec, [], [], eigfn_samples=bad),
-                         "eigfn_samples must be at least 2"),
     }
     call, match = calls[entry]
     with pytest.raises(ValueError, match=match):

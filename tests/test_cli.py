@@ -132,6 +132,22 @@ def test_eigfn_needs_index(tmp_path, capsys):
     assert "--n" in capsys.readouterr().err
 
 
+DELAYED_PROBLEM = {"q_left": "sin(x)", "q_right": "cos(x)",
+                   "retard_left": "0.5*x*(pi/2 - x)",
+                   "retard_right": "(x - pi/2)*(pi - x)*0.25"}
+
+
+@pytest.mark.parametrize("exponent", [100, 141, 150, 153])
+def test_overflowing_lambda_is_solver_error(tmp_path, capsys, exponent):
+    # lambda = n^2 is finite but overflows the sweep's step coefficients;
+    # numpy once warned of it before the solver error was raised
+    cfg = write_config(tmp_path, problem=DELAYED_PROBLEM,
+                       solver={"steps_per_segment": 256})
+    assert main(["eigfn", "--config", cfg, "--n", str(10 ** exponent)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: state became non-finite")
+
+
 @pytest.mark.parametrize("n", ["0", "-3"])
 def test_eigfn_index_must_be_positive(tmp_path, capsys, n):
     cfg = write_config(tmp_path)
@@ -144,6 +160,15 @@ def test_verify_insufficient_range(tmp_path, capsys):
     cfg = write_config(tmp_path, range_={"n_min": 5, "n_max": 9})
     assert main(["verify", "--config", cfg]) == 1
     assert "at least 8" in capsys.readouterr().err
+
+
+def test_verify_format_csv_flag_is_config_error(tmp_path, capsys):
+    # the report is JSON only: the flag once went unheeded and JSON came out
+    cfg = write_config(tmp_path, range_={"n_min": 5, "n_max": 13})
+    out = tmp_path / "report.csv"
+    assert main(["verify", "--config", cfg, "--format", "csv", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "config error: --format: verify writes JSON only\n"
+    assert not out.exists()
 
 
 def test_verify_null_passes(tmp_path, capsys):

@@ -452,7 +452,12 @@ def test_sweep_at_full_resolution_matches_stepwise(delayed_spec):
 def test_piece_caps(delayed_spec):
     # (steps + 1) // 48 steps at most, one step when that is under 8; s h of
     # 1.8 and 2.5 cut pieces shorter
-    assert both_tables(delayed_spec, 4096)[0].piece_cap == 85
+    tables = both_tables(delayed_spec, 4096)[0]
+    assert tables.piece_cap == 85
+    # the longest power of two falls below 128 between s h = 0.98 and 0.99,
+    # well before the cap's own factor passes 2
+    sh = np.array([0.98, 0.99])
+    assert tables.piece_caps((sh / tables.h) ** 2).tolist() == [85, 64]
     assert both_tables(delayed_spec, 383)[0].piece_cap == 8
     assert both_tables(delayed_spec, 382)[0].piece_cap == 1
     steps, lams = MIXED_CAPS

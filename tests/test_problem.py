@@ -133,7 +133,7 @@ def test_zero_delay_satisfies_condition_b(null_spec):
     assert by_name["delay_slope_left"].passed
     assert by_name["delay_zero_at_origin"].passed
     assert by_name["delay_zero_at_interface"].passed
-    assert report.case1
+    assert by_name["case1_angles"].passed
 
 
 def test_delayed_slope_peaks_at_origin(delayed_spec):
@@ -165,7 +165,7 @@ def test_steep_delay_fails_condition_b():
 
 def test_alpha_zero_clears_case1_flag():
     report = check_refined_conditions(spec_of(alpha=0.0))
-    assert not report.case1
+    assert not {c.name: c for c in report.checks}["case1_angles"].passed
     assert not is_case1(spec_of(alpha=0.0))
     assert is_case1(spec_of(alpha=PI / 4, beta=PI / 3))
 

@@ -6,10 +6,10 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from delaybvp import asymptotics, dde_solver, picard, spectral
 from delaybvp.problem import Case1RequiredError, HALF, ProblemSpec
-from delaybvp.spectral import (ZeroOrManyError, _refine_brackets, _window_brackets, char_fn,
+from delaybvp.spectral import (ZeroOrManyError, _refine_brackets, _window_brackets,
                                char_fn_picard, char_fn_samples,
                                localize_near_n, localize_range, scan_roots,
-                               simplicity_certificate)
+                               simplicity_certificates)
 
 PI = math.pi
 
@@ -38,19 +38,18 @@ def bisect_closed_form(f, lo, hi, tol=1e-13):
 
 def test_char_fn_near_integer_roots(null_spec):
     for n in (1, 2, 5):
-        assert abs(char_fn(null_spec, float(n * n)).F) < 1e-8
+        assert abs(char_fn_samples(null_spec, [float(n)])[0]) < 1e-8
 
 
 def test_char_fn_closed_form_value(null_spec):
-    sample = char_fn(null_spec, 2.25)
-    assert sample.method == "shooting"
-    assert sample.F == pytest.approx(1.5 ** (1.0 / 3.0), abs=1e-9)
+    F = char_fn_samples(null_spec, [1.5])[0]
+    assert F == pytest.approx(1.5 ** (1.0 / 3.0), abs=1e-9)
 
 
 def test_char_fn_beta_quarter_matches_closed_form():
     spec = spec_of(beta=PI / 4)
     for s in (0.8, 1.3, 2.6):
-        got = char_fn(spec, s * s).F
+        got = char_fn_samples(spec, [s])[0]
         assert got == pytest.approx(closed_form_F(s, PI / 4), abs=1e-9)
 
 
@@ -71,7 +70,7 @@ def test_scan_roots_satisfy_residual_contract(constq_spec):
     assert pairs
     for p in pairs:
         assert abs(p.F_residual) < 1e-8
-        assert abs(char_fn(constq_spec, p.lam, steps=1024).F) < 1e-8
+        assert abs(char_fn_samples(constq_spec, [p.s], 1024)[0]) < 1e-8
 
 
 def test_localize_exact_integers(null_spec):
@@ -134,7 +133,7 @@ def test_scan_refines_roots_in_adjacent_cells_once_each(null_spec, monkeypatch):
 
 
 def test_counting_thirty_windows(null_spec):
-    pairs = scan_roots(null_spec, 0.5, 30.5, refine_tol=1e-9, steps=1024)
+    pairs = scan_roots(null_spec, 0.5, 30.5, samples=3001, refine_tol=1e-9, steps=1024)
     assert len(pairs) == 30
     for k, p in enumerate(pairs, start=1):
         assert abs(p.s - k) < 1e-5
@@ -143,27 +142,19 @@ def test_counting_thirty_windows(null_spec):
 def test_method_agreement_shooting_vs_picard(constq_spec, delayed_spec):
     for spec in (constq_spec, delayed_spec):
         for s in (6.0, 12.0):
-            f_shoot = char_fn(spec, s * s).F
-            f_picard = char_fn_picard(spec, s * s).F
+            f_shoot = char_fn_samples(spec, [s])[0]
+            f_picard = char_fn_picard(spec, s * s)
             assert abs(f_shoot - f_picard) < 1e-6
 
 
 def test_simplicity_certificate_closed_form(null_spec):
     pair = localize_near_n(null_spec, 5)
-    cert = simplicity_certificate(null_spec, pair)
+    [cert] = simplicity_certificates(null_spec, [pair])
     # d/d lambda of -s^(1/3) sin(s pi) at s = 5 is 5^(1/3) pi / 10
     oracle = 5.0 ** (1.0 / 3.0) * PI / 10.0
     assert cert.dF_dlambda == pytest.approx(oracle, abs=1e-4)
-    assert cert.passed and cert.reliable
-
-
-def test_simplicity_large_h_unreliable(null_spec):
-    pair = localize_near_n(null_spec, 5)
-    cert = simplicity_certificate(null_spec, pair, h=2.0)
-    assert not cert.reliable
-    # a NaN step is refused up front, not as a bad s inside the sweep
-    with pytest.raises(ValueError, match="h must be positive and finite"):
-        spectral.simplicity_certificates(null_spec, [pair], h=math.nan)
+    assert cert.h == spectral.CERT_STEP
+    assert cert.passed
 
 
 def test_char_fn_samples_vectorized(null_spec):
@@ -177,9 +168,9 @@ def test_positive_s_required(null_spec):
     with pytest.raises(ValueError):
         char_fn_samples(null_spec, [-1.0])
     with pytest.raises(ValueError):
-        scan_roots(null_spec, 0.0, 2.0)
+        scan_roots(null_spec, 0.0, 2.0, 201)
     with pytest.raises(ValueError, match="need 0 < s_min < s_max"):
-        scan_roots(null_spec, 1.0, math.inf)
+        scan_roots(null_spec, 1.0, math.inf, 201)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-10])
@@ -190,7 +181,7 @@ def test_refine_tol_must_be_positive_and_finite(delayed_spec, entry, tol):
     calls = {
         "localize_range": lambda: localize_range(delayed_spec, [5], tol, 64),
         "localize_near_n": lambda: localize_near_n(delayed_spec, 5, tol, 64),
-        "scan_roots": lambda: scan_roots(delayed_spec, 4.5, 5.5, refine_tol=tol, steps=64),
+        "scan_roots": lambda: scan_roots(delayed_spec, 4.5, 5.5, 101, tol, 64),
     }
     with pytest.raises(ValueError, match="refine_tol must be positive and finite"):
         calls[entry]()
@@ -198,8 +189,8 @@ def test_refine_tol_must_be_positive_and_finite(delayed_spec, entry, tol):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
 @pytest.mark.parametrize("entry", ["shoot_endpoints", "char_fn_samples",
-                                   "integrate_segment", "char_fn", "picard_w1",
-                                   "picard_w2", "apriori_bounds"])
+                                   "integrate_segment", "picard_w1", "picard_w2",
+                                   "apriori_bounds"])
 def test_lambda_must_be_positive_and_finite(delayed_spec, entry, bad):
     # a NaN passes a `<= 0` check; it must not reach the integrator and be
     # reported as a non-finite state, nor make the fixed-point iteration
@@ -209,7 +200,6 @@ def test_lambda_must_be_positive_and_finite(delayed_spec, entry, bad):
         "char_fn_samples": lambda: char_fn_samples(delayed_spec, [2.0, bad], 64),
         "integrate_segment": lambda: dde_solver.integrate_segment(
             delayed_spec, bad, (0.0, HALF), 1.0, 0.0, steps=64),
-        "char_fn": lambda: char_fn(delayed_spec, bad, 64),
         "picard_w1": lambda: picard.picard_w1(delayed_spec, bad, 65),
         "picard_w2": lambda: picard.picard_w2(
             delayed_spec, bad, dde_solver.shoot(delayed_spec, 4.0, 64).left, 65),
