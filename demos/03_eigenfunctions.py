@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from delaybvp.asymptotics import predict_eigenfunction
+from delaybvp.dde_solver import shoot
 from delaybvp.problem import ProblemSpec
 from delaybvp.spectral import localize_near_n
 
@@ -25,12 +26,14 @@ spec = ProblemSpec.from_strings(
 n = 12
 pair = localize_near_n(spec, n)
 print(f"eigenvalue near n = {n}: s_n = {pair.s:.9f}, lambda_n = {pair.lam:.6f}")
+# the eigenfunction is the shooting solution at the eigenvalue
+eigfn = shoot(spec, pair.lam)
 
 xs_left = np.linspace(0.0, PI2, 256, endpoint=False)
 xs_right = np.linspace(PI2, PI, 257)[1:]
 
-u_left = pair.left.eval(xs_left)
-u_right = pair.right.eval(xs_right)
+u_left = eigfn.left.eval(xs_left)
+u_right = eigfn.right.eval(xs_right)
 
 for order in ("leading", "refined"):
     pl = predict_eigenfunction(spec, n, xs_left, order)
@@ -44,6 +47,6 @@ print(f"\namplitude drop across the interface: {ratio:.5f} "
 
 print("\nprofile samples (x, computed, leading form):")
 for x in (0.0, 0.5, 1.0, 1.5, 1.8, 2.4, 3.0):
-    seg = pair.left if x < PI2 else pair.right
+    seg = eigfn.left if x < PI2 else eigfn.right
     print(f"  x = {x:1.2f}: u = {seg.eval(x):+.6f}, "
           f"cos-form = {predict_eigenfunction(spec, n, x):+.6f}")

@@ -35,6 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import dde_solver
 from .problem import (DEFAULT_STEPS, HALF, Case1RequiredError, ProblemSpec,
                       check_refined_conditions, coefficient_samples, is_case1, q_norms)
 from .quadrature import cumulative_simpson, hermite
@@ -99,8 +100,6 @@ class AsymptoticEstimate:
 
     n: int
     s_refined: float | None
-    K_pi: float
-    L_pi: float
 
 
 @dataclass(frozen=True)
@@ -205,12 +204,12 @@ def predict_s(spec: ProblemSpec, n: int, steps: int = DEFAULT_STEPS) -> Asymptot
     if not is_case1(spec):
         raise Case1RequiredError(
             "refined estimate needs sin(alpha) != 0 and sin(beta) != 0")
-    k_pi, l_pi = kl_integrals(spec, math.pi, float(n), steps)
+    l_pi = kl_integrals(spec, math.pi, float(n), steps)[1]
     s_refined = None
     if _refined_available(spec, steps):
         correction = (1.0 / math.tan(spec.beta)) - (1.0 / math.tan(spec.alpha)) - l_pi
         s_refined = n + correction / (n * math.pi)
-    return AsymptoticEstimate(n=n, s_refined=s_refined, K_pi=k_pi, L_pi=l_pi)
+    return AsymptoticEstimate(n=n, s_refined=s_refined)
 
 
 def _amplitude(spec: ProblemSpec, n: int, xs: np.ndarray) -> np.ndarray:
@@ -328,9 +327,10 @@ def verify_rates(spec: ProblemSpec, pairs: list[Eigenpair],
     the leading and refined forms (left interval; the right interval is
     reported for both printed and alternative inner scalings), the
     n^(-2/3)/|delta| amplitude drop across the interface at the largest n,
-    and the O(1/s) decay of the oscillatory q-integral.  One ``kl_integrals``
-    call per index, over both eigenfunction grids (``EIGFN_SAMPLES`` points
-    per subinterval) and pi, serves every refined form.
+    and the O(1/s) decay of the oscillatory q-integral.  One ``shoot_many``
+    call at ``steps`` builds the eigenfunctions, and one ``kl_integrals``
+    call per index, over both their grids (``EIGFN_SAMPLES`` points per
+    subinterval) and pi, serves every refined form.
     """
     by_n = {p.index: p for p in pairs}
     est_by_n = {e.n: e for e in estimates}
@@ -367,8 +367,9 @@ def verify_rates(spec: ProblemSpec, pairs: list[Eigenpair],
     # interval's inner scaling as printed, 1/(n^(5/3) pi), and the 1/(n pi)
     # variant that parallels the left interval
     errors = np.empty((4, len(indices)))
-    for k, n in enumerate(indices):
-        u = np.concatenate([by_n[n].left.eval(xs_left), by_n[n].right.eval(xs_right)])
+    shots = dde_solver.shoot_many(spec, [by_n[n].lam for n in indices], steps)
+    for k, (n, shot) in enumerate(zip(indices, shots)):
+        u = np.concatenate([shot.left.eval(xs_left), shot.right.eval(xs_right)])
         kl = kl_integrals(spec, np.append(xs, math.pi), float(n), steps)
         leading = _amplitude(spec, n, xs) * np.cos(n * xs)
         printed = _refined_form(spec, n, xs, *kl, (n ** (5.0 / 3.0)) * math.pi)

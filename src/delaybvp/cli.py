@@ -6,8 +6,8 @@ forms), ``verify`` (rate report), ``validate`` (constraint report).  Every
 command is a pure function of its JSON config: reruns produce byte-identical
 primary output.
 
-Exit codes: 0 success, 1 config or validation error, 2 solver failure,
-3 verification threshold failure.
+Exit codes: 0 success, 1 config or validation error (a usage error
+included), 2 solver failure, 3 verification threshold failure.
 """
 
 from __future__ import annotations
@@ -257,23 +257,17 @@ def _validated_or_fail(cfg: RunConfig) -> None:
 # --- subcommands ------------------------------------------------------------
 
 
-def _solve_pairs(cfg: RunConfig) -> list[spectral.Eigenpair]:
-    if cfg.n_range is not None:
-        n_min, n_max = cfg.n_range
-        return spectral.localize_range(cfg.problem, range(n_min, n_max + 1),
-                                       cfg.solver.refine_tol,
-                                       cfg.solver.steps_per_segment)
-    s_min, s_max, samples = cfg.s_range
-    return spectral.scan_roots(cfg.problem, s_min, s_max, samples,
-                               cfg.solver.refine_tol, cfg.solver.steps_per_segment)
-
-
 def cmd_solve(cfg: RunConfig, out_path: str | None, fmt: str) -> int:
     _validated_or_fail(cfg)
-    pairs = _solve_pairs(cfg)
-    certs = spectral.simplicity_certificates(cfg.problem, pairs,
-                                             steps=cfg.solver.steps_per_segment)
-    rows = [(p.index, p.s, p.lam, p.F_residual, bool(c.passed))
+    steps = cfg.solver.steps_per_segment
+    if cfg.n_range is not None:
+        n_min, n_max = cfg.n_range
+        pairs = spectral.localize_range(cfg.problem, range(n_min, n_max + 1),
+                                        cfg.solver.refine_tol, steps)
+    else:
+        pairs = spectral.scan_roots(cfg.problem, *cfg.s_range, cfg.solver.refine_tol, steps)
+    certs = spectral.simplicity_certificates(cfg.problem, pairs, steps)
+    rows = [(p.index, p.s, p.lam, c.F_residual, bool(c.passed))
             for p, c in zip(pairs, certs)]
     _emit_table(["n", "s_n", "lambda_n", "F_residual", "simplicity_ok"],
                 rows, fmt, out_path)
@@ -298,15 +292,15 @@ def cmd_eigfn(cfg: RunConfig, n: int | None, out_path: str | None, fmt: str) -> 
     if n > S_LIMIT - 0.5:
         raise ConfigError("--n: (n + 0.5)^2 must be finite")
     _validated_or_fail(cfg)
-    pair = spectral.localize_near_n(cfg.problem, n, cfg.solver.refine_tol,
-                                    cfg.solver.steps_per_segment)
+    steps = cfg.solver.steps_per_segment
+    pair = spectral.localize_near_n(cfg.problem, n, cfg.solver.refine_tol, steps)
+    shot = dde_solver.shoot(cfg.problem, pair.lam, steps)
     xs = np.linspace(0.0, math.pi, cfg.x_samples)
     xs = xs[np.abs(xs - HALF) > 1e-12]
     left = xs < HALF
     u = np.empty_like(xs)
-    u[left] = pair.left.eval(xs[left])
-    u[~left] = pair.right.eval(xs[~left])
-    steps = cfg.solver.steps_per_segment
+    u[left] = shot.left.eval(xs[left])
+    u[~left] = shot.right.eval(xs[~left])
     u_lead = asymptotics.predict_eigenfunction(cfg.problem, n, xs, "leading", steps)
     u_ref = asymptotics.predict_eigenfunction(cfg.problem, n, xs, "refined", steps)
     rows = [(float(x), float(uv), float(ul), float(ur),
@@ -407,8 +401,16 @@ def cmd_validate(cfg: RunConfig, out_path: str | None, fmt: str) -> int:
     return EXIT_OK if report.passed else EXIT_CONFIG
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are config errors (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="delaybvp",
         description="Eigenvalues of a delayed transmission boundary value problem.")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -436,8 +438,8 @@ _SOLVER_ERRORS = (dde_solver.NonFiniteStateError, dde_solver.DelayRangeError,
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = load_config(args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

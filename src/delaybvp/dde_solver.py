@@ -153,7 +153,6 @@ class ShootingResult:
 
     left: SolutionSegment
     right: SolutionSegment
-    lam: float
 
 
 # stencil term k reads channel _CHANNEL[k] of node (j + _ROW_OFFSET[k]) of
@@ -434,7 +433,7 @@ def _non_finite(side: int, YV: np.ndarray, cols) -> list[tuple[int, int, int]]:
     """[(side, row, batch column)] of the first non-finite state of a block
     of segment ``side`` (0 left, 1 right) by row, or [] if all are finite."""
     # one channel at a time keeps the temporary at (steps+1, width) booleans
-    if all(np.isfinite(YV[k]).all() for k in (0, 1)):
+    if all(np.isfinite(channel).all() for channel in YV):
         return []
     bad = ~np.isfinite(YV).all(axis=0)
     row = int(np.argmax(bad.any(axis=1)))
@@ -451,7 +450,9 @@ def _raise_first(failed: list, tables: tuple, lams: np.ndarray) -> None:
 
 
 def _segments(tables: _SegmentTables, lams: np.ndarray, YV: np.ndarray) -> list[SolutionSegment]:
-    A = tables.second_derivs(lams, YV)
+    with np.errstate(over="ignore", invalid="ignore"):  # y'' may overflow where y did not
+        A = tables.second_derivs(lams, YV)
+    _raise_first(_non_finite(0, A[None], range(lams.shape[0])), (tables,), lams)
     return [SolutionSegment(a=tables.a, b=tables.b, lam=float(lam), nodes=tables.nodes,
                             values=np.ascontiguousarray(YV[0, :, k]),
                             derivs=np.ascontiguousarray(YV[1, :, k]),
@@ -512,8 +513,10 @@ def _shoot_blocks(spec: ProblemSpec, lams: np.ndarray, steps: int, keep):
             YV = lt.sweep(z, math.sin(spec.alpha), -math.cos(spec.alpha), cap)
             failed += _non_finite(0, YV, cols)
             left = None if failed else keep(lt, z, YV)
-            scale = 1.0 / (lam_cbrt(z) * spec.coupling)
-            y0, v0 = scale * YV[:, -1]
+            # a tiny coupling overflows the mapping: the right sweep fails
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                scale = 1.0 / (lam_cbrt(z) * spec.coupling)
+                y0, v0 = scale * YV[:, -1]
             del YV
             YV = rt.sweep(z, y0, v0, cap)
             failed += _non_finite(1, YV, cols)
@@ -530,7 +533,7 @@ def shoot_many(spec: ProblemSpec, lams, steps_per_segment: int = DEFAULT_STEPS) 
     out: list[ShootingResult] = [None] * lams.shape[0]
     for cols, left, right in _shoot_blocks(spec, lams, steps_per_segment, _segments):
         for k, l, r in zip(cols.tolist(), left, right):
-            out[k] = ShootingResult(left=l, right=r, lam=l.lam)
+            out[k] = ShootingResult(left=l, right=r)
     return out
 
 

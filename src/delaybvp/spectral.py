@@ -30,9 +30,11 @@ round at their inverse cubic root, which on the delayed problem saves one
 of three rounds.  Brackets for distinct roots are refined in lock-step so
 each round costs a single batched sweep of the integrator.
 
-All eigenvalues of the problem are simple; numerically that shows up as a
-transversal crossing of F, which ``simplicity_certificates`` checks through a
-central difference of dF/dlambda against the refinement residual.
+Both locators return roots alone; a reader builds an eigenfunction with
+``dde_solver.shoot``.  All eigenvalues of the problem are simple;
+numerically that shows up as a transversal crossing of F, which
+``simplicity_certificates`` checks through a central difference of
+dF/dlambda against the residual F at the root, from the same sweep.
 """
 
 from __future__ import annotations
@@ -93,27 +95,24 @@ class ZeroOrManyError(RuntimeError):
 
 @dataclass(frozen=True)
 class Eigenpair:
-    """A located eigenvalue with its eigenfunction segments.
+    """A located eigenvalue: its index, its root s and ``lam == s * s``.
 
     ``index`` is the window integer for localized roots and the ordinal
-    within the returned set for scanned roots.  ``lam == s * s`` exactly as
-    stored.  The eigenfunction is the raw shooting solution (it satisfies
-    the boundary condition at 0 by construction and the one at pi to the
-    refinement residual).
+    within the returned set for scanned roots.  The eigenfunction is
+    ``dde_solver.shoot(spec, lam, steps)`` (it satisfies the boundary
+    condition at 0 by construction and the one at pi to the residual).
     """
 
     index: int
     s: float
     lam: float
-    left: dde_solver.SolutionSegment
-    right: dde_solver.SolutionSegment
-    F_residual: float
 
 
 @dataclass(frozen=True)
 class SimplicityCertificate:
     dF_dlambda: float
     h: float
+    F_residual: float
     passed: bool
 
 
@@ -264,18 +263,6 @@ def _refine_brackets(spec: ProblemSpec, pts, vals, refine_tol: float, steps: int
     return lo, hi
 
 
-def _pairs_from_roots(spec: ProblemSpec, s_roots, indices, steps: int) -> list[Eigenpair]:
-    lams = [s * s for s in s_roots]
-    shots = dde_solver.shoot_many(spec, lams, steps)
-    pairs = []
-    for idx, s, shot in zip(indices, s_roots, shots):
-        F = _assemble_F(spec, shot.right.values[-1], shot.right.derivs[-1])
-        pairs.append(Eigenpair(index=int(idx), s=float(s), lam=float(s * s),
-                               left=shot.left, right=shot.right,
-                               F_residual=float(F)))
-    return pairs
-
-
 def scan_roots(spec: ProblemSpec, s_min: float, s_max: float, samples: int,
                refine_tol: float = DEFAULT_REFINE_TOL,
                steps: int = dde_solver.DEFAULT_STEPS) -> list[Eigenpair]:
@@ -301,8 +288,7 @@ def scan_roots(spec: ProblemSpec, s_min: float, s_max: float, samples: int,
     cols[:, 0] = np.where(neg[:, 0] != neg[:, 1], cols[:, 1], cols[:, 0])
     cols[:, 3] = np.where(neg[:, 2] != neg[:, 3], cols[:, 2], cols[:, 3])
     lo, hi = _refine_brackets(spec, grid[cols], F[cols], refine_tol, steps)
-    roots = 0.5 * (lo + hi)
-    return _pairs_from_roots(spec, roots, range(len(roots)), steps)
+    return [Eigenpair(int(i), float(s), float(s * s)) for i, s in enumerate(0.5 * (lo + hi))]
 
 
 def _screen(spec: ProblemSpec, grid: np.ndarray, steps: int):
@@ -404,8 +390,7 @@ def localize_range(spec: ProblemSpec, n_values, refine_tol: float = DEFAULT_REFI
         return []
     pts, vals = _window_brackets(spec, n_values, steps)
     lo, hi = _refine_brackets(spec, pts, vals, refine_tol, steps)
-    roots = 0.5 * (lo + hi)
-    return _pairs_from_roots(spec, roots, n_values, steps)
+    return [Eigenpair(int(i), float(s), float(s * s)) for i, s in zip(n_values, 0.5 * (lo + hi))]
 
 
 def localize_near_n(spec: ProblemSpec, n: int, refine_tol: float = DEFAULT_REFINE_TOL,
@@ -418,19 +403,22 @@ def simplicity_certificates(spec: ProblemSpec, pairs: list[Eigenpair],
                             steps: int = dde_solver.DEFAULT_STEPS) -> list[SimplicityCertificate]:
     """Transversality checks for a batch of eigenpairs (one shared sweep).
 
-    dF/dlambda is estimated by a central difference with step
-    min(``CERT_STEP``, lambda/2) in lambda, the certificate's ``h``; a
-    certificate passes when the slope clears 10x the refinement residual
-    over its step.
+    The sweep takes F at sqrt(lambda -+ d), d = min(``CERT_STEP``,
+    lambda/2) the certificate's ``h``, for a central difference dF/dlambda,
+    and at s, as located: by batch invariance bitwise F from
+    ``shoot(spec, lam, steps)``, the certificate's ``F_residual``.  It
+    passes when the slope clears 10x that residual over its step.
     """
     if not pairs:
         return []
     deltas = [min(CERT_STEP, 0.5 * p.lam) for p in pairs]
-    lams = np.array([[p.lam - d, p.lam + d] for p, d in zip(pairs, deltas)])
-    F = char_fn_samples(spec, np.sqrt(lams.ravel()), steps).reshape(-1, 2)
+    cols = np.array([[math.sqrt(p.lam - d), p.s, math.sqrt(p.lam + d)]
+                     for p, d in zip(pairs, deltas)])
+    F = char_fn_samples(spec, cols.ravel(), steps).reshape(-1, 3)
     out = []
-    for pair, d, (f_lo, f_hi) in zip(pairs, deltas, F):
+    for d, (f_lo, f_at, f_hi) in zip(deltas, F):
         slope = float((f_hi - f_lo) / (2.0 * d))
         out.append(SimplicityCertificate(
-            dF_dlambda=slope, h=d, passed=bool(abs(slope) > 10.0 * abs(pair.F_residual) / d)))
+            dF_dlambda=slope, h=d, F_residual=float(f_at),
+            passed=bool(abs(slope) > 10.0 * abs(f_at) / d)))
     return out

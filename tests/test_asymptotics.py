@@ -122,7 +122,7 @@ def test_predict_identity_for_null(null_spec):
     for n in (1, 7, 40):
         est = predict_s(null_spec, n)
         assert est.s_refined == n
-        assert est.K_pi == 0.0 and est.L_pi == 0.0
+        assert kl_integrals(null_spec, PI, float(n)) == (0.0, 0.0)
 
 
 def test_predict_beta_quarter():
@@ -238,12 +238,13 @@ def test_sampled_solutions_respect_bounds(constq_spec):
 def test_every_eigenpair_within_bounds(constq_spec, constq_pairs):
     xs_l = np.linspace(0.0, HALF, 512)
     xs_r = np.linspace(HALF, PI, 512)
-    for p in constq_pairs:
+    shots = dde_solver.shoot_many(constq_spec, [p.lam for p in constq_pairs])
+    for p, shot in zip(constq_pairs, shots):
         bounds = apriori_bounds(constq_spec, p.lam)
         assert bounds.applicable1 and bounds.applicable2 and bounds.deriv_applicable
-        assert np.max(np.abs(p.left.eval(xs_l))) <= bounds.bound1
-        assert np.max(np.abs(p.right.eval(xs_r))) <= bounds.bound2
-        assert np.max(np.abs(p.left.eval_deriv(xs_l))) / p.s ** (5.0 / 3.0) \
+        assert np.max(np.abs(shot.left.eval(xs_l))) <= bounds.bound1
+        assert np.max(np.abs(shot.right.eval(xs_r))) <= bounds.bound2
+        assert np.max(np.abs(shot.left.eval_deriv(xs_l))) / p.s ** (5.0 / 3.0) \
             <= bounds.deriv_bound
 
 
@@ -298,17 +299,18 @@ def test_verify_rates_evaluates_kl_once_per_index(delayed_spec, delayed_rate_inp
 
 def test_verify_rates_fits_match_predict_eigenfunction(delayed_spec, delayed_rate_inputs):
     # the report's eigenfunction errors are those of predict_eigenfunction on
-    # the report's two grids, bit for bit
+    # the report's two grids against the shooting solutions, bit for bit
     pairs, estimates = delayed_rate_inputs
     report = verify_rates(delayed_spec, pairs, estimates, steps=512)
+    shots = dde_solver.shoot_many(delayed_spec, [p.lam for p in pairs], 512)
     xs_left = np.linspace(0.0, HALF, EIGFN_SAMPLES, endpoint=False)
     xs_right = np.linspace(HALF, PI, EIGFN_SAMPLES)[1:]
     ns = [p.index for p in pairs]
     for field, order, xs, side in (("leading_eigfn_fit", "leading", xs_left, "left"),
                                    ("refined_eigfn_fit", "refined", xs_left, "left"),
                                    ("right_refined_fit_printed", "refined", xs_right, "right")):
-        errors = [np.max(np.abs(getattr(p, side).eval(xs) - predict_eigenfunction(
-            delayed_spec, p.index, xs, order, 512))) for p in pairs]
+        errors = [np.max(np.abs(getattr(shot, side).eval(xs) - predict_eigenfunction(
+            delayed_spec, p.index, xs, order, 512))) for p, shot in zip(pairs, shots)]
         fit = getattr(report, field)
         assert not fit.floor_limited
         assert fit == _fit_slope(ns, errors, EIGFN_RESIDUAL_FLOOR)

@@ -1,10 +1,17 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import random
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from delaybvp.cli import main
+from delaybvp.exprlang import BinOp, Call, Num, Var, unparse
+from delaybvp.problem import HALF
+from test_exprlang import _random_tree
 
 PI = math.pi
 
@@ -390,3 +397,158 @@ def test_unwritable_output_path_named(tmp_path, capsys, via):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: cannot write output") and target in err
+
+
+@pytest.mark.parametrize("command, coupling", [("solve", 5e-324), ("verify", 2.5e-308),
+                                               ("eigfn", 2.5e-308)])
+def test_tiny_coupling_is_solver_error(tmp_path, capsys, command, coupling):
+    # lambda^(-1/3) / coupling overflows at the interface, or y'' = -lambda y
+    # past it; numpy once warned of it first, a traceback under warnings as errors
+    cfg = write_config(tmp_path, problem={"coupling": coupling},
+                       solver={"steps_per_segment": 256}, range_={"n_min": 1, "n_max": 8})
+    argv = [command, "--config", cfg] + (["--n", "5"] if command == "eigfn" else [])
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("solver error: state became non-finite")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eigfn", "--config", "CFG", "--n", "abc"], "argument --n: invalid int value: 'abc'"),
+    (["solve"], "the following arguments are required: --config"),
+    (["verify", "--config", "CFG", "--format", "xml"], "argument --format: invalid choice"),
+    ([], "the following arguments are required: command"),
+])
+def test_usage_error_is_config_error(tmp_path, capsys, argv, message):
+    # argparse exits 2 on its own, the code of a solver failure
+    cfg = write_config(tmp_path)
+    assert main([cfg if a == "CFG" else a for a in argv]) == 1
+    usage, named = capsys.readouterr().err.splitlines()[-2:]
+    assert usage.startswith("usage: delaybvp") or usage.startswith(" ")
+    assert named.startswith(f"config error: {message}")
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
+
+
+# --- the exit-code contract ---------------------------------------------------
+
+COMMANDS = ("solve", "charfn", "eigfn", "verify", "validate")
+COLUMNS = {
+    "solve": ["n", "s_n", "lambda_n", "F_residual", "simplicity_ok"],
+    "charfn": ["s", "lambda", "F"],
+    "eigfn": ["x", "u_computed", "u_leading", "u_refined",
+              "abs_err_leading", "abs_err_refined"],
+}
+NAMED_ERRORS = ("config error: ", "solver error: ")
+
+
+@st.composite
+def random_runs(draw):
+    """A command with a random config: formulas for q, admissible delays
+    (x - a) |sin(tree)|, random angles and coupling, 64 to 1024 steps and
+    mostly the kind of range the command needs; with an index for eigfn
+    and an output format."""
+    command = draw(st.sampled_from(COMMANDS))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    total_only = draw(st.booleans())
+    q_l, q_r, d_l, d_r = (_random_tree(rng, depth=3, total_only=total_only) for _ in range(4))
+    d_l, d_r = (BinOp("*", BinOp("-", Var(), Num(a)), Call("abs", Call("sin", t)))
+                for a, t in ((0.0, d_l), (HALF, d_r)))
+    problem = {"q_left": unparse(q_l), "q_right": unparse(q_r),
+               "retard_left": unparse(d_l), "retard_right": unparse(d_r),
+               "alpha": draw(st.floats(0.0, PI)), "beta": draw(st.floats(0.0, PI)),
+               "coupling": draw(st.floats(-3.0, 3.0))}
+    s_range = draw(st.booleans()) if command in ("solve", "validate") else (
+        draw(st.integers(0, 9)) > 0 if command == "charfn" else draw(st.integers(0, 9)) == 0)
+    if s_range:
+        s_min = draw(st.floats(0.05, 10.0))
+        range_ = {"s_min": s_min, "s_max": s_min + draw(st.floats(0.1, 8.0)),
+                  "samples": draw(st.integers(2, 160))}
+    else:
+        n_min = draw(st.integers(1, 16))
+        range_ = {"n_min": n_min,
+                  "n_max": n_min + draw(st.integers(7 if command == "verify" else 0, 11))}
+    doc = {"problem": problem, "range": range_,
+           "solver": {"steps_per_segment": draw(st.integers(64, 1024)),
+                      "refine_tol": draw(st.sampled_from([1e-12, 1e-10, 1e-6]))},
+           "grid": {"x_samples": draw(st.integers(1, 201))}}
+    formats = [None, "json"] if command == "verify" else [None, "csv", "json"]
+    return command, doc, draw(st.integers(1, 20)), draw(st.sampled_from(formats))
+
+
+def config_of(problem=None, solver=None, range_=None):
+    return {"problem": dict(BASE_PROBLEM, **(problem or {})),
+            "range": range_ or {"n_min": 1, "n_max": 3}, "solver": solver or {}}
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def check_output(command, fmt, code, out):
+    """The primary output of an exit 0 (or of a verify exit 3) parses."""
+    if command == "verify":
+        assert json.loads(out)["passed"] is (code == 0)
+    elif command == "validate":
+        if fmt == "json":
+            assert json.loads(out)["valid"] is True
+        else:
+            assert out.splitlines()[-1].startswith("valid: True; ")
+    elif fmt == "json":
+        rows = json.loads(out)
+        assert all(list(row) == COLUMNS[command] for row in rows)
+    else:
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header == COLUMNS[command]
+        for row in rows:
+            assert len(row) == len(header)
+            for value in row:
+                assert value in ("true", "false") or math.isfinite(float(value))
+
+
+# the configs of the faults CHANGES.md records as mended
+DELAYED_CONFIG = config_of(DELAYED_PROBLEM, {"steps_per_segment": 512}, {"n_min": 5, "n_max": 12})
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(run=random_runs())
+@example(run=("solve", config_of(solver={"steps_per_segment": 1}), None, None))
+@example(run=("solve", config_of(solver={"steps_per_segment": 256, "refine_tol": True}),
+              None, None))
+@example(run=("validate", config_of({"q_left": "log(x)"}), None, None))
+@example(run=("solve", config_of({"q_left": "exp(1000*x)"}), None, None))
+@example(run=("solve", config_of(
+    {"retard_left": "x*(1 + 1e-9 - 1e-3*abs(x - 0.04149273316061991))"},
+    {"steps_per_segment": 512}, {"n_min": 49, "n_max": 50}), None, None))
+@example(run=("validate", config_of({"q_left": "1e200*exp(1000*(0.5 - x))"},
+                                    {"steps_per_segment": 256}), None, None))
+@example(run=("verify", DELAYED_CONFIG, None, None))
+@example(run=("eigfn", dict(DELAYED_CONFIG, solver={"steps_per_segment": 256}), 10**141, None))
+def test_exit_code_contract(tmp_path_factory, alarm, run):
+    """Every config ends in exit 0, 1, 2 or 3: 1 and 2 with one named error
+    line, 0 with output that parses, and a rerun repeats it byte for byte."""
+    command, doc, n, fmt = run
+    path = tmp_path_factory.getbasetemp() / "contract.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, "--config", str(path)] + (["--format", fmt] if fmt else [])
+    if command == "eigfn":
+        argv += ["--n", str(n)]
+    code, out, err = run_main(argv)
+    assert code in (0, 1, 2, 3)
+    named = [line for line in err.splitlines() if line.startswith(NAMED_ERRORS)]
+    if command == "validate" and code == 1 and not err:
+        assert "[FAIL]" in out or '"valid": false' in out
+    elif code in (1, 2):
+        assert len(named) == 1 and err.startswith(named[0])
+        assert named[0].startswith(NAMED_ERRORS[code - 1])
+    else:
+        assert not named
+        check_output(command, fmt or "csv", code, out)
+    assert run_main(argv) == (code, out, err)

@@ -237,7 +237,7 @@ def test_shoot_many_batch_invariant(spec, case, width, block):
     for k, lam in enumerate(lams):
         alone = shoot_many(spec, [lam], steps)[0]
         for res in (batch[k], split[k]):
-            assert res.lam == alone.lam
+            assert res.left.lam == alone.left.lam
             for side in ("left", "right"):
                 for field in ("values", "derivs", "second_derivs"):
                     got = getattr(getattr(res, side), field)

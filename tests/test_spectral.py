@@ -66,11 +66,19 @@ def test_scan_below_first_root_is_empty(null_spec):
 
 
 def test_scan_roots_satisfy_residual_contract(constq_spec):
-    pairs = scan_roots(constq_spec, 0.5, 3.5, samples=350, steps=1024)
-    assert pairs
-    for p in pairs:
-        assert abs(p.F_residual) < 1e-8
-        assert abs(char_fn_samples(constq_spec, [p.s], 1024)[0]) < 1e-8
+    # for scanned and localized pairs alike, a certificate's F_residual is
+    # bitwise F at the root s from a shot of its own, at pi, and from a
+    # sweep of s alone
+    scanned = scan_roots(constq_spec, 0.5, 3.5, samples=350, steps=1024)
+    localized = localize_range(constq_spec, range(4, 9), steps=1024)
+    assert scanned and localized
+    for pairs in (scanned, localized):
+        for p, cert in zip(pairs, simplicity_certificates(constq_spec, pairs, 1024)):
+            assert abs(cert.F_residual) < 1e-8
+            right = dde_solver.shoot(constq_spec, p.lam, 1024).right
+            assert cert.F_residual == spectral._assemble_F(constq_spec, right.values[-1],
+                                                           right.derivs[-1])
+            assert cert.F_residual == char_fn_samples(constq_spec, [p.s], 1024)[0]
 
 
 def test_localize_exact_integers(null_spec):
