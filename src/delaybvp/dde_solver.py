@@ -23,11 +23,17 @@ that are already built: the method of steps.  The steps are partitioned
 once per segment into runs, maximal stretches whose stencils read no row
 past the one where the run starts (one run when q = 0, one step per run
 with zero delay, 23 and 46 runs on the shipped delayed config at 4096
-steps).  All stage values of a run come from one gather, and the linear
-recurrence inside it has the closed form
-u[b+j] = A^j (u[b] + sum_{l<j} A^-(l+1) B g[b+l]), so the sweep loops over
-runs, not steps, with the powers of A built by doubling once per sweep.  A
-run of one step is the step above.  Runs are cut into pieces of at most
+steps).  Inside a run a step's end stage is the next step's node stage,
+with the same stencil (a piece is cut at the rare exception, see
+``_SegmentTables``), so the L steps of a run share 2L+1 stage rows
+(node, half, node, ..., half, end) instead of 3L: the stencil tables are
+interleaved in that order, and all stage values of a piece of a run come
+from one gather.  The linear recurrence inside it has the closed form
+u[b+1+l] = A^(l+1) (u[b] + sum_{k<=l} A^-(k+1) B g[b+k]), so the sweep
+loops over pieces, not steps: one contraction of the stage triples with
+A^-(k+1) B, one cumulative sum from u[b] and one product with A^(l+1),
+the powers A^-L .. A^L built by doubling once per sweep.  A piece of one
+step is the step above.  Runs are cut into pieces of at most
 (steps + 1) // ``PIECE_SHARE`` steps (85 at the default resolution), and
 per lambda at most the longest power of two that keeps the inverse powers
 within a bit (64 steps from s h ~ 0.98 on).  Below 383 steps that cap would
@@ -36,10 +42,10 @@ its partial sums and powers cost on a wide batch, and pieces are one step.
 
 The arrays are laid out so that every contraction sums over an axis in
 front of a contiguous (piece rows, lambda columns) block: the states are
-channel-major, (2, steps+1, m), the stencil tables term-major,
-(4, 3, steps+1), and the per-sweep coefficients put the piece row next to
-the columns, (2, 5, L, m) and (2, 2, L, m).  numpy's inner loops then run
-over L m elements instead of m, so a narrow sweep costs a few numpy calls
+channel-major, (2, steps+1, m), the stencil tables term-major, (4, stage
+rows), and the per-sweep coefficients put the piece row next to the
+columns, (2, 3, L, m) and (2, 2, L, m).  numpy's inner loops then run
+over L m elements instead of m, so a narrow sweep costs eight numpy calls
 per piece, whatever its length.
 
 Every coefficient sample, stencil and run is independent of lambda, so they
@@ -48,10 +54,11 @@ batch of lambda values -- eigenvalue scans and bracket refinements pay for
 one sweep per round instead of one per lambda.  One loop over column blocks
 drives every shooting call.  A block holds lambda columns of one piece
 length, as many as keep both its (2, steps+1, width) state array within
-``SWEEP_BYTES`` (1023 columns at 4096 steps) and the (4, 3, L, width)
-stencil gather of the longest piece of either segment within
-``PIECE_BYTES`` (128 columns of 85-step pieces), so that long pieces do not
-push a wide batch's temporaries out of cache.  Per block the loop sweeps
+``SWEEP_BYTES`` (1023 columns at 4096 steps) and 12 L doubles per column
+for the longest piece of either segment, L steps, within ``PIECE_BYTES``
+(128 columns of 85-step pieces), a bound on its largest temporary, the
+(4, 2L+1, width) stencil gather, so that long pieces do not push a wide
+batch's temporaries out of cache.  Per block the loop sweeps
 the left segment, applies the transmission and sweeps the right one,
 handing each segment's states on and dropping them before the next sweep,
 so it holds one block's state array at a time.  The width never sets a piece:
@@ -98,9 +105,10 @@ SWEEP_BYTES = 64 * 2**20
 # wide batch, so there pieces are one step
 PIECE_SHARE = 48
 SHORTEST_PIECE = 8
-# bytes of a piece's (4, 3, L, width) stencil gather, its largest temporary:
-# the other bound on the block width (128 columns of 85-step pieces), so that
-# a wide batch keeps its temporaries in cache
+# bytes of 12 doubles per step of a piece and column, which bound its
+# (4, 2L+1, width) stencil gather, its largest temporary: the other bound on
+# the block width (128 columns of 85-step pieces), so that a wide batch
+# keeps its temporaries in cache
 PIECE_BYTES = 2**20
 
 
@@ -169,16 +177,26 @@ class _SegmentTables:
     ``DelayRangeError``, so the tables accept what ``validate`` passes.
 
     Step i evaluates the retarded term at three stages: the node x_i, the
-    half step and the step end.  ``gather[k, s, i]`` holds the flat index of
-    stencil term k of stage s into the rows of the channel-major
-    (2, steps+1) states of (y, y'), channel c of node r being row
-    c (steps+1) + r, and ``weights[k, s, i]`` the matching Hermite weight
-    times -q at the stage (with a trailing axis for the lambda columns),
-    so that g is their sum over k; a lookup of the current state is the
-    Hermite stencil (0, 1, 0, 0) on rows (i-1, i).  Step 0 is peeled: its
-    half and end stages read the Taylor extrapolant y0 + d y0' + d^2/2 y0''
-    at distance ``first_d`` (0 where the stage reads the current state).
-    Row n holds the node stage that gives y'' at the last node.
+    half step and the step end.  Each stage is a cubic Hermite stencil on
+    the rows of the channel-major (2, steps+1) states of (y, y'), channel c
+    of node r being row c (steps+1) + r: ``gather[k, r]`` holds the flat
+    index of term k of stencil row r and ``weights[k, r]`` the matching
+    Hermite weight times -q at the stage (with a trailing axis for the
+    lambda columns), so that g is their sum over k; a lookup of the current
+    state is the Hermite stencil (0, 1, 0, 0) on rows (i-1, i).  Step 0 is
+    peeled: its half and end stages read the Taylor extrapolant
+    y0 + d y0' + d^2/2 y0'' at distance ``first_d`` (0 where the stage reads
+    the current state), scaled by ``first_negq``.
+
+    A step's end stage is the next node, and its stencil is bitwise the
+    next step's node stencil unless the delayed argument falls within
+    1e-14 of x_i or past it, where the end stage reads the step's own rows.
+    ``breaks`` holds the steps whose node stencil is not the end stencil of
+    the step before (none when q = 0, where no stencil is read).  The stencil rows are interleaved: between two bounds
+    b < e of ``run_bounds`` or ``breaks`` they run node b, half b,
+    node b+1, ..., half e-1, end e-1, so the 2L+1 stages of L consecutive
+    steps are one stretch of rows; a last row holds the node stage that
+    gives y'' at the last node, and ``node_rows`` the row of every node.
 
     ``run_bounds`` holds the first step of every run and, last, n.  A run
     is a maximal stretch of steps whose stencils read only rows at or
@@ -186,11 +204,11 @@ class _SegmentTables:
     when it begins and the scheme's recurrence u[i+1] = A u[i] + B g[i]
     (u = (y, y'), A and B fixed per lambda) has the closed form
 
-        u[b+j] = A^j (u[b] + sum_{l<j} A^-(l+1) B g[b+l]).
+        u[b+1+l] = A^(l+1) (u[b] + sum_{k<=l} A^-(k+1) B g[b+k]).
 
     The peeled step 0 is a run of its own unless q = 0, when nothing is
     read and the segment is one run.  Any piece of a run is a run itself;
-    ``pieces`` cuts them to at most ``piece_cap`` steps,
+    ``pieces`` cuts them at ``breaks`` and to at most ``piece_cap`` steps,
     (steps + 1) // ``PIECE_SHARE``, or one step when that is under
     ``SHORTEST_PIECE``.  ``sweep`` integrates one column block at one cap;
     the block loop of ``_shoot_blocks`` picks the blocks.
@@ -202,19 +220,20 @@ class _SegmentTables:
             raise samples.error.with_traceback(None)
         self.a, self.b, self.h, self.nodes = samples.a, samples.b, samples.h, samples.nodes
         self.steps = n = self.nodes.shape[0] - 1
-        h, t_half = self.h, samples.half
+        h = self.h
         (q_node, q_half), (d_node, d_half) = samples.q, samples.delta
         self.q_zero = bool(np.all(q_node == 0.0) and np.all(q_half == 0.0))
 
-        # stages (node, half, end) of steps 0..n; the half and end slots of
-        # row n are never read and are filled with current-state lookups
-        ctx = np.arange(n + 1)
+        # the stage points: node 0, half 0, node 1, ..., half n-1, node n,
+        # then the end of every step; ctx is the step that reads each
+        step = np.arange(n)
+        x_node = self.nodes - d_node
+        xi = np.concatenate([np.stack([x_node[:-1], samples.half - d_half], axis=1).ravel(),
+                             x_node[-1:], x_node[1:]])
+        negq = -np.concatenate([np.stack([q_node[:-1], q_half], axis=1).ravel(),
+                                q_node[-1:], q_node[1:]])
+        ctx = np.concatenate([np.repeat(step, 2), [n], step])
         x_ctx = self.a + ctx * h
-        xi = np.stack([self.nodes - d_node,
-                       np.append(t_half - d_half, x_ctx[-1]),
-                       np.append(self.nodes[1:] - d_node[1:], x_ctx[-1])])
-        self.negq = -np.stack([q_node, np.append(q_half, 0.0),
-                               np.append(q_node[1:], 0.0)])[:, :, None]
         # fp tidy-up only; the samples passed both delay checks
         xi = np.minimum(np.maximum(xi, self.a), x_ctx + h)
         inside = xi > x_ctx + 1e-14
@@ -223,59 +242,83 @@ class _SegmentTables:
         j = np.minimum(np.maximum(np.floor(t_idx).astype(np.int64), 0), n - 1)
         j = np.where(inside | current, np.maximum(ctx - 1, 0), j)
         theta = np.where(current, ctx - j, t_idx - j)
-        t2 = theta * theta
-        t3 = t2 * theta
-        self.weights = np.stack([2.0 * t3 - 3.0 * t2 + 1.0, -2.0 * t3 + 3.0 * t2,
-                                 h * (t3 - 2.0 * t2 + theta), h * (t3 - t2)])[..., None]
-        self.weights *= self.negq
-        self.gather = j + _ROW_OFFSET[:, None, None]
-        self.gather += _CHANNEL[:, None, None] * (n + 1)
-        self.first_d = np.where(inside[1:, 0], xi[1:, 0] - self.a, 0.0)[:, None]
+        # the node, half and end stages of step 0
+        first = np.array([0, 1, 2 * n + 1])
+        self.first_d = np.where(inside[first[1:]], xi[first[1:]] - self.a, 0.0)[:, None]
+        self.first_negq = negq[first, None]
 
         # newest row each step reads: row j + 1 of its stencils, never past
         # the step's own row; the peeled step 0 reads only row 0, through its
         # Taylor extrapolant, and step 1 always reads row 1, so step 0 is a
         # run of its own unless q = 0, when nothing is read
-        reach = j[:, :n].max(axis=0) + 1
+        end, node = 2 * n + 1 + step, 2 * step
+        reach = np.maximum(np.maximum(j[node], j[node + 1]), j[end]) + 1
         reach[0] = 0
+        self.breaks = np.flatnonzero((j[end] != j[node + 2]) | (theta[end] != theta[node + 2])) + 1
         if self.q_zero:
             reach[:] = 0
+            self.breaks = self.breaks[:0]
         self.run_bounds = _run_bounds(reach)
+        # (np.union1d would import numpy.ma, half a megabyte)
+        bounds = np.array(sorted({*self.run_bounds.tolist(), *self.breaks.tolist()}))
+
+        # node i sits at row 2i + (bounds at or before i) - 1, and the end of
+        # the step before a bound e in the row before node e's
+        self.node_rows = 2 * np.arange(n + 1) + np.searchsorted(bounds, np.arange(n + 1),
+                                                                side="right") - 1
+        order = np.empty(self.node_rows[-1] + 1, dtype=np.int64)
+        order[self.node_rows[:-1]] = node
+        order[self.node_rows[:-1] + 1] = node + 1
+        order[self.node_rows[bounds[1:]] - 1] = end[bounds[1:] - 1]
+        order[-1] = 2 * n
+        j, theta = j[order], theta[order]
+        t2 = theta * theta
+        t3 = t2 * theta
+        self.weights = np.stack([2.0 * t3 - 3.0 * t2 + 1.0, -2.0 * t3 + 3.0 * t2,
+                                 h * (t3 - 2.0 * t2 + theta), h * (t3 - t2)])[..., None]
+        self.weights *= negq[order, None]
+        self.gather = j + _ROW_OFFSET[:, None]
+        self.gather += _CHANNEL[:, None] * (n + 1)
+
         self.piece_cap = (n + 1) // PIECE_SHARE
         if self.piece_cap < SHORTEST_PIECE:
             self.piece_cap = 1
         self._pieces: dict[int, tuple[list[tuple], int]] = {}
 
     def pieces(self, cap: int) -> tuple[list[tuple], int]:
-        """Steps [b, e) of every run cut into pieces of at most ``cap``, as
-        (b, e, gather, weights) with the stencil tables of those steps, and
-        the length of the longest piece.  The tables are views, except for a
+        """Steps [b, e) of every run cut at ``breaks`` and into pieces of at
+        most ``cap``, as (b, e, gather, weights) with the 2L+1 stencil rows
+        node b, half b, ..., half e-1, end e-1 of those L steps, and the
+        length of the longest piece.  Inside a piece the end stencil of a
+        step is the next node's row.  The tables are views, except for a
         piece of one step, whose (4, 3) tables are contiguous copies: numpy
         gathers and weights through a strided (4, 3) view about half as
         fast, and with zero delay every step is such a piece."""
         if cap not in self._pieces:
-            bounds = self.run_bounds.tolist()
+            bounds = sorted({*self.run_bounds.tolist(), *self.breaks.tolist()})
             cut = [(s, min(s + cap, e)) for b, e in zip(bounds[:-1], bounds[1:])
                    for s in range(b, e, cap)]
+            rows = [slice(self.node_rows[b], self.node_rows[b] + 2 * (e - b) + 1) for b, e in cut]
             self._pieces[cap] = ([
-                (b, e) + ((self.gather[:, :, b:e], self.weights[:, :, b:e]) if e - b > 1 else
-                          (self.gather[:, :, b:e].copy(), self.weights[:, :, b:e].copy()))
-                for b, e in cut], max(e - b for b, e in cut))
+                (b, e) + ((self.gather[:, r], self.weights[:, r]) if e - b > 1 else
+                          (self.gather[:, r].copy(), self.weights[:, r].copy()))
+                for (b, e), r in zip(cut, rows)], max(e - b for b, e in cut))
         return self._pieces[cap]
 
     def piece_caps(self, lam: np.ndarray) -> np.ndarray:
         """The longest piece each lambda column is integrated in.
 
-        A piece of L steps uses the powers A^(1-L) .. A^(L-1), which grow
-        like det(A)^(-(L-1)/2) in one direction or the other; det A =
+        A piece of L steps uses the powers A^-L .. A^L, which grow like
+        det(A)^(-L/2) in one direction or the other; det A =
         |R(i s h)|^2 = 1 - (s h)^6/72 + (s h)^8/576 for the scheme's
         stability function R, 1 - 7e-13 at s = 50 and 4096 steps.  Every
         lambda gets the longest power-of-two L that keeps det(A)^(-(L-1)/2)
-        within 2, so the inverse powers lose at most one bit, capped at
-        ``piece_cap``.  The floor to a power of two cuts pieces before the
-        factor at ``piece_cap`` itself passes 2: at 4096 steps (cap 85, whose
-        factor passes 2 from s h ~ 1.054) pieces are 64 steps from
-        s h ~ 0.980, 32 from 1.108, 16 from 1.256 and 8 from 1.430.
+        within 2, capped at ``piece_cap``, so the inverse powers lose at
+        most one bit and a factor det(A)^(-1/2), at most 2^(1/(L-1)) (2 at
+        L = 2, 1.01 at L = 64).  The floor to a power of two cuts pieces
+        before the factor at ``piece_cap`` itself passes 2: at 4096 steps
+        (cap 85, whose factor passes 2 from s h ~ 1.054) pieces are 64 steps
+        from s h ~ 0.980, 32 from 1.108, 16 from 1.256 and 8 from 1.430.
         """
         t = (self.h * self.h) * np.asarray(lam, dtype=float)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -290,17 +333,20 @@ class _SegmentTables:
         the caller checks with ``_non_finite``.
 
         A step is u[i+1] = C (u[i], g[i]) with C = [A | B] the (2, 5) scheme
-        coefficients.  A piece [b, e) contracts its inputs (u[b], g[b]),
-        (0, g[b+1]), .., (0, g[e-1]) with C, A^-1 C, .., A^-(e-b-1) C, sums
-        them cumulatively and multiplies partial sum l by A^l:
+        coefficients and g[i] its (node, half, end) stage values, and a
+        piece of one step is just that.  A longer piece [b, e) gathers its
+        2L+1 stage values in one pass, reads the triple of its step l as a
+        strided (3, L) view (rows 2l, 2l+1, 2l+2, the end stage shared with
+        the next node), contracts the triples with K[:, :, l] = A^-(l+1) B
+        into rows b+1..e, sums rows b..e cumulatively, row b being u[b]
+        itself, and multiplies partial sum l by A^(l+1): the closed form
 
-            u[b+1+l] = A^l (C (u[b], g[b]) + sum_{0<k<=l} A^-k B g[b+k]),
+            u[b+1+l] = A^(l+1) (u[b] + sum_{k<=l} A^-(k+1) B g[b+k]).
 
-        the closed form above; a piece of one step is C (u[b], g[b]).  The
-        inputs are (5, L, m), the coefficients K (2, 5, L, m) and the powers
-        (2, 2, L, m), so both contractions sum over axis 1 of a product whose
-        inputs broadcast over its leading axis.  The partial sums are one
-        ``np.add.accumulate`` down the piece's rows.  With q = 0 the g inputs
+        K is (2, 3, L, m) and the powers (2, 2, L, m), so both contractions
+        sum over axis 1 of a product whose inputs broadcast over its leading
+        axis, and the partial sums are one ``np.add.accumulate`` down the
+        piece's rows: eight numpy calls per piece.  With q = 0 the g inputs
         are zero, so only A u[b] is computed and every partial sum is that.
         The views of each piece length are built once per sweep.
         """
@@ -310,20 +356,17 @@ class _SegmentTables:
         pieces, longest = self.pieces(cap)
         YV = np.empty((2, self.steps + 1, m))
         rows = YV.reshape(-1, m)
-        # inputs of the current piece; the (y, v) slots past row 0 stay zero
-        u = np.zeros((5, longest, m))
-        u[0, 0] = y0
-        u[1, 0] = v0
-        YV[:, 0] = u[:2, 0]
+        YV[0, 0] = y0
+        YV[1, 0] = v0
+        # (y, y', g) of a one-step piece, or the stage values of a longer
+        # piece in u[2:]
+        u = np.empty((2 * longest + 3, m))
         # with q = 0 every stage is zero: no stencil is read, and the only
         # input of a piece is u[b], so each of its partial sums is A u[b]
         stages = not self.q_zero
         with np.errstate(over="ignore", invalid="ignore"):
-            # K[c, k, l] = (A^-l C)[c, k]: the weight of input k of a piece's
-            # row l in output channel c; C = K[:, :, 0] and A = C[:, :2].  A
-            # lambda that overflows them ends in a non-finite state
-            K = np.empty((2, 5, longest, m))
-            C = K[:, :, 0]
+            # a lambda that overflows the coefficients ends in a non-finite state
+            C = np.empty((2, 5, m))
             C[0, 0] = C[1, 1] = 1.0 - 0.5 * h2 * z + (h2 * h2 / 24.0) * z * z
             C[0, 1] = h * (1.0 - (h2 / 6.0) * z)
             C[1, 0] = -z * C[0, 1]
@@ -334,42 +377,51 @@ class _SegmentTables:
             C[1, 3] = 2.0 * h / 3.0 - (h2 * h / 12.0) * z
             C[1, 4] = h / 6.0
             A = C[:, :2]
-            # powers[:, :, l-1] = A^l for 0 < l < longest
-            powers = _powers(A, longest - 1)
-            inverse = _powers(np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]]) / (
-                A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]), longest - 1)
-            (inverse[:, :, None] * C[:, :, None]).sum(axis=1, out=K[:, :, 1:])
-            del inverse
-            # per piece length L: its stage slots, inputs and tables
-            views = [None] + [(u[2:, :L], u[:, :L], K[:, :, :L], powers[:, :, :L - 1])
-                              for L in range(1, longest + 1)]
+            if longest > 1:
+                # powers[:, :, l] = A^(l+1)
+                powers = _powers(A, longest)
+            if stages and longest > 1:
+                inverse = _powers(np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]]) / (
+                    A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]), longest)
+                K = (inverse[:, :, None] * C[:, 2:, None]).sum(axis=1)
+                del inverse
+                triples = np.lib.stride_tricks.as_strided(
+                    u[2:], (3, longest, m), (u.strides[0], 2 * u.strides[0], u.strides[1]),
+                    writeable=False)
+                # per piece length L: its stage rows, triples, coefficients and powers
+                views = [None, None] + [(u[2:2 * L + 3], triples[:, :L], K[:, :, :L],
+                                         powers[:, :, :L]) for L in range(2, longest + 1)]
             if stages:
                 # peeled step 0: the node stage is the initial state, the
                 # others read its Taylor extrapolant
-                nq = self.negq[:, 0]
-                g = u[2:, 0]
-                g[0] = nq[0] * u[0, 0]
-                a0 = g[0] - z * u[0, 0]
-                g[1:] = nq[1:] * (u[0, 0] + self.first_d * u[1, 0]
-                                  + (0.5 * self.first_d * self.first_d) * a0)
-            state = u[:2, 0]
+                u[:2] = YV[:, 0]
+                g = u[2:5]
+                g[0] = self.first_negq[0] * u[0]
+                a0 = g[0] - z * u[0]
+                g[1:] = self.first_negq[1:] * (u[0] + self.first_d * u[1]
+                                               + (0.5 * self.first_d * self.first_d) * a0)
             for b, e, stencil, weights in pieces:
-                L = e - b
-                out = YV[:, b + 1:e + 1]
-                g, inputs, coef, power = views[L]
-                if stages:
+                out = YV[:, b:e + 1]
+                if not stages:
+                    np.add.reduce(A * YV[None, :, b], axis=1, out=out[:, 1])
+                    if e - b > 1:
+                        out[:, 2:] = out[:, 1:2]
+                        np.add.reduce(powers[:, :, :e - b - 1] * out[None, :, 2:], axis=1,
+                                      out=out[:, 2:])
+                elif e - b == 1:
                     if b:
-                        state[...] = YV[:, b]
+                        u[:2] = YV[:, b]
                         gather = rows.take(stencil, axis=0)
                         gather *= weights
-                        np.add.reduce(gather, axis=0, out=g)
-                    np.add.reduce(coef * inputs, axis=1, out=out)
-                    if L > 1:
-                        np.add.accumulate(out, axis=1, out=out)
+                        np.add.reduce(gather, axis=0, out=u[2:5])
+                    np.add.reduce(C * u[:5], axis=1, out=out[:, 1])
                 else:
-                    np.add.reduce(A * YV[None, :, b], axis=1, out=out[:, 0])
-                    out[:, 1:] = out[:, :1]
-                if L > 1:
+                    g, triple, coef, power = views[e - b]
+                    gather = rows.take(stencil, axis=0)
+                    gather *= weights
+                    np.add.reduce(gather, axis=0, out=g)
+                    np.add.reduce(coef * triple, axis=1, out=out[:, 1:])
+                    np.add.accumulate(out, axis=1, out=out)
                     np.add.reduce(power * out[None, :, 1:], axis=1, out=out[:, 1:])
         return YV
 
@@ -379,8 +431,8 @@ class _SegmentTables:
         one at a time in the order the sweep sums them, so the values are
         the ones the sweep used and no temporary exceeds (steps+1, m)."""
         rows = YV.reshape(-1, YV.shape[-1])
-        idx = self.gather[:, 0]
-        w = self.weights[:, 0]
+        idx = self.gather[:, self.node_rows]
+        w = self.weights[:, self.node_rows]
         acc = rows[idx[0]] * w[0]
         for k in range(1, 4):
             acc += rows[idx[k]] * w[k]

@@ -12,7 +12,7 @@ from delaybvp import dde_solver
 from delaybvp.dde_solver import (DelayRangeError, NonFiniteStateError,
                                  integrate_segment, lam_cbrt, shoot,
                                  shoot_endpoints, shoot_many)
-from delaybvp.problem import HALF, ProblemSpec
+from delaybvp.problem import HALF, ProblemSpec, segment_samples
 
 PI = math.pi
 LEFT = (0.0, HALF)
@@ -177,8 +177,8 @@ def test_sweep_width_follows_the_byte_budget(null_spec, constq_spec):
     # one-step pieces (zero delay): 64 MiB over 2 x 4097 doubles per column
     # gives blocks of 1023 columns
     assert driver_blocks(constq_spec, lams, 4096) == [list(range(1023)), [1023]]
-    # 85-step pieces: 1 MiB over a (4, 3, 85) gather of doubles per column
-    # gives blocks of 128
+    # 85-step pieces: 1 MiB over 12 doubles per step and column gives
+    # blocks of 128
     assert [len(cols) for cols in driver_blocks(null_spec, lams[:300], 4096)] == [128, 128, 44]
     with split_sweeps(64, 3):
         assert driver_blocks(null_spec, np.arange(1.0, 8.0), 64) == [[0, 1, 2], [3, 4, 5], [6]]
@@ -319,12 +319,49 @@ def test_endpoint_sweep_holds_one_block(delayed_spec):
     assert peak < 1.5 * (2 * 266 * 2944 * 8)
 
 
-def stepwise_sweep(tables, lam, y0, v0):
+def reference_stencils(samples):
+    """The Hermite stencils of every step, built stage by stage:
+    ``gather[k, s, i]`` and ``weights[k, s, i]`` of term k of stage s
+    (node, half, end) of step i into the flat (2, steps+1) state rows, row
+    n holding the node stage of the last node; the Taylor distances of step
+    0's half and end stages; and -q at step 0's three stages."""
+    a, h, nodes = samples.a, samples.h, samples.nodes
+    n = nodes.shape[0] - 1
+    (q_node, q_half), (d_node, d_half) = samples.q, samples.delta
+    ctx = np.arange(n + 1)
+    x_ctx = a + ctx * h
+    # the half and end slots of row n are never read
+    xi = np.stack([nodes - d_node, np.append(samples.half - d_half, x_ctx[-1]),
+                   np.append(nodes[1:] - d_node[1:], x_ctx[-1])])
+    negq = -np.stack([q_node, np.append(q_half, 0.0), np.append(q_node[1:], 0.0)])
+    xi = np.minimum(np.maximum(xi, a), x_ctx + h)
+    # a stage past x_i extrapolates the last completed step, one within
+    # 1e-14 of x_i reads the current state
+    inside = xi > x_ctx + 1e-14
+    current = ~inside & (x_ctx - xi <= 1e-14)
+    t_idx = (xi - a) / h
+    j = np.minimum(np.maximum(np.floor(t_idx).astype(np.int64), 0), n - 1)
+    j = np.where(inside | current, np.maximum(ctx - 1, 0), j)
+    theta = np.where(current, ctx - j, t_idx - j)
+    t2 = theta * theta
+    t3 = t2 * theta
+    weights = np.stack([2.0 * t3 - 3.0 * t2 + 1.0, -2.0 * t3 + 3.0 * t2,
+                        h * (t3 - 2.0 * t2 + theta), h * (t3 - t2)]) * negq
+    # terms (Y[j], Y[j+1], V[j], V[j+1])
+    gather = j + np.array([0, 1, 0, 1])[:, None, None] + np.array([0, 0, 1, 1])[:, None, None] * (n + 1)
+    first_d = np.where(inside[1:, 0], xi[1:, 0] - a, 0.0)
+    return gather, weights, first_d, negq[:, 0]
+
+
+def stepwise_sweep(samples, lam, y0, v0):
     """Reference integrator: the scheme one step at a time, u[i+1] =
-    C (u[i], g[i]), each step's stages gathered from the rows before it.
-    ``_SegmentTables.sweep`` must reproduce it to rounding."""
+    C (u[i], g[i]), each step's three stages gathered through its own
+    ``reference_stencils`` from the rows before it, and y'' at every node
+    from the node stages.  ``_SegmentTables.sweep`` and ``second_derivs``
+    must reproduce the states and y'' to rounding."""
+    gather, weights, d, nq = reference_stencils(samples)
     z = np.asarray(lam, dtype=float)
-    m, n, h = z.shape[0], tables.steps, tables.h
+    m, n, h = z.shape[0], samples.nodes.shape[0] - 1, samples.h
     h2 = h * h
     C = np.zeros((2, 5, m))
     C[0, 0] = C[1, 1] = 1.0 - 0.5 * h2 * z + (h2 * h2 / 24.0) * z * z
@@ -342,15 +379,16 @@ def stepwise_sweep(tables, lam, y0, v0):
     yv[0], yv[1] = y0, v0
     YV[:, 0] = yv
     with np.errstate(over="ignore", invalid="ignore"):
-        nq, d = tables.negq[:, 0], tables.first_d
+        d, nq = d[:, None], nq[:, None]
         g[0] = nq[0] * yv[0]
         g[1:] = nq[1:] * (yv[0] + d * yv[1] + (0.5 * d * d) * (g[0] - z * yv[0]))
         for i in range(n):
             if i:
-                (rows.take(tables.gather[:, :, i], axis=0) * tables.weights[:, :, i]).sum(axis=0, out=g)
+                (rows.take(gather[:, :, i], axis=0) * weights[:, :, i, None]).sum(axis=0, out=g)
             (C * u).sum(axis=1, out=yv)
             YV[:, i + 1] = yv
-    return YV
+        second = (rows.take(gather[:, 0], axis=0) * weights[:, 0, :, None]).sum(axis=0) - z * YV[0]
+    return YV, second
 
 
 @st.composite
@@ -372,15 +410,30 @@ def both_tables(spec, steps):
     return dde_solver._left_tables(spec, steps), dde_solver._right_tables(spec, steps)
 
 
-def rows_read(tables):
+def both_samples(spec, steps):
+    return (segment_samples(spec.q_left, spec.retard_left, 0.0, HALF, steps),
+            segment_samples(spec.q_right, spec.retard_right, HALF, PI, steps))
+
+
+def rows_read(samples):
     """The newest row each step's stencils read."""
-    return (tables.gather[:, :, :tables.steps] % (tables.steps + 1)).max(axis=(0, 1))
+    gather, n = reference_stencils(samples)[0], samples.nodes.shape[0] - 1
+    return (gather[:, :, :n] % (n + 1)).max(axis=(0, 1))
+
+
+def frozen_delay_spec(steps, node):
+    """q = 1 and, on the left, x - Delta(x) = max(x, c) with c 5e-15 below
+    the given node: from that node on every stage reads c.  The node's step
+    starts a run, its end stage reads the current state and the next node
+    stage interpolates at c, so their stencils differ inside the run."""
+    c = node * HALF / steps - 5e-15
+    return spec_of("1", "1", f"(x - {c!r} + abs(x - {c!r}))/2")
 
 
 @settings(max_examples=40, deadline=None)
 @given(spec=sweep_specs(), steps=st.integers(2, 1024))
 def test_runs_partition_the_steps(spec, steps):
-    for tables in both_tables(spec, steps):
+    for tables, samples in zip(both_tables(spec, steps), both_samples(spec, steps)):
         n, bounds = tables.steps, tables.run_bounds.tolist()
         assert bounds[0] == 0 and bounds[-1] == n
         assert all(b < e for b, e in zip(bounds, bounds[1:]))
@@ -390,7 +443,7 @@ def test_runs_partition_the_steps(spec, steps):
         else:
             # the peeled step 0 reads the initial state alone
             assert bounds[1] == 1
-            reads = rows_read(tables)
+            reads = rows_read(samples)
             assert np.all(reads[1:] <= np.arange(1, n))
             for b, e in zip(bounds[1:], bounds[2:]):
                 assert reads[b:e].max() <= b
@@ -406,6 +459,38 @@ def test_runs_partition_the_steps(spec, steps):
             assert all(0 < e - b <= cap for b, e in zip(starts, ends))
 
 
+@settings(max_examples=40, deadline=None)
+@given(spec=sweep_specs(), steps=st.integers(2, 1024))
+@example(spec=frozen_delay_spec(64, 20), steps=64)
+def test_pieces_interleave_the_reference_stencils(spec, steps):
+    # a piece's stencil rows are node b, half b, node b+1, ..., half e-1,
+    # end e-1, bitwise those built stage by stage; the sweep reads node k+1
+    # as the end stage of step k, so a step whose end stencil is not the
+    # next node's must end its piece
+    for tables, samples in zip(both_tables(spec, steps), both_samples(spec, steps)):
+        gather, weights = reference_stencils(samples)[:2]
+        n = tables.steps
+        assert np.array_equal(tables.gather[:, tables.node_rows], gather[:, 0])
+        assert tables.weights[:, tables.node_rows, 0].tobytes() == weights[:, 0].tobytes()
+        differ = ((gather[:, 2, :n - 1] != gather[:, 0, 1:n]).any(axis=0)
+                  | (weights[:, 2, :n - 1] != weights[:, 0, 1:n]).any(axis=0))
+        if tables.q_zero:
+            # no stage is read
+            continue
+        for cap in (1, 3, tables.piece_cap):
+            pieces = tables.pieces(cap)[0]
+            assert set(np.flatnonzero(differ) + 1) <= {b for b, *_ in pieces}
+            for b, e, got_gather, got_weights in pieces:
+                def interleaved(table):
+                    pairs = table[:, :2, b:e].transpose(0, 2, 1).reshape(4, -1)
+                    return np.concatenate([pairs, table[:, 2, e - 1:e]], axis=1)
+                assert np.array_equal(got_gather, interleaved(gather))
+                assert got_weights[..., 0].tobytes() == interleaved(weights).tobytes()
+    if spec == frozen_delay_spec(64, 20):
+        left = both_tables(spec, steps)[0]
+        assert left.run_bounds.tolist()[-2:] == [20, 64] and 21 in left.breaks
+
+
 def test_runs_of_the_shipped_kinds(null_spec, constq_spec, delayed_spec):
     # q = 0 reads nothing: each segment is one run
     assert [t.run_bounds.tolist() for t in both_tables(null_spec, 4096)] == [[0, 4096]] * 2
@@ -415,6 +500,8 @@ def test_runs_of_the_shipped_kinds(null_spec, constq_spec, delayed_spec):
     left, right = both_tables(delayed_spec, 4096)
     assert (len(left.run_bounds) - 1, len(right.run_bounds) - 1) == (23, 46)
     assert np.diff(left.run_bounds).max() == 788
+    # every step whose node stencil is not the end stencil before it starts a run
+    assert set(left.breaks) <= set(left.run_bounds) and set(right.breaks) <= set(right.run_bounds)
     left, right = both_tables(delayed_spec, 265)
     assert (len(left.run_bounds) - 1, len(right.run_bounds) - 1) == (17, 31)
 
@@ -422,14 +509,18 @@ def test_runs_of_the_shipped_kinds(null_spec, constq_spec, delayed_spec):
 @settings(max_examples=30, deadline=None)
 @given(spec=sweep_specs(), steps=st.integers(64, 4096),
        sh=st.lists(st.floats(0.01, 3.2), min_size=1, max_size=3))
+@example(spec=frozen_delay_spec(512, 300), steps=512, sh=[0.05, 1.2])
+@example(spec=spec_of(), steps=847, sh=[3.2])
 def test_blocked_sweep_matches_stepwise(spec, steps, sh):
     # s h past the scheme's stability limit (about 2.83) overflows on long
     # segments: then both must fail, naming the same lambda
-    for tables, y0, v0 in zip(both_tables(spec, steps), (0.0, 0.7), (-1.0, -0.4)):
+    for tables, samples, y0, v0 in zip(both_tables(spec, steps), both_samples(spec, steps),
+                                       (0.0, 0.7), (-1.0, -0.4)):
         for lam in [(x / tables.h) ** 2 for x in sh]:
-            want = stepwise_sweep(tables, [lam], y0, v0)
+            want, want_second = stepwise_sweep(samples, [lam], y0, v0)
             interval = (tables.a, tables.b)
-            if not np.isfinite(want).all():
+            # y'' = -q y(x - Delta) - lambda y may overflow where y does not
+            if not (np.isfinite(want).all() and np.isfinite(want_second).all()):
                 with pytest.raises(NonFiniteStateError, match=re.escape(f"lambda = {lam!r}")):
                     integrate_segment(spec, lam, interval, y0, v0, steps)
                 continue
@@ -437,14 +528,16 @@ def test_blocked_sweep_matches_stepwise(spec, steps, sh):
             got = np.stack([seg.values, seg.derivs])[:, :, None]
             scale = np.abs(want).max()
             assert np.abs(got - want).max() <= 1e-11 * scale, (lam, tables.a)
+            scale = np.abs(want_second).max()
+            assert np.abs(seg.second_derivs - want_second[:, 0]).max() <= 1e-11 * scale
 
 
 def test_sweep_at_full_resolution_matches_stepwise(delayed_spec):
     lams = np.array([4.0, 625.0, 2500.0])
-    for tables in both_tables(delayed_spec, 4096):
+    for tables, samples in zip(both_tables(delayed_spec, 4096), both_samples(delayed_spec, 4096)):
         assert tables.piece_caps(lams).tolist() == [tables.piece_cap] * 3
         got = tables.sweep(lams, 1.0, 0.5, tables.piece_cap)
-        want = stepwise_sweep(tables, lams, 1.0, 0.5)
+        want = stepwise_sweep(samples, lams, 1.0, 0.5)[0]
         scale = np.abs(want).max(axis=(0, 1))
         assert np.all(np.abs(got - want).max(axis=(0, 1)) <= 1e-11 * scale)
 
