@@ -254,6 +254,16 @@ def _validated_or_fail(cfg: RunConfig) -> None:
         raise SystemExit(EXIT_CONFIG)
 
 
+def _refined_or_fail(cfg: RunConfig) -> None:
+    """The refined asymptotics that ``eigfn`` and ``verify`` tabulate need
+    the conditions ``validate`` reports; a config that fails them is a
+    config error, raised before any localization."""
+    report = check_refined_conditions(cfg.problem, cfg.solver.steps_per_segment)
+    if not report.passed:
+        failed = ", ".join(c.name for c in report.checks if not c.passed)
+        raise ConfigError(f"problem: fails {failed}, needed by the refined asymptotics")
+
+
 # --- subcommands ------------------------------------------------------------
 
 
@@ -292,6 +302,7 @@ def cmd_eigfn(cfg: RunConfig, n: int | None, out_path: str | None, fmt: str) -> 
     if n > S_LIMIT - 0.5:
         raise ConfigError("--n: (n + 0.5)^2 must be finite")
     _validated_or_fail(cfg)
+    _refined_or_fail(cfg)
     steps = cfg.solver.steps_per_segment
     pair = spectral.localize_near_n(cfg.problem, n, cfg.solver.refine_tol, steps)
     shot = dde_solver.shoot(cfg.problem, pair.lam, steps)
@@ -322,6 +333,7 @@ def cmd_verify(cfg: RunConfig, out_path: str | None, format_flag: str | None) ->
     if format_flag == "csv":
         raise ConfigError("--format: verify writes JSON only")
     _validated_or_fail(cfg)
+    _refined_or_fail(cfg)
     if cfg.n_range is None:
         raise ConfigError("range: verify needs an n-range (n_min/n_max)")
     n_min, n_max = cfg.n_range

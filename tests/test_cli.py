@@ -411,6 +411,21 @@ def test_tiny_coupling_is_solver_error(tmp_path, capsys, command, coupling):
     assert capsys.readouterr().err.startswith("solver error: state became non-finite")
 
 
+@pytest.mark.parametrize("command", ["eigfn", "verify"])
+def test_failed_refined_conditions_are_config_errors(tmp_path, capsys, command):
+    # the delay passes validate, but its slope exceeds 1 near x = 0.2, so the
+    # refined forms that eigfn and verify tabulate do not apply: a property
+    # of the config, named before any localization
+    cfg = write_config(tmp_path, problem={"q_left": "1", "retard_left": "x*(1 - cos(8*x))/2"},
+                       solver={"steps_per_segment": 256}, range_={"n_min": 2, "n_max": 9})
+    assert main(["validate", "--config", cfg]) == 0
+    capsys.readouterr()
+    argv = [command, "--config", cfg] + (["--n", "3"] if command == "eigfn" else [])
+    assert main(argv) == 1
+    assert capsys.readouterr().err == ("config error: problem: fails delay_slope_left, "
+                                       "needed by the refined asymptotics\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["eigfn", "--config", "CFG", "--n", "abc"], "argument --n: invalid int value: 'abc'"),
     (["solve"], "the following arguments are required: --config"),
