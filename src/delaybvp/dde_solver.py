@@ -192,11 +192,12 @@ class _SegmentTables:
     next step's node stencil unless the delayed argument falls within
     1e-14 of x_i or past it, where the end stage reads the step's own rows.
     ``breaks`` holds the steps whose node stencil is not the end stencil of
-    the step before (none when q = 0, where no stencil is read).  The stencil rows are interleaved: between two bounds
-    b < e of ``run_bounds`` or ``breaks`` they run node b, half b,
-    node b+1, ..., half e-1, end e-1, so the 2L+1 stages of L consecutive
-    steps are one stretch of rows; a last row holds the node stage that
-    gives y'' at the last node, and ``node_rows`` the row of every node.
+    the step before (none when q = 0, where no stencil is read).  The
+    stencil rows are interleaved: between two bounds b < e of
+    ``run_bounds`` or ``breaks`` they run node b, half b, node b+1, ...,
+    half e-1, end e-1, so the 2L+1 stages of L consecutive steps are one
+    stretch of rows; a last row holds the node stage that gives y'' at the
+    last node, and ``node_rows`` the row of every node.
 
     ``run_bounds`` holds the first step of every run and, last, n.  A run
     is a maximal stretch of steps whose stencils read only rows at or
@@ -388,9 +389,10 @@ class _SegmentTables:
                 triples = np.lib.stride_tricks.as_strided(
                     u[2:], (3, longest, m), (u.strides[0], 2 * u.strides[0], u.strides[1]),
                     writeable=False)
-                # per piece length L: its stage rows, triples, coefficients and powers
-                views = [None, None] + [(u[2:2 * L + 3], triples[:, :L], K[:, :, :L],
-                                         powers[:, :, :L]) for L in range(2, longest + 1)]
+                # per piece length L > 1: its stage rows, triples, coefficients
+                # and powers
+                views = {L: (u[2:2 * L + 3], triples[:, :L], K[:, :, :L], powers[:, :, :L])
+                         for L in {e - b for b, e, _, _ in pieces} if L > 1}
             if stages:
                 # peeled step 0: the node stage is the initial state, the
                 # others read its Taylor extrapolant

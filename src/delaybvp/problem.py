@@ -267,6 +267,8 @@ def is_case1(spec: ProblemSpec) -> bool:
     return abs(math.sin(spec.alpha)) > 1e-12 and abs(math.sin(spec.beta)) > 1e-12
 
 
+# eigfn and verify read the report in the CLI and again in the refined forms
+@lru_cache(maxsize=8)
 def check_refined_conditions(spec: ProblemSpec, steps: int = DEFAULT_STEPS) -> ValidationReport:
     """Report on the extra smoothness/retardation conditions for the refined
     asymptotics, read from the integrator's node samples at ``steps`` steps,
