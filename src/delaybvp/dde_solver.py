@@ -349,7 +349,7 @@ class _SegmentTables:
         axis, and the partial sums are one ``np.add.accumulate`` down the
         piece's rows: eight numpy calls per piece.  With q = 0 the g inputs
         are zero, so only A u[b] is computed and every partial sum is that.
-        The views of each piece length are built once per sweep.
+        The views of each piece length in use are built once per sweep.
         """
         m = z.shape[0]
         h = self.h
@@ -381,7 +381,8 @@ class _SegmentTables:
             if longest > 1:
                 # powers[:, :, l] = A^(l+1)
                 powers = _powers(A, longest)
-            if stages and longest > 1:
+            if longest > 1 and stages:
+                # K[:, :, l] = A^-(l+1) B
                 inverse = _powers(np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]]) / (
                     A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]), longest)
                 K = (inverse[:, :, None] * C[:, 2:, None]).sum(axis=1)
@@ -389,8 +390,8 @@ class _SegmentTables:
                 triples = np.lib.stride_tricks.as_strided(
                     u[2:], (3, longest, m), (u.strides[0], 2 * u.strides[0], u.strides[1]),
                     writeable=False)
-                # per piece length L > 1: its stage rows, triples, coefficients
-                # and powers
+                # per piece length L > 1 in use: its stage rows, triples,
+                # coefficients and powers
                 views = {L: (u[2:2 * L + 3], triples[:, :L], K[:, :, :L], powers[:, :, :L])
                          for L in {e - b for b, e, _, _ in pieces} if L > 1}
             if stages:

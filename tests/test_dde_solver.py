@@ -348,7 +348,8 @@ def reference_stencils(samples):
     weights = np.stack([2.0 * t3 - 3.0 * t2 + 1.0, -2.0 * t3 + 3.0 * t2,
                         h * (t3 - 2.0 * t2 + theta), h * (t3 - t2)]) * negq
     # terms (Y[j], Y[j+1], V[j], V[j+1])
-    gather = j + np.array([0, 1, 0, 1])[:, None, None] + np.array([0, 0, 1, 1])[:, None, None] * (n + 1)
+    gather = (j + np.array([0, 1, 0, 1])[:, None, None]
+              + np.array([0, 0, 1, 1])[:, None, None] * (n + 1))
     first_d = np.where(inside[1:, 0], xi[1:, 0] - a, 0.0)
     return gather, weights, first_d, negq[:, 0]
 
