@@ -381,7 +381,7 @@ class _SegmentTables:
             if longest > 1:
                 # powers[:, :, l] = A^(l+1)
                 powers = _powers(A, longest)
-            if longest > 1 and stages:
+            if stages and longest > 1:
                 # K[:, :, l] = A^-(l+1) B
                 inverse = _powers(np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]]) / (
                     A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]), longest)
