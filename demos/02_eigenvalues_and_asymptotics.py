@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from delaybvp.asymptotics import predict_s
+from delaybvp.asymptotics import predict_s_many
 from delaybvp.problem import ProblemSpec
 from delaybvp.spectral import localize_range
 
@@ -26,7 +26,7 @@ spec = ProblemSpec.from_strings(
 
 indices = range(5, 31)
 pairs = localize_range(spec, indices)
-estimates = [predict_s(spec, n) for n in indices]
+estimates = predict_s_many(spec, indices)
 
 print(f"{'n':>3} {'s_n (computed)':>18} {'s_n (predicted)':>18} {'residual':>12}")
 residuals = []

@@ -9,10 +9,12 @@ retardation integrals
     L(x, s) = 1/2 * integral_0^x q(t) cos(s Delta(t)) dt,
 
 namely  s_n = n + (cot(beta) - cot(alpha) - L(pi, n)) / (n pi) + O(1/n^2).
-K and L at any set of points x in [0, pi] come from one cumulative Simpson
-pass per subinterval over the integrator's node samples of q and Delta, read
-between the nodes by cubic Hermite interpolation, so a whole eigenfunction
-profile and pi cost one evaluation: ``verify_rates`` makes one per index.
+K and L at any set of points x in [0, pi] and any set of s come from one
+cumulative Simpson pass per subinterval over the integrator's node samples
+of q and Delta, integrated for blocks of s at once along the node axis and
+read between the nodes by cubic Hermite interpolation.  So a whole
+eigenfunction profile and pi cost one evaluation for every index together:
+``predict_s_many`` makes one for all its indices, ``verify_rates`` another.
 Matching refined eigenfunction forms exist on both subintervals; on the
 right interval the printed inner correction carries a 1/(n^(5/3) pi)
 scaling that looks inconsistent with the structurally parallel left form
@@ -49,6 +51,7 @@ __all__ = [
     "InsufficientRangeError",
     "kl_integrals",
     "predict_s",
+    "predict_s_many",
     "predict_eigenfunction",
     "apriori_bounds",
     "oscillatory_q_integral",
@@ -79,6 +82,10 @@ AMP_REL_ERR_MAX = 0.2
 OSC_S_VALUES = (10.0, 20.0, 40.0, 80.0)  # s of the oscillatory integral's decay fit
 EIGFN_SAMPLES = 257  # points per subinterval of the eigenfunction error grids
 MIN_RATE_INDICES = 8  # fewest shared indices a rate report fits over
+# K/L and the oscillatory integral integrate blocks of s whose (block, nodes)
+# temporaries stay within KL_BYTES (3 values of s at 4096 steps), so that a
+# batch of any length adds no more to the heap than a few single-s passes
+KL_BYTES = 2 ** 17
 
 
 class DegenerateNormError(ValueError):
@@ -159,31 +166,62 @@ class RateReport:
                         for _, field, threshold in SLOPE_GATES))
 
 
-def kl_integrals(spec: ProblemSpec, x, s: float, steps: int = DEFAULT_STEPS):
+def _s_values(s) -> np.ndarray:
+    """s, a scalar or a 1-D array, as a 1-D array whose entries are finite."""
+    ss = np.asarray(s, dtype=float)
+    if ss.ndim > 1:
+        raise ValueError("s must be a scalar or a 1-D array")
+    if not np.all(np.isfinite(ss)):
+        raise ValueError("s must be finite")
+    return np.atleast_1d(ss)
+
+
+def _s_blocks(count: int, nodes: int) -> list[slice]:
+    """Slices cutting ``count`` values of s into consecutive blocks, each of
+    as many values (at least one) as keep a (block, nodes) array of doubles
+    within ``KL_BYTES``."""
+    rows = max(1, KL_BYTES // (8 * nodes))
+    return [slice(lo, lo + rows) for lo in range(0, count, rows)]
+
+
+def kl_integrals(spec: ProblemSpec, x, s, steps: int = DEFAULT_STEPS):
     """The retardation integrals (K(x, s), L(x, s)) for x in [0, pi], scalar
     or array: one cumulative Simpson pass per subinterval over that side's
     ``coefficient_samples`` at ``steps`` steps gives them at the integrator's
     nodes, and between nodes they are the cubic Hermite interpolant with the
     integrands as slopes.  Any x gets the same value alone or in any array;
-    x = 0 gets exactly 0."""
-    if not math.isfinite(s):
-        raise ValueError("s must be finite")
-    scalar = np.ndim(x) == 0
+    x = 0 gets exactly 0.
+
+    s is a scalar, or a 1-D array whose values are integrated together in
+    blocks along the node axis; then K and L have shape (len(s), len(x)),
+    or (len(s),) for a scalar x, and every entry is bitwise the value of a
+    call with that s alone."""
+    ss = _s_values(s)
+    scalar_x = np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all((xs >= 0.0) & (xs <= math.pi)):
         raise ValueError("x must lie in [0, pi]")
     right = xs > HALF
-    kl = np.empty((2,) + xs.shape)
-    offset = np.zeros(2)
-    for samples, side in zip(coefficient_samples(spec, steps), (~right, right)):
-        nodes, q, d = samples.nodes, samples.q[0], samples.delta[0]
-        h = float(nodes[1] - nodes[0])
-        for c, integrand in enumerate((q * np.sin(s * d), q * np.cos(s * d))):
-            running = cumulative_simpson(integrand, h)
-            kl[c, side] = offset[c] + hermite(nodes, running, integrand, xs[side])
-            offset[c] += running[-1]
-    k, l = 0.5 * kl
-    return (float(k[0]), float(l[0])) if scalar else (k, l)
+    tables = coefficient_samples(spec, steps)
+    kl = np.empty((2, ss.size, xs.size))
+    for rows in _s_blocks(ss.size, tables[0].nodes.size):
+        block = ss[rows, None]
+        offset = np.zeros((2, block.shape[0], 1))
+        for samples, side in zip(tables, (~right, right)):
+            nodes, q, d = samples.nodes, samples.q[0], samples.delta[0]
+            h = float(nodes[1] - nodes[0])
+            for c, trig in enumerate((np.sin, np.cos)):
+                integrand = q * trig(block * d)
+                running = cumulative_simpson(integrand, h)
+                kl[c, rows][:, side] = offset[c] + hermite(nodes, running, integrand, xs[side])
+                offset[c] += running[:, -1:]
+    kl *= 0.5
+    k, l = kl
+    if scalar_x:
+        k, l = k[:, 0], l[:, 0]
+    if np.ndim(s) > 0:
+        return k, l
+    return (float(k[0]), float(l[0])) if scalar_x else (k[0], l[0])
 
 
 @lru_cache(maxsize=8)
@@ -191,25 +229,32 @@ def _refined_available(spec: ProblemSpec, steps: int) -> bool:
     return check_refined_conditions(spec, steps).passed
 
 
-def predict_s(spec: ProblemSpec, n: int, steps: int = DEFAULT_STEPS) -> AsymptoticEstimate:
-    """Asymptotic root estimate for index n.
+def predict_s_many(spec: ProblemSpec, indices,
+                   steps: int = DEFAULT_STEPS) -> list[AsymptoticEstimate]:
+    """Asymptotic root estimates for every index of ``indices``, in order,
+    from one ``kl_integrals`` call.
 
     The first-order correction demands sin(alpha) != 0 and sin(beta) != 0
     (raised otherwise) plus the smoothness/retardation conditions (reported
     as unavailable otherwise).
     """
-    n = int(n)
-    if n < 1:
+    ns = [int(n) for n in indices]
+    if any(n < 1 for n in ns):
         raise ValueError("n must be a positive integer")
     if not is_case1(spec):
         raise Case1RequiredError(
             "refined estimate needs sin(alpha) != 0 and sin(beta) != 0")
-    l_pi = kl_integrals(spec, math.pi, float(n), steps)[1]
-    s_refined = None
-    if _refined_available(spec, steps):
-        correction = (1.0 / math.tan(spec.beta)) - (1.0 / math.tan(spec.alpha)) - l_pi
-        s_refined = n + correction / (n * math.pi)
-    return AsymptoticEstimate(n=n, s_refined=s_refined)
+    l_pi = kl_integrals(spec, math.pi, np.array(ns, dtype=float), steps)[1]
+    if not _refined_available(spec, steps):
+        return [AsymptoticEstimate(n=n, s_refined=None) for n in ns]
+    cot_gap = (1.0 / math.tan(spec.beta)) - (1.0 / math.tan(spec.alpha))
+    return [AsymptoticEstimate(n=n, s_refined=n + (cot_gap - float(l)) / (n * math.pi))
+            for n, l in zip(ns, l_pi)]
+
+
+def predict_s(spec: ProblemSpec, n: int, steps: int = DEFAULT_STEPS) -> AsymptoticEstimate:
+    """Asymptotic root estimate for index n: ``predict_s_many`` of n alone."""
+    return predict_s_many(spec, [n], steps)[0]
 
 
 def _amplitude(spec: ProblemSpec, n: int, xs: np.ndarray) -> np.ndarray:
@@ -295,15 +340,21 @@ def apriori_bounds(spec: ProblemSpec, lam: float,
     )
 
 
-def oscillatory_q_integral(spec: ProblemSpec, s: float, steps: int = DEFAULT_STEPS) -> float:
+def oscillatory_q_integral(spec: ProblemSpec, s, steps: int = DEFAULT_STEPS):
     """integral_0^(pi/2) q(t) cos(s (2t - Delta(t))) dt over the left node samples,
-    the oscillatory integral whose O(1/s) decay underpins the refined formulas."""
-    if not math.isfinite(s):
-        raise ValueError("s must be finite")
+    the oscillatory integral whose O(1/s) decay underpins the refined formulas.
+
+    A scalar s gives a float; a 1-D array of s gives an array, integrated in
+    blocks like ``kl_integrals``, each entry bitwise the scalar call's."""
+    ss = _s_values(s)
     left = coefficient_samples(spec, steps)[0]
     xs, q, d = left.nodes, left.q[0], left.delta[0]
     h = float(xs[1] - xs[0])
-    return float(cumulative_simpson(q * np.cos(s * (2.0 * xs - d)), h)[-1])
+    phase = 2.0 * xs - d
+    out = np.empty(ss.size)
+    for rows in _s_blocks(ss.size, xs.size):
+        out[rows] = cumulative_simpson(q * np.cos(ss[rows, None] * phase), h)[:, -1]
+    return out if np.ndim(s) > 0 else float(out[0])
 
 
 def _fit_slope(n_values, residuals, floor: float = RESIDUAL_FLOOR) -> SlopeFit:
@@ -327,10 +378,12 @@ def verify_rates(spec: ProblemSpec, pairs: list[Eigenpair],
     the leading and refined forms (left interval; the right interval is
     reported for both printed and alternative inner scalings), the
     n^(-2/3)/|delta| amplitude drop across the interface at the largest n,
-    and the O(1/s) decay of the oscillatory q-integral.  One ``shoot_many``
-    call at ``steps`` builds the eigenfunctions, and one ``kl_integrals``
-    call per index, over both their grids (``EIGFN_SAMPLES`` points per
-    subinterval) and pi, serves every refined form.
+    and the O(1/s) decay of the oscillatory q-integral.  One ``kl_integrals``
+    call over every index, at both eigenfunction grids (``EIGFN_SAMPLES``
+    points per subinterval) and pi, serves every refined form, and one
+    ``oscillatory_q_integral`` call every s of ``OSC_S_VALUES``; both run
+    before the one ``shoot_many`` call at ``steps`` that builds the
+    eigenfunctions, so their temporaries are freed before its arrays exist.
     """
     by_n = {p.index: p for p in pairs}
     est_by_n = {e.n: e for e in estimates}
@@ -367,14 +420,16 @@ def verify_rates(spec: ProblemSpec, pairs: list[Eigenpair],
     # interval's inner scaling as printed, 1/(n^(5/3) pi), and the 1/(n pi)
     # variant that parallels the left interval
     errors = np.empty((4, len(indices)))
+    k_all, l_all = kl_integrals(spec, np.append(xs, math.pi), ns, steps)
+    osc_vals = np.abs(oscillatory_q_integral(spec, np.array(OSC_S_VALUES), steps))
     shots = dde_solver.shoot_many(spec, [by_n[n].lam for n in indices], steps)
-    for k, (n, shot) in enumerate(zip(indices, shots)):
+    for i, (n, shot) in enumerate(zip(indices, shots)):
         u = np.concatenate([shot.left.eval(xs_left), shot.right.eval(xs_right)])
-        kl = kl_integrals(spec, np.append(xs, math.pi), float(n), steps)
+        kl = k_all[i], l_all[i]
         leading = _amplitude(spec, n, xs) * np.cos(n * xs)
         printed = _refined_form(spec, n, xs, *kl, (n ** (5.0 / 3.0)) * math.pi)
         alt = _refined_form(spec, n, xs, *kl, n * math.pi)
-        errors[:, k] = [np.max(np.abs(u[part] - form[part])) for form, part in
+        errors[:, i] = [np.max(np.abs(u[part] - form[part])) for form, part in
                         ((leading, left), (printed, left), (printed, right), (alt, right))]
 
     # the loop ends on the largest index: u holds its samples
@@ -383,7 +438,6 @@ def verify_rates(spec: ProblemSpec, pairs: list[Eigenpair],
     amp_expected = n_top ** (-2.0 / 3.0) / abs(spec.coupling)
     amp_rel_err = abs(amp_ratio - amp_expected) / amp_expected
 
-    osc_vals = np.array([abs(oscillatory_q_integral(spec, s, steps)) for s in OSC_S_VALUES])
     osc_fit = _fit_slope(np.asarray(OSC_S_VALUES), osc_vals)
 
     return RateReport(

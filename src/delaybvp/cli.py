@@ -343,7 +343,7 @@ def cmd_verify(cfg: RunConfig, out_path: str | None, format_flag: str | None) ->
                           f"indices; n range [{n_min}, {n_max}] supplies {len(indices)}")
     steps = cfg.solver.steps_per_segment
     pairs = spectral.localize_range(cfg.problem, indices, cfg.solver.refine_tol, steps)
-    estimates = [asymptotics.predict_s(cfg.problem, n, steps) for n in indices]
+    estimates = asymptotics.predict_s_many(cfg.problem, indices, steps)
     report = asymptotics.verify_rates(cfg.problem, pairs, estimates, steps)
 
     table = [{"n": n, "s_n": s, "s_refined": r,

@@ -2,10 +2,11 @@
 on uniform grids.
 
 ``cumulative_simpson`` returns the running integral at every node (a full
-integral is its last entry); odd-indexed nodes use the one-sided three-point
-rule so the result stays fourth-order accurate everywhere.  ``hermite``
-reads node values and slopes between the nodes: the integrator's dense
-output, and K, L between quadrature nodes.
+integral is its last entry), for one row of samples or for many at once;
+odd-indexed nodes use the one-sided three-point rule so the result stays
+fourth-order accurate everywhere.  ``hermite`` reads node values and slopes
+between the nodes: the integrator's dense output, and K, L between
+quadrature nodes.
 """
 
 from __future__ import annotations
@@ -22,41 +23,41 @@ def odd_point_count(n: int) -> int:
 
 
 def cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
-    """Running integral of uniformly sampled values, fourth order.
+    """Running integral of uniformly sampled values, fourth order, along
+    the last axis of an array of any leading shape.
 
     Even nodes accumulate standard Simpson pairs; each odd node adds the
     integral of the local quadratic over its trailing subinterval
     (coefficients 5/12, 8/12, -1/12).  Works for any sample count >= 3.
+    Every row is bitwise the result of integrating it alone.
     """
     y = np.asarray(y, dtype=float)
-    n = y.shape[0]
+    n = y.shape[-1]
     if n < 3:
         raise ValueError("need at least 3 samples")
-    out = np.empty(n, dtype=float)
-    out[0] = 0.0
+    out = np.empty(y.shape, dtype=float)
+    out[..., 0] = 0.0
     # pairs: integral over [x_{2k}, x_{2k+2}]
-    n_pairs = (n - 1) // 2
-    pair = (h / 3.0) * (y[0:2 * n_pairs:2] + 4.0 * y[1:2 * n_pairs + 1:2] + y[2:2 * n_pairs + 2:2])
-    out[2:2 * n_pairs + 2:2] = np.cumsum(pair)
+    end = 2 * ((n - 1) // 2)
+    pair = (h / 3.0) * (y[..., 0:end:2] + 4.0 * y[..., 1:end + 1:2] + y[..., 2:end + 1:2])
+    np.cumsum(pair, axis=-1, out=out[..., 2:end + 1:2])
     # odd nodes: quadratic through (i-1, i, i+1) integrated over [x_i, x_{i+1}]
-    # shifted so the increment is added to out at the even node before it
-    k = np.arange(1, n, 2)
-    interior = k[k + 1 < n]
-    inc = np.empty(k.shape[0], dtype=float)
-    inc[: interior.shape[0]] = (h / 12.0) * (
-        5.0 * y[interior - 1] + 8.0 * y[interior] - y[interior + 1]
-    )
-    if k[-1] + 1 >= n:
+    # added to out at the even node before it
+    inc = (h / 12.0) * (5.0 * y[..., 0:end - 1:2] + 8.0 * y[..., 1:end:2]
+                        - y[..., 2:end + 1:2])
+    out[..., 1:end:2] = out[..., 0:end - 1:2] + inc
+    if end < n - 1:
         # trailing odd node: quadratic through the last three samples
-        inc[-1] = (h / 12.0) * (-y[n - 3] + 8.0 * y[n - 2] + 5.0 * y[n - 1])
-    out[k] = out[k - 1] + inc
+        inc = (h / 12.0) * (-y[..., n - 3] + 8.0 * y[..., n - 2] + 5.0 * y[..., n - 1])
+        out[..., n - 1] = out[..., n - 2] + inc
     return out
 
 
 def hermite(nodes: np.ndarray, f: np.ndarray, df: np.ndarray, x):
     """Cubic Hermite interpolant of values ``f`` and slopes ``df`` on the
     uniform grid ``nodes`` at x (scalar or array), without a range check;
-    an x equal to a node bit-exactly gets that node's value exactly."""
+    an x equal to a node bit-exactly gets that node's value exactly.  Rows
+    of ``f`` and ``df`` along leading axes are interpolated alike."""
     x = np.asarray(x, dtype=float)
     a = nodes[0]
     n = nodes.shape[0] - 1
@@ -67,7 +68,7 @@ def hermite(nodes: np.ndarray, f: np.ndarray, df: np.ndarray, x):
     t = np.where(x == nodes[j + 1], 1.0, (x - nodes[j]) / h)
     t2 = t * t
     t3 = t2 * t
-    out = ((2.0 * t3 - 3.0 * t2 + 1.0) * f[j]
-           + (-2.0 * t3 + 3.0 * t2) * f[j + 1]
-           + h * ((t3 - 2.0 * t2 + t) * df[j] + (t3 - t2) * df[j + 1]))
+    out = ((2.0 * t3 - 3.0 * t2 + 1.0) * f[..., j]
+           + (-2.0 * t3 + 3.0 * t2) * f[..., j + 1]
+           + h * ((t3 - 2.0 * t2 + t) * df[..., j] + (t3 - t2) * df[..., j + 1]))
     return float(out) if out.ndim == 0 else out

@@ -1,14 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from delaybvp import asymptotics, dde_solver
-from delaybvp.asymptotics import (EIGFN_RESIDUAL_FLOOR, EIGFN_SAMPLES, DegenerateNormError,
+from delaybvp.asymptotics import (EIGFN_RESIDUAL_FLOOR, EIGFN_SAMPLES, KL_BYTES,
+                                  OSC_S_VALUES, DegenerateNormError,
                                   InsufficientRangeError, _fit_slope,
                                   kl_integrals, apriori_bounds,
-                                  oscillatory_q_integral, predict_s,
+                                  oscillatory_q_integral, predict_s, predict_s_many,
                                   predict_eigenfunction, verify_rates)
 from delaybvp.exprlang import ExprDomainError
 from delaybvp.problem import Case1RequiredError, HALF, ProblemSpec, q_norms
@@ -54,12 +56,36 @@ def test_kl_constant_delay_closed_form():
 @given(xs=st.lists(st.one_of(st.sampled_from([HALF, PI]),
                              st.floats(0.0, PI, exclude_min=True)),
                    min_size=1, max_size=12),
-       s=st.floats(0.0, 60.0, exclude_min=True))
+       # values drawn from a short list repeat; up to 7 of them span three
+       # blocks of s at the default steps
+       s=st.lists(st.floats(0.0, 60.0, exclude_min=True), min_size=1, max_size=3).flatmap(
+           lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=7)))
 def test_kl_array_matches_scalar_calls(delayed_spec, xs, s):
-    k, l = kl_integrals(delayed_spec, np.array(xs), s)
-    singles = np.array([kl_integrals(delayed_spec, x, s) for x in xs])
-    assert np.array_equal(k, singles[:, 0])
-    assert np.array_equal(l, singles[:, 1])
+    k, l = kl_integrals(delayed_spec, np.array(xs), np.array(s))
+    assert k.shape == l.shape == (len(s), len(xs))
+    for i, si in enumerate(s):
+        row = kl_integrals(delayed_spec, np.array(xs), si)
+        assert np.array_equal(k[i], row[0]) and np.array_equal(l[i], row[1])
+        singles = np.array([kl_integrals(delayed_spec, x, si) for x in xs])
+        assert np.array_equal(k[i], singles[:, 0]) and np.array_equal(l[i], singles[:, 1])
+    # a scalar x gives one value per s
+    k0, l0 = kl_integrals(delayed_spec, xs[0], np.array(s))
+    assert np.array_equal(k0, k[:, 0]) and np.array_equal(l0, l[:, 0])
+
+
+def test_kl_batch_temporaries_stay_within_the_block_budget(delayed_spec):
+    # 64 values of s at the default 4096 steps: unblocked, one (64, 4097)
+    # temporary alone would take 2 MiB past the returned arrays
+    xs = np.linspace(0.0, PI, 514)
+    kl_integrals(delayed_spec, xs, 1.0)  # sample the coefficients first
+    tracemalloc.start()
+    try:
+        k, l = kl_integrals(delayed_spec, xs, np.arange(1.0, 65.0))
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert k.shape == (64, 514)
+    assert peak - retained <= 5 * KL_BYTES
 
 
 def test_kl_small_s_limits(delayed_spec):
@@ -108,6 +134,13 @@ def test_quadrature_reads_the_integrators_node_samples(delayed_spec):
     assert (q_norms(spec).q1, q_norms(spec).q2) == tuple(norms)
 
 
+@settings(max_examples=20, deadline=None)
+@given(s=st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=7))
+def test_oscillatory_array_matches_scalar_calls(delayed_spec, s):
+    values = oscillatory_q_integral(delayed_spec, np.array(s))
+    assert np.array_equal(values, [oscillatory_q_integral(delayed_spec, v) for v in s])
+
+
 def test_kl_raises_where_q_overflows():
     # no numpy warning and no non-finite K/L: the sampler names the first x
     spec = spec_of(q_l="1e200*exp(1000*(0.5 - x))")
@@ -139,6 +172,17 @@ def test_predict_constant_q(constq_spec):
 def test_predict_requires_case1():
     with pytest.raises(Case1RequiredError):
         predict_s(spec_of(alpha=0.0), 10)
+    with pytest.raises(Case1RequiredError):
+        predict_s_many(spec_of(alpha=0.0), [10, 11])
+
+
+def test_predict_s_many_matches_single_predictions(delayed_spec):
+    indices = [5, 9, 9, 40, 6]
+    assert predict_s_many(delayed_spec, indices, 512) == [
+        predict_s(delayed_spec, n, 512) for n in indices]
+    assert predict_s_many(delayed_spec, [], 512) == []
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        predict_s_many(delayed_spec, [3, 0], 512)
 
 
 # --- eigenfunction predictions --------------------------------------------------
@@ -282,19 +326,28 @@ def delayed_rate_inputs(delayed_spec):
             [predict_s(delayed_spec, n, 512) for n in indices])
 
 
-def test_verify_rates_evaluates_kl_once_per_index(delayed_spec, delayed_rate_inputs,
-                                                  monkeypatch):
+def test_verify_rates_integrates_kl_in_one_call(delayed_spec, delayed_rate_inputs,
+                                                monkeypatch):
+    # one K/L call over every index and one oscillatory call over every s
+    # of OSC_S_VALUES, both before the eigenfunctions are built
     pairs, estimates = delayed_rate_inputs
     calls = []
-    original = asymptotics.kl_integrals
 
-    def counting(spec, x, s, *args):
-        calls.append(s)
-        return original(spec, x, s, *args)
+    def recording(name, func):
+        def wrapped(spec, *args):
+            calls.append((name, args))
+            return func(spec, *args)
+        return wrapped
 
-    monkeypatch.setattr(asymptotics, "kl_integrals", counting)
+    for module, name in ((asymptotics, "kl_integrals"),
+                         (asymptotics, "oscillatory_q_integral"),
+                         (dde_solver, "shoot_many")):
+        monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
     report = verify_rates(delayed_spec, pairs, estimates, steps=512)
-    assert calls == [float(n) for n in report.indices]
+    assert [name for name, _ in calls] == ["kl_integrals", "oscillatory_q_integral",
+                                           "shoot_many"]
+    assert np.array_equal(calls[0][1][1], report.indices)
+    assert np.array_equal(calls[1][1][0], OSC_S_VALUES)
 
 
 def test_verify_rates_fits_match_predict_eigenfunction(delayed_spec, delayed_rate_inputs):
@@ -317,7 +370,8 @@ def test_verify_rates_fits_match_predict_eigenfunction(delayed_spec, delayed_rat
 
 
 @pytest.mark.parametrize("entry, bad", [
-    *((entry, bad) for entry in ("kl_integrals_s", "kl_integrals_x", "oscillatory_q_integral",
+    *((entry, bad) for entry in ("kl_integrals_s", "kl_integrals_s_array", "kl_integrals_x",
+                                 "oscillatory_q_integral", "oscillatory_q_integral_array",
                                  "predict_leading", "predict_refined")
       for bad in (math.nan, math.inf, -math.inf))])
 def test_non_finite_asymptotics_input_named(delayed_spec, entry, bad):
@@ -326,10 +380,15 @@ def test_non_finite_asymptotics_input_named(delayed_spec, entry, bad):
     calls = {
         "kl_integrals_s": (lambda: kl_integrals(delayed_spec, 1.0, bad, 64),
                            "s must be finite"),
+        "kl_integrals_s_array": (lambda: kl_integrals(delayed_spec, [0.5, 2.0], [3.0, bad], 64),
+                                 "s must be finite"),
         "kl_integrals_x": (lambda: kl_integrals(delayed_spec, [0.5, bad], 3.0, 64),
                            "x must lie in"),
         "oscillatory_q_integral": (lambda: oscillatory_q_integral(delayed_spec, bad, 64),
                                    "s must be finite"),
+        "oscillatory_q_integral_array": (
+            lambda: oscillatory_q_integral(delayed_spec, np.array([10.0, bad]), 64),
+            "s must be finite"),
         "predict_leading": (lambda: predict_eigenfunction(delayed_spec, 5, bad),
                             "x must lie in"),
         "predict_refined": (lambda: predict_eigenfunction(delayed_spec, 5, [0.3, bad],

@@ -4,16 +4,19 @@ import io
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from delaybvp import asymptotics
 from delaybvp.cli import main
 from delaybvp.exprlang import BinOp, Call, Num, Var, unparse
 from delaybvp.problem import HALF
 from test_exprlang import _random_tree
 
 PI = math.pi
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 BASE_PROBLEM = {
     "q_left": "0", "q_right": "0",
@@ -189,6 +192,25 @@ def test_verify_null_passes(tmp_path, capsys):
     assert report["refined_s_fit"]["floor_limited"] is True
     assert len(report["residual_table"]) == 9
     assert "PASS" in capsys.readouterr().err
+
+
+def test_verify_integrates_kl_in_two_calls(tmp_path, monkeypatch):
+    # the estimates and the rate report each take K/L for every index at once
+    doc = json.loads((CONFIG_DIR / "delayed.json").read_text())
+    doc["solver"]["steps_per_segment"] = 512
+    doc["range"] = {"n_min": 5, "n_max": 12}
+    cfg = tmp_path / "delayed.json"
+    cfg.write_text(json.dumps(doc))
+    calls = []
+    original = asymptotics.kl_integrals
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(asymptotics, "kl_integrals", counting)
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "report.json")]) == 0
+    assert 1 <= len(calls) <= 2
 
 
 def test_validate_reports_and_exit_codes(tmp_path, capsys):

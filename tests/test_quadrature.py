@@ -40,6 +40,37 @@ def test_cumulative_simpson_exact_on_cubics_at_even_nodes(count, length, c):
     assert np.max(err) <= _tolerance(count, length, y)
 
 
+def _simpson_loop(y, h):
+    """cumulative_simpson one node at a time, the same operations in order."""
+    n = len(y)
+    out = [0.0] * n
+    for i in range(1, n):
+        if i % 2 == 0:
+            out[i] = out[i - 2] + (h / 3.0) * (y[i - 2] + 4.0 * y[i - 1] + y[i])
+        elif i + 1 < n:
+            out[i] = out[i - 1] + (h / 12.0) * (5.0 * y[i - 1] + 8.0 * y[i] - y[i + 1])
+        else:
+            out[i] = out[i - 1] + (h / 12.0) * (-y[n - 3] + 8.0 * y[n - 2] + 5.0 * y[n - 1])
+    return np.array(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(1, 5), count=st.integers(3, 64), h=st.floats(1e-3, 10.0),
+       data=st.data())
+def test_cumulative_simpson_rows_match_one_dimensional_calls(rows, count, h, data):
+    # an array of rows integrates along its last axis; every row is bitwise
+    # its own 1-D integral and the node-by-node loop
+    y = np.array(data.draw(st.lists(st.lists(st.floats(-1e6, 1e6), min_size=count,
+                                             max_size=count),
+                                    min_size=rows, max_size=rows)))
+    out = cumulative_simpson(y, h)
+    assert out.shape == (rows, count)
+    for r in range(rows):
+        assert np.array_equal(out[r], cumulative_simpson(y[r], h))
+        assert np.array_equal(out[r], _simpson_loop(y[r], h))
+    assert np.array_equal(cumulative_simpson(y[:, None, :], h)[:, 0], out)
+
+
 def test_hermite_reproduces_cubics_and_snaps_to_nodes():
     nodes = np.linspace(0.3, 2.1, 13)
     f = nodes ** 3 - 2.0 * nodes
@@ -48,3 +79,9 @@ def test_hermite_reproduces_cubics_and_snaps_to_nodes():
     assert np.allclose(hermite(nodes, f, df, xs), xs ** 3 - 2.0 * xs, rtol=0, atol=1e-13)
     assert np.array_equal(hermite(nodes, f, df, nodes), f)
     assert hermite(nodes, f, df, nodes[-1]) == f[-1]
+    # rows of values and slopes interpolate like one row each
+    rows = np.stack([f, 2.0 * f + 1.0])
+    slopes = np.stack([df, 2.0 * df])
+    both = hermite(nodes, rows, slopes, xs)
+    assert np.array_equal(both[1], hermite(nodes, rows[1], slopes[1], xs))
+    assert np.array_equal(both[0], hermite(nodes, f, df, xs))
