@@ -14,12 +14,15 @@ cumulative Simpson pass per subinterval over the integrator's node samples
 of q and Delta, integrated for blocks of s at once along the node axis and
 read between the nodes by cubic Hermite interpolation.  So a whole
 eigenfunction profile and pi cost one evaluation for every index together:
-``predict_s_many`` makes one for all its indices, ``verify_rates`` another.
+``predict_s_many`` makes one for all its indices, ``verify_rates`` another
+for the (indices, x) arrays of every index's eigenfunction forms.
 Matching refined eigenfunction forms exist on both subintervals; on the
 right interval the printed inner correction carries a 1/(n^(5/3) pi)
 scaling that looks inconsistent with the structurally parallel left form
 (1/(n pi)).  It is implemented exactly as printed, and the rate report
 additionally measures the 1/(n pi) variant so the data can adjudicate.
+Every refined prediction first calls ``require_refined``, the one refusal
+of a problem that fails ``check_refined_conditions``.
 
 Predictions never add the remainder terms; ``verify_rates`` measures them
 instead (log-log slope fits with a floor cutoff, since residuals at the
@@ -33,13 +36,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import dde_solver
 from .problem import (DEFAULT_STEPS, HALF, Case1RequiredError, ProblemSpec,
-                      check_refined_conditions, coefficient_samples, is_case1, q_norms)
+                      check_refined_conditions, coefficient_samples, q_norms)
 from .quadrature import cumulative_simpson, hermite
 from .spectral import Eigenpair
 
@@ -50,6 +52,7 @@ __all__ = [
     "DegenerateNormError",
     "InsufficientRangeError",
     "kl_integrals",
+    "require_refined",
     "predict_s",
     "predict_s_many",
     "predict_eigenfunction",
@@ -100,13 +103,11 @@ class InsufficientRangeError(ValueError):
 class AsymptoticEstimate:
     """Predicted root location for index n.
 
-    The leading estimate is n itself; ``s_refined`` adds the first-order
-    correction and is None when the problem fails the smoothness/retardation
-    conditions the refinement needs.
+    The leading estimate is n itself; ``s_refined`` adds the first-order correction.
     """
 
     n: int
-    s_refined: float | None
+    s_refined: float
 
 
 @dataclass(frozen=True)
@@ -224,29 +225,24 @@ def kl_integrals(spec: ProblemSpec, x, s, steps: int = DEFAULT_STEPS):
     return (float(k[0]), float(l[0])) if scalar_x else (k[0], l[0])
 
 
-@lru_cache(maxsize=8)
-def _refined_available(spec: ProblemSpec, steps: int) -> bool:
-    return check_refined_conditions(spec, steps).passed
+def require_refined(spec: ProblemSpec, steps: int = DEFAULT_STEPS) -> None:
+    """Raise ``Case1RequiredError`` naming every failed check of
+    ``check_refined_conditions`` at ``steps`` steps, the angles' included."""
+    report = check_refined_conditions(spec, steps)
+    if not report.passed:
+        failed = ", ".join(c.name for c in report.checks if not c.passed)
+        raise Case1RequiredError(f"fails {failed}, needed by the refined asymptotics")
 
 
 def predict_s_many(spec: ProblemSpec, indices,
                    steps: int = DEFAULT_STEPS) -> list[AsymptoticEstimate]:
     """Asymptotic root estimates for every index of ``indices``, in order,
-    from one ``kl_integrals`` call.
-
-    The first-order correction demands sin(alpha) != 0 and sin(beta) != 0
-    (raised otherwise) plus the smoothness/retardation conditions (reported
-    as unavailable otherwise).
-    """
+    from one ``kl_integrals`` call, after ``require_refined``."""
     ns = [int(n) for n in indices]
     if any(n < 1 for n in ns):
         raise ValueError("n must be a positive integer")
-    if not is_case1(spec):
-        raise Case1RequiredError(
-            "refined estimate needs sin(alpha) != 0 and sin(beta) != 0")
+    require_refined(spec, steps)
     l_pi = kl_integrals(spec, math.pi, np.array(ns, dtype=float), steps)[1]
-    if not _refined_available(spec, steps):
-        return [AsymptoticEstimate(n=n, s_refined=None) for n in ns]
     cot_gap = (1.0 / math.tan(spec.beta)) - (1.0 / math.tan(spec.alpha))
     return [AsymptoticEstimate(n=n, s_refined=n + (cot_gap - float(l)) / (n * math.pi))
             for n, l in zip(ns, l_pi)]
@@ -257,23 +253,37 @@ def predict_s(spec: ProblemSpec, n: int, steps: int = DEFAULT_STEPS) -> Asymptot
     return predict_s_many(spec, [n], steps)[0]
 
 
-def _amplitude(spec: ProblemSpec, n: int, xs: np.ndarray) -> np.ndarray:
-    """sin(alpha) on the left, sin(alpha) / (n^(2/3) delta) past the interface."""
+def _amplitude(spec: ProblemSpec, n23, xs: np.ndarray) -> np.ndarray:
+    """sin(alpha) on the left, sin(alpha) / (n^(2/3) delta) past the interface,
+    for ``n23`` = n^(2/3), a float or an (indices, 1) column."""
     sin_a = math.sin(spec.alpha)
-    return np.where(xs > HALF, sin_a / (n ** (2.0 / 3.0) * spec.coupling), sin_a)
+    return np.where(xs > HALF, sin_a / (n23 * spec.coupling), sin_a)
 
 
-def _refined_form(spec: ProblemSpec, n: int, xs: np.ndarray, k: np.ndarray,
-                  l: np.ndarray, right_scaling: float) -> np.ndarray:
-    """The refined eigenfunction at xs from K and L at xs followed by pi:
-    the amplitude times cos nx [1 + K/n] - sin nx / scaling * [bracket], the
-    inner scaling n pi on the left and ``right_scaling`` past the interface."""
+def _refined_form(spec: ProblemSpec, n, xs: np.ndarray, k: np.ndarray,
+                  l: np.ndarray, right_scaling) -> np.ndarray:
+    """The refined eigenfunction over its amplitude at xs, from K and L at xs
+    followed by pi on their last axis: cos nx [1 + K/n] - sin nx / scaling *
+    [bracket], the inner scaling n pi on the left and ``right_scaling`` past
+    the interface; n and it are scalars or (indices, 1) columns."""
     cot_a = 1.0 / math.tan(spec.alpha)
     cot_b = 1.0 / math.tan(spec.beta)
     scaling = np.where(xs > HALF, right_scaling, n * math.pi)
-    bracket = (cot_b - cot_a - l[-1]) * xs + (cot_a + l[:-1]) * math.pi
-    inner = np.cos(n * xs) * (1.0 + k[:-1] / n) - (np.sin(n * xs) / scaling) * bracket
-    return _amplitude(spec, n, xs) * inner
+    bracket = (cot_b - cot_a - l[..., -1:]) * xs + (cot_a + l[..., :-1]) * math.pi
+    return np.cos(n * xs) * (1.0 + k[..., :-1] / n) - (np.sin(n * xs) / scaling) * bracket
+
+
+def _eigfn_forms(spec: ProblemSpec, indices: list[int], xs, k, l) -> tuple:
+    """The leading, printed and 1/(n pi) forms as (indices, xs) arrays from K
+    and L at xs followed by pi, each row bitwise ``predict_eigenfunction``'s."""
+    # Python's pow, as for one index: numpy's array power differs from it in
+    # the last bit at some n (n^(5/3) at n = 17 with numpy 2.4)
+    n = np.array(indices, dtype=float)[:, None]
+    amplitude = _amplitude(spec, np.array([[m ** (2.0 / 3.0)] for m in indices]), xs)
+    printed = np.array([[(m ** (5.0 / 3.0)) * math.pi] for m in indices])
+    return (amplitude * np.cos(n * xs),
+            amplitude * _refined_form(spec, n, xs, k, l, printed),
+            amplitude * _refined_form(spec, n, xs, k, l, n * math.pi))
 
 
 def predict_eigenfunction(spec: ProblemSpec, n: int, x, order: str = "leading",
@@ -283,8 +293,8 @@ def predict_eigenfunction(spec: ProblemSpec, n: int, x, order: str = "leading",
     ``order`` selects the leading form (pure cosine with the n^(-2/3)/delta
     amplitude drop past the interface) or the refined form with the
     retardation corrections, whose right-interval inner term carries the
-    printed 1/(n^(5/3) pi) scaling.  The interface point itself is rejected:
-    the eigenfunction is two-valued there.
+    printed 1/(n^(5/3) pi) scaling, after ``require_refined``.  The interface
+    point itself is rejected: the eigenfunction is two-valued there.
     """
     if order not in ("leading", "refined"):
         raise ValueError("order must be 'leading' or 'refined'")
@@ -295,17 +305,13 @@ def predict_eigenfunction(spec: ProblemSpec, n: int, x, order: str = "leading",
     xs = np.ravel(np.asarray(x, dtype=float))
     if not np.all((xs >= 0.0) & (xs <= math.pi) & (xs != HALF)):
         raise ValueError("x must lie in [0, pi/2) u (pi/2, pi]")
+    amplitude = _amplitude(spec, n ** (2.0 / 3.0), xs)
     if order == "leading":
-        out = _amplitude(spec, n, xs) * np.cos(n * xs)
+        out = amplitude * np.cos(n * xs)
     else:
-        if not is_case1(spec):
-            raise Case1RequiredError(
-                "refined eigenfunctions need sin(alpha) != 0 and sin(beta) != 0")
-        if not _refined_available(spec, steps):
-            raise Case1RequiredError(
-                "refined eigenfunctions need the smoothness/retardation conditions")
+        require_refined(spec, steps)
         k, l = kl_integrals(spec, np.append(xs, math.pi), float(n), steps)
-        out = _refined_form(spec, n, xs, k, l, (n ** (5.0 / 3.0)) * math.pi)
+        out = amplitude * _refined_form(spec, n, xs, k, l, (n ** (5.0 / 3.0)) * math.pi)
     return out.reshape(shape) if shape else float(out[0])
 
 
@@ -384,6 +390,8 @@ def verify_rates(spec: ProblemSpec, pairs: list[Eigenpair],
     ``oscillatory_q_integral`` call every s of ``OSC_S_VALUES``; both run
     before the one ``shoot_many`` call at ``steps`` that builds the
     eigenfunctions, so their temporaries are freed before its arrays exist.
+    Eigenfunctions and forms are (indices, x) arrays, one row per index; the
+    estimates are ``predict_s_many``'s, which refuses failed refined conditions.
     """
     by_n = {p.index: p for p in pairs}
     est_by_n = {e.n: e for e in estimates}
@@ -391,10 +399,6 @@ def verify_rates(spec: ProblemSpec, pairs: list[Eigenpair],
     if len(indices) < MIN_RATE_INDICES:
         raise InsufficientRangeError(
             f"need at least {MIN_RATE_INDICES} shared indices, got {len(indices)}")
-    missing = [n for n in indices if est_by_n[n].s_refined is None]
-    if missing:
-        raise Case1RequiredError(
-            f"refined estimates unavailable for indices {missing}")
 
     ns = np.array(indices, dtype=float)
     s_vals = np.array([by_n[n].s for n in indices])
@@ -416,25 +420,21 @@ def verify_rates(spec: ProblemSpec, pairs: list[Eigenpair],
     xs_right = np.linspace(HALF, math.pi, EIGFN_SAMPLES)[1:]
     xs = np.concatenate([xs_left, xs_right])
     left, right = slice(None, xs_left.size), slice(xs_left.size, None)
+    leading, printed, alt = _eigfn_forms(
+        spec, indices, xs, *kl_integrals(spec, np.append(xs, math.pi), ns, steps))
+    osc_vals = np.abs(oscillatory_q_integral(spec, np.array(OSC_S_VALUES), steps))
+    shots = dde_solver.shoot_many(spec, [by_n[n].lam for n in indices], steps)
+    u = np.array([np.concatenate([shot.left.eval(xs_left), shot.right.eval(xs_right)])
+                  for shot in shots])
     # sup errors per index: leading and refined on the left, then the right
     # interval's inner scaling as printed, 1/(n^(5/3) pi), and the 1/(n pi)
     # variant that parallels the left interval
-    errors = np.empty((4, len(indices)))
-    k_all, l_all = kl_integrals(spec, np.append(xs, math.pi), ns, steps)
-    osc_vals = np.abs(oscillatory_q_integral(spec, np.array(OSC_S_VALUES), steps))
-    shots = dde_solver.shoot_many(spec, [by_n[n].lam for n in indices], steps)
-    for i, (n, shot) in enumerate(zip(indices, shots)):
-        u = np.concatenate([shot.left.eval(xs_left), shot.right.eval(xs_right)])
-        kl = k_all[i], l_all[i]
-        leading = _amplitude(spec, n, xs) * np.cos(n * xs)
-        printed = _refined_form(spec, n, xs, *kl, (n ** (5.0 / 3.0)) * math.pi)
-        alt = _refined_form(spec, n, xs, *kl, n * math.pi)
-        errors[:, i] = [np.max(np.abs(u[part] - form[part])) for form, part in
-                        ((leading, left), (printed, left), (printed, right), (alt, right))]
+    errors = [np.max(np.abs(u[:, part] - form[:, part]), axis=1) for form, part in
+              ((leading, left), (printed, left), (printed, right), (alt, right))]
 
-    # the loop ends on the largest index: u holds its samples
+    # the rows run in index order: u[-1] holds the largest index's samples
     n_top = indices[-1]
-    amp_ratio = float(np.max(np.abs(u[right])) / np.max(np.abs(u[left])))
+    amp_ratio = float(np.max(np.abs(u[-1, right])) / np.max(np.abs(u[-1, left])))
     amp_expected = n_top ** (-2.0 / 3.0) / abs(spec.coupling)
     amp_rel_err = abs(amp_ratio - amp_expected) / amp_expected
 

@@ -7,7 +7,10 @@ command is a pure function of its JSON config: reruns produce byte-identical
 primary output.
 
 Exit codes: 0 success, 1 config or validation error (a usage error
-included), 2 solver failure, 3 verification threshold failure.
+included, and a problem outside what a command needs: one that fails the
+refined conditions for ``eigfn`` and ``verify``, and sin(alpha) = 0 or
+sin(beta) = 0 for a localization over an n-range), 2 solver failure, 3
+verification threshold failure.
 """
 
 from __future__ import annotations
@@ -245,23 +248,11 @@ def _emit_table(columns: list[str], rows: list[tuple], fmt: str, out_path: str |
 
 
 def _validated_or_fail(cfg: RunConfig) -> None:
+    """A failed ``validate`` is a config error naming the failed checks, then the report."""
     report = validate(cfg.problem, cfg.solver.steps_per_segment)
     if not report.passed:
         failed = ", ".join(c.name for c in report.checks if not c.passed)
-        print(f"config error: problem: fails {failed}", file=sys.stderr)
-        for line in report.lines():
-            print(line, file=sys.stderr)
-        raise SystemExit(EXIT_CONFIG)
-
-
-def _refined_or_fail(cfg: RunConfig) -> None:
-    """The refined asymptotics that ``eigfn`` and ``verify`` tabulate need
-    the conditions ``validate`` reports; a config that fails them is a
-    config error, raised before any localization."""
-    report = check_refined_conditions(cfg.problem, cfg.solver.steps_per_segment)
-    if not report.passed:
-        failed = ", ".join(c.name for c in report.checks if not c.passed)
-        raise ConfigError(f"problem: fails {failed}, needed by the refined asymptotics")
+        raise ConfigError("\n".join([f"problem: fails {failed}"] + report.lines()))
 
 
 # --- subcommands ------------------------------------------------------------
@@ -302,8 +293,8 @@ def cmd_eigfn(cfg: RunConfig, n: int | None, out_path: str | None, fmt: str) -> 
     if n > S_LIMIT - 0.5:
         raise ConfigError("--n: (n + 0.5)^2 must be finite")
     _validated_or_fail(cfg)
-    _refined_or_fail(cfg)
     steps = cfg.solver.steps_per_segment
+    asymptotics.require_refined(cfg.problem, steps)
     pair = spectral.localize_near_n(cfg.problem, n, cfg.solver.refine_tol, steps)
     shot = dde_solver.shoot(cfg.problem, pair.lam, steps)
     xs = np.linspace(0.0, math.pi, cfg.x_samples)
@@ -333,7 +324,7 @@ def cmd_verify(cfg: RunConfig, out_path: str | None, format_flag: str | None) ->
     if format_flag == "csv":
         raise ConfigError("--format: verify writes JSON only")
     _validated_or_fail(cfg)
-    _refined_or_fail(cfg)
+    asymptotics.require_refined(cfg.problem, cfg.solver.steps_per_segment)
     if cfg.n_range is None:
         raise ConfigError("range: verify needs an n-range (n_min/n_max)")
     n_min, n_max = cfg.n_range
@@ -446,7 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _SOLVER_ERRORS = (dde_solver.NonFiniteStateError, dde_solver.DelayRangeError,
-                  spectral.ZeroOrManyError, Case1RequiredError)
+                  spectral.ZeroOrManyError)
 
 
 def main(argv=None) -> int:
@@ -467,13 +458,12 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command]()
-    except (ConfigError, ExprDomainError) as exc:
-        # validate samples q and Delta where the commands do; a domain error is a config error
-        where = "problem: " if isinstance(exc, ExprDomainError) else ""
+    except (ConfigError, ExprDomainError, Case1RequiredError) as exc:
+        # validate samples q and Delta where the commands do, so a domain
+        # error is a config error; so is a problem the command cannot take
+        where = "" if isinstance(exc, ConfigError) else "problem: "
         print(f"config error: {where}{exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SystemExit as exc:
-        return int(exc.code)
     except _SOLVER_ERRORS as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -193,11 +193,11 @@ class _SegmentTables:
     1e-14 of x_i or past it, where the end stage reads the step's own rows.
     ``breaks`` holds the steps whose node stencil is not the end stencil of
     the step before (none when q = 0, where no stencil is read).  The
-    stencil rows are interleaved: between two bounds b < e of
-    ``run_bounds`` or ``breaks`` they run node b, half b, node b+1, ...,
-    half e-1, end e-1, so the 2L+1 stages of L consecutive steps are one
-    stretch of rows; a last row holds the node stage that gives y'' at the
-    last node, and ``node_rows`` the row of every node.
+    stencil rows are interleaved: between neighbours b < e of ``bounds``,
+    the sorted union of ``run_bounds`` and ``breaks``, they run node b, half
+    b, ..., half e-1, end e-1, so L steps' 2L+1 stages are one stretch of
+    rows; a last row holds the node stage that gives y'' at the last node,
+    and ``node_rows`` the row of every node.
 
     ``run_bounds`` holds the first step of every run and, last, n.  A run
     is a maximal stretch of steps whose stencils read only rows at or
@@ -261,7 +261,8 @@ class _SegmentTables:
             self.breaks = self.breaks[:0]
         self.run_bounds = _run_bounds(reach)
         # (np.union1d would import numpy.ma, half a megabyte)
-        bounds = np.array(sorted({*self.run_bounds.tolist(), *self.breaks.tolist()}))
+        bounds = self.bounds = np.array(sorted({*self.run_bounds.tolist(),
+                                                *self.breaks.tolist()}))
 
         # node i sits at row 2i + (bounds at or before i) - 1, and the end of
         # the step before a bound e in the row before node e's
@@ -296,7 +297,7 @@ class _SegmentTables:
         gathers and weights through a strided (4, 3) view about half as
         fast, and with zero delay every step is such a piece."""
         if cap not in self._pieces:
-            bounds = sorted({*self.run_bounds.tolist(), *self.breaks.tolist()})
+            bounds = self.bounds.tolist()
             cut = [(s, min(s + cap, e)) for b, e in zip(bounds[:-1], bounds[1:])
                    for s in range(b, e, cap)]
             rows = [slice(self.node_rows[b], self.node_rows[b] + 2 * (e - b) + 1) for b, e in cut]

@@ -62,7 +62,8 @@ DELAY_TOL = 1e-12
 
 
 class Case1RequiredError(ValueError):
-    """Raised when an operation needs sin(alpha) != 0 and sin(beta) != 0."""
+    """Raised when an operation needs sin(alpha) != 0 and sin(beta) != 0, or
+    all the conditions of the refined asymptotics."""
 
 
 class DelayRangeError(ValueError):

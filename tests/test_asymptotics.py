@@ -179,6 +179,21 @@ def test_predict_requires_case1():
         predict_s_many(spec_of(alpha=0.0), [10, 11])
 
 
+def test_failed_refined_conditions_refuse_every_refined_prediction():
+    # sin(alpha) != 0, but the delay slope exceeds 1 near x = 0.2: predict_s,
+    # predict_s_many and the refined eigenfunction all refuse, naming the check
+    spec = spec_of(q_l="1", d_l="x*(1 - cos(8*x))/2")
+    named = r"^fails delay_slope_left, needed by the refined asymptotics$"
+    with pytest.raises(Case1RequiredError, match=named):
+        predict_s(spec, 5, 256)
+    with pytest.raises(Case1RequiredError, match=named):
+        predict_s_many(spec, [5, 6], 256)
+    with pytest.raises(Case1RequiredError, match=named):
+        predict_eigenfunction(spec, 5, 0.3, "refined", 256)
+    # the leading form needs none of the conditions
+    assert predict_eigenfunction(spec, 5, 0.0, "leading", 256) == 1.0
+
+
 def test_predict_s_many_matches_single_predictions(delayed_spec):
     indices = [5, 9, 9, 40, 6]
     assert predict_s_many(delayed_spec, indices, 512) == [
@@ -232,6 +247,31 @@ def test_interface_point_rejected(null_spec):
 def test_refined_refuses_non_case1():
     with pytest.raises(Case1RequiredError):
         predict_eigenfunction(spec_of(alpha=0.0), 5, 0.3, "refined")
+
+
+@settings(max_examples=15, deadline=None)
+@given(extra=st.lists(st.integers(1, 120), max_size=4))
+def test_eigfn_form_rows_match_single_index_forms(delayed_spec, extra):
+    # verify_rates builds every index's forms as one (indices, x) array; each
+    # row must be bitwise the form of that index alone on K/L of that index
+    # alone.  The batch takes n^(2/3) and n^(5/3) from Python's pow, as one
+    # index does: numpy's array power differs from it in the last bit at
+    # n^(2/3), n = 24, and at n^(5/3), n = 17, 25, 26, 42 and 45 (numpy 2.4)
+    indices = [5, 17, 24, 25, 26, 42, 45] + extra
+    xs = np.concatenate([np.linspace(0.0, HALF, EIGFN_SAMPLES, endpoint=False),
+                         np.linspace(HALF, PI, EIGFN_SAMPLES)[1:]])
+    grid = np.append(xs, PI)
+    single_kl = [kl_integrals(delayed_spec, grid, float(n), 512) for n in indices]
+    k, l = (np.array(rows) for rows in zip(*single_kl))
+    forms = asymptotics._eigfn_forms(delayed_spec, indices, xs, k, l)
+    assert all(form.shape == (len(indices), xs.size) for form in forms)
+    for i, (n, (k_n, l_n)) in enumerate(zip(indices, single_kl)):
+        alt = (asymptotics._amplitude(delayed_spec, n ** (2.0 / 3.0), xs)
+               * asymptotics._refined_form(delayed_spec, n, xs, k_n, l_n, n * PI))
+        singles = (predict_eigenfunction(delayed_spec, n, xs, "leading", 512),
+                   predict_eigenfunction(delayed_spec, n, xs, "refined", 512), alt)
+        for form, single in zip(forms, singles):
+            assert np.array_equal(form[i], single)
 
 
 def test_leading_refined_gap_shrinks_like_1_over_n(delayed_spec):

@@ -448,6 +448,14 @@ def test_failed_refined_conditions_are_config_errors(tmp_path, capsys, command):
                                        "needed by the refined asymptotics\n")
 
 
+def test_solve_without_case1_angles_is_config_error(tmp_path, capsys):
+    # localizing an n-range needs sin(alpha) != 0 and sin(beta) != 0: a
+    # property of the config, as for eigfn and verify, not a solver failure
+    cfg = write_config(tmp_path, problem={"alpha": 0}, solver={"steps_per_segment": 256})
+    assert main(["solve", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith("config error: problem: localization near n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["eigfn", "--config", "CFG", "--n", "abc"], "argument --n: invalid int value: 'abc'"),
     (["solve"], "the following arguments are required: --config"),
