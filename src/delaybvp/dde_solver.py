@@ -45,8 +45,12 @@ front of a contiguous (piece rows, lambda columns) block: the states are
 channel-major, (2, steps+1, m), the stencil tables term-major, (4, stage
 rows), and the per-sweep coefficients put the piece row next to the
 columns, (2, 3, L, m) and (2, 2, L, m).  numpy's inner loops then run
-over L m elements instead of m, so a narrow sweep costs eight numpy calls
-per piece, whatever its length.
+over L m elements instead of m, so a sweep costs a fixed number of numpy
+calls per piece, whatever its length.  A block of ``WIDE_BLOCK`` (32)
+columns or more sums the products of each contraction with ``np.einsum``,
+which forms no (4, 2L+1, m) or (2, 3, L, m) product array: six calls per
+piece.  A narrower block multiplies and then reduces, eight calls per piece,
+because einsum's inner loops, m long, cost more than the products save.
 
 Every coefficient sample, stencil and run is independent of lambda, so they
 are computed once per problem and the integration runs vectorized over a
@@ -61,11 +65,17 @@ for the longest piece of either segment, L steps, within ``PIECE_BYTES``
 batch's temporaries out of cache.  Per block the loop sweeps
 the left segment, applies the transmission and sweeps the right one,
 handing each segment's states on and dropping them before the next sweep,
-so it holds one block's state array at a time.  The width never sets a piece:
-each column sees the same operations in the same order -- the pieces depend
-on the steps and on the column's own lambda only, a block changes no
-column's arithmetic, and every 2x2 product is written out elementwise -- so
-a lambda gives bit-identical results alone, in any batch and in any block.
+so it holds one block's state array at a time.  The width never sets a piece,
+and it changes no column's arithmetic: the pieces depend on the steps and
+on the column's own lambda only, every 2x2 product is written out
+elementwise, and both forms of a contraction add each column's products,
+each rounded on its own, in the same order.  So a lambda gives
+bit-identical results alone, in any batch and in any block.  That the
+einsum form rounds each product before adding it, with no fused
+multiply-add, is a property of the numpy build (it holds for numpy 2.4.6
+with SIMD baseline X86_V2); on a build that fused them, a column's last
+bits would depend on its block's width, and the tests comparing wide and
+narrow blocks would fail.
 
 Only lambda > 0 is addressed; the transmission scaling uses the real cube
 root of lambda, computed as exp(log(lambda)/3).
@@ -106,10 +116,16 @@ SWEEP_BYTES = 64 * 2**20
 PIECE_SHARE = 48
 SHORTEST_PIECE = 8
 # bytes of 12 doubles per step of a piece and column, which bound its
-# (4, 2L+1, width) stencil gather, its largest temporary: the other bound on
-# the block width (128 columns of 85-step pieces), so that a wide batch
-# keeps its temporaries in cache
+# (4, 2L+1, width) stencil gather, its largest temporary in either form of
+# the contractions (see WIDE_BLOCK): the other bound on the block width (128
+# columns of 85-step pieces), so that a wide batch keeps its temporaries in
+# cache
 PIECE_BYTES = 2**20
+# a block of at least WIDE_BLOCK columns sums its stencil and stage products
+# with np.einsum, which forms no product array; in a narrower block einsum's
+# inner loops are too short to pay, and at one column its sum of the five
+# one-step terms would not be the product-and-reduce sum bit for bit
+WIDE_BLOCK = 32
 
 
 class NonFiniteStateError(RuntimeError):
@@ -346,9 +362,13 @@ class _SegmentTables:
             u[b+1+l] = A^(l+1) (u[b] + sum_{k<=l} A^-(k+1) B g[b+k]).
 
         K is (2, 3, L, m) and the powers (2, 2, L, m), so both contractions
-        sum over axis 1 of a product whose inputs broadcast over its leading
+        sum over axis 1 of products whose inputs broadcast over its leading
         axis, and the partial sums are one ``np.add.accumulate`` down the
-        piece's rows: eight numpy calls per piece.  With q = 0 the g inputs
+        piece's rows: six numpy calls per piece on a block of ``WIDE_BLOCK``
+        columns or more, where ``np.einsum`` sums the products as it forms
+        them, eight on a narrower one, which stores them and reduces.
+        Either way each column adds the same products in the same order.
+        With q = 0 the g inputs
         are zero, so only A u[b] is computed and every partial sum is that.
         The views of each piece length in use are built once per sweep.
         """
@@ -404,6 +424,7 @@ class _SegmentTables:
                 a0 = g[0] - z * u[0]
                 g[1:] = self.first_negq[1:] * (u[0] + self.first_d * u[1]
                                                + (0.5 * self.first_d * self.first_d) * a0)
+            wide = m >= WIDE_BLOCK
             for b, e, stencil, weights in pieces:
                 out = YV[:, b:e + 1]
                 if not stages:
@@ -415,18 +436,15 @@ class _SegmentTables:
                 elif e - b == 1:
                     if b:
                         u[:2] = YV[:, b]
-                        gather = rows.take(stencil, axis=0)
-                        gather *= weights
-                        np.add.reduce(gather, axis=0, out=u[2:5])
-                    np.add.reduce(C * u[:5], axis=1, out=out[:, 1])
+                        _stage_values(rows, stencil, weights, u[2:5], wide)
+                    _contract(C, u[:5], out[:, 1], wide)
                 else:
                     g, triple, coef, power = views[e - b]
-                    gather = rows.take(stencil, axis=0)
-                    gather *= weights
-                    np.add.reduce(gather, axis=0, out=g)
-                    np.add.reduce(coef * triple, axis=1, out=out[:, 1:])
+                    _stage_values(rows, stencil, weights, g, wide)
+                    _contract(coef, triple, out[:, 1:], wide)
                     np.add.accumulate(out, axis=1, out=out)
-                    np.add.reduce(power * out[None, :, 1:], axis=1, out=out[:, 1:])
+                    # einsum reads a copy: its input must not overlap its output
+                    _contract(power, out[:, 1:].copy() if wide else out[:, 1:], out[:, 1:], wide)
         return YV
 
     def second_derivs(self, lam: np.ndarray, YV: np.ndarray) -> np.ndarray:
@@ -441,6 +459,29 @@ class _SegmentTables:
         for k in range(1, 4):
             acc += rows[idx[k]] * w[k]
         return acc - np.asarray(lam, dtype=float) * YV[0]
+
+
+def _stage_values(rows: np.ndarray, stencil: np.ndarray, weights: np.ndarray, out: np.ndarray,
+                  wide: bool) -> None:
+    """g[r] = sum_k weights[k, r] rows[stencil[k, r]] into ``out``, the
+    terms added in the order k = 0..3, by ``np.einsum`` on a ``wide`` block
+    (no product array) and by a product and ``np.add.reduce`` otherwise."""
+    gather = rows.take(stencil, axis=0)
+    if wide:
+        np.einsum("kr,krm->rm", weights[..., 0], gather, out=out)
+    else:
+        gather *= weights
+        np.add.reduce(gather, axis=0, out=out)
+
+
+def _contract(coef: np.ndarray, x: np.ndarray, out: np.ndarray, wide: bool) -> None:
+    """sum_k coef[:, k] x[k] into ``out``, the terms added in the order of k,
+    by ``np.einsum`` on a ``wide`` block (no product array) and by a product
+    and ``np.add.reduce`` otherwise."""
+    if wide:
+        np.einsum("ck...,k...->c...", coef, x, out=out)
+    else:
+        np.add.reduce(coef * x, axis=1, out=out)
 
 
 def _run_bounds(reach: np.ndarray) -> np.ndarray:

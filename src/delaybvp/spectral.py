@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dde_solver, picard
+from . import dde_solver
 from .exprlang import ExprDomainError
 from .problem import HALF, Case1RequiredError, DelayRangeError, ProblemSpec, is_case1
 
@@ -52,7 +52,6 @@ __all__ = [
     "Eigenpair",
     "SimplicityCertificate",
     "ZeroOrManyError",
-    "char_fn_picard",
     "char_fn_samples",
     "scan_roots",
     "localize_near_n",
@@ -118,13 +117,6 @@ class SimplicityCertificate:
 
 def _assemble_F(spec: ProblemSpec, w_pi, wp_pi):
     return w_pi * math.cos(spec.beta) + wp_pi * math.sin(spec.beta)
-
-
-def char_fn_picard(spec: ProblemSpec, lam: float) -> float:
-    """F(lambda) assembled from the fixed-point oracle segments."""
-    w1 = picard.picard_w1(spec, lam)
-    w2 = picard.picard_w2(spec, lam, w1)
-    return float(_assemble_F(spec, w2.values[-1], w2.derivs[-1]))
 
 
 def char_fn_samples(spec: ProblemSpec, s_values, steps: int = dde_solver.DEFAULT_STEPS) -> np.ndarray:

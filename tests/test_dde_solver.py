@@ -245,6 +245,48 @@ def test_shoot_many_batch_invariant(spec, case, width, block):
                     assert got.tobytes() == want.tobytes(), (side, field)
 
 
+# q = 0 (no stencil read), zero delay (one-step pieces) and delayed (pieces
+# longer than one step from 383 steps on)
+WIDTH_SPECS = [spec_of(), BATCH_SPECS[1], BATCH_SPECS[0]]
+
+
+@st.composite
+def width_cases(draw):
+    """(steps, lams, width): a batch of 1..70 columns of one piece cap, and a
+    block width for the split sweep, narrow or wide."""
+    steps = draw(st.sampled_from([64, 383, 512]))
+    lams = draw(st.lists(st.floats(0.5, 2500.0), min_size=1, max_size=70))
+    return steps, lams, draw(st.integers(1, 70))
+
+
+def linspace_case(columns):
+    # blocks of one column fewer than the batch: the whole batch is one block
+    # and the split leaves one column over, a block of its own
+    return 512, np.linspace(4.0, 2500.0, columns).tolist(), columns - 1
+
+
+@pytest.mark.parametrize("spec", WIDTH_SPECS, ids=["q0", "zero_delay", "delayed"])
+@settings(max_examples=8, deadline=None)
+@given(case=width_cases())
+@example(case=linspace_case(dde_solver.WIDE_BLOCK - 1))
+@example(case=linspace_case(dde_solver.WIDE_BLOCK))
+@example(case=linspace_case(dde_solver.WIDE_BLOCK + 1))
+def test_wide_and_narrow_blocks_agree(spec, case):
+    steps, lams, width = case
+    # a block of WIDE_BLOCK columns or more sums its products with np.einsum,
+    # a narrower one with a product and np.add.reduce; both add the same
+    # products in the same order, so a column is bitwise the same in the
+    # whole batch (one block), in blocks of ``width`` and swept alone
+    whole = shoot_endpoints(spec, lams, steps)
+    with split_sweeps(steps, width):
+        split = shoot_endpoints(spec, lams, steps)
+    for k, lam in enumerate(lams):
+        alone = shoot_endpoints(spec, [lam], steps)
+        for ends in (whole, split):
+            assert ends[0][k:k + 1].tobytes() == alone[0].tobytes()
+            assert ends[1][k:k + 1].tobytes() == alone[1].tobytes()
+
+
 def test_shoot_endpoints_matches_segments(constq_spec):
     lams = np.array([3.0, 17.0])
     w, wp = shoot_endpoints(constq_spec, lams, 512)

@@ -7,8 +7,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from delaybvp import asymptotics, dde_solver, picard, spectral
 from delaybvp.problem import Case1RequiredError, HALF, ProblemSpec
 from delaybvp.spectral import (ZeroOrManyError, _refine_brackets, _window_brackets,
-                               char_fn_picard, char_fn_samples,
-                               localize_near_n, localize_range, scan_roots,
+                               char_fn_samples, localize_near_n, localize_range, scan_roots,
                                simplicity_certificates)
 
 PI = math.pi
@@ -145,6 +144,13 @@ def test_counting_thirty_windows(null_spec):
     assert len(pairs) == 30
     for k, p in enumerate(pairs, start=1):
         assert abs(p.s - k) < 1e-5
+
+
+def char_fn_picard(spec, lam):
+    """F(lambda) assembled from the fixed-point oracle segments."""
+    w1 = picard.picard_w1(spec, lam)
+    w2 = picard.picard_w2(spec, lam, w1)
+    return float(w2.values[-1] * math.cos(spec.beta) + w2.derivs[-1] * math.sin(spec.beta))
 
 
 def test_method_agreement_shooting_vs_picard(constq_spec, delayed_spec):
