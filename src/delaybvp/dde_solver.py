@@ -366,11 +366,11 @@ class _SegmentTables:
         axis, and the partial sums are one ``np.add.accumulate`` down the
         piece's rows: six numpy calls per piece on a block of ``WIDE_BLOCK``
         columns or more, where ``np.einsum`` sums the products as it forms
-        them, eight on a narrower one, which stores them and reduces.
+        them, and eight on a narrower one, which stores them and reduces.
         Either way each column adds the same products in the same order.
-        With q = 0 the g inputs
-        are zero, so only A u[b] is computed and every partial sum is that.
-        The views of each piece length in use are built once per sweep.
+        With q = 0 the g inputs are zero, so only A u[b] is computed and
+        every partial sum is that.  The views of each piece length in use
+        are built once per sweep.
         """
         m = z.shape[0]
         h = self.h
@@ -436,15 +436,31 @@ class _SegmentTables:
                 elif e - b == 1:
                     if b:
                         u[:2] = YV[:, b]
-                        _stage_values(rows, stencil, weights, u[2:5], wide)
-                    _contract(C, u[:5], out[:, 1], wide)
+                        gather = rows.take(stencil, axis=0)
+                        if wide:
+                            np.einsum("krm,krm->rm", weights, gather, out=u[2:5])
+                        else:
+                            gather *= weights
+                            np.add.reduce(gather, axis=0, out=u[2:5])
+                    if wide:
+                        np.einsum("ckm,km->cm", C, u[:5], out=out[:, 1])
+                    else:
+                        np.add.reduce(C * u[:5], axis=1, out=out[:, 1])
+                elif wide:
+                    g, triple, coef, power = views[e - b]
+                    np.einsum("krm,krm->rm", weights, rows.take(stencil, axis=0), out=g)
+                    np.einsum("cklm,klm->clm", coef, triple, out=out[:, 1:])
+                    np.add.accumulate(out, axis=1, out=out)
+                    # einsum's input must not overlap its output
+                    np.einsum("cklm,klm->clm", power, out[:, 1:].copy(), out=out[:, 1:])
                 else:
                     g, triple, coef, power = views[e - b]
-                    _stage_values(rows, stencil, weights, g, wide)
-                    _contract(coef, triple, out[:, 1:], wide)
+                    gather = rows.take(stencil, axis=0)
+                    gather *= weights
+                    np.add.reduce(gather, axis=0, out=g)
+                    np.add.reduce(coef * triple, axis=1, out=out[:, 1:])
                     np.add.accumulate(out, axis=1, out=out)
-                    # einsum reads a copy: its input must not overlap its output
-                    _contract(power, out[:, 1:].copy() if wide else out[:, 1:], out[:, 1:], wide)
+                    np.add.reduce(power * out[None, :, 1:], axis=1, out=out[:, 1:])
         return YV
 
     def second_derivs(self, lam: np.ndarray, YV: np.ndarray) -> np.ndarray:
@@ -459,29 +475,6 @@ class _SegmentTables:
         for k in range(1, 4):
             acc += rows[idx[k]] * w[k]
         return acc - np.asarray(lam, dtype=float) * YV[0]
-
-
-def _stage_values(rows: np.ndarray, stencil: np.ndarray, weights: np.ndarray, out: np.ndarray,
-                  wide: bool) -> None:
-    """g[r] = sum_k weights[k, r] rows[stencil[k, r]] into ``out``, the
-    terms added in the order k = 0..3, by ``np.einsum`` on a ``wide`` block
-    (no product array) and by a product and ``np.add.reduce`` otherwise."""
-    gather = rows.take(stencil, axis=0)
-    if wide:
-        np.einsum("kr,krm->rm", weights[..., 0], gather, out=out)
-    else:
-        gather *= weights
-        np.add.reduce(gather, axis=0, out=out)
-
-
-def _contract(coef: np.ndarray, x: np.ndarray, out: np.ndarray, wide: bool) -> None:
-    """sum_k coef[:, k] x[k] into ``out``, the terms added in the order of k,
-    by ``np.einsum`` on a ``wide`` block (no product array) and by a product
-    and ``np.add.reduce`` otherwise."""
-    if wide:
-        np.einsum("ck...,k...->c...", coef, x, out=out)
-    else:
-        np.add.reduce(coef * x, axis=1, out=out)
 
 
 def _run_bounds(reach: np.ndarray) -> np.ndarray:
