@@ -49,8 +49,9 @@ over L m elements instead of m, so a sweep costs a fixed number of numpy
 calls per piece, whatever its length.  A block of ``WIDE_BLOCK`` (32)
 columns or more sums the products of each contraction with ``np.einsum``,
 which forms no (4, 2L+1, m) or (2, 3, L, m) product array: six calls per
-piece.  A narrower block multiplies and then reduces, eight calls per piece,
-because einsum's inner loops, m long, cost more than the products save.
+piece of more than one step.  A narrower block multiplies and then
+reduces, eight calls per such piece, because einsum's inner loops, m long,
+cost more than the stored products.
 
 Every coefficient sample, stencil and run is independent of lambda, so they
 are computed once per problem and the integration runs vectorized over a
@@ -121,10 +122,11 @@ SHORTEST_PIECE = 8
 # columns of 85-step pieces), so that a wide batch keeps its temporaries in
 # cache
 PIECE_BYTES = 2**20
-# a block of at least WIDE_BLOCK columns sums its stencil and stage products
-# with np.einsum, which forms no product array; in a narrower block einsum's
-# inner loops are too short to pay, and at one column its sum of the five
-# one-step terms would not be the product-and-reduce sum bit for bit
+# a block of at least WIDE_BLOCK columns sums the products of its
+# contractions with np.einsum, which forms no product array; in a narrower
+# block einsum's inner loops are too short to pay, and at one column its sum
+# of the five one-step terms would not be the product-and-reduce sum bit for
+# bit
 WIDE_BLOCK = 32
 
 
