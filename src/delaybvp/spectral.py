@@ -30,11 +30,13 @@ round at their inverse cubic root, which on the delayed problem saves one
 of three rounds.  Brackets for distinct roots are refined in lock-step so
 each round costs a single batched sweep of the integrator.
 
-Both locators return roots alone; a reader builds an eigenfunction with
+Both locators return roots with the slope dF/ds that refinement measured
+on the way, the secant over the root's last bracket at least
+``SLOPE_WIDTH`` wide; a reader builds an eigenfunction with
 ``dde_solver.shoot``.  All eigenvalues of the problem are simple;
 numerically that shows up as a transversal crossing of F, which
-``simplicity_certificates`` checks through a central difference of
-dF/dlambda against the residual F at the root, from the same sweep.
+``simplicity_certificates`` checks by weighing that slope against the
+residual F at the root, from a sweep of the roots alone.
 """
 
 from __future__ import annotations
@@ -66,9 +68,13 @@ LOCALIZE_SUBGRID = 64
 # h = (pi/2) / steps: 265 steps for n <= 50, 108 for n <= 20
 SCREEN_SH = 0.3
 SCREEN_MIN_STEPS = 64
-# lambda step of the simplicity certificates' central difference; below
-# lambda = 2e-3 the step is lambda/2, so that lambda - step stays positive
+# lambda step over which a simplicity certificate asks the slope to clear
+# its residual; below lambda = 2e-3 the step is lambda/2.  The slope is
+# refinement's secant, not a difference over this step
 CERT_STEP = 1e-3
+# a root's slope dF/ds is the secant over its last refinement bracket at
+# least this wide: narrower brackets lose digits to rounding in F
+SLOPE_WIDTH = 1e-9
 # the first refinement round probes at x_c +- SEED |x_c - x_q| around the
 # inverse cubic root x_c, where x_q are the inverse quadratic roots; its
 # error is at most 0.036 |x_c - x_q| from n = 4 on across the sine specs
@@ -94,17 +100,22 @@ class ZeroOrManyError(RuntimeError):
 
 @dataclass(frozen=True)
 class Eigenpair:
-    """A located eigenvalue: its index, its root s and ``lam == s * s``.
+    """A located eigenvalue: its index, its root s, ``lam == s * s`` and
+    the slope ``dF_ds`` of F(s^2) there.
 
     ``index`` is the window integer for localized roots and the ordinal
-    within the returned set for scanned roots.  The eigenfunction is
-    ``dde_solver.shoot(spec, lam, steps)`` (it satisfies the boundary
-    condition at 0 by construction and the one at pi to the residual).
+    within the returned set for scanned roots.  ``dF_ds`` is refinement's
+    secant over the root's last bracket at least ``SLOPE_WIDTH`` wide (its
+    entry bracket if none was), so it costs no sweep of its own.  The
+    eigenfunction is ``dde_solver.shoot(spec, lam, steps)`` (it satisfies
+    the boundary condition at 0 by construction and the one at pi to the
+    residual).
     """
 
     index: int
     s: float
     lam: float
+    dF_ds: float
 
 
 @dataclass(frozen=True)
@@ -188,6 +199,10 @@ def _probe_centres(pts, vals, a, b, fa, fb):
 def _refine_brackets(spec: ProblemSpec, pts, vals, refine_tol: float, steps: int):
     """Shrink sign-change brackets in s to width < refine_tol.
 
+    Returns the bracket ends and, per bracket, the secant dF/ds over its
+    last bracket at least ``SLOPE_WIDTH`` wide, or over its entry bracket
+    if no round left one that wide.
+
     Row i of ``pts`` holds k >= 2 sorted points in s and row i of ``vals``
     F there; the bracket is the first cell of the row with a sign change.
     A safeguarded two-probe secant, all brackets in lock-step.  Each round
@@ -219,6 +234,9 @@ def _refine_brackets(spec: ProblemSpec, pts, vals, refine_tol: float, steps: int
     first = _sign_changes(vals).argmax(axis=1)
     lo, hi = pts[rows, first], pts[rows, first + 1]
     f_lo, f_hi = vals[rows, first], vals[rows, first + 1]
+    # F may be non-finite on a config the sweep barely resolves
+    with np.errstate(all="ignore"):
+        slope = (f_hi - f_lo) / (hi - lo)
     halved = np.ones(rows.size, dtype=bool)
     while True:
         act = np.nonzero(hi - lo >= refine_tol)[0]
@@ -250,9 +268,12 @@ def _refine_brackets(spec: ProblemSpec, pts, vals, refine_tol: float, steps: int
         halved[act] = new_hi - new_lo <= 0.5 * w
         lo[act], hi[act] = new_lo, new_hi
         f_lo[act], f_hi[act] = seen_F[at, cut], seen_F[at, cut + 1]
+        wide = act[new_hi - new_lo >= SLOPE_WIDTH]
+        with np.errstate(all="ignore"):
+            slope[wide] = (f_hi[wide] - f_lo[wide]) / (hi[wide] - lo[wide])
         # later rounds start from the bracket ends alone
         pts, vals = np.column_stack([lo, hi]), np.column_stack([f_lo, f_hi])
-    return lo, hi
+    return lo, hi, slope
 
 
 def scan_roots(spec: ProblemSpec, s_min: float, s_max: float, samples: int,
@@ -279,8 +300,9 @@ def scan_roots(spec: ProblemSpec, s_min: float, s_max: float, samples: int,
     neg = F[cols] <= 0.0
     cols[:, 0] = np.where(neg[:, 0] != neg[:, 1], cols[:, 1], cols[:, 0])
     cols[:, 3] = np.where(neg[:, 2] != neg[:, 3], cols[:, 2], cols[:, 3])
-    lo, hi = _refine_brackets(spec, grid[cols], F[cols], refine_tol, steps)
-    return [Eigenpair(int(i), float(s), float(s * s)) for i, s in enumerate(0.5 * (lo + hi))]
+    lo, hi, slope = _refine_brackets(spec, grid[cols], F[cols], refine_tol, steps)
+    return [Eigenpair(int(i), float(s), float(s * s), float(k))
+            for i, (s, k) in enumerate(zip(0.5 * (lo + hi), slope))]
 
 
 def _screen(spec: ProblemSpec, grid: np.ndarray, steps: int):
@@ -381,8 +403,9 @@ def localize_range(spec: ProblemSpec, n_values, refine_tol: float = DEFAULT_REFI
     if not n_values:
         return []
     pts, vals = _window_brackets(spec, n_values, steps)
-    lo, hi = _refine_brackets(spec, pts, vals, refine_tol, steps)
-    return [Eigenpair(int(i), float(s), float(s * s)) for i, s in zip(n_values, 0.5 * (lo + hi))]
+    lo, hi, slope = _refine_brackets(spec, pts, vals, refine_tol, steps)
+    return [Eigenpair(int(i), float(s), float(s * s), float(k))
+            for i, s, k in zip(n_values, 0.5 * (lo + hi), slope)]
 
 
 def localize_near_n(spec: ProblemSpec, n: int, refine_tol: float = DEFAULT_REFINE_TOL,
@@ -395,21 +418,19 @@ def simplicity_certificates(spec: ProblemSpec, pairs: list[Eigenpair],
                             steps: int = dde_solver.DEFAULT_STEPS) -> list[SimplicityCertificate]:
     """Transversality checks for a batch of eigenpairs (one shared sweep).
 
-    The sweep takes F at sqrt(lambda -+ d), d = min(``CERT_STEP``,
-    lambda/2) the certificate's ``h``, for a central difference dF/dlambda,
-    and at s, as located: by batch invariance bitwise F from
-    ``shoot(spec, lam, steps)``, the certificate's ``F_residual``.  It
-    passes when the slope clears 10x that residual over its step.
+    The sweep takes F at each root s alone: by batch invariance bitwise F
+    from ``shoot(spec, lam, steps)``, the certificate's ``F_residual``.
+    The slope is refinement's, dF/dlambda = ``dF_ds / (2 s)``.  A
+    certificate passes when the slope clears 10x the residual over its
+    ``h`` = min(``CERT_STEP``, lambda/2).
     """
     if not pairs:
         return []
-    deltas = [min(CERT_STEP, 0.5 * p.lam) for p in pairs]
-    cols = np.array([[math.sqrt(p.lam - d), p.s, math.sqrt(p.lam + d)]
-                     for p, d in zip(pairs, deltas)])
-    F = char_fn_samples(spec, cols.ravel(), steps).reshape(-1, 3)
+    F = char_fn_samples(spec, [p.s for p in pairs], steps)
     out = []
-    for d, (f_lo, f_at, f_hi) in zip(deltas, F):
-        slope = float((f_hi - f_lo) / (2.0 * d))
+    for p, f_at in zip(pairs, F):
+        d = min(CERT_STEP, 0.5 * p.lam)
+        slope = p.dF_ds / (2.0 * p.s)
         out.append(SimplicityCertificate(
             dF_dlambda=slope, h=d, F_residual=float(f_at),
             passed=bool(abs(slope) > 10.0 * abs(f_at) / d)))

@@ -585,6 +585,41 @@ def test_sweep_at_full_resolution_matches_stepwise(delayed_spec):
         assert np.all(np.abs(got - want).max(axis=(0, 1)) <= 1e-11 * scale)
 
 
+def test_wide_gather_adds_the_stencil_terms_in_order(delayed_spec, monkeypatch):
+    # a wide block's stage rows are bitwise the four Hermite terms added in
+    # the order 0..3, as second_derivs adds them; the states cannot show
+    # the order, since a stage's last bit enters them through B ~ h^2/6
+    # and rounds away
+    lams = np.linspace(4.0, 2500.0, 40)
+    assert lams.shape[0] >= dde_solver.WIDE_BLOCK
+    stages = []
+    einsum = np.einsum
+
+    def recording(subscripts, *operands, **kwargs):
+        result = einsum(subscripts, *operands, **kwargs)
+        if subscripts == "krm,krm->rm":
+            stages.append(result.copy())
+        return result
+
+    for tables in both_tables(delayed_spec, 512):
+        [cap] = set(tables.piece_caps(lams).tolist())
+        stages.clear()
+        monkeypatch.setattr(dde_solver.np, "einsum", recording)
+        YV = tables.sweep(lams, 1.0, 0.5, cap)
+        monkeypatch.undo()
+        rows = YV.reshape(-1, lams.shape[0])
+        # every piece gathers its stages but the peeled step 0
+        spans = [(b, e) for b, e, _, _ in tables.pieces(cap)[0] if e - b > 1 or b]
+        assert len(stages) == len(spans) and any(e - b > 1 for b, e in spans)
+        for (b, e), got in zip(spans, stages):
+            r = slice(tables.node_rows[b], tables.node_rows[b] + 2 * (e - b) + 1)
+            idx, w = tables.gather[:, r], tables.weights[:, r]
+            want = rows[idx[0]] * w[0]
+            for k in range(1, 4):
+                want += rows[idx[k]] * w[k]
+            assert got.tobytes() == want.tobytes(), (tables.a, b, e)
+
+
 def test_piece_caps(delayed_spec):
     # (steps + 1) // 48 steps at most, one step when that is under 8; s h of
     # 1.8 and 2.5 cut pieces shorter

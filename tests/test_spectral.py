@@ -234,7 +234,7 @@ def bracket_of(pts, vals):
 
 def test_refinement_below_one_ulp_keeps_its_bracket(null_spec, alarm):
     F = char_fn_samples(null_spec, [2.5, 3.5], 256)
-    lo, hi = _refine_brackets(null_spec, [[2.5, 3.5]], [F], 1e-17, 256)
+    lo, hi, _ = _refine_brackets(null_spec, [[2.5, 3.5]], [F], 1e-17, 256)
     F = char_fn_samples(null_spec, [lo[0], hi[0]], 256)
     assert (F[0] <= 0.0) != (F[1] <= 0.0)
     assert 0.0 < hi[0] - lo[0] <= 2.0 * np.spacing(lo[0])
@@ -250,7 +250,7 @@ def test_refinement_keeps_a_bracket_for_any_tolerance(null_spec, alarm, exponent
     tol = 10.0 ** exponent
     lo0 = n - offset
     F = char_fn_samples(null_spec, [lo0, lo0 + 1.0], 256)
-    lo, hi = _refine_brackets(null_spec, [[lo0, lo0 + 1.0]], [F], tol, 256)
+    lo, hi, _ = _refine_brackets(null_spec, [[lo0, lo0 + 1.0]], [F], tol, 256)
     F = char_fn_samples(null_spec, [lo[0], hi[0]], 256)
     assert (F[0] <= 0.0) != (F[1] <= 0.0)
     assert lo0 <= lo[0] < hi[0] <= lo0 + 1.0
@@ -301,7 +301,7 @@ def test_exact_zero_at_a_sample_is_a_sign_change(null_spec, monkeypatch):
     assert np.array_equal(pts, [grid[18:22]]) and np.array_equal(vals, root - pts)
     lo, hi, f_lo, f_hi = bracket_of(pts, vals)
     assert (lo[0], hi[0], f_lo[0], f_hi[0]) == (grid[19], root, root - grid[19], 0.0)
-    lo, hi = _refine_brackets(null_spec, pts, vals, 1e-10, 4096)
+    lo, hi, _ = _refine_brackets(null_spec, pts, vals, 1e-10, 4096)
     assert lo[0] <= root <= hi[0] < lo[0] + 1e-10
     pairs = scan_roots(null_spec, 4.5, 5.5, samples=spectral.LOCALIZE_SUBGRID, steps=256)
     assert [p.s for p in pairs] == pytest.approx([root], abs=1e-10)
@@ -446,7 +446,7 @@ def test_seeded_refinement_never_takes_more_rounds(alarm, monkeypatch, spec, ste
     a, b, f_a, f_b = bracket_of(pts, vals)
     calls = counted_sampling(monkeypatch)
     try:
-        lo, hi = _refine_brackets(spec, pts, vals, tol, steps)
+        lo, hi, _ = _refine_brackets(spec, pts, vals, tol, steps)
         seeded = len(calls)
         calls.clear()
         _refine_brackets(spec, np.stack([a, b], axis=1), np.stack([f_a, f_b], axis=1),
@@ -477,3 +477,46 @@ def test_localize_range_sweeps_three_times_at_full_resolution(delayed_spec, monk
     localize_range(delayed_spec, n_values, steps=4096)
     assert calls[0] == (len(n_values) * spectral.LOCALIZE_SUBGRID, 265)
     assert [steps for _, steps in calls[1:]] == [4096] * 3
+
+
+def test_refinement_slope_matches_a_central_difference(constq_spec, delayed_spec):
+    # certificates read dF/dlambda = dF_ds / (2 s), refinement's secant; it
+    # is the central difference over lambda -+ CERT_STEP they once swept
+    steps = 1024
+    cases = [(delayed_spec, localize_range(delayed_spec, range(5, 21), steps=steps)),
+             (constq_spec, localize_range(constq_spec, range(4, 21), steps=steps)),
+             (constq_spec, scan_roots(constq_spec, 0.5, 3.5, samples=350, steps=steps))]
+    for spec, pairs in cases:
+        assert pairs
+        d = np.array([min(spectral.CERT_STEP, 0.5 * p.lam) for p in pairs])
+        lam = np.array([p.lam for p in pairs])
+        F = char_fn_samples(spec, np.sqrt(np.concatenate([lam - d, lam + d])), steps)
+        central = (F[lam.size:] - F[:lam.size]) / (2.0 * d)
+        secant = np.array([p.dF_ds / (2.0 * p.s) for p in pairs])
+        assert np.max(np.abs(secant / central - 1.0)) <= 1e-5
+
+
+def test_certificates_sweep_one_column_per_pair(delayed_spec, monkeypatch):
+    pairs = localize_range(delayed_spec, range(5, 13), steps=512)
+    calls = counted_sampling(monkeypatch)
+    certs = simplicity_certificates(delayed_spec, pairs, 512)
+    assert calls == [(len(pairs), 512)]
+    assert all(c.passed for c in certs)
+
+
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=screening_specs(), steps=st.integers(256, 512),
+       n_values=st.lists(st.integers(1, 12), min_size=1, max_size=6, unique=True).map(sorted))
+@example(spec=spec_of("sin(x)", "cos(x)", "0.5*x*(pi/2 - x)", "(x - pi/2)*(pi - x)*0.25"),
+         steps=512, n_values=list(range(5, 11)))
+def test_localized_slopes_are_batch_invariant(alarm, spec, steps, n_values):
+    # a pair of a batch, its slope included, is bitwise the pair localized
+    # alone: byte-identical reruns rely on it
+    try:
+        batch = localize_range(spec, n_values, steps=steps)
+    except ZeroOrManyError:
+        return
+    for p in batch:
+        alone = localize_near_n(spec, p.index, steps=steps)
+        assert (alone.s.hex(), alone.dF_ds.hex()) == (p.s.hex(), p.dF_ds.hex())
