@@ -69,8 +69,8 @@ LOCALIZE_SUBGRID = 64
 SCREEN_SH = 0.3
 SCREEN_MIN_STEPS = 64
 # lambda step over which a simplicity certificate asks the slope to clear
-# its residual; below lambda = 2e-3 the step is lambda/2.  The slope is
-# refinement's secant, not a difference over this step
+# its residual, lambda/2 below lambda = 2e-3; the slope itself is
+# refinement's secant, ``Eigenpair.dF_ds``
 CERT_STEP = 1e-3
 # a root's slope dF/ds is the secant over its last refinement bracket at
 # least this wide: narrower brackets lose digits to rounding in F
@@ -234,7 +234,8 @@ def _refine_brackets(spec: ProblemSpec, pts, vals, refine_tol: float, steps: int
     first = _sign_changes(vals).argmax(axis=1)
     lo, hi = pts[rows, first], pts[rows, first + 1]
     f_lo, f_hi = vals[rows, first], vals[rows, first + 1]
-    # F may be non-finite on a config the sweep barely resolves
+    # with a tiny coupling F is finite but can be large enough that the
+    # difference overflows: the slope is then infinite
     with np.errstate(all="ignore"):
         slope = (f_hi - f_lo) / (hi - lo)
     halved = np.ones(rows.size, dtype=bool)
