@@ -16,6 +16,7 @@ verification threshold failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -412,6 +413,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# built once per process: parsing leaves the parser unchanged, and building it
+# costs about a millisecond per call (a few on first use, for gettext)
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="delaybvp",

@@ -48,10 +48,18 @@ columns, (2, 3, L, m) and (2, 2, L, m).  numpy's inner loops then run
 over L m elements instead of m, so a sweep costs a fixed number of numpy
 calls per piece, whatever its length.  A block of ``WIDE_BLOCK`` (32)
 columns or more sums the products of each contraction with ``np.einsum``,
-which forms no (4, 2L+1, m) or (2, 3, L, m) product array: six calls per
-piece of more than one step.  A narrower block multiplies and then
+which forms no (4, 2L+1, m) or (2, 3, L, m) product array, and keeps the
+partial sums in a per-sweep scratch whose rows are padded to an even
+width: the cumulative sum runs on its complex view, two columns per
+element with the same two IEEE additions, at about twice the speed of a
+column at a time, and the last contraction reads the scratch and writes
+the states.  That is six calls per piece of more than one step, the sixth
+a copy of the piece's first row.  A narrower block multiplies and then
 reduces, eight calls per such piece, because einsum's inner loops, m long,
-cost more than the stored products.
+cost more than the stored products.  A one-step piece is two calls, or
+three with its stage gather; at cap 1, where every piece is one step, a
+step inside a stretch between ``bounds`` copies its node stage from the
+end stage of the step before and gathers only the other two.
 
 Every coefficient sample, stencil and run is independent of lambda, so they
 are computed once per problem and the integration runs vectorized over a
@@ -63,10 +71,15 @@ length, as many as keep both its (2, steps+1, width) state array within
 for the longest piece of either segment, L steps, within ``PIECE_BYTES``
 (128 columns of 85-step pieces), a bound on its largest temporary, the
 (4, 2L+1, width) stencil gather, so that long pieces do not push a wide
-batch's temporaries out of cache.  Per block the loop sweeps
-the left segment, applies the transmission and sweeps the right one,
-handing each segment's states on and dropping them before the next sweep,
-so it holds one block's state array at a time.  The width never sets a piece,
+batch's temporaries out of cache.  Per block the loop builds one set of
+scheme coefficients, C, the powers and K (both segments have the step
+(pi/2) / steps), sweeps the left segment, applies the transmission and
+sweeps the right one, handing each segment's states on and dropping them
+before the next sweep, so it holds one block's state array at a time.  A
+segment whose pieces are all one step computes every state from the one
+before, so with finite coefficients its first non-finite state makes the
+end row non-finite, and the end row alone is checked; any other segment
+is scanned in full (see ``_non_finite``).  The width never sets a piece,
 and it changes no column's arithmetic: the pieces depend on the steps and
 on the column's own lambda only, every 2x2 product is written out
 elementwise, and both forms of a contraction add each column's products,
@@ -303,26 +316,52 @@ class _SegmentTables:
         self.piece_cap = (n + 1) // PIECE_SHARE
         if self.piece_cap < SHORTEST_PIECE:
             self.piece_cap = 1
-        self._pieces: dict[int, tuple[list[tuple], int]] = {}
+        self._pieces: dict[int, tuple[list[tuple], int, list]] = {}
 
     def pieces(self, cap: int) -> tuple[list[tuple], int]:
         """Steps [b, e) of every run cut at ``breaks`` and into pieces of at
         most ``cap``, as (b, e, gather, weights) with the 2L+1 stencil rows
         node b, half b, ..., half e-1, end e-1 of those L steps, and the
         length of the longest piece.  Inside a piece the end stencil of a
-        step is the next node's row.  The tables are views, except for a
-        piece of one step, whose (4, 3) tables are contiguous copies: numpy
-        gathers and weights through a strided (4, 3) view about half as
-        fast, and with zero delay every step is such a piece."""
+        step is the next node's row.  The tables are views, contiguous
+        (4, 3) ones for a piece of one step: numpy gathers and weights
+        through a strided (4, 3) view about half as fast, and with zero
+        delay every step is such a piece."""
+        return self._piece_table(cap)[:2]
+
+    def _piece_table(self, cap: int) -> tuple[list[tuple], int, list]:
+        """``pieces(cap)`` and, per piece, the contiguous (4, 2) half and
+        end rows of a one-step piece whose node stage is the end stage of
+        the one-step piece before it, else None.  That holds at cap 1, where
+        every piece is one step, from step 2 on (step 1 follows the peeled
+        step 0, whose end stage is a Taylor extrapolant) except at
+        ``breaks``: the stencil is the same and so are the rows it reads,
+        which were complete before the step before began."""
         if cap not in self._pieces:
             bounds = self.bounds.tolist()
             cut = [(s, min(s + cap, e)) for b, e in zip(bounds[:-1], bounds[1:])
                    for s in range(b, e, cap)]
+            # the stencil rows of every one-step piece in one gather, laid
+            # out (piece, term, row) so that each piece's tables are contiguous
+            single = [b for b, e in cut if e - b == 1]
+            at = self.node_rows[single][:, None] + np.arange(3)
+            gather = np.moveaxis(self.gather[:, at], 1, 0).copy()
+            weights = np.moveaxis(self.weights[:, at], 1, 0).copy()
+            one_step = iter(zip(gather, weights))
             rows = [slice(self.node_rows[b], self.node_rows[b] + 2 * (e - b) + 1) for b, e in cut]
-            self._pieces[cap] = ([
-                (b, e) + ((self.gather[:, r], self.weights[:, r]) if e - b > 1 else
-                          (self.gather[:, r].copy(), self.weights[:, r].copy()))
-                for (b, e), r in zip(cut, rows)], max(e - b for b, e in cut))
+            pieces = [(b, e) + (next(one_step) if e - b == 1 else
+                                (self.gather[:, r], self.weights[:, r]))
+                      for (b, e), r in zip(cut, rows)]
+            tails = [None] * len(cut)
+            if cap == 1 and not self.q_zero:
+                # piece b is step b; ``breaks`` may hold n, the last node
+                shared = np.ones(self.steps + 1, dtype=bool)
+                shared[:2] = False
+                shared[self.breaks] = False
+                steps = np.flatnonzero(shared[:-1])
+                for b, tail in zip(steps.tolist(), zip(gather[steps, :, 1:], weights[steps, :, 1:])):
+                    tails[b] = tail
+            self._pieces[cap] = (pieces, max(e - b for b, e in cut), tails)
         return self._pieces[cap]
 
     def piece_caps(self, lam: np.ndarray) -> np.ndarray:
@@ -346,19 +385,24 @@ class _SegmentTables:
             longest = np.where(det < 1.0, 1.0 + math.log(4.0) / -np.log(det), np.inf)
         return np.minimum(self.piece_cap, 2.0 ** np.floor(np.log2(longest))).astype(np.int64)
 
-    def sweep(self, z: np.ndarray, y0, v0, cap: int) -> np.ndarray:
+    def sweep(self, z: np.ndarray, y0, v0, cap: int, coefficients=None) -> np.ndarray:
         """The states (y, y') at every node of one column block, shape
         (2, steps+1, m), integrated in pieces of at most ``cap`` steps from
-        y0 and v0, scalars or one value per column.  A state may overflow;
-        the caller checks with ``_non_finite``.
+        y0 and v0, scalars or one value per column, with ``coefficients``
+        (C, powers, K) from ``_coefficients``, built for this segment when
+        not given.  A state may overflow; the caller checks with
+        ``_non_finite``.
 
         A step is u[i+1] = C (u[i], g[i]) with C = [A | B] the (2, 5) scheme
         coefficients and g[i] its (node, half, end) stage values, and a
-        piece of one step is just that.  A longer piece [b, e) gathers its
-        2L+1 stage values in one pass, reads the triple of its step l as a
-        strided (3, L) view (rows 2l, 2l+1, 2l+2, the end stage shared with
-        the next node), contracts the triples with K[:, :, l] = A^-(l+1) B
-        into rows b+1..e, sums rows b..e cumulatively, row b being u[b]
+        piece of one step is just that.  At cap 1, where every piece is one
+        step, a step whose node stage is the end stage of the step before
+        (see ``_piece_table``) copies that value and gathers only its half
+        and end stages.  A longer piece [b, e) gathers its 2L+1 stage values
+        in one pass, reads the triple of its step l as a strided (3, L) view
+        (rows 2l, 2l+1, 2l+2, the end stage shared with the next node),
+        contracts the triples with K[:, :, l] = A^-(l+1) B into rows
+        b+1..e of the partial sums, sums them cumulatively from row b, u[b]
         itself, and multiplies partial sum l by A^(l+1): the closed form
 
             u[b+1+l] = A^(l+1) (u[b] + sum_{k<=l} A^-(k+1) B g[b+k]).
@@ -366,18 +410,27 @@ class _SegmentTables:
         K is (2, 3, L, m) and the powers (2, 2, L, m), so both contractions
         sum over axis 1 of products whose inputs broadcast over its leading
         axis, and the partial sums are one ``np.add.accumulate`` down the
-        piece's rows: six numpy calls per piece on a block of ``WIDE_BLOCK``
-        columns or more, where ``np.einsum`` sums the products as it forms
-        them, and eight on a narrower one, which stores them and reduces.
+        piece's rows.  On a block of ``WIDE_BLOCK`` columns or more
+        ``np.einsum`` sums the products as it forms them, and the partial
+        sums live in a scratch whose rows are padded to an even width: the
+        accumulate runs on its complex view, which adds two columns per
+        element with the same two IEEE additions, and the power contraction
+        reads the scratch and writes the states.  A narrower block stores
+        the products and reduces them, and sums in place in the states.
         Either way each column adds the same products in the same order.
         With q = 0 the g inputs are zero, so only A u[b] is computed and
         every partial sum is that.  The views of each piece length in use
         are built once per sweep.
         """
         m = z.shape[0]
-        h = self.h
-        h2 = h * h
-        pieces, longest = self.pieces(cap)
+        pieces, longest, tails = self._piece_table(cap)
+        # with q = 0 every stage is zero: no stencil is read, and the only
+        # input of a piece is u[b], so each of its partial sums is A u[b]
+        stages = not self.q_zero
+        if coefficients is None:
+            coefficients = _coefficients(z, self.h, longest, stages)
+        C, powers, K = coefficients
+        A = C[:, :2]
         YV = np.empty((2, self.steps + 1, m))
         rows = YV.reshape(-1, m)
         YV[0, 0] = y0
@@ -385,38 +438,21 @@ class _SegmentTables:
         # (y, y', g) of a one-step piece, or the stage values of a longer
         # piece in u[2:]
         u = np.empty((2 * longest + 3, m))
-        # with q = 0 every stage is zero: no stencil is read, and the only
-        # input of a piece is u[b], so each of its partial sums is A u[b]
-        stages = not self.q_zero
+        wide = m >= WIDE_BLOCK
+        if stages and longest > 1:
+            triples = np.lib.stride_tricks.as_strided(
+                u[2:], (3, longest, m), (u.strides[0], 2 * u.strides[0], u.strides[1]),
+                writeable=False)
+            # the partial sums of a wide block's piece, row 0 being u[b]
+            sums = np.zeros((2, longest + 1, m + m % 2)) if wide else None
+            # per piece length L > 1 in use: its stage rows, triples,
+            # coefficients and powers, and in a wide block the first row of
+            # its partial sums, the others, and the complex view of both
+            views = {L: (u[2:2 * L + 3], triples[:, :L], K[:, :, :L], powers[:, :, :L])
+                     + ((sums[:, 0, :m], sums[:, 1:L + 1, :m], sums[:, :L + 1].view(np.complex128))
+                        if wide else ())
+                     for L in {e - b for b, e, _, _ in pieces} if L > 1}
         with np.errstate(over="ignore", invalid="ignore"):
-            # a lambda that overflows the coefficients ends in a non-finite state
-            C = np.empty((2, 5, m))
-            C[0, 0] = C[1, 1] = 1.0 - 0.5 * h2 * z + (h2 * h2 / 24.0) * z * z
-            C[0, 1] = h * (1.0 - (h2 / 6.0) * z)
-            C[1, 0] = -z * C[0, 1]
-            C[0, 2] = h2 / 6.0 - (h2 * h2 / 24.0) * z
-            C[0, 3] = h2 / 3.0
-            C[0, 4] = 0.0
-            C[1, 2] = (h / 6.0) * (1.0 - 0.5 * h2 * z)
-            C[1, 3] = 2.0 * h / 3.0 - (h2 * h / 12.0) * z
-            C[1, 4] = h / 6.0
-            A = C[:, :2]
-            if longest > 1:
-                # powers[:, :, l] = A^(l+1)
-                powers = _powers(A, longest)
-            if stages and longest > 1:
-                # K[:, :, l] = A^-(l+1) B
-                inverse = _powers(np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]]) / (
-                    A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]), longest)
-                K = (inverse[:, :, None] * C[:, 2:, None]).sum(axis=1)
-                del inverse
-                triples = np.lib.stride_tricks.as_strided(
-                    u[2:], (3, longest, m), (u.strides[0], 2 * u.strides[0], u.strides[1]),
-                    writeable=False)
-                # per piece length L > 1 in use: its stage rows, triples,
-                # coefficients and powers
-                views = {L: (u[2:2 * L + 3], triples[:, :L], K[:, :, :L], powers[:, :, :L])
-                         for L in {e - b for b, e, _, _ in pieces} if L > 1}
             if stages:
                 # peeled step 0: the node stage is the initial state, the
                 # others read its Taylor extrapolant
@@ -426,8 +462,8 @@ class _SegmentTables:
                 a0 = g[0] - z * u[0]
                 g[1:] = self.first_negq[1:] * (u[0] + self.first_d * u[1]
                                                + (0.5 * self.first_d * self.first_d) * a0)
-            wide = m >= WIDE_BLOCK
-            for b, e, stencil, weights in pieces:
+            state, stage3, stage2 = u[:5], u[2:5], u[3:5]
+            for (b, e, stencil, weights), tail in zip(pieces, tails):
                 out = YV[:, b:e + 1]
                 if not stages:
                     np.add.reduce(A * YV[None, :, b], axis=1, out=out[:, 1])
@@ -438,23 +474,29 @@ class _SegmentTables:
                 elif e - b == 1:
                     if b:
                         u[:2] = YV[:, b]
+                        g = stage3
+                        if tail is not None:
+                            # the node stage is the end stage of step b - 1
+                            u[2] = u[4]
+                            stencil, weights = tail
+                            g = stage2
                         gather = rows.take(stencil, axis=0)
                         if wide:
-                            np.einsum("krm,krm->rm", weights, gather, out=u[2:5])
+                            np.einsum("krm,krm->rm", weights, gather, out=g)
                         else:
                             gather *= weights
-                            np.add.reduce(gather, axis=0, out=u[2:5])
+                            np.add.reduce(gather, axis=0, out=g)
                     if wide:
-                        np.einsum("ckm,km->cm", C, u[:5], out=out[:, 1])
+                        np.einsum("ckm,km->cm", C, state, out=out[:, 1])
                     else:
-                        np.add.reduce(C * u[:5], axis=1, out=out[:, 1])
+                        np.add.reduce(C * state, axis=1, out=out[:, 1])
                 elif wide:
-                    g, triple, coef, power = views[e - b]
+                    g, triple, coef, power, first, partial, paired = views[e - b]
                     np.einsum("krm,krm->rm", weights, rows.take(stencil, axis=0), out=g)
-                    np.einsum("cklm,klm->clm", coef, triple, out=out[:, 1:])
-                    np.add.accumulate(out, axis=1, out=out)
-                    # einsum's input must not overlap its output
-                    np.einsum("cklm,klm->clm", power, out[:, 1:].copy(), out=out[:, 1:])
+                    first[...] = out[:, 0]
+                    np.einsum("cklm,klm->clm", coef, triple, out=partial)
+                    np.add.accumulate(paired, axis=1, out=paired)
+                    np.einsum("cklm,klm->clm", power, partial, out=out[:, 1:])
                 else:
                     g, triple, coef, power = views[e - b]
                     gather = rows.take(stencil, axis=0)
@@ -508,6 +550,41 @@ def _powers(A: np.ndarray, count: int) -> np.ndarray:
     return P
 
 
+def _coefficients(z: np.ndarray, h: float, longest: int, stages: bool) -> tuple:
+    """The scheme coefficients of a column block at step h: C = [A | B],
+    shape (2, 5, m), the powers A^1 .. A^longest, (2, 2, longest, m), and,
+    with ``stages``, K[:, :, l] = A^-(l+1) B, (2, 3, longest, m).  The
+    powers and K are None when no piece is longer than one step, and K also
+    without stages (q = 0).  Every power is the same whatever ``longest``
+    is, so one set serves any segment of that step whose pieces are at most
+    ``longest`` long.  A lambda that overflows them ends in a non-finite
+    state."""
+    m = z.shape[0]
+    h2 = h * h
+    powers = K = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        C = np.empty((2, 5, m))
+        C[0, 0] = C[1, 1] = 1.0 - 0.5 * h2 * z + (h2 * h2 / 24.0) * z * z
+        C[0, 1] = h * (1.0 - (h2 / 6.0) * z)
+        C[1, 0] = -z * C[0, 1]
+        C[0, 2] = h2 / 6.0 - (h2 * h2 / 24.0) * z
+        C[0, 3] = h2 / 3.0
+        C[0, 4] = 0.0
+        C[1, 2] = (h / 6.0) * (1.0 - 0.5 * h2 * z)
+        C[1, 3] = 2.0 * h / 3.0 - (h2 * h / 12.0) * z
+        C[1, 4] = h / 6.0
+        A = C[:, :2]
+        if longest > 1:
+            # powers[:, :, l] = A^(l+1)
+            powers = _powers(A, longest)
+            if stages:
+                # K[:, :, l] = A^-(l+1) B
+                inverse = _powers(np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]]) / (
+                    A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]), longest)
+                K = (inverse[:, :, None] * C[:, 2:, None]).sum(axis=1)
+    return C, powers, K
+
+
 @lru_cache(maxsize=32)
 def _tables(q_expr: Expr, delta_expr: Expr, a: float, b: float, steps: int) -> _SegmentTables:
     return _SegmentTables(segment_samples(q_expr, delta_expr, a, b, steps))
@@ -521,9 +598,21 @@ def _right_tables(spec: ProblemSpec, steps: int) -> _SegmentTables:
     return _tables(spec.q_right, spec.retard_right, HALF, math.pi, steps)
 
 
-def _non_finite(side: int, YV: np.ndarray, cols) -> list[tuple[int, int, int]]:
+def _non_finite(side: int, YV: np.ndarray, cols, absorbing: bool = False) -> list[tuple[int, int, int]]:
     """[(side, row, batch column)] of the first non-finite state of a block
-    of segment ``side`` (0 left, 1 right) by row, or [] if all are finite."""
+    of segment ``side`` (0 left, 1 right) by row, or [] if all are finite.
+
+    ``absorbing`` says that every state of the block was computed from the
+    one before it with finite coefficients, as in a segment whose pieces are
+    all one step: a product with a non-finite operand is non-finite, 0 * inf
+    included, and so is a sum with a non-finite term, so the first
+    non-finite state makes every later one non-finite and a finite end row
+    clears the block without the scan.  A longer piece computes each row
+    from the piece's partial sums, not from the row before, so a row whose
+    product overflowed need not reach the end row, and its segment is
+    scanned."""
+    if absorbing and np.isfinite(YV[:, -1]).all():
+        return []
     # one channel at a time keeps the temporary at (steps+1, width) booleans
     if all(np.isfinite(channel).all() for channel in YV):
         return []
@@ -583,35 +672,45 @@ def _shoot_blocks(spec: ProblemSpec, lams: np.ndarray, steps: int, keep):
     right segment continues from the transmission mapping
     y(pi/2+) = lambda^(-1/3) delta^(-1) y(pi/2-) (and likewise for y').
     A block holds lambda columns of one piece cap (both segments have the
-    same step, so the same caps), as many as the two byte budgets allow.
-    Each segment's states go to ``keep(tables, z, states)`` as soon as they
-    are swept and are then dropped; yields (cols, left, right) per block,
-    with what ``keep`` returned.  A non-finite state stops the yields and
-    raises after the last block, naming the batch's first such column.
+    same step, so the same caps), as many as the two byte budgets allow,
+    and one set of scheme coefficients, built for the longer of the two
+    segments' longest pieces and passed to both sweeps.  Each segment's
+    states go to ``keep(tables, z, states)`` as soon as they are swept and
+    are then dropped; yields (cols, left, right) per block, with what
+    ``keep`` returned.  A non-finite state stops the yields and raises after
+    the last block, naming the batch's first such column; a segment whose
+    pieces are all one step is checked at its end row while the block's
+    coefficients are finite, any other in full.
     """
     if not np.all((lams > 0.0) & np.isfinite(lams)):
         raise ValueError("lambda must be positive and finite")
     lt = _left_tables(spec, steps)
     rt = _right_tables(spec, steps)
+    # both segments are pi/2 long: one coefficient set serves both
+    assert lt.h == rt.h
+    stages = not (lt.q_zero and rt.q_zero)
     caps = lt.piece_caps(lams)
     failed = []
     for cap in sorted(set(caps.tolist())):
         group = np.flatnonzero(caps == cap)
         longest = max(lt.pieces(cap)[1], rt.pieces(cap)[1])
+        one_step = [tables.pieces(cap)[1] == 1 for tables in (lt, rt)]
         width = max(1, min(SWEEP_BYTES // (2 * 8 * (steps + 1)),
                            PIECE_BYTES // (4 * 3 * 8 * longest)))
         for cols in np.split(group, range(width, group.shape[0], width)):
             z = lams[cols]
-            YV = lt.sweep(z, math.sin(spec.alpha), -math.cos(spec.alpha), cap)
-            failed += _non_finite(0, YV, cols)
+            coefficients = _coefficients(z, lt.h, longest, stages)
+            finite = bool(np.isfinite(coefficients[0]).all())
+            YV = lt.sweep(z, math.sin(spec.alpha), -math.cos(spec.alpha), cap, coefficients)
+            failed += _non_finite(0, YV, cols, finite and one_step[0])
             left = None if failed else keep(lt, z, YV)
             # a tiny coupling overflows the mapping: the right sweep fails
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 scale = 1.0 / (lam_cbrt(z) * spec.coupling)
                 y0, v0 = scale * YV[:, -1]
             del YV
-            YV = rt.sweep(z, y0, v0, cap)
-            failed += _non_finite(1, YV, cols)
+            YV = rt.sweep(z, y0, v0, cap, coefficients)
+            failed += _non_finite(1, YV, cols, finite and one_step[1])
             right = None if failed else keep(rt, z, YV)
             del YV
             if not failed:

@@ -4,6 +4,8 @@ import io
 import json
 import math
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -534,6 +536,19 @@ def run_main(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def test_calls_in_one_process_repeat_fresh_runs(tmp_path):
+    # main builds its parser once per process: calls with other subcommands,
+    # a usage error and an eigfn without --n after one with it each give
+    # what a fresh process gives
+    cfg = write_config(tmp_path, solver=FAST, range_={"n_min": 1, "n_max": 3})
+    runs = [["eigfn", "--config", cfg, "--n", "2"], ["solve", "--config", cfg],
+            ["solve"], ["eigfn", "--config", cfg], ["validate", "--config", cfg, "--format", "json"]]
+    for argv in runs:
+        fresh = subprocess.run([sys.executable, "-m", "delaybvp.cli", *argv],
+                               capture_output=True, text=True, check=False)
+        assert run_main(argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 def check_output(command, fmt, code, out):

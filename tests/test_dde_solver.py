@@ -164,7 +164,7 @@ def split_sweeps(steps, width, block=None):
 def driver_blocks(spec, lams, steps):
     """The columns of every block the sweep driver works through, in order,
     with each segment sweep replaced by zero states."""
-    def zeros(tables, z, y0, v0, cap):
+    def zeros(tables, z, y0, v0, cap, coefficients=None):
         return np.zeros((2, tables.steps + 1, z.shape[0]))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dde_solver._SegmentTables, "sweep", zeros)
@@ -271,6 +271,7 @@ def linspace_case(columns):
 @example(case=linspace_case(dde_solver.WIDE_BLOCK - 1))
 @example(case=linspace_case(dde_solver.WIDE_BLOCK))
 @example(case=linspace_case(dde_solver.WIDE_BLOCK + 1))
+@example(case=linspace_case(2 * dde_solver.WIDE_BLOCK + 1))
 def test_wide_and_narrow_blocks_agree(spec, case):
     steps, lams, width = case
     # a block of WIDE_BLOCK columns or more sums its products with np.einsum,
@@ -343,6 +344,66 @@ def test_overflow_reported():
     with split_sweeps(512, 1), pytest.raises(NonFiniteStateError) as later:
         shoot_endpoints(spec, [5e5, 1.0], 512)
     assert str(later.value) == message
+
+
+def test_one_coefficient_set_per_block(delayed_spec, monkeypatch):
+    # both segments of a block share its powers of A and of A^-1: two
+    # _powers calls per block, not two per segment
+    lams = np.linspace(4.0, 2500.0, 40)
+    calls = []
+    powers = dde_solver._powers
+    monkeypatch.setattr(dde_solver, "_powers", lambda A, count: calls.append(count) or powers(A, count))
+    want = shoot_endpoints(delayed_spec, lams, 512)
+    assert calls == [10, 10]
+    calls.clear()
+    with split_sweeps(512, 8):
+        got = shoot_endpoints(delayed_spec, lams, 512)
+    assert len(calls) == 2 * 5
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+
+# the overflow spec of test_overflow_reported behind a coupling that puts the
+# right segment's start near the largest double
+TINY_COUPLING = spec_of(q_l="-1000000", delta=3e-308)
+
+
+@settings(max_examples=25, deadline=None)
+@given(lams=st.lists(st.floats(0.0, 300.0).map(lambda e: 10.0 ** e), min_size=1, max_size=6),
+       width=st.integers(1, 6), block=st.integers(1, 3))
+@example(lams=[9.9e5, 1.0, 5e5, 9e5, 1e300], width=2, block=1)
+def test_end_row_finiteness_matches_the_full_scan(lams, width, block):
+    # where a segment's pieces are all one step (the zero-delay left
+    # segment), its end row stands for its states: the first non-finite
+    # state found from it is the full scan's, in one block and in many
+    scan = dde_solver._non_finite
+    absorbing = []
+
+    def checked(side, YV, cols, absorbing_=False):
+        got = scan(side, YV, cols, absorbing_)
+        assert got == scan(side, YV, cols)
+        absorbing.append(absorbing_)
+        return got
+
+    for split in (contextlib.nullcontext(), split_sweeps(512, width, block)):
+        with split, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dde_solver, "_non_finite", checked)
+            with contextlib.suppress(NonFiniteStateError):
+                shoot_endpoints(TINY_COUPLING, lams, 512)
+    # a lambda past about 1e154 overflows C, and its block is scanned
+    assert any(absorbing) or max(lams) > 1e150
+
+
+def test_overflow_inside_a_piece_is_reported():
+    # q = 0 on the right: 10-step pieces, each row A^(l+1) u[b] from the
+    # piece's first row, not from the row before.  At this lambda y' peaks
+    # past the largest double inside pieces, rows 86 and on overflow, and
+    # the end row is finite again, so such a segment is scanned in full
+    spec = spec_of(delta=2.5e-308)
+    lam = 10447.597574377774
+    right = dde_solver._right_tables(spec, 512)
+    assert right.pieces(right.piece_caps(np.array([lam]))[0])[1] > 1
+    with pytest.raises(NonFiniteStateError, match=re.escape(f"(lambda = {lam!r})")):
+        shoot_endpoints(spec, [lam], 512)
 
 
 def test_endpoint_sweep_holds_one_block(delayed_spec):
@@ -618,6 +679,41 @@ def test_wide_gather_adds_the_stencil_terms_in_order(delayed_spec, monkeypatch):
             for k in range(1, 4):
                 want += rows[idx[k]] * w[k]
             assert got.tobytes() == want.tobytes(), (tables.a, b, e)
+
+
+def test_one_step_stages_add_the_stencil_terms_in_order(delayed_spec, monkeypatch):
+    # at 265 steps every piece is one step and a step whose node stage is
+    # the end stage of the step before copies that value: every stage the
+    # step contraction reads, shared node included, is bitwise the four
+    # Hermite terms of its own stencil added in the order 0..3
+    lams = np.linspace(4.0, 2500.0, 40)
+    states = []
+    einsum = np.einsum
+
+    def recording(subscripts, *operands, **kwargs):
+        if subscripts == "ckm,km->cm":
+            states.append(operands[1].copy())
+        return einsum(subscripts, *operands, **kwargs)
+
+    for tables in both_tables(delayed_spec, 265):
+        tails = tables._piece_table(1)[2]
+        # steps that share their node stage, and breaks that must not
+        assert sum(tail is not None for tail in tails) > 200
+        assert any(tails[b] is None for b in tables.breaks if 2 <= b < tables.steps)
+        states.clear()
+        monkeypatch.setattr(dde_solver.np, "einsum", recording)
+        YV = tables.sweep(lams, 1.0, 0.5, 1)
+        monkeypatch.undo()
+        rows = YV.reshape(-1, lams.shape[0])
+        assert len(states) == tables.steps
+        # step 0 reads the Taylor extrapolant
+        for b, state in enumerate(states[1:], start=1):
+            r = tables.node_rows[b] + np.arange(3)
+            idx, w = tables.gather[:, r], tables.weights[:, r]
+            want = rows[idx[0]] * w[0]
+            for k in range(1, 4):
+                want += rows[idx[k]] * w[k]
+            assert state[2:].tobytes() == want.tobytes(), (tables.a, b)
 
 
 def test_piece_caps(delayed_spec):
