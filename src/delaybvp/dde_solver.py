@@ -347,11 +347,12 @@ class _SegmentTables:
             at = self.node_rows[single][:, None] + np.arange(3)
             gather = np.moveaxis(self.gather[:, at], 1, 0).copy()
             weights = np.moveaxis(self.weights[:, at], 1, 0).copy()
-            one_step = iter(zip(gather, weights))
-            rows = [slice(self.node_rows[b], self.node_rows[b] + 2 * (e - b) + 1) for b, e in cut]
-            pieces = [(b, e) + (next(one_step) if e - b == 1 else
-                                (self.gather[:, r], self.weights[:, r]))
-                      for (b, e), r in zip(cut, rows)]
+            one_step = zip(gather, weights)
+            node_rows = self.node_rows.tolist()
+            pieces = [(b, e, *next(one_step)) if e - b == 1 else
+                      (b, e, self.gather[:, node_rows[b]:node_rows[b] + 2 * (e - b) + 1],
+                       self.weights[:, node_rows[b]:node_rows[b] + 2 * (e - b) + 1])
+                      for b, e in cut]
             tails = [None] * len(cut)
             if cap == 1 and not self.q_zero:
                 # piece b is step b; ``breaks`` may hold n, the last node
