@@ -14,8 +14,9 @@ cumulative Simpson pass per subinterval over the integrator's node samples
 of q and Delta, integrated for blocks of s at once along the node axis and
 read between the nodes by cubic Hermite interpolation.  So a whole
 eigenfunction profile and pi cost one evaluation for every index together:
-``predict_s_many`` makes one for all its indices, ``verify_rates`` another
-for the (indices, x) arrays of every index's eigenfunction forms.
+``predict_s_many`` makes one for all its indices, ``eigenfunction_table``
+another for every index's forms, which it tabulates beside the computed
+eigenfunctions, the one path from roots to eigenfunction rows.
 Matching refined eigenfunction forms exist on both subintervals; on the
 right interval the printed inner correction carries a 1/(n^(5/3) pi)
 scaling that looks inconsistent with the structurally parallel left form
@@ -56,6 +57,7 @@ __all__ = [
     "predict_s",
     "predict_s_many",
     "predict_eigenfunction",
+    "eigenfunction_table",
     "apriori_bounds",
     "oscillatory_q_integral",
     "verify_rates",
@@ -86,8 +88,9 @@ OSC_S_VALUES = (10.0, 20.0, 40.0, 80.0)  # s of the oscillatory integral's decay
 EIGFN_SAMPLES = 257  # points per subinterval of the eigenfunction error grids
 MIN_RATE_INDICES = 8  # fewest shared indices a rate report fits over
 # K/L and the oscillatory integral integrate blocks of s whose (block, nodes)
-# temporaries stay within KL_BYTES (3 values of s at 4096 steps), so that a
-# batch of any length adds no more to the heap than a few single-s passes
+# arrays stay within KL_BYTES (3 values of s at 4096 steps), so that a batch
+# of any length adds no more to the heap than a few single-s passes; K/L
+# stacks a block's sin and cos channels, so its temporaries are twice that
 KL_BYTES = 2 ** 17
 
 
@@ -211,11 +214,11 @@ def kl_integrals(spec: ProblemSpec, x, s, steps: int = DEFAULT_STEPS):
         for samples, side in zip(tables, (~right, right)):
             nodes, q, d = samples.nodes, samples.q[0], samples.delta[0]
             h = float(nodes[1] - nodes[0])
-            for c, trig in enumerate((np.sin, np.cos)):
-                integrand = q * trig(block * d)
-                running = cumulative_simpson(integrand, h)
-                kl[c, rows][:, side] = offset[c] + hermite(nodes, running, integrand, xs[side])
-                offset[c] += running[:, -1:]
+            # the sin and cos channels as one (2, block, nodes) array
+            integrand = q * np.stack([trig(block * d) for trig in (np.sin, np.cos)])
+            running = cumulative_simpson(integrand, h)
+            kl[:, rows][:, :, side] = offset + hermite(nodes, running, integrand, xs[side])
+            offset += running[..., -1:]
     kl *= 0.5
     k, l = kl
     if scalar_x:
@@ -273,6 +276,14 @@ def _refined_form(spec: ProblemSpec, n, xs: np.ndarray, k: np.ndarray,
     return np.cos(n * xs) * (1.0 + k[..., :-1] / n) - (np.sin(n * xs) / scaling) * bracket
 
 
+def _eigfn_points(x) -> np.ndarray:
+    """x raveled to floats, each in [0, pi] but off the interface point."""
+    xs = np.ravel(np.asarray(x, dtype=float))
+    if not np.all((xs >= 0.0) & (xs <= math.pi) & (xs != HALF)):
+        raise ValueError("x must lie in [0, pi/2) u (pi/2, pi]")
+    return xs
+
+
 def _eigfn_forms(spec: ProblemSpec, indices: list[int], xs, k, l) -> tuple:
     """The leading, printed and 1/(n pi) forms as (indices, xs) arrays from K
     and L at xs followed by pi, each row bitwise ``predict_eigenfunction``'s."""
@@ -302,9 +313,7 @@ def predict_eigenfunction(spec: ProblemSpec, n: int, x, order: str = "leading",
     if n < 1:
         raise ValueError("n must be a positive integer")
     shape = np.shape(x)
-    xs = np.ravel(np.asarray(x, dtype=float))
-    if not np.all((xs >= 0.0) & (xs <= math.pi) & (xs != HALF)):
-        raise ValueError("x must lie in [0, pi/2) u (pi/2, pi]")
+    xs = _eigfn_points(x)
     amplitude = _amplitude(spec, n ** (2.0 / 3.0), xs)
     if order == "leading":
         out = amplitude * np.cos(n * xs)
@@ -313,6 +322,32 @@ def predict_eigenfunction(spec: ProblemSpec, n: int, x, order: str = "leading",
         k, l = kl_integrals(spec, np.append(xs, math.pi), float(n), steps)
         out = amplitude * _refined_form(spec, n, xs, k, l, (n ** (5.0 / 3.0)) * math.pi)
     return out.reshape(shape) if shape else float(out[0])
+
+
+def eigenfunction_table(spec: ProblemSpec, pairs: list[Eigenpair], xs,
+                        steps: int = DEFAULT_STEPS) -> tuple:
+    """(u, leading, printed, alt): the computed eigenfunction of every pair
+    and its leading, printed refined and 1/(n pi) refined forms at xs, as
+    (pairs, xs) arrays, after ``require_refined``; x is checked like
+    ``predict_eigenfunction``'s.  One ``kl_integrals`` call serves every
+    form, and then one ``shoot_many`` call every row of u, one ``hermite``
+    call per side on the pairs' stacked node data.  Each row is bitwise the
+    pair's own ``shoot`` segments' ``eval`` and ``predict_eigenfunction``."""
+    xs = _eigfn_points(xs)
+    if not pairs:
+        raise ValueError("need at least one eigenpair")
+    require_refined(spec, steps)
+    indices = [p.index for p in pairs]
+    forms = _eigfn_forms(spec, indices, xs, *kl_integrals(
+        spec, np.append(xs, math.pi), np.array(indices, dtype=float), steps))
+    shots = dde_solver.shoot_many(spec, [p.lam for p in pairs], steps)
+    right = xs > HALF
+    u = np.empty((len(pairs), xs.size))
+    for part, segments in ((~right, [shot.left for shot in shots]),
+                           (right, [shot.right for shot in shots])):
+        u[:, part] = hermite(segments[0].nodes, np.array([g.values for g in segments]),
+                             np.array([g.derivs for g in segments]), xs[part])
+    return (u, *forms)
 
 
 def apriori_bounds(spec: ProblemSpec, lam: float,
@@ -384,14 +419,13 @@ def verify_rates(spec: ProblemSpec, pairs: list[Eigenpair],
     the leading and refined forms (left interval; the right interval is
     reported for both printed and alternative inner scalings), the
     n^(-2/3)/|delta| amplitude drop across the interface at the largest n,
-    and the O(1/s) decay of the oscillatory q-integral.  One ``kl_integrals``
-    call over every index, at both eigenfunction grids (``EIGFN_SAMPLES``
-    points per subinterval) and pi, serves every refined form, and one
-    ``oscillatory_q_integral`` call every s of ``OSC_S_VALUES``; both run
-    before the one ``shoot_many`` call at ``steps`` that builds the
-    eigenfunctions, so their temporaries are freed before its arrays exist.
-    Eigenfunctions and forms are (indices, x) arrays, one row per index; the
-    estimates are ``predict_s_many``'s, which refuses failed refined conditions.
+    and the O(1/s) decay of the oscillatory q-integral.  One
+    ``oscillatory_q_integral`` call serves every s of ``OSC_S_VALUES``, and
+    one ``eigenfunction_table`` call over every index, at both eigenfunction
+    grids (``EIGFN_SAMPLES`` points per subinterval), the computed
+    eigenfunctions and every form; both quadratures run before the table's
+    ``shoot_many``.  The estimates are ``predict_s_many``'s, which refuses
+    failed refined conditions.
     """
     by_n = {p.index: p for p in pairs}
     est_by_n = {e.n: e for e in estimates}
@@ -416,16 +450,11 @@ def verify_rates(spec: ProblemSpec, pairs: list[Eigenpair],
 
     refined_s_fit = _fit_slope(ns, np.abs(s_vals - s_ref), S_RESIDUAL_FLOOR)
 
-    xs_left = np.linspace(0.0, HALF, EIGFN_SAMPLES, endpoint=False)
-    xs_right = np.linspace(HALF, math.pi, EIGFN_SAMPLES)[1:]
-    xs = np.concatenate([xs_left, xs_right])
-    left, right = slice(None, xs_left.size), slice(xs_left.size, None)
-    leading, printed, alt = _eigfn_forms(
-        spec, indices, xs, *kl_integrals(spec, np.append(xs, math.pi), ns, steps))
+    xs = np.concatenate([np.linspace(0.0, HALF, EIGFN_SAMPLES, endpoint=False),
+                         np.linspace(HALF, math.pi, EIGFN_SAMPLES)[1:]])
+    left, right = slice(None, EIGFN_SAMPLES), slice(EIGFN_SAMPLES, None)
     osc_vals = np.abs(oscillatory_q_integral(spec, np.array(OSC_S_VALUES), steps))
-    shots = dde_solver.shoot_many(spec, [by_n[n].lam for n in indices], steps)
-    u = np.array([np.concatenate([shot.left.eval(xs_left), shot.right.eval(xs_right)])
-                  for shot in shots])
+    u, leading, printed, alt = eigenfunction_table(spec, [by_n[n] for n in indices], xs, steps)
     # sup errors per index: leading and refined on the left, then the right
     # interval's inner scaling as printed, 1/(n^(5/3) pi), and the 1/(n pi)
     # variant that parallels the left interval

@@ -297,15 +297,9 @@ def cmd_eigfn(cfg: RunConfig, n: int | None, out_path: str | None, fmt: str) -> 
     steps = cfg.solver.steps_per_segment
     asymptotics.require_refined(cfg.problem, steps)
     pair = spectral.localize_near_n(cfg.problem, n, cfg.solver.refine_tol, steps)
-    shot = dde_solver.shoot(cfg.problem, pair.lam, steps)
     xs = np.linspace(0.0, math.pi, cfg.x_samples)
     xs = xs[np.abs(xs - HALF) > 1e-12]
-    left = xs < HALF
-    u = np.empty_like(xs)
-    u[left] = shot.left.eval(xs[left])
-    u[~left] = shot.right.eval(xs[~left])
-    u_lead = asymptotics.predict_eigenfunction(cfg.problem, n, xs, "leading", steps)
-    u_ref = asymptotics.predict_eigenfunction(cfg.problem, n, xs, "refined", steps)
+    [u], [u_lead], [u_ref], _ = asymptotics.eigenfunction_table(cfg.problem, [pair], xs, steps)
     rows = [(float(x), float(uv), float(ul), float(ur),
              float(abs(uv - ul)), float(abs(uv - ur)))
             for x, uv, ul, ur in zip(xs, u, u_lead, u_ref)]

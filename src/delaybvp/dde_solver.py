@@ -46,50 +46,30 @@ channel-major, (2, steps+1, m), the stencil tables term-major, (4, stage
 rows), and the per-sweep coefficients put the piece row next to the
 columns, (2, 3, L, m) and (2, 2, L, m).  numpy's inner loops then run
 over L m elements instead of m, so a sweep costs a fixed number of numpy
-calls per piece, whatever its length.  A block of ``WIDE_BLOCK`` (32)
-columns or more sums the products of each contraction with ``np.einsum``,
-which forms no (4, 2L+1, m) or (2, 3, L, m) product array, and keeps the
-partial sums in a per-sweep scratch whose rows are padded to an even
-width: the cumulative sum runs on its complex view, two columns per
-element with the same two IEEE additions, at about twice the speed of a
-column at a time, and the last contraction reads the scratch and writes
-the states.  That is six calls per piece of more than one step, the sixth
-a copy of the piece's first row.  A narrower block multiplies and then
-reduces, eight calls per such piece, because einsum's inner loops, m long,
-cost more than the stored products.  A one-step piece is two calls, or
-three with its stage gather; at cap 1, where every piece is one step, a
-step inside a stretch between ``bounds`` copies its node stage from the
-end stage of the step before and gathers only the other two.
+calls per piece, whatever its length: six on a block of ``WIDE_BLOCK``
+(32) columns or more, which sums each contraction's products with
+``np.einsum`` as it forms them, and eight on a narrower block, which
+stores and reduces them (see ``sweep``).  A one-step piece is two calls,
+or three with its stage gather; at cap 1, where every piece is one step,
+a step inside a stretch between ``bounds`` has a two-row table, its half
+and end stages, and copies its node stage from the step before.
 
 Every coefficient sample, stencil and run is independent of lambda, so they
 are computed once per problem and the integration runs vectorized over a
 batch of lambda values -- eigenvalue scans and bracket refinements pay for
-one sweep per round instead of one per lambda.  One loop over column blocks
-drives every shooting call.  A block holds lambda columns of one piece
-length, as many as keep both its (2, steps+1, width) state array within
-``SWEEP_BYTES`` (1023 columns at 4096 steps) and 12 L doubles per column
-for the longest piece of either segment, L steps, within ``PIECE_BYTES``
-(128 columns of 85-step pieces), a bound on its largest temporary, the
-(4, 2L+1, width) stencil gather, so that long pieces do not push a wide
-batch's temporaries out of cache.  Per block the loop builds one set of
-scheme coefficients, C, the powers and K (both segments have the step
-(pi/2) / steps), sweeps the left segment, applies the transmission and
-sweeps the right one, handing each segment's states on and dropping them
-before the next sweep, so it holds one block's state array at a time.  A
-segment whose pieces are all one step computes every state from the one
-before, so with finite coefficients its first non-finite state makes the
-end row non-finite, and the end row alone is checked; any other segment
-is scanned in full (see ``_non_finite``).  The width never sets a piece,
-and it changes no column's arithmetic: the pieces depend on the steps and
-on the column's own lambda only, every 2x2 product is written out
-elementwise, and both forms of a contraction add each column's products,
-each rounded on its own, in the same order.  So a lambda gives
-bit-identical results alone, in any batch and in any block.  That the
-einsum form rounds each product before adding it, with no fused
-multiply-add, is a property of the numpy build (it holds for numpy 2.4.6
-with SIMD baseline X86_V2); on a build that fused them, a column's last
-bits would depend on its block's width, and the tests comparing wide and
-narrow blocks would fail.
+one sweep per round instead of one per lambda.  One loop over column
+blocks, ``_shoot_blocks``, drives every shooting call; a block's width is
+bounded by ``SWEEP_BYTES`` and ``PIECE_BYTES``, and the loop holds one
+block's state array at a time.  The width never sets a piece, and it
+changes no column's arithmetic: the pieces depend on the steps and on the
+column's own lambda only, every 2x2 product is written out elementwise,
+and both forms of a contraction add each column's products, each rounded
+on its own, in the same order.  So a lambda gives bit-identical results
+alone, in any batch and in any block.  That the einsum form rounds each
+product before adding it, with no fused multiply-add, is a property of the
+numpy build (it holds for numpy 2.4.6 with SIMD baseline X86_V2); on a
+build that fused them, a column's last bits would depend on its block's
+width, and the tests comparing wide and narrow blocks would fail.
 
 Only lambda > 0 is addressed; the transmission scaling uses the real cube
 root of lambda, computed as exp(log(lambda)/3).
@@ -316,7 +296,7 @@ class _SegmentTables:
         self.piece_cap = (n + 1) // PIECE_SHARE
         if self.piece_cap < SHORTEST_PIECE:
             self.piece_cap = 1
-        self._pieces: dict[int, tuple[list[tuple], int, list]] = {}
+        self._pieces: dict[int, tuple[list[tuple], int]] = {}
 
     def pieces(self, cap: int) -> tuple[list[tuple], int]:
         """Steps [b, e) of every run cut at ``breaks`` and into pieces of at
@@ -326,17 +306,15 @@ class _SegmentTables:
         step is the next node's row.  The tables are views, contiguous
         (4, 3) ones for a piece of one step: numpy gathers and weights
         through a strided (4, 3) view about half as fast, and with zero
-        delay every step is such a piece."""
-        return self._piece_table(cap)[:2]
+        delay every step is such a piece.
 
-    def _piece_table(self, cap: int) -> tuple[list[tuple], int, list]:
-        """``pieces(cap)`` and, per piece, the contiguous (4, 2) half and
-        end rows of a one-step piece whose node stage is the end stage of
-        the one-step piece before it, else None.  That holds at cap 1, where
-        every piece is one step, from step 2 on (step 1 follows the peeled
-        step 0, whose end stage is a Taylor extrapolant) except at
-        ``breaks``: the stencil is the same and so are the rows it reads,
-        which were complete before the step before began."""
+        At cap 1, where every piece is one step, a piece whose node stage is
+        the end stage of the piece before carries only its contiguous (4, 2)
+        half and end rows, and ``sweep`` copies the node stage.  That holds
+        from step 2 on (step 1 follows the peeled step 0, whose end stage is
+        a Taylor extrapolant) except at ``breaks``: the stencil is the same
+        and so are the rows it reads, which were complete before the step
+        before began."""
         if cap not in self._pieces:
             bounds = self.bounds.tolist()
             cut = [(s, min(s + cap, e)) for b, e in zip(bounds[:-1], bounds[1:])
@@ -348,21 +326,18 @@ class _SegmentTables:
             gather = np.moveaxis(self.gather[:, at], 1, 0).copy()
             weights = np.moveaxis(self.weights[:, at], 1, 0).copy()
             one_step = zip(gather, weights)
+            if cap == 1 and not self.q_zero:
+                # piece b is step b
+                breaks = set(self.breaks.tolist())
+                steps = [b for b in range(2, self.steps) if b not in breaks]
+                shared = dict(zip(steps, zip(gather[steps, :, 1:], weights[steps, :, 1:])))
+                one_step = (shared.get(b, tables) for b, tables in enumerate(one_step))
             node_rows = self.node_rows.tolist()
             pieces = [(b, e, *next(one_step)) if e - b == 1 else
                       (b, e, self.gather[:, node_rows[b]:node_rows[b] + 2 * (e - b) + 1],
                        self.weights[:, node_rows[b]:node_rows[b] + 2 * (e - b) + 1])
                       for b, e in cut]
-            tails = [None] * len(cut)
-            if cap == 1 and not self.q_zero:
-                # piece b is step b; ``breaks`` may hold n, the last node
-                shared = np.ones(self.steps + 1, dtype=bool)
-                shared[:2] = False
-                shared[self.breaks] = False
-                steps = np.flatnonzero(shared[:-1])
-                for b, tail in zip(steps.tolist(), zip(gather[steps, :, 1:], weights[steps, :, 1:])):
-                    tails[b] = tail
-            self._pieces[cap] = (pieces, max(e - b for b, e in cut), tails)
+            self._pieces[cap] = (pieces, max(e - b for b, e in cut))
         return self._pieces[cap]
 
     def piece_caps(self, lam: np.ndarray) -> np.ndarray:
@@ -397,14 +372,15 @@ class _SegmentTables:
         A step is u[i+1] = C (u[i], g[i]) with C = [A | B] the (2, 5) scheme
         coefficients and g[i] its (node, half, end) stage values, and a
         piece of one step is just that.  At cap 1, where every piece is one
-        step, a step whose node stage is the end stage of the step before
-        (see ``_piece_table``) copies that value and gathers only its half
-        and end stages.  A longer piece [b, e) gathers its 2L+1 stage values
-        in one pass, reads the triple of its step l as a strided (3, L) view
-        (rows 2l, 2l+1, 2l+2, the end stage shared with the next node),
-        contracts the triples with K[:, :, l] = A^-(l+1) B into rows
-        b+1..e of the partial sums, sums them cumulatively from row b, u[b]
-        itself, and multiplies partial sum l by A^(l+1): the closed form
+        step, a step whose table has two rows, its half and end stages (see
+        ``pieces``), copies its node stage from the end stage of the step
+        before and gathers only those.  A longer piece [b, e) gathers its
+        2L+1 stage values in one pass, reads the triple of its step l as a
+        strided (3, L) view (rows 2l, 2l+1, 2l+2, the end stage shared with
+        the next node), contracts the triples with K[:, :, l] = A^-(l+1) B
+        into rows b+1..e of the partial sums, sums them cumulatively from
+        row b, u[b] itself, and multiplies partial sum l by A^(l+1): the
+        closed form
 
             u[b+1+l] = A^(l+1) (u[b] + sum_{k<=l} A^-(k+1) B g[b+k]).
 
@@ -424,7 +400,7 @@ class _SegmentTables:
         are built once per sweep.
         """
         m = z.shape[0]
-        pieces, longest, tails = self._piece_table(cap)
+        pieces, longest = self.pieces(cap)
         # with q = 0 every stage is zero: no stencil is read, and the only
         # input of a piece is u[b], so each of its partial sums is A u[b]
         stages = not self.q_zero
@@ -464,7 +440,7 @@ class _SegmentTables:
                 g[1:] = self.first_negq[1:] * (u[0] + self.first_d * u[1]
                                                + (0.5 * self.first_d * self.first_d) * a0)
             state, stage3, stage2 = u[:5], u[2:5], u[3:5]
-            for (b, e, stencil, weights), tail in zip(pieces, tails):
+            for b, e, stencil, weights in pieces:
                 out = YV[:, b:e + 1]
                 if not stages:
                     np.add.reduce(A * YV[None, :, b], axis=1, out=out[:, 1])
@@ -476,10 +452,9 @@ class _SegmentTables:
                     if b:
                         u[:2] = YV[:, b]
                         g = stage3
-                        if tail is not None:
+                        if stencil.shape[1] == 2:
                             # the node stage is the end stage of step b - 1
                             u[2] = u[4]
-                            stencil, weights = tail
                             g = stage2
                         gather = rows.take(stencil, axis=0)
                         if wide:

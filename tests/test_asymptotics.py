@@ -371,8 +371,8 @@ def delayed_rate_inputs(delayed_spec):
 
 def test_verify_rates_integrates_kl_in_one_call(delayed_spec, delayed_rate_inputs,
                                                 monkeypatch):
-    # one K/L call over every index and one oscillatory call over every s
-    # of OSC_S_VALUES, both before the eigenfunctions are built
+    # one oscillatory call over every s of OSC_S_VALUES, then the table's
+    # one K/L call over every index, both before the eigenfunctions are built
     pairs, estimates = delayed_rate_inputs
     calls = []
 
@@ -387,10 +387,10 @@ def test_verify_rates_integrates_kl_in_one_call(delayed_spec, delayed_rate_input
                          (dde_solver, "shoot_many")):
         monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
     report = verify_rates(delayed_spec, pairs, estimates, steps=512)
-    assert [name for name, _ in calls] == ["kl_integrals", "oscillatory_q_integral",
+    assert [name for name, _ in calls] == ["oscillatory_q_integral", "kl_integrals",
                                            "shoot_many"]
-    assert np.array_equal(calls[0][1][1], report.indices)
-    assert np.array_equal(calls[1][1][0], OSC_S_VALUES)
+    assert np.array_equal(calls[0][1][0], OSC_S_VALUES)
+    assert np.array_equal(calls[1][1][1], report.indices)
 
 
 def test_verify_rates_fits_match_predict_eigenfunction(delayed_spec, delayed_rate_inputs):
@@ -410,6 +410,58 @@ def test_verify_rates_fits_match_predict_eigenfunction(delayed_spec, delayed_rat
         fit = getattr(report, field)
         assert not fit.floor_limited
         assert fit == _fit_slope(ns, errors, EIGFN_RESIDUAL_FLOOR)
+
+
+def test_verify_rates_evaluates_no_segment_alone(delayed_spec, delayed_rate_inputs,
+                                               monkeypatch):
+    # the computed eigenfunctions come from the table's stacked rows, not
+    # from one segment evaluation per index and side
+    def refuse(self, x):
+        raise AssertionError("SolutionSegment.eval called")
+
+    monkeypatch.setattr(dde_solver.SolutionSegment, "eval", refuse)
+    assert verify_rates(delayed_spec, *delayed_rate_inputs, steps=512).passed
+
+
+@settings(max_examples=15, deadline=None)
+@given(order=st.lists(st.integers(0, 7), min_size=1, max_size=8, unique=True),
+       xs=st.lists(st.one_of(st.sampled_from([0.0, PI, HALF - 1e-9, HALF + 1e-9]),
+                             st.floats(0.0, PI).filter(lambda x: x != HALF)),
+                   min_size=1, max_size=10))
+def test_eigenfunction_table_rows_match_single_index_paths(delayed_spec, delayed_rate_inputs,
+                                                           order, xs):
+    # for any subset and order of the pairs, each row is bitwise what the
+    # single-index paths give for its pair alone: its shot's segments, the
+    # leading and refined predict_eigenfunction, and the 1/(n pi) form
+    pairs = [delayed_rate_inputs[0][i] for i in order]
+    xs = np.array(xs)
+    table = asymptotics.eigenfunction_table(delayed_spec, pairs, xs, 512)
+    assert all(rows.shape == (len(pairs), xs.size) for rows in table)
+    right = xs > HALF
+    for i, p in enumerate(pairs):
+        shot = dde_solver.shoot(delayed_spec, p.lam, 512)
+        u = np.empty_like(xs)
+        u[~right] = shot.left.eval(xs[~right])
+        u[right] = shot.right.eval(xs[right])
+        k, l = kl_integrals(delayed_spec, np.append(xs, PI), float(p.index), 512)
+        alt = (asymptotics._amplitude(delayed_spec, p.index ** (2.0 / 3.0), xs)
+               * asymptotics._refined_form(delayed_spec, p.index, xs, k, l, p.index * PI))
+        singles = (u, predict_eigenfunction(delayed_spec, p.index, xs, "leading", 512),
+                   predict_eigenfunction(delayed_spec, p.index, xs, "refined", 512), alt)
+        for rows, single in zip(table, singles):
+            assert rows[i].tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("x", [HALF, -1e-12, PI + 1e-9, math.nan])
+def test_eigenfunction_table_rejects_points_without_one_value(delayed_spec,
+                                                              delayed_rate_inputs, x):
+    with pytest.raises(ValueError, match="x must lie in"):
+        asymptotics.eigenfunction_table(delayed_spec, delayed_rate_inputs[0][:2], [0.3, x], 512)
+
+
+def test_eigenfunction_table_needs_a_pair(delayed_spec):
+    with pytest.raises(ValueError, match="at least one eigenpair"):
+        asymptotics.eigenfunction_table(delayed_spec, [], [0.3], 512)
 
 
 @pytest.mark.parametrize("entry, bad", [

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from delaybvp import asymptotics
+from delaybvp import asymptotics, dde_solver
 from delaybvp.cli import main
 from delaybvp.exprlang import BinOp, Call, Num, Var, unparse
 from delaybvp.problem import HALF
@@ -136,6 +136,25 @@ def test_eigfn_table(tmp_path):
     left_max = max(abs(float(r["u_computed"])) for r in rows if float(r["x"]) < PI / 2)
     right_max = max(abs(float(r["u_computed"])) for r in rows if float(r["x"]) > PI / 2)
     assert right_max / left_max == pytest.approx(4.0 ** (-2.0 / 3.0), rel=0.05)
+
+
+def test_eigfn_tabulates_through_the_table(tmp_path, monkeypatch):
+    # eigfn's columns are one eigenfunction_table row each: it shoots no
+    # pair alone and calls no single-index prediction
+    cfg = write_config(tmp_path, problem=DELAYED_PROBLEM, solver=FAST,
+                       extra={"grid": {"x_samples": 33}})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("single-index path called")
+
+    monkeypatch.setattr(dde_solver, "shoot", refuse)
+    monkeypatch.setattr(asymptotics, "predict_eigenfunction", refuse)
+    out = tmp_path / "eig.csv"
+    assert main(["eigfn", "--config", cfg, "--n", "6", "--out", str(out)]) == 0
+    rows = read_csv(out)
+    assert len(rows) == 32
+    for r in rows:
+        assert float(r["abs_err_refined"]) == abs(float(r["u_computed"]) - float(r["u_refined"]))
 
 
 def test_eigfn_needs_index(tmp_path, capsys):
