@@ -13,10 +13,12 @@ K and L at any set of points x in [0, pi] and any set of s come from one
 cumulative Simpson pass per subinterval over the integrator's node samples
 of q and Delta, integrated for blocks of s at once along the node axis and
 read between the nodes by cubic Hermite interpolation.  So a whole
-eigenfunction profile and pi cost one evaluation for every index together:
-``predict_s_many`` makes one for all its indices, ``eigenfunction_table``
-another for every index's forms, which it tabulates beside the computed
-eigenfunctions, the one path from roots to eigenfunction rows.
+eigenfunction profile and pi cost one evaluation for every index together,
+and it yields every refined prediction of those indices: ``predict_s_many``
+makes one at pi alone for its root estimates, and ``eigenfunction_table``
+one for every index's forms and root estimates, which it tabulates beside
+the computed eigenfunctions, the one path from roots to eigenfunction rows;
+``verify_rates`` reads its estimates from that table.
 Matching refined eigenfunction forms exist on both subintervals; on the
 right interval the printed inner correction carries a 1/(n^(5/3) pi)
 scaling that looks inconsistent with the structurally parallel left form
@@ -86,7 +88,7 @@ DRIFT_RATIO_MAX = 1.5
 AMP_REL_ERR_MAX = 0.2
 OSC_S_VALUES = (10.0, 20.0, 40.0, 80.0)  # s of the oscillatory integral's decay fit
 EIGFN_SAMPLES = 257  # points per subinterval of the eigenfunction error grids
-MIN_RATE_INDICES = 8  # fewest shared indices a rate report fits over
+MIN_RATE_INDICES = 8  # fewest indices a rate report fits over
 # K/L and the oscillatory integral integrate blocks of s whose (block, nodes)
 # arrays stay within KL_BYTES (3 values of s at 4096 steps), so that a batch
 # of any length adds no more to the heap than a few single-s passes; K/L
@@ -240,15 +242,12 @@ def require_refined(spec: ProblemSpec, steps: int = DEFAULT_STEPS) -> None:
 def predict_s_many(spec: ProblemSpec, indices,
                    steps: int = DEFAULT_STEPS) -> list[AsymptoticEstimate]:
     """Asymptotic root estimates for every index of ``indices``, in order,
-    from one ``kl_integrals`` call, after ``require_refined``."""
+    from one ``kl_integrals`` call at pi, after ``require_refined``."""
     ns = [int(n) for n in indices]
     if any(n < 1 for n in ns):
         raise ValueError("n must be a positive integer")
-    require_refined(spec, steps)
-    l_pi = kl_integrals(spec, math.pi, np.array(ns, dtype=float), steps)[1]
-    cot_gap = (1.0 / math.tan(spec.beta)) - (1.0 / math.tan(spec.alpha))
-    return [AsymptoticEstimate(n=n, s_refined=n + (cot_gap - float(l)) / (n * math.pi))
-            for n, l in zip(ns, l_pi)]
+    return [AsymptoticEstimate(n=n, s_refined=s)
+            for n, s in zip(ns, _predictions(spec, ns, np.empty(0), steps)[3])]
 
 
 def predict_s(spec: ProblemSpec, n: int, steps: int = DEFAULT_STEPS) -> AsymptoticEstimate:
@@ -284,17 +283,25 @@ def _eigfn_points(x) -> np.ndarray:
     return xs
 
 
-def _eigfn_forms(spec: ProblemSpec, indices: list[int], xs, k, l) -> tuple:
-    """The leading, printed and 1/(n pi) forms as (indices, xs) arrays from K
-    and L at xs followed by pi, each row bitwise ``predict_eigenfunction``'s."""
+def _predictions(spec: ProblemSpec, indices: list[int], xs: np.ndarray,
+                 steps: int) -> tuple:
+    """(leading, printed, alt, s_refined) for every index, after
+    ``require_refined``, from one ``kl_integrals`` call at xs followed by pi:
+    the leading, printed and 1/(n pi) eigenfunction forms at xs as (indices,
+    xs) arrays, each row bitwise ``predict_eigenfunction``'s, and the refined
+    root estimates as a list of floats."""
+    require_refined(spec, steps)
+    n = np.array(indices, dtype=float)[:, None]
+    k, l = kl_integrals(spec, np.append(xs, math.pi), n[:, 0], steps)
     # Python's pow, as for one index: numpy's array power differs from it in
     # the last bit at some n (n^(5/3) at n = 17 with numpy 2.4)
-    n = np.array(indices, dtype=float)[:, None]
     amplitude = _amplitude(spec, np.array([[m ** (2.0 / 3.0)] for m in indices]), xs)
     printed = np.array([[(m ** (5.0 / 3.0)) * math.pi] for m in indices])
+    cot_gap = (1.0 / math.tan(spec.beta)) - (1.0 / math.tan(spec.alpha))
     return (amplitude * np.cos(n * xs),
             amplitude * _refined_form(spec, n, xs, k, l, printed),
-            amplitude * _refined_form(spec, n, xs, k, l, n * math.pi))
+            amplitude * _refined_form(spec, n, xs, k, l, n * math.pi),
+            [m + (cot_gap - float(l_pi)) / (m * math.pi) for m, l_pi in zip(indices, l[:, -1])])
 
 
 def predict_eigenfunction(spec: ProblemSpec, n: int, x, order: str = "leading",
@@ -326,20 +333,19 @@ def predict_eigenfunction(spec: ProblemSpec, n: int, x, order: str = "leading",
 
 def eigenfunction_table(spec: ProblemSpec, pairs: list[Eigenpair], xs,
                         steps: int = DEFAULT_STEPS) -> tuple:
-    """(u, leading, printed, alt): the computed eigenfunction of every pair
-    and its leading, printed refined and 1/(n pi) refined forms at xs, as
-    (pairs, xs) arrays, after ``require_refined``; x is checked like
-    ``predict_eigenfunction``'s.  One ``kl_integrals`` call serves every
-    form, and then one ``shoot_many`` call every row of u, one ``hermite``
-    call per side on the pairs' stacked node data.  Each row is bitwise the
-    pair's own ``shoot`` segments' ``eval`` and ``predict_eigenfunction``."""
+    """(u, leading, printed, alt, s_refined): the computed eigenfunction of
+    every pair and its leading, printed refined and 1/(n pi) refined forms at
+    xs, as (pairs, xs) arrays, and every pair's refined root estimate, after
+    ``require_refined``; x is checked like ``predict_eigenfunction``'s.  One
+    ``kl_integrals`` call serves every form and estimate, and then one
+    ``shoot_many`` call every row of u, one ``hermite`` call per side on the
+    pairs' stacked node data.  Each row is bitwise the pair's own ``shoot``
+    segments' ``eval`` and ``predict_eigenfunction``, and each estimate
+    ``predict_s``'s."""
     xs = _eigfn_points(xs)
     if not pairs:
         raise ValueError("need at least one eigenpair")
-    require_refined(spec, steps)
-    indices = [p.index for p in pairs]
-    forms = _eigfn_forms(spec, indices, xs, *kl_integrals(
-        spec, np.append(xs, math.pi), np.array(indices, dtype=float), steps))
+    predictions = _predictions(spec, [p.index for p in pairs], xs, steps)
     shots = dde_solver.shoot_many(spec, [p.lam for p in pairs], steps)
     right = xs > HALF
     u = np.empty((len(pairs), xs.size))
@@ -347,7 +353,7 @@ def eigenfunction_table(spec: ProblemSpec, pairs: list[Eigenpair], xs,
                            (right, [shot.right for shot in shots])):
         u[:, part] = hermite(segments[0].nodes, np.array([g.values for g in segments]),
                              np.array([g.derivs for g in segments]), xs[part])
-    return (u, *forms)
+    return (u, *predictions)
 
 
 def apriori_bounds(spec: ProblemSpec, lam: float,
@@ -409,11 +415,10 @@ def _fit_slope(n_values, residuals, floor: float = RESIDUAL_FLOOR) -> SlopeFit:
 
 
 def verify_rates(spec: ProblemSpec, pairs: list[Eigenpair],
-                 estimates: list[AsymptoticEstimate],
                  steps: int = DEFAULT_STEPS) -> RateReport:
     """Measure the remainder orders of every asymptotic claim at once.
 
-    Checks, over the supplied indices: boundedness of n^(1/3) |s_n - n|
+    Checks, over the pairs' indices: boundedness of n^(1/3) |s_n - n|
     (second-half max against first-half max), the decay rate of the refined
     eigenvalue residual, the decay rates of the eigenfunction errors against
     the leading and refined forms (left interval; the right interval is
@@ -423,20 +428,25 @@ def verify_rates(spec: ProblemSpec, pairs: list[Eigenpair],
     ``oscillatory_q_integral`` call serves every s of ``OSC_S_VALUES``, and
     one ``eigenfunction_table`` call over every index, at both eigenfunction
     grids (``EIGFN_SAMPLES`` points per subinterval), the computed
-    eigenfunctions and every form; both quadratures run before the table's
-    ``shoot_many``.  The estimates are ``predict_s_many``'s, which refuses
-    failed refined conditions.
+    eigenfunctions, every form and the refined root estimates, so one
+    ``kl_integrals`` call serves the whole report; both quadratures run
+    before the table's ``shoot_many``, and the table refuses failed refined
+    conditions.
     """
     by_n = {p.index: p for p in pairs}
-    est_by_n = {e.n: e for e in estimates}
-    indices = sorted(set(by_n) & set(est_by_n))
+    indices = sorted(by_n)
     if len(indices) < MIN_RATE_INDICES:
         raise InsufficientRangeError(
-            f"need at least {MIN_RATE_INDICES} shared indices, got {len(indices)}")
+            f"need at least {MIN_RATE_INDICES} indices, got {len(indices)}")
 
     ns = np.array(indices, dtype=float)
     s_vals = np.array([by_n[n].s for n in indices])
-    s_ref = np.array([est_by_n[n].s_refined for n in indices])
+    xs = np.concatenate([np.linspace(0.0, HALF, EIGFN_SAMPLES, endpoint=False),
+                         np.linspace(HALF, math.pi, EIGFN_SAMPLES)[1:]])
+    left, right = slice(None, EIGFN_SAMPLES), slice(EIGFN_SAMPLES, None)
+    osc_vals = np.abs(oscillatory_q_integral(spec, np.array(OSC_S_VALUES), steps))
+    u, leading, printed, alt, s_ref = eigenfunction_table(
+        spec, [by_n[n] for n in indices], xs, steps)
 
     drift = np.cbrt(ns) * np.abs(s_vals - ns)
     mid = 0.5 * (ns[0] + ns[-1])
@@ -450,11 +460,6 @@ def verify_rates(spec: ProblemSpec, pairs: list[Eigenpair],
 
     refined_s_fit = _fit_slope(ns, np.abs(s_vals - s_ref), S_RESIDUAL_FLOOR)
 
-    xs = np.concatenate([np.linspace(0.0, HALF, EIGFN_SAMPLES, endpoint=False),
-                         np.linspace(HALF, math.pi, EIGFN_SAMPLES)[1:]])
-    left, right = slice(None, EIGFN_SAMPLES), slice(EIGFN_SAMPLES, None)
-    osc_vals = np.abs(oscillatory_q_integral(spec, np.array(OSC_S_VALUES), steps))
-    u, leading, printed, alt = eigenfunction_table(spec, [by_n[n] for n in indices], xs, steps)
     # sup errors per index: leading and refined on the left, then the right
     # interval's inner scaling as printed, 1/(n^(5/3) pi), and the 1/(n pi)
     # variant that parallels the left interval

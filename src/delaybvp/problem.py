@@ -79,9 +79,9 @@ class ProblemSpec:
     """Immutable problem instance.
 
     ``q_left``/``retard_left`` apply on [0, pi/2), ``q_right``/``retard_right``
-    on (pi/2, pi].  ``alpha`` and ``beta`` are the boundary angles in radians,
-    ``coupling`` is the nonzero transmission constant.  The interface point is
-    fixed at pi/2.
+    on (pi/2, pi].  ``alpha`` and ``beta`` are the finite boundary angles in
+    radians, ``coupling`` is the finite, nonzero transmission constant.  The
+    interface point is fixed at pi/2.
     """
 
     q_left: Expr
@@ -93,6 +93,9 @@ class ProblemSpec:
     coupling: float
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "coupling"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number")
         if self.coupling == 0.0:
             raise ValueError("transmission coupling must be nonzero")
 

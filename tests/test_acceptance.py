@@ -126,8 +126,7 @@ def test_criterion_6_refined_rate(constq_spec, delayed_spec):
     for name, spec in (("constant_q", constq_spec), ("delayed", delayed_spec)):
         t0 = time.perf_counter()
         pairs = spectral.localize_range(spec, range(5, 51))
-        estimates = [predict_s(spec, n) for n in range(5, 51)]
-        report = verify_rates(spec, pairs, estimates)
+        report = verify_rates(spec, pairs)
         elapsed = time.perf_counter() - t0
         fit = report.refined_s_fit
         ok &= (not fit.floor_limited) and fit.slope <= -1.7 and elapsed < 120.0
@@ -137,8 +136,7 @@ def test_criterion_6_refined_rate(constq_spec, delayed_spec):
 
 def test_criterion_7_eigenfunction_rates(delayed_spec, delayed_pairs):
     pairs = [p for p in delayed_pairs if p.index >= 10]
-    estimates = [predict_s(delayed_spec, p.index) for p in pairs]
-    report = verify_rates(delayed_spec, pairs, estimates)
+    report = verify_rates(delayed_spec, pairs)
     refined = report.refined_eigfn_fit
     leading = report.leading_eigfn_fit
     ok = (not refined.floor_limited and refined.slope <= -1.7

@@ -1,11 +1,13 @@
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from delaybvp import asymptotics, dde_solver
+from delaybvp import asymptotics, cli, dde_solver
 from delaybvp.asymptotics import (EIGFN_RESIDUAL_FLOOR, EIGFN_SAMPLES, OSC_S_VALUES,
                                   DegenerateNormError, InsufficientRangeError, _fit_slope,
                                   kl_integrals, apriori_bounds,
@@ -17,6 +19,7 @@ from delaybvp.quadrature import cumulative_simpson, hermite
 from delaybvp.spectral import localize_range
 
 PI = math.pi
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def spec_of(q_l="0", q_r="0", d_l="0", d_r="0", alpha=HALF, beta=HALF, delta=1.0):
@@ -198,6 +201,12 @@ def test_predict_s_many_matches_single_predictions(delayed_spec):
     indices = [5, 9, 9, 40, 6]
     assert predict_s_many(delayed_spec, indices, 512) == [
         predict_s(delayed_spec, n, 512) for n in indices]
+    # bitwise the closed form on K/L of that index alone at pi alone
+    cot_gap = 1.0 / math.tan(delayed_spec.beta) - 1.0 / math.tan(delayed_spec.alpha)
+    ns = range(1, 60)
+    closed = [n + (cot_gap - kl_integrals(delayed_spec, PI, float(n), 512)[1]) / (n * PI)
+              for n in ns]
+    assert [e.s_refined for e in predict_s_many(delayed_spec, ns, 512)] == closed
     assert predict_s_many(delayed_spec, [], 512) == []
     with pytest.raises(ValueError, match="n must be a positive integer"):
         predict_s_many(delayed_spec, [3, 0], 512)
@@ -252,19 +261,20 @@ def test_refined_refuses_non_case1():
 @settings(max_examples=15, deadline=None)
 @given(extra=st.lists(st.integers(1, 120), max_size=4))
 def test_eigfn_form_rows_match_single_index_forms(delayed_spec, extra):
-    # verify_rates builds every index's forms as one (indices, x) array; each
-    # row must be bitwise the form of that index alone on K/L of that index
-    # alone.  The batch takes n^(2/3) and n^(5/3) from Python's pow, as one
-    # index does: numpy's array power differs from it in the last bit at
-    # n^(2/3), n = 24, and at n^(5/3), n = 17, 25, 26, 42 and 45 (numpy 2.4)
+    # the table builds every index's forms as one (indices, x) array from one
+    # K/L call; each row must be bitwise the form of that index alone on K/L
+    # of that index alone, and each root estimate predict_s's.  The batch
+    # takes n^(2/3) and n^(5/3) from Python's pow, as one index does: numpy's
+    # array power differs from it in the last bit at n^(2/3), n = 24, and at
+    # n^(5/3), n = 17, 25, 26, 42 and 45 (numpy 2.4)
     indices = [5, 17, 24, 25, 26, 42, 45] + extra
     xs = np.concatenate([np.linspace(0.0, HALF, EIGFN_SAMPLES, endpoint=False),
                          np.linspace(HALF, PI, EIGFN_SAMPLES)[1:]])
     grid = np.append(xs, PI)
     single_kl = [kl_integrals(delayed_spec, grid, float(n), 512) for n in indices]
-    k, l = (np.array(rows) for rows in zip(*single_kl))
-    forms = asymptotics._eigfn_forms(delayed_spec, indices, xs, k, l)
+    *forms, s_refined = asymptotics._predictions(delayed_spec, indices, xs, 512)
     assert all(form.shape == (len(indices), xs.size) for form in forms)
+    assert s_refined == [predict_s(delayed_spec, n, 512).s_refined for n in indices]
     for i, (n, (k_n, l_n)) in enumerate(zip(indices, single_kl)):
         alt = (asymptotics._amplitude(delayed_spec, n ** (2.0 / 3.0), xs)
                * asymptotics._refined_form(delayed_spec, n, xs, k_n, l_n, n * PI))
@@ -345,16 +355,14 @@ def test_oscillatory_integral_decays(delayed_spec):
 
 def test_verify_rates_needs_enough_indices(null_spec):
     pairs = localize_range(null_spec, range(5, 10), steps=512)
-    estimates = [predict_s(null_spec, n) for n in range(5, 10)]
-    with pytest.raises(InsufficientRangeError):
-        verify_rates(null_spec, pairs, estimates)
+    with pytest.raises(InsufficientRangeError, match="got 5$"):
+        verify_rates(null_spec, pairs, 512)
 
 
 def test_verify_rates_null_spec_floor_limited(null_spec):
     indices = range(5, 14)
     pairs = localize_range(null_spec, indices, steps=1024)
-    estimates = [predict_s(null_spec, n) for n in indices]
-    report = verify_rates(null_spec, pairs, estimates)
+    report = verify_rates(null_spec, pairs)
     assert report.refined_s_fit.floor_limited
     assert report.leading_eigfn_fit.floor_limited
     assert report.drift_bounded
@@ -363,17 +371,15 @@ def test_verify_rates_null_spec_floor_limited(null_spec):
 
 @pytest.fixture(scope="module")
 def delayed_rate_inputs(delayed_spec):
-    """Eigenpairs and estimates n = 5..12 of the delayed problem at 512 steps."""
-    indices = range(5, 13)
-    return (localize_range(delayed_spec, indices, steps=512),
-            [predict_s(delayed_spec, n, 512) for n in indices])
+    """Eigenpairs n = 5..12 of the delayed problem at 512 steps."""
+    return localize_range(delayed_spec, range(5, 13), steps=512)
 
 
 def test_verify_rates_integrates_kl_in_one_call(delayed_spec, delayed_rate_inputs,
-                                                monkeypatch):
+                                                monkeypatch, tmp_path, capsys):
     # one oscillatory call over every s of OSC_S_VALUES, then the table's
-    # one K/L call over every index, both before the eigenfunctions are built
-    pairs, estimates = delayed_rate_inputs
+    # one K/L call over every index, both before the eigenfunctions are built;
+    # the verify command makes no other K/L call
     calls = []
 
     def recording(name, func):
@@ -386,18 +392,32 @@ def test_verify_rates_integrates_kl_in_one_call(delayed_spec, delayed_rate_input
                          (asymptotics, "oscillatory_q_integral"),
                          (dde_solver, "shoot_many")):
         monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
-    report = verify_rates(delayed_spec, pairs, estimates, steps=512)
-    assert [name for name, _ in calls] == ["oscillatory_q_integral", "kl_integrals",
-                                           "shoot_many"]
+    report = verify_rates(delayed_spec, delayed_rate_inputs, steps=512)
+    order = ["oscillatory_q_integral", "kl_integrals", "shoot_many"]
+    assert [name for name, _ in calls] == order
     assert np.array_equal(calls[0][1][0], OSC_S_VALUES)
     assert np.array_equal(calls[1][1][1], report.indices)
+
+    calls.clear()
+    doc = json.loads((CONFIG_DIR / "delayed.json").read_text())
+    doc["solver"]["steps_per_segment"] = 512
+    doc["range"] = {"n_min": 5, "n_max": 12}
+    (tmp_path / "verify.json").write_text(json.dumps(doc))
+    assert cli.main(["verify", "--config", str(tmp_path / "verify.json")]) == 0
+    assert [name for name, _ in calls] == order
+    assert json.loads(capsys.readouterr().out)["residual_table"] == [
+        {"n": n, "s_n": s, "s_refined": r, "abs_residual": abs(s - r), "drift": d}
+        for n, s, r, d in zip(report.indices, report.s_values, report.s_refined, report.drift)]
 
 
 def test_verify_rates_fits_match_predict_eigenfunction(delayed_spec, delayed_rate_inputs):
     # the report's eigenfunction errors are those of predict_eigenfunction on
-    # the report's two grids against the shooting solutions, bit for bit
-    pairs, estimates = delayed_rate_inputs
-    report = verify_rates(delayed_spec, pairs, estimates, steps=512)
+    # the report's two grids against the shooting solutions, and its root
+    # estimates predict_s's, bit for bit
+    pairs = delayed_rate_inputs
+    report = verify_rates(delayed_spec, pairs, steps=512)
+    assert report.s_refined == tuple(predict_s(delayed_spec, n, 512).s_refined
+                                     for n in report.indices)
     shots = dde_solver.shoot_many(delayed_spec, [p.lam for p in pairs], 512)
     xs_left = np.linspace(0.0, HALF, EIGFN_SAMPLES, endpoint=False)
     xs_right = np.linspace(HALF, PI, EIGFN_SAMPLES)[1:]
@@ -420,7 +440,7 @@ def test_verify_rates_evaluates_no_segment_alone(delayed_spec, delayed_rate_inpu
         raise AssertionError("SolutionSegment.eval called")
 
     monkeypatch.setattr(dde_solver.SolutionSegment, "eval", refuse)
-    assert verify_rates(delayed_spec, *delayed_rate_inputs, steps=512).passed
+    assert verify_rates(delayed_spec, delayed_rate_inputs, steps=512).passed
 
 
 @settings(max_examples=15, deadline=None)
@@ -432,11 +452,13 @@ def test_eigenfunction_table_rows_match_single_index_paths(delayed_spec, delayed
                                                            order, xs):
     # for any subset and order of the pairs, each row is bitwise what the
     # single-index paths give for its pair alone: its shot's segments, the
-    # leading and refined predict_eigenfunction, and the 1/(n pi) form
-    pairs = [delayed_rate_inputs[0][i] for i in order]
+    # leading and refined predict_eigenfunction, the 1/(n pi) form and
+    # predict_s
+    pairs = [delayed_rate_inputs[i] for i in order]
     xs = np.array(xs)
-    table = asymptotics.eigenfunction_table(delayed_spec, pairs, xs, 512)
+    *table, s_refined = asymptotics.eigenfunction_table(delayed_spec, pairs, xs, 512)
     assert all(rows.shape == (len(pairs), xs.size) for rows in table)
+    assert s_refined == [predict_s(delayed_spec, p.index, 512).s_refined for p in pairs]
     right = xs > HALF
     for i, p in enumerate(pairs):
         shot = dde_solver.shoot(delayed_spec, p.lam, 512)
@@ -456,7 +478,7 @@ def test_eigenfunction_table_rows_match_single_index_paths(delayed_spec, delayed
 def test_eigenfunction_table_rejects_points_without_one_value(delayed_spec,
                                                               delayed_rate_inputs, x):
     with pytest.raises(ValueError, match="x must lie in"):
-        asymptotics.eigenfunction_table(delayed_spec, delayed_rate_inputs[0][:2], [0.3, x], 512)
+        asymptotics.eigenfunction_table(delayed_spec, delayed_rate_inputs[:2], [0.3, x], 512)
 
 
 def test_eigenfunction_table_needs_a_pair(delayed_spec):

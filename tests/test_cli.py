@@ -297,7 +297,9 @@ def test_refine_tol_below_one_ulp_terminates(tmp_path, alarm):
                                         # float keys: no bools either
                                         ("refine_tol", True),
                                         ("range.s_min", True),
-                                        ("range.s_max", True)])
+                                        ("range.s_max", True),
+                                        # lambda = s_min^2 underflows to 0
+                                        ("range.s_min", 1e-200)])
 def test_non_finite_solver_setting_rejected(tmp_path, capsys, key, value):
     if key.startswith("range."):
         range_ = {"s_min": 0.5, "s_max": 3.5, "samples": 300}
@@ -308,6 +310,19 @@ def test_non_finite_solver_setting_rejected(tmp_path, capsys, key, value):
         key = f"solver.{key}"
     assert main(["solve", "--config", cfg]) == 1
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["charfn", "solve", "validate"])
+@pytest.mark.parametrize("field, value", [("alpha", math.inf), ("alpha", math.nan),
+                                          ("beta", math.nan), ("coupling", math.inf),
+                                          ("coupling", "1e308*10")])
+def test_non_finite_problem_constant_rejected(tmp_path, command, field, value):
+    # a JSON NaN or Infinity, or an expression that overflows to inf, is one
+    # named config error whichever command reads the config
+    cfg = write_config(tmp_path, problem=dict(DELAYED_PROBLEM, **{field: value}),
+                       solver=SCAN[0], range_=SCAN[1])
+    assert run_main([command, "--config", cfg]) == (
+        1, "", f"config error: problem: {field} must be a finite number\n")
 
 
 @pytest.mark.parametrize("key, value", [("solver.refine_tl", 1e-3),
@@ -593,6 +608,9 @@ def check_output(command, fmt, code, out):
 
 # the configs of the faults CHANGES.md records as mended
 DELAYED_CONFIG = config_of(DELAYED_PROBLEM, {"steps_per_segment": 512}, {"n_min": 5, "n_max": 12})
+# the solver settings and range of a short scan, for problem constants that
+# are not finite: json.dumps writes NaN and Infinity, and json.load reads them
+SCAN = ({"steps_per_segment": 128}, {"s_min": 1, "s_max": 5, "samples": 5})
 
 
 @settings(max_examples=120, deadline=None,
@@ -610,6 +628,14 @@ DELAYED_CONFIG = config_of(DELAYED_PROBLEM, {"steps_per_segment": 512}, {"n_min"
                                     {"steps_per_segment": 256}), None, None))
 @example(run=("verify", DELAYED_CONFIG, None, None))
 @example(run=("eigfn", dict(DELAYED_CONFIG, solver={"steps_per_segment": 256}), 10**141, None))
+@example(run=("charfn", config_of(dict(DELAYED_PROBLEM, beta=math.nan), *SCAN), None, None))
+@example(run=("charfn", config_of(dict(DELAYED_PROBLEM, coupling=math.inf), *SCAN), None, None))
+@example(run=("charfn", config_of(dict(DELAYED_PROBLEM, coupling="1e308*10"), *SCAN),
+              None, None))
+@example(run=("charfn", config_of(dict(DELAYED_PROBLEM, alpha=math.inf), *SCAN), None, None))
+@example(run=("validate", config_of({"alpha": math.nan}), None, None))
+@example(run=("solve", config_of(range_={"s_min": 1e-200, "s_max": 1.0, "samples": 3}),
+              None, None))
 def test_exit_code_contract(tmp_path_factory, alarm, run):
     """Every config ends in exit 0, 1, 2 or 3: 1 and 2 with one named error
     line, 0 with output that parses, and a rerun repeats it byte for byte."""

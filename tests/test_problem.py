@@ -57,6 +57,14 @@ def test_coupling_must_be_nonzero():
         spec_of(delta=0.0)
 
 
+@pytest.mark.parametrize("field", ["alpha", "beta", "coupling"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_angles_and_coupling_must_be_finite(field, value):
+    values = {"alpha": HALF, "beta": HALF, "coupling": 1.0, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be a finite number$"):
+        ProblemSpec.from_strings("0", "0", "0", "0", **values)
+
+
 def test_validate_min_grid():
     # validate samples the integrator's grid, which needs 2 steps per segment
     assert validate(spec_of(), steps_per_segment=2).passed
