@@ -267,7 +267,7 @@ def _refined_form(spec: ProblemSpec, n, xs: np.ndarray, k: np.ndarray,
     """The refined eigenfunction over its amplitude at xs, from K and L at xs
     followed by pi on their last axis: cos nx [1 + K/n] - sin nx / scaling *
     [bracket], the inner scaling n pi on the left and ``right_scaling`` past
-    the interface; n and it are scalars or (indices, 1) columns."""
+    the interface; n and it are (indices, 1) columns."""
     cot_a = 1.0 / math.tan(spec.alpha)
     cot_b = 1.0 / math.tan(spec.beta)
     scaling = np.where(xs > HALF, right_scaling, n * math.pi)
@@ -288,8 +288,10 @@ def _predictions(spec: ProblemSpec, indices: list[int], xs: np.ndarray,
     """(leading, printed, alt, s_refined) for every index, after
     ``require_refined``, from one ``kl_integrals`` call at xs followed by pi:
     the leading, printed and 1/(n pi) eigenfunction forms at xs as (indices,
-    xs) arrays, each row bitwise ``predict_eigenfunction``'s, and the refined
-    root estimates as a list of floats."""
+    xs) arrays, and the refined root estimates as a list of floats.  The one
+    path from K and L to refined forms and estimates: ``predict_s_many`` and
+    ``predict_eigenfunction``'s refined form read them from here, and each
+    leading row is bitwise ``predict_eigenfunction``'s."""
     require_refined(spec, steps)
     n = np.array(indices, dtype=float)[:, None]
     k, l = kl_integrals(spec, np.append(xs, math.pi), n[:, 0], steps)
@@ -311,8 +313,9 @@ def predict_eigenfunction(spec: ProblemSpec, n: int, x, order: str = "leading",
     ``order`` selects the leading form (pure cosine with the n^(-2/3)/delta
     amplitude drop past the interface) or the refined form with the
     retardation corrections, whose right-interval inner term carries the
-    printed 1/(n^(5/3) pi) scaling, after ``require_refined``.  The interface
-    point itself is rejected: the eigenfunction is two-valued there.
+    printed 1/(n^(5/3) pi) scaling: the printed row of ``_predictions``
+    for n alone, after ``require_refined``.  The interface point itself is
+    rejected: the eigenfunction is two-valued there.
     """
     if order not in ("leading", "refined"):
         raise ValueError("order must be 'leading' or 'refined'")
@@ -321,13 +324,10 @@ def predict_eigenfunction(spec: ProblemSpec, n: int, x, order: str = "leading",
         raise ValueError("n must be a positive integer")
     shape = np.shape(x)
     xs = _eigfn_points(x)
-    amplitude = _amplitude(spec, n ** (2.0 / 3.0), xs)
     if order == "leading":
-        out = amplitude * np.cos(n * xs)
+        out = _amplitude(spec, n ** (2.0 / 3.0), xs) * np.cos(n * xs)
     else:
-        require_refined(spec, steps)
-        k, l = kl_integrals(spec, np.append(xs, math.pi), float(n), steps)
-        out = amplitude * _refined_form(spec, n, xs, k, l, (n ** (5.0 / 3.0)) * math.pi)
+        out = _predictions(spec, [n], xs, steps)[1][0]
     return out.reshape(shape) if shape else float(out[0])
 
 

@@ -158,6 +158,8 @@ def load_config(path: str) -> RunConfig:
             beta=_angle(prob.get("beta"), "beta"),
             coupling=_angle(prob.get("coupling"), "coupling"),
         )
+    except ConfigError:
+        raise  # already names its problem key
     except (ExprError, ValueError) as exc:
         raise ConfigError(f"problem: {exc}") from exc
 

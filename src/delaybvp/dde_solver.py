@@ -510,14 +510,13 @@ def _run_bounds(reach: np.ndarray) -> np.ndarray:
 
 
 def _powers(A: np.ndarray, count: int) -> np.ndarray:
-    """A^1 .. A^count of a batch of 2x2 matrices A of shape (2, 2, m), as
-    (2, 2, count, m) with power l at [:, :, l-1].  By doubling: A^(k+i) =
-    A^k A^i with k the largest power of two below k + i, so each power is
-    the same product whatever ``count`` is.  The products are written out
-    elementwise per column."""
+    """A^1 .. A^count, count >= 1, of a batch of 2x2 matrices A of shape
+    (2, 2, m), as (2, 2, count, m) with power l at [:, :, l-1].  By
+    doubling: A^(k+i) = A^k A^i with k the largest power of two below
+    k + i, so each power is the same product whatever ``count`` is.  The
+    products are written out elementwise per column."""
     P = np.empty(A.shape[:2] + (count,) + A.shape[2:])
-    if count:
-        P[:, :, 0] = A
+    P[:, :, 0] = A
     k = 1
     while k < count:
         top = min(2 * k, count)

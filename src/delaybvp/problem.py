@@ -247,22 +247,19 @@ def validate(spec: ProblemSpec, steps_per_segment: int = DEFAULT_STEPS) -> Valid
     """Check the constraints of the problem class on the integrator's grid
     at ``steps_per_segment``.
 
-    Verified: coupling != 0; on each subinterval the ``segment_samples``
-    checks (q and Delta defined, Delta >= 0, x - Delta(x) >= 0 on the left
-    and >= pi/2 on the right); finite one-sided limits of q at the
-    interface.  Passing means the integrator builds its tables at that step
-    count.  Failures are report entries; fewer than 2 steps is a ValueError.
+    Verified: on each subinterval the ``segment_samples`` checks (q and
+    Delta defined, Delta >= 0, x - Delta(x) >= 0 on the left and >= pi/2 on
+    the right); finite one-sided limits of q at the interface.  Passing
+    means the integrator builds its tables at that step count.  Failures
+    are report entries; fewer than 2 steps is a ValueError.
     """
     left, right = _spec_samples(spec, steps_per_segment)
-    checks = [
-        CheckResult("coupling_nonzero", spec.coupling != 0.0, None,
-                    f"coupling = {spec.coupling:.9g}"),
+    return ValidationReport((
         *left.checks,
         *right.checks,
         _one_sided_limit_check("q_limit_left", spec.q_left, "left"),
         _one_sided_limit_check("q_limit_right", spec.q_right, "right"),
-    ]
-    return ValidationReport(tuple(checks))
+    ))
 
 
 def is_case1(spec: ProblemSpec) -> bool:

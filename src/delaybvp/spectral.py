@@ -224,10 +224,10 @@ def _refine_brackets(spec: ProblemSpec, pts, vals, refine_tol: float, steps: int
     their bracket are dropped; all others go through one batched sweep, and
     each bracket becomes the first subinterval of its sorted points with a
     sign change, so the bracket invariant holds exactly as in bisection and
-    a poor start costs rounds, never a wrong root.  A round that changes no
-    bracket ends the loop: the brackets are then as narrow as floating
-    point allows, which is wider than a ``refine_tol`` below one ulp of the
-    root.
+    a poor start costs rounds, never a wrong root.  A probe strictly inside
+    its bracket always narrows it, and the loop ends when a round has no
+    such probe: the brackets are then as narrow as floating point allows,
+    which is wider than a ``refine_tol`` below one ulp of the root.
     """
     pts, vals = np.array(pts, dtype=float), np.array(vals, dtype=float)
     rows = np.arange(pts.shape[0])
@@ -264,8 +264,6 @@ def _refine_brackets(spec: ProblemSpec, pts, vals, refine_tol: float, steps: int
         cut = _sign_changes(seen_F).argmax(axis=1)
         at = np.arange(act.size)
         new_lo, new_hi = seen[at, cut], seen[at, cut + 1]
-        if np.array_equal(new_lo, a) and np.array_equal(new_hi, b):
-            break
         halved[act] = new_hi - new_lo <= 0.5 * w
         lo[act], hi[act] = new_lo, new_hi
         f_lo[act], f_hi[act] = seen_F[at, cut], seen_F[at, cut + 1]
@@ -425,8 +423,6 @@ def simplicity_certificates(spec: ProblemSpec, pairs: list[Eigenpair],
     certificate passes when the slope clears 10x the residual over its
     ``h`` = min(``CERT_STEP``, lambda/2).
     """
-    if not pairs:
-        return []
     F = char_fn_samples(spec, [p.s for p in pairs], steps)
     out = []
     for p, f_at in zip(pairs, F):

@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from delaybvp import dde_solver, picard, spectral
-from delaybvp.asymptotics import (apriori_bounds, oscillatory_q_integral,
-                                  predict_s, verify_rates)
+from delaybvp.asymptotics import apriori_bounds, oscillatory_q_integral, verify_rates
 from delaybvp.cli import main
 from delaybvp.problem import HALF, q_norms
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from delaybvp import asymptotics, dde_solver
-from delaybvp.cli import main
+from delaybvp.cli import load_config, main
 from delaybvp.exprlang import BinOp, Call, Num, Var, unparse
 from delaybvp.problem import HALF
 from test_exprlang import _random_tree
@@ -71,6 +71,16 @@ def test_solve_s_range_scan(tmp_path):
     rows = read_csv(out)
     assert len(rows) == 3
     assert [round(float(r["s_n"])) for r in rows] == [1, 2, 3]
+
+
+def test_s_range_without_roots_prints_the_header(tmp_path, capsys):
+    # no root below s = 0.5: an empty table, its certificates an empty batch
+    doc = json.loads((CONFIG_DIR / "delayed.json").read_text())
+    doc["range"] = {"s_min": 0.3, "s_max": 0.5, "samples": 5}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == "n,s_n,lambda_n,F_residual,simplicity_ok\n"
 
 
 def test_malformed_json_rejected(tmp_path, capsys):
@@ -345,6 +355,43 @@ def test_unknown_config_key_rejected(tmp_path, capsys, key, value):
     path.write_text(json.dumps(doc))
     assert main(["solve", "--config", str(path)]) == 1
     assert capsys.readouterr().err == f"config error: {key}: unknown key\n"
+
+
+def problem_with(**fields):
+    return {"problem": dict(BASE_PROBLEM, **fields)}
+
+
+@pytest.mark.parametrize("doc, prefix", [
+    (None, "cannot read config:"),
+    ([1, 2], "top level:"),
+    ({"solver": [4096]}, "solver:"),
+    (problem_with(alpha="pi/"), "problem.alpha:"),
+    (problem_with(alpha=[1.0]), "problem.alpha:"),
+    (problem_with(q_left=0), "problem.q_left:"),
+    ({"solver": {"refine_tol": "tight"}}, "solver.refine_tol:"),
+    ({"solver": {"refine_tol": 0}}, "solver.refine_tol:"),
+    ({"solver": {"refine_tol": -1e-9}}, "solver.refine_tol:"),
+    ({"range": {"n_min": 1, "n_max": 3, "s_min": 1.0, "s_max": 2.0, "samples": 3}}, "range:"),
+    ({"range": {"n_min": 4, "n_max": 3}}, "range.n_max:"),
+    ({"range": {"s_min": 2.0, "s_max": 2.0, "samples": 3}}, "range.s_max:"),
+    ({"range": {}}, "range:"),
+    ({"output": {"format": "xml"}}, "output.format:"),
+    # a whole float is an index
+    ({"range": {"n_min": 5.0, "n_max": 9}}, None),
+])
+def test_config_errors_name_their_key(tmp_path, capsys, doc, prefix):
+    path = tmp_path / "cfg.json"
+    if doc is not None:
+        base = {"problem": dict(BASE_PROBLEM), "range": {"n_min": 1, "n_max": 3}}
+        path.write_text(json.dumps(dict(base, **doc) if isinstance(doc, dict) else doc))
+    if prefix is None:
+        n_range = load_config(str(path)).n_range
+        assert n_range == (5, 9) and type(n_range[0]) is int
+        return
+    assert main(["solve", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"config error: {prefix}")
+    assert "Traceback" not in err
 
 
 S_RANGE = {"s_min": 0.5, "s_max": 3.5, "samples": 300}

@@ -22,7 +22,7 @@ def test_zero_delay_passes_everything(null_spec):
     report = validate(null_spec)
     assert report.passed
     assert {c.name for c in report.checks} >= {
-        "coupling_nonzero", "delay_nonnegative_left", "delayed_argument_left",
+        "delay_nonnegative_left", "delayed_argument_left",
         "delayed_argument_right", "q_limit_left", "q_limit_right"}
 
 

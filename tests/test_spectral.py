@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from delaybvp import asymptotics, dde_solver, picard, spectral
-from delaybvp.problem import Case1RequiredError, HALF, ProblemSpec
+from delaybvp.problem import Case1RequiredError, DelayRangeError, HALF, ProblemSpec
 from delaybvp.spectral import (ZeroOrManyError, _refine_brackets, _window_brackets,
                                char_fn_samples, localize_near_n, localize_range, scan_roots,
                                simplicity_certificates)
@@ -159,6 +159,10 @@ def test_method_agreement_shooting_vs_picard(constq_spec, delayed_spec):
             f_shoot = char_fn_samples(spec, [s])[0]
             f_picard = char_fn_picard(spec, s * s)
             assert abs(f_shoot - f_picard) < 1e-6
+
+
+def test_no_pairs_no_certificates(delayed_spec):
+    assert simplicity_certificates(delayed_spec, []) == []
 
 
 def test_simplicity_certificate_closed_form(null_spec):
@@ -410,6 +414,13 @@ def test_screening_confirms_with_four_columns_per_window(delayed_spec, monkeypat
     full = sum(columns for columns, steps in calls if steps == 4096)
     assert calls[0] == (len(n_values) * spectral.LOCALIZE_SUBGRID, 265)
     assert full <= 4 * len(n_values)
+
+
+def test_delay_out_of_range_on_the_full_grid_is_raised():
+    # at SCREEN_MIN_STEPS the coarse screen is the full one: its failed
+    # delay check is the problem's, not a coarse grid's to be screened again
+    with pytest.raises(DelayRangeError, match="delayed_argument_left"):
+        localize_range(spec_of(d_l="2*x"), [3], steps=spectral.SCREEN_MIN_STEPS)
 
 
 @pytest.mark.parametrize("steps", [64, 100, 108])
