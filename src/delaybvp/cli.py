@@ -20,12 +20,12 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 
 import numpy as np
 
 from . import asymptotics, dde_solver, spectral
-from .exprlang import ExprDomainError, ExprError, parse as parse_expr
+from .exprlang import ExprDomainError, ExprError, Var, parse as parse_expr
 from .problem import (HALF, Case1RequiredError, ProblemSpec,
                       check_refined_conditions, is_case1, validate)
 
@@ -85,14 +85,23 @@ def _section(doc: dict, name: str, required: bool = False) -> dict:
     return section
 
 
+def _uses_x(tree) -> bool:
+    """True when an expression tree has a ``Var`` node anywhere."""
+    return isinstance(tree, Var) or any(_uses_x(v) for v in vars(tree).values() if is_dataclass(v))
+
+
 def _angle(raw, key: str) -> float:
     """Angles and the coupling accept numbers or constant expressions
-    ('pi/2' reads better than 1.5707963267948966 in a config file)."""
+    ('pi/2' reads better than 1.5707963267948966 in a config file); an
+    expression in x is not a constant and is a config error."""
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
         return float(raw)
     if isinstance(raw, str):
         try:
-            return float(parse_expr(raw).eval(0.0))
+            tree = parse_expr(raw)
+            if _uses_x(tree):
+                raise ConfigError(f"problem.{key}: expected a constant, not an expression in x")
+            return float(tree.eval(0.0))
         except ExprError as exc:
             raise ConfigError(f"problem.{key}: {exc}") from exc
     raise ConfigError(f"problem.{key}: expected a number or expression string")

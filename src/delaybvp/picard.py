@@ -11,6 +11,12 @@ The iteration needs s above the integral norm of q to contract, so the
 oracle is unavailable for small lambda.  It is also slower than the stepper;
 it is a checking device, not the primary solver.
 
+One solver serves both sides; ``picard_w1`` and ``picard_w2`` differ only
+in the coefficients of their kernel-free terms.  q and Delta come from
+``problem.segment_samples`` on the oracle's grid, so the oracle raises the
+``DelayRangeError`` that ``validate`` reports at that grid, half steps
+included, rather than reading a delayed argument outside the segment.
+
 All integrals use composite Simpson on a uniform grid; delayed values are
 read from the current iterate by linear interpolation, which is plenty for
 the ~1e-6 agreement the oracle is meant to certify.
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dde_solver import SolutionSegment, lam_cbrt
-from .problem import HALF, ProblemSpec, q_norms
+from .problem import HALF, ProblemSpec, q_norms, segment_samples
 from .quadrature import cumulative_simpson, odd_point_count
 
 __all__ = ["PicardSegment", "ContractionError", "PicardDivergedError",
@@ -61,37 +67,52 @@ class PicardSegment(SolutionSegment):
     residual: float = 0.0
 
 
-def _iterate(xs, h, s, q_vals, xi, free, free_deriv, lam, max_iters, tol):
-    """Run the fixed-point loop; returns (w, w', iterations, residual).
+def _segment(spec, lam, side, free_coef, grid_points, max_iters, tol):
+    """One side's Volterra equation, ``side`` "left" or "right", solved by
+    fixed-point iteration once s = sqrt(lambda) is above that side's q norm.
 
-    free/free_deriv are the kernel-free terms of the value and derivative
-    channels; xi are the delayed arguments for the grid nodes.  The kernel
-    integral splits into sin/cos cumulative parts so each sweep costs one
-    pass over the grid.
+    The kernel-free term is ``c cos(s t) + d sin(s t)`` and its derivative
+    ``e sin(s t) + f cos(s t)``, t = x - a, for ``free_coef`` = (c, d, e, f).
+    The kernel integral splits into sin(s x)/cos(s x) cumulative parts (the
+    kernel depends on x - tau only), so each sweep costs one pass over the
+    grid.  The pass that finds the change below ``tol`` also gives the
+    derivative channel and y'' of the converged iterate.
     """
-    sin_sx = np.sin(s * xs)
-    cos_sx = np.cos(s * xs)
-    w = free.copy()
-    iterations = 0
+    q_expr, delta_expr, a, b, norm_name = (
+        (spec.q_left, spec.retard_left, 0.0, HALF, "q1") if side == "left"
+        else (spec.q_right, spec.retard_right, HALF, math.pi, "q2"))
+    s = math.sqrt(lam)
+    norm = getattr(q_norms(spec), norm_name)
+    if s <= norm:
+        raise ContractionError(f"need s > {norm_name} for the {side} oracle "
+                               f"(s = {s:.6g}, {norm_name} = {norm:.6g})")
+    samples = segment_samples(q_expr, delta_expr, a, b, odd_point_count(grid_points) - 1)
+    if samples.error is not None:
+        # the samples are cached and shared: raise their error afresh
+        raise samples.error.with_traceback(None)
+    xs = samples.nodes
+    h = float(xs[1] - xs[0])
+    q_vals, xi = samples.q[0], xs - samples.delta[0]
+    sin_sx, cos_sx = np.sin(s * xs), np.cos(s * xs)
+    sin_st, cos_st = np.sin(s * (xs - a)), np.cos(s * (xs - a))
+    c, d, e, f = free_coef
+    w = free = c * cos_st + d * sin_st
     residual = math.inf
-    for iterations in range(1, max_iters + 1):
+    for iterations in range(max_iters + 1):
         g = q_vals * np.interp(xi, xs, w)
         ic = cumulative_simpson(g * cos_sx, h)
         is_ = cumulative_simpson(g * sin_sx, h)
+        if residual < tol:
+            break
+        if iterations == max_iters:
+            raise PicardDivergedError(max_iters, residual)
         w_next = free - (sin_sx * ic - cos_sx * is_) / s
         residual = float(np.max(np.abs(w_next - w)))
         w = w_next
-        if residual < tol:
-            break
-    else:
-        raise PicardDivergedError(max_iters, residual)
-    # derivative channel from the converged iterate
-    g = q_vals * np.interp(xi, xs, w)
-    ic = cumulative_simpson(g * cos_sx, h)
-    is_ = cumulative_simpson(g * sin_sx, h)
-    wp = free_deriv - (cos_sx * ic + sin_sx * is_)
-    wpp = -q_vals * np.interp(xi, xs, w) - lam * w
-    return w, wp, wpp, iterations, residual
+    return PicardSegment(a=a, b=b, lam=float(lam), nodes=xs, values=w,
+                         derivs=e * sin_st + f * cos_st - (cos_sx * ic + sin_sx * is_),
+                         second_derivs=-g - lam * w,
+                         iterations=iterations, residual=residual)
 
 
 def picard_w1(spec: ProblemSpec, lam: float, grid_points: int = DEFAULT_GRID,
@@ -103,25 +124,9 @@ def picard_w1(spec: ProblemSpec, lam: float, grid_points: int = DEFAULT_GRID,
     if not (lam > 0.0 and math.isfinite(lam)):
         raise ValueError("lambda must be positive and finite")
     s = math.sqrt(lam)
-    q1 = q_norms(spec).q1
-    if s <= q1:
-        raise ContractionError(f"need s > q1 for the left oracle (s = {s:.6g}, q1 = {q1:.6g})")
-    n = odd_point_count(grid_points)
-    xs = np.linspace(0.0, HALF, n)
-    h = float(xs[1] - xs[0])
-    q_vals = np.asarray(spec.q_left.eval(xs), dtype=float)
-    delta = np.asarray(spec.retard_left.eval(xs), dtype=float)
-    xi = np.clip(xs - delta, 0.0, HALF)
-
-    sin_a = math.sin(spec.alpha)
-    cos_a = math.cos(spec.alpha)
-    free = sin_a * np.cos(s * xs) - (cos_a / s) * np.sin(s * xs)
-    free_deriv = -s * sin_a * np.sin(s * xs) - cos_a * np.cos(s * xs)
-    w, wp, wpp, iterations, residual = _iterate(
-        xs, h, s, q_vals, xi, free, free_deriv, lam, max_iters, tol)
-    return PicardSegment(a=0.0, b=HALF, lam=float(lam), nodes=xs, values=w,
-                         derivs=wp, second_derivs=wpp,
-                         iterations=iterations, residual=residual)
+    sin_a, cos_a = math.sin(spec.alpha), math.cos(spec.alpha)
+    return _segment(spec, lam, "left", (sin_a, -(cos_a / s), -s * sin_a, -cos_a),
+                    grid_points, max_iters, tol)
 
 
 def picard_w2(spec: ProblemSpec, lam: float, w1: SolutionSegment,
@@ -137,31 +142,10 @@ def picard_w2(spec: ProblemSpec, lam: float, w1: SolutionSegment,
     if abs(w1.lam - lam) > 1e-9 * max(1.0, abs(lam)):
         raise ValueError("w1 was computed at a different lambda")
     s = math.sqrt(lam)
-    q2 = q_norms(spec).q2
-    if s <= q2:
-        raise ContractionError(f"need s > q2 for the right oracle (s = {s:.6g}, q2 = {q2:.6g})")
-    n = odd_point_count(grid_points)
-    xs = np.linspace(HALF, math.pi, n)
-    h = float(xs[1] - xs[0])
-    q_vals = np.asarray(spec.q_right.eval(xs), dtype=float)
-    delta = np.asarray(spec.retard_right.eval(xs), dtype=float)
-    xi = np.clip(xs - delta, HALF, math.pi)
-
     s23 = lam_cbrt(lam)           # s^(2/3) for s = sqrt(lambda)
-    s53 = s * s23
-    w1_half = w1.eval(HALF)
-    w1p_half = w1.eval_deriv(HALF)
-    phase = xs - HALF
-    free = (w1_half / (s23 * spec.coupling)) * np.cos(s * phase) \
-        + (w1p_half / (s53 * spec.coupling)) * np.sin(s * phase)
-    free_deriv = -(s / s23) * (w1_half / spec.coupling) * np.sin(s * phase) \
-        + (w1p_half / (s23 * spec.coupling)) * np.cos(s * phase)
-
-    # the kernel split uses sin(s x)/cos(s x) factors; rebuild them relative
-    # to absolute x as in the left equation (the identity holds on any
-    # interval since the kernel depends on x - tau only)
-    w, wp, wpp, iterations, residual = _iterate(
-        xs, h, s, q_vals, xi, free, free_deriv, lam, max_iters, tol)
-    return PicardSegment(a=HALF, b=math.pi, lam=float(lam), nodes=xs, values=w,
-                         derivs=wp, second_derivs=wpp,
-                         iterations=iterations, residual=residual)
+    w1_half, w1p_half = w1.eval(HALF), w1.eval_deriv(HALF)
+    coupling = spec.coupling
+    return _segment(spec, lam, "right",
+                    (w1_half / (s23 * coupling), w1p_half / (s * s23 * coupling),
+                     -(s / s23) * (w1_half / coupling), w1p_half / (s23 * coupling)),
+                    grid_points, max_iters, tol)

@@ -19,9 +19,9 @@ The coefficient q and the retardation Delta are given per subinterval as
 expression trees.  Instances are immutable; every operation here is a pure
 read of the instance.
 
-``segment_samples`` is the one sampler of q and Delta but for the Picard
-oracle's grid: ``validate`` and the integrator take its checks, and
-``coefficient_samples`` gives its node samples to the q norms and to K/L.
+``segment_samples`` is the one sampler of q and Delta: ``validate``, the
+integrator and the Picard oracle take its checks, and ``coefficient_samples``
+gives its node samples to the q norms and to K/L.
 """
 
 from __future__ import annotations

@@ -378,6 +378,9 @@ def problem_with(**fields):
     ({"output": {"format": "xml"}}, "output.format:"),
     # a whole float is an index
     ({"range": {"n_min": 5.0, "n_max": 9}}, None),
+    # a constant field that uses x would be read at x = 0
+    (problem_with(beta="pi/2 + x"), "problem.beta:"),
+    (problem_with(coupling="1 + sin(x)"), "problem.coupling:"),
 ])
 def test_config_errors_name_their_key(tmp_path, capsys, doc, prefix):
     path = tmp_path / "cfg.json"

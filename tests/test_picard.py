@@ -6,7 +6,7 @@ import pytest
 from delaybvp import dde_solver
 from delaybvp.picard import (ContractionError, PicardDivergedError,
                              picard_w1, picard_w2)
-from delaybvp.problem import HALF, ProblemSpec, q_norms
+from delaybvp.problem import HALF, DelayRangeError, ProblemSpec, q_norms
 from delaybvp.quadrature import cumulative_simpson
 
 PI = math.pi
@@ -102,6 +102,31 @@ def test_divergence_reported_when_starved_of_iterations(constq_spec):
         picard_w1(constq_spec, 25.0, max_iters=1, tol=1e-14)
     assert err.value.iterations == 1
     assert err.value.residual > 0
+
+
+def test_no_iterations_allowed_is_divergence(constq_spec):
+    with pytest.raises(PicardDivergedError) as err:
+        picard_w1(constq_spec, 25.0, max_iters=0)
+    assert err.value.iterations == 0
+    assert err.value.residual == math.inf
+
+
+@pytest.mark.parametrize("side, retard, check", [
+    ("left", "-0.1", "delay_nonnegative_left"),
+    ("left", "2*x", "delayed_argument_left"),
+    ("right", "-0.1", "delay_nonnegative_right"),
+])
+def test_oracle_rejects_what_the_stepper_rejects(constq_spec, side, retard, check):
+    # the oracle samples q and Delta as the stepper does, so a delay the
+    # stepper refuses is refused here too, not clamped into range
+    spec = spec_of(q_l="1", q_r="1", **{"d_l" if side == "left" else "d_r": retard})
+    with pytest.raises(DelayRangeError, match=check):
+        dde_solver.shoot(spec, 25.0)
+    with pytest.raises(DelayRangeError, match=check):
+        if side == "left":
+            picard_w1(spec, 25.0)
+        else:
+            picard_w2(spec, 25.0, picard_w1(constq_spec, 25.0))
 
 
 def test_w1_lambda_mismatch_rejected(constq_spec):
