@@ -25,7 +25,7 @@ from dataclasses import dataclass, is_dataclass
 import numpy as np
 
 from . import asymptotics, dde_solver, spectral
-from .exprlang import ExprDomainError, ExprError, Var, parse as parse_expr
+from .exprlang import Expr, ExprDomainError, ExprError, Var, parse as parse_expr
 from .problem import (HALF, Case1RequiredError, ProblemSpec,
                       check_refined_conditions, is_case1, validate)
 
@@ -107,11 +107,14 @@ def _angle(raw, key: str) -> float:
     raise ConfigError(f"problem.{key}: expected a number or expression string")
 
 
-def _expr_field(section: dict, key: str) -> str:
+def _expr_field(section: dict, key: str) -> Expr:
     raw = section.get(key)
     if not isinstance(raw, str):
         raise ConfigError(f"problem.{key}: expected an expression string")
-    return raw
+    try:
+        return parse_expr(raw)
+    except ExprError as exc:
+        raise ConfigError(f"problem.{key}: {exc}") from exc
 
 
 def _positive(raw, key: str) -> float:
@@ -158,7 +161,7 @@ def load_config(path: str) -> RunConfig:
 
     prob = _section(doc, "problem", required=True)
     try:
-        spec = ProblemSpec.from_strings(
+        spec = ProblemSpec(
             q_left=_expr_field(prob, "q_left"),
             q_right=_expr_field(prob, "q_right"),
             retard_left=_expr_field(prob, "retard_left"),
@@ -169,7 +172,7 @@ def load_config(path: str) -> RunConfig:
         )
     except ConfigError:
         raise  # already names its problem key
-    except (ExprError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"problem: {exc}") from exc
 
     sol = _section(doc, "solver")

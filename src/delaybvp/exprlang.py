@@ -14,15 +14,28 @@ minus tighter than ``*``/``/``)::
     power  := atom ('^' unary)?
     atom   := NUMBER | 'x' | 'pi' | 'e' | FUNC '(' expr ')' | '(' expr ')'
 
-Supported functions: sin cos tan exp log sqrt abs.  There are no
+Supported functions: sin cos tan exp log sqrt abs, one ``_FUNCTIONS``
+table that the parser's name check and ``Call.eval`` both read.  Each entry
+holds the numpy function, the test on its argument that leaves the real
+domain (log and sqrt) and the reason an error gives; tan and exp, which have
+no argument test, fail when their result is not finite.  There are no
 user-defined functions and no conditionals; piecewise coefficients are
 expressed at the configuration level with one formula per subinterval.
 Trees are immutable after parsing and safe to share across threads.
+
+The scanner is one regular expression whose alternatives are whitespace,
+an operator, a number, an identifier and any other character, which is an
+error.  ``parse`` rejects a formula nested more than ``MAX_DEPTH`` levels
+deep (parentheses, function arguments, minus signs, exponents and each
+operator of a ``+ -`` or ``* /`` chain count a level), so that parsing,
+evaluating, hashing and unparsing a tree never exhaust the interpreter's
+recursion limit.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -43,8 +56,8 @@ __all__ = [
     "unparse",
 ]
 
-_FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs")
 _CONSTANTS = {"pi": math.pi, "e": math.e}
+MAX_DEPTH = 100
 
 
 class ExprError(Exception):
@@ -144,32 +157,28 @@ class Call:
     arg: "Expr"
 
     def eval(self, x):
+        func, outside, reason = _FUNCTIONS[self.func]
         v = self.arg.eval(x)
-        f = self.func
-        if f == "sin":
-            return np.sin(v)
-        if f == "cos":
-            return np.cos(v)
-        if f == "tan":
-            out = np.tan(v)
-            if np.any(~np.isfinite(out)):
-                raise ExprDomainError(self, _offending(x, ~np.isfinite(out)), "non-finite tangent")
-            return out
-        if f == "exp":
-            with np.errstate(over="ignore"):
-                out = np.exp(v)
-            if np.any(~np.isfinite(out)):
-                raise ExprDomainError(self, _offending(x, ~np.isfinite(out)), "overflow in exp")
-            return out
-        if f == "log":
-            if np.any(v <= 0):
-                raise ExprDomainError(self, _offending(x, v <= 0), "log of a non-positive value")
-            return np.log(v)
-        if f == "sqrt":
-            if np.any(v < 0):
-                raise ExprDomainError(self, _offending(x, v < 0), "sqrt of a negative value")
-            return np.sqrt(v)
-        return np.abs(v)
+        if outside is not None and np.any(outside(v)):
+            raise ExprDomainError(self, _offending(x, outside(v)), reason)
+        with np.errstate(over="ignore"):
+            out = func(v)
+        if outside is None and reason is not None and np.any(~np.isfinite(out)):
+            raise ExprDomainError(self, _offending(x, ~np.isfinite(out)), reason)
+        return out
+
+
+# name -> (numpy function, test for an argument outside its domain or None,
+#          error reason or None)
+_FUNCTIONS = {
+    "sin": (np.sin, None, None),
+    "cos": (np.cos, None, None),
+    "tan": (np.tan, None, "non-finite tangent"),
+    "exp": (np.exp, None, "overflow in exp"),
+    "log": (np.log, lambda v: v <= 0, "log of a non-positive value"),
+    "sqrt": (np.sqrt, lambda v: v < 0, "sqrt of a negative value"),
+    "abs": (np.abs, None, None),
+}
 
 
 Expr = Union[Num, Var, Const, Neg, BinOp, Call]
@@ -186,52 +195,32 @@ def _offending(x, mask):
 
 # --- tokenizer ------------------------------------------------------------
 
-_OPERATORS = "+-*/^()"
+_TOKEN = re.compile(r"""
+    (?P<space>\s+)
+  | (?P<op>[-+*/^()])
+  | (?P<num>\.?\d[\d.]*(?:[eE][+-]?\d+)?)
+  | (?P<ident>[^\W\d]\w*)
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 
 def _tokenize(source: str):
-    """Yield (kind, text, offset) triples; kinds: num, ident, op, end."""
+    """List of (kind, text, offset) triples; kinds: num, ident, op, end.
+    Every character matches one alternative of ``_TOKEN``, so its matches
+    cover the source end to end."""
     tokens = []
-    i = 0
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _OPERATORS:
-            tokens.append(("op", c, i))
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            while j < n and (source[j].isdigit() or source[j] == "."):
-                j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k].isdigit():
-                    j = k
-                    while j < n and source[j].isdigit():
-                        j += 1
-            text = source[i:j]
+    for m in _TOKEN.finditer(source):
+        kind, text, off = m.lastgroup, m.group(), m.start()
+        if kind == "bad":
+            raise ExprSyntaxError(off, "a number, identifier or operator", repr(text))
+        if kind == "num":
             try:
                 float(text)
             except ValueError:
-                raise ExprSyntaxError(i, "a numeric literal", repr(text)) from None
-            tokens.append(("num", text, i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(("ident", source[i:j], i))
-            i = j
-            continue
-        raise ExprSyntaxError(i, "a number, identifier or operator", repr(c))
-    tokens.append(("end", "", n))
+                raise ExprSyntaxError(off, "a numeric literal", repr(text)) from None
+        if kind != "space":
+            tokens.append((kind, text, off))
+    tokens.append(("end", "", len(source)))
     return tokens
 
 
@@ -240,9 +229,9 @@ def _tokenize(source: str):
 
 class _Parser:
     def __init__(self, source: str):
-        self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
+        self.depth = 0  # levels of nesting around the operand being parsed
 
     def peek(self):
         return self.tokens[self.pos]
@@ -258,32 +247,34 @@ class _Parser:
             return self.advance()
         raise ExprSyntaxError(off, f"'{op}'", repr(text) if text else "end of input")
 
+    def _binary(self, ops: str, operand):
+        """A left-associative chain of operand() joined by ops; each operator
+        nests the operands after it one level deeper."""
+        node, depth = operand(), self.depth
+        while self.peek()[0] == "op" and self.peek()[1] in ops:
+            self.depth += 1
+            node = BinOp(self.advance()[1], node, operand())
+        self.depth = depth
+        return node
+
     def parse_expr(self):
-        node = self.parse_term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                node = BinOp(text, node, self.parse_term())
-            else:
-                return node
+        return self._binary("+-", self.parse_term)
 
     def parse_term(self):
-        node = self.parse_unary()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                node = BinOp(text, node, self.parse_unary())
-            else:
-                return node
+        return self._binary("*/", self.parse_unary)
 
     def parse_unary(self):
-        kind, text, _ = self.peek()
+        kind, text, off = self.peek()
+        if self.depth > MAX_DEPTH:
+            raise ExprSyntaxError(off, f"at most {MAX_DEPTH} levels of nesting", "more")
+        self.depth += 1
         if kind == "op" and text == "-":
             self.advance()
-            return Neg(self.parse_unary())
-        return self.parse_power()
+            node = Neg(self.parse_unary())
+        else:
+            node = self.parse_power()
+        self.depth -= 1
+        return node
 
     def parse_power(self):
         base = self.parse_atom()

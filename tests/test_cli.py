@@ -381,6 +381,11 @@ def problem_with(**fields):
     # a constant field that uses x would be read at x = 0
     (problem_with(beta="pi/2 + x"), "problem.beta:"),
     (problem_with(coupling="1 + sin(x)"), "problem.coupling:"),
+    # a formula's syntax error names its key, nesting too deep included
+    (problem_with(q_left="1.2.3"), "problem.q_left:"),
+    (problem_with(retard_right="sin(x"), "problem.retard_right:"),
+    (problem_with(q_left="(" * 400 + "x" + ")" * 400), "problem.q_left:"),
+    (problem_with(q_right="x" + "+x" * 3000), "problem.q_right:"),
 ])
 def test_config_errors_name_their_key(tmp_path, capsys, doc, prefix):
     path = tmp_path / "cfg.json"

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from delaybvp.exprlang import (BinOp, Call, Const, ExprDomainError,
+from delaybvp.exprlang import (MAX_DEPTH, BinOp, Call, Const, ExprDomainError,
                                ExprSyntaxError, Neg, Num, Var, parse, unparse)
 
 
@@ -64,6 +64,16 @@ def test_syntax_error_offset_and_expectation():
         parse("1 + * 2")
     assert err.value.offset == 4
 
+    for source, offset, expected, found in [
+        ("1.2.3", 0, "a numeric literal", "'1.2.3'"),
+        ("x $ 1", 2, "a number, identifier or operator", "'$'"),
+        ("1 2", 2, "end of input", "'2'"),
+        ("2e", 1, "end of input", "'e'"),
+    ]:
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(source)
+        assert (err.value.offset, err.value.expected, err.value.found) == (offset, expected, found)
+
 
 def test_unknown_identifier():
     with pytest.raises(ExprSyntaxError) as err:
@@ -97,6 +107,32 @@ def test_domain_errors_carry_context():
         parse("(0 - 2)^0.5").eval(0.0)
     with pytest.raises(ExprDomainError):
         parse("exp(x)").eval(1e4)
+    # RuntimeWarnings are errors under the test settings: tan(nan) warns of nothing
+    with pytest.raises(ExprDomainError, match="non-finite tangent"):
+        parse("tan(x)").eval(np.array([0.0, np.nan]))
+
+
+def test_unknown_function_does_not_evaluate():
+    # a tree built without the parser can name any function; only the table's evaluate
+    with pytest.raises(KeyError):
+        Call("foo", Var()).eval(-2.0)
+
+
+@pytest.mark.parametrize("wrap", [
+    lambda k: "(" * k + "x" + ")" * k,
+    lambda k: "sin(" * k + "x" + ")" * k,
+    lambda k: "-" * k + "x",
+    lambda k: "1^" * k + "x",
+    lambda k: "x" + "+x" * k,
+    lambda k: "x" + "/x" * k,
+])
+def test_nesting_bound(wrap):
+    tree = parse(wrap(MAX_DEPTH))
+    assert math.isfinite(tree.eval(0.5))
+    assert parse(unparse(tree)) == tree
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(wrap(MAX_DEPTH + 1))
+    assert f"at most {MAX_DEPTH} levels of nesting" in str(err.value)
 
 
 def test_domain_error_on_arrays_reports_offender():
