@@ -90,6 +90,14 @@ def _uses_x(tree) -> bool:
     return isinstance(tree, Var) or any(_uses_x(v) for v in vars(tree).values() if is_dataclass(v))
 
 
+def _formula(raw: str, key: str) -> Expr:
+    """The tree of ``problem.<key>``'s formula; a syntax error names the key."""
+    try:
+        return parse_expr(raw)
+    except ExprError as exc:
+        raise ConfigError(f"problem.{key}: {exc}") from exc
+
+
 def _angle(raw, key: str) -> float:
     """Angles and the coupling accept numbers or constant expressions
     ('pi/2' reads better than 1.5707963267948966 in a config file); an
@@ -97,12 +105,12 @@ def _angle(raw, key: str) -> float:
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
         return float(raw)
     if isinstance(raw, str):
+        tree = _formula(raw, key)
+        if _uses_x(tree):
+            raise ConfigError(f"problem.{key}: expected a constant, not an expression in x")
         try:
-            tree = parse_expr(raw)
-            if _uses_x(tree):
-                raise ConfigError(f"problem.{key}: expected a constant, not an expression in x")
             return float(tree.eval(0.0))
-        except ExprError as exc:
+        except ExprDomainError as exc:
             raise ConfigError(f"problem.{key}: {exc}") from exc
     raise ConfigError(f"problem.{key}: expected a number or expression string")
 
@@ -111,10 +119,7 @@ def _expr_field(section: dict, key: str) -> Expr:
     raw = section.get(key)
     if not isinstance(raw, str):
         raise ConfigError(f"problem.{key}: expected an expression string")
-    try:
-        return parse_expr(raw)
-    except ExprError as exc:
-        raise ConfigError(f"problem.{key}: {exc}") from exc
+    return _formula(raw, key)
 
 
 def _positive(raw, key: str) -> float:

@@ -26,10 +26,12 @@ Trees are immutable after parsing and safe to share across threads.
 The scanner is one regular expression whose alternatives are whitespace,
 an operator, a number, an identifier and any other character, which is an
 error.  ``parse`` rejects a formula nested more than ``MAX_DEPTH`` levels
-deep (parentheses, function arguments, minus signs, exponents and each
-operator of a ``+ -`` or ``* /`` chain count a level), so that parsing,
-evaluating, hashing and unparsing a tree never exhaust the interpreter's
-recursion limit.
+deep, in either of two counts: its tree's height (each minus sign, function
+call and operator stands one level above its highest operand, so a chain
+``x + x + x`` is two levels) and the nesting of its parentheses, function
+arguments, minus signs and exponents in the text.  The first bounds
+evaluating, hashing and unparsing a tree, the second the parser's own
+recursion; neither exhausts the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -228,10 +230,13 @@ def _tokenize(source: str):
 
 
 class _Parser:
+    """Each parse_* method returns (tree, height): a leaf has height 0 and
+    every Neg, BinOp and Call stands one level above its highest child."""
+
     def __init__(self, source: str):
         self.tokens = _tokenize(source)
         self.pos = 0
-        self.depth = 0  # levels of nesting around the operand being parsed
+        self.depth = 0  # parse_unary calls open around the current token
 
     def peek(self):
         return self.tokens[self.pos]
@@ -247,15 +252,20 @@ class _Parser:
             return self.advance()
         raise ExprSyntaxError(off, f"'{op}'", repr(text) if text else "end of input")
 
+    def _level(self, off: int, level: int) -> int:
+        """level, or a syntax error at off when it passes MAX_DEPTH."""
+        if level > MAX_DEPTH:
+            raise ExprSyntaxError(off, f"at most {MAX_DEPTH} levels of nesting", "more")
+        return level
+
     def _binary(self, ops: str, operand):
-        """A left-associative chain of operand() joined by ops; each operator
-        nests the operands after it one level deeper."""
-        node, depth = operand(), self.depth
+        """A left-associative chain of operand() joined by ops."""
+        node, height = operand()
         while self.peek()[0] == "op" and self.peek()[1] in ops:
-            self.depth += 1
-            node = BinOp(self.advance()[1], node, operand())
-        self.depth = depth
-        return node
+            _, op, off = self.advance()
+            right, right_height = operand()
+            node, height = BinOp(op, node, right), self._level(off, 1 + max(height, right_height))
+        return node, height
 
     def parse_expr(self):
         return self._binary("+-", self.parse_term)
@@ -264,26 +274,27 @@ class _Parser:
         return self._binary("*/", self.parse_unary)
 
     def parse_unary(self):
+        # every recursion of the parser passes here; bounding it bounds the stack
         kind, text, off = self.peek()
-        if self.depth > MAX_DEPTH:
-            raise ExprSyntaxError(off, f"at most {MAX_DEPTH} levels of nesting", "more")
-        self.depth += 1
+        self.depth = self._level(off, self.depth) + 1
         if kind == "op" and text == "-":
             self.advance()
-            node = Neg(self.parse_unary())
+            node, height = self.parse_unary()
+            node, height = Neg(node), self._level(off, height + 1)
         else:
-            node = self.parse_power()
+            node, height = self.parse_power()
         self.depth -= 1
-        return node
+        return node, height
 
     def parse_power(self):
-        base = self.parse_atom()
-        kind, text, _ = self.peek()
+        base, height = self.parse_atom()
+        kind, text, off = self.peek()
         if kind == "op" and text == "^":
             self.advance()
             # right-associative; the exponent may carry a unary minus
-            return BinOp("^", base, self.parse_unary())
-        return base
+            exponent, exp_height = self.parse_unary()
+            return BinOp("^", base, exponent), self._level(off, 1 + max(height, exp_height))
+        return base, height
 
     def parse_atom(self):
         kind, text, off = self.advance()
@@ -291,22 +302,22 @@ class _Parser:
             value = float(text)
             if not math.isfinite(value):
                 raise ExprSyntaxError(off, "a finite numeric literal", repr(text))
-            return Num(value)
+            return Num(value), 0
         if kind == "ident":
             if text == "x":
-                return Var()
+                return Var(), 0
             if text in _CONSTANTS:
-                return Const(text)
+                return Const(text), 0
             if text in _FUNCTIONS:
                 self.expect_op("(")
-                arg = self.parse_expr()
+                arg, height = self.parse_expr()
                 self.expect_op(")")
-                return Call(text, arg)
+                return Call(text, arg), self._level(off, height + 1)
             raise ExprSyntaxError(off, "'x', 'pi', 'e' or a known function", repr(text))
         if kind == "op" and text == "(":
-            node = self.parse_expr()
+            inner = self.parse_expr()
             self.expect_op(")")
-            return node
+            return inner
         found = repr(text) if text else "end of input"
         raise ExprSyntaxError(off, "a number, name or '('", found)
 
@@ -316,7 +327,7 @@ def parse(source: str) -> Expr:
     if not isinstance(source, str) or not source.strip():
         raise ExprSyntaxError(0, "a non-empty expression", repr(source))
     p = _Parser(source)
-    node = p.parse_expr()
+    node, _ = p.parse_expr()
     kind, text, off = p.peek()
     if kind != "end":
         raise ExprSyntaxError(off, "end of input", repr(text))

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -386,6 +387,11 @@ def problem_with(**fields):
     (problem_with(retard_right="sin(x"), "problem.retard_right:"),
     (problem_with(q_left="(" * 400 + "x" + ")" * 400), "problem.q_left:"),
     (problem_with(q_right="x" + "+x" * 3000), "problem.q_right:"),
+    # chains of at most 100 operators, each the first operand of the next:
+    # a tree about 1045 levels high from shallow parentheses
+    (problem_with(q_left=functools.reduce(lambda f, p: f"({f})" + "+x" * (100 - p),
+                                          range(9, -1, -1), "x" + "+x" * 90)),
+     "problem.q_left:"),
 ])
 def test_config_errors_name_their_key(tmp_path, capsys, doc, prefix):
     path = tmp_path / "cfg.json"

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -125,6 +126,9 @@ def test_unknown_function_does_not_evaluate():
     lambda k: "1^" * k + "x",
     lambda k: "x" + "+x" * k,
     lambda k: "x" + "/x" * k,
+    # chains of ten, each parenthesized as the first operand of the next
+    lambda k: functools.reduce(lambda f, n: f"({f})" + "+x" * n,
+                               [10] * (k // 10) + [k % 10], "x"),
 ])
 def test_nesting_bound(wrap):
     tree = parse(wrap(MAX_DEPTH))
