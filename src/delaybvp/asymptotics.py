@@ -38,14 +38,14 @@ that the refined formulas rest on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import dde_solver
+from ._frozen import Frozen
 from .problem import (DEFAULT_STEPS, HALF, Case1RequiredError, ProblemSpec,
                       check_refined_conditions, coefficient_samples, q_norms)
-from .quadrature import cumulative_simpson, hermite
+from .quadrature import cumulative_simpson, hermite, hermite_weights
 from .spectral import Eigenpair
 
 __all__ = [
@@ -104,8 +104,7 @@ class InsufficientRangeError(ValueError):
     """Too few indices supplied for a meaningful rate fit."""
 
 
-@dataclass(frozen=True)
-class AsymptoticEstimate:
+class AsymptoticEstimate(Frozen):
     """Predicted root location for index n.
 
     The leading estimate is n itself; ``s_refined`` adds the first-order correction.
@@ -115,8 +114,7 @@ class AsymptoticEstimate:
     s_refined: float
 
 
-@dataclass(frozen=True)
-class AprioriBounds:
+class AprioriBounds(Frozen):
     """A-priori sup bounds for the shooting solutions.
 
     ``bound1`` caps |w1| for lambda >= 4 q1^2, ``bound2`` caps |w2| for
@@ -133,8 +131,7 @@ class AprioriBounds:
     deriv_applicable: bool
 
 
-@dataclass(frozen=True)
-class SlopeFit:
+class SlopeFit(Frozen):
     slope: float | None
     points: int
     floor_limited: bool
@@ -143,8 +140,7 @@ class SlopeFit:
         return self.floor_limited or (self.slope is not None and self.slope <= threshold)
 
 
-@dataclass(frozen=True)
-class RateReport:
+class RateReport(Frozen):
     indices: tuple[int, ...]
     s_values: tuple[float, ...]
     s_refined: tuple[float, ...]
@@ -209,17 +205,20 @@ def kl_integrals(spec: ProblemSpec, x, s, steps: int = DEFAULT_STEPS):
         raise ValueError("x must lie in [0, pi]")
     right = xs > HALF
     tables = coefficient_samples(spec, steps)
+    sides = (~right, right)
+    # where each side's x fall on its nodes, for every block of s
+    weights = [hermite_weights(samples.nodes, xs[side]) for samples, side in zip(tables, sides)]
     kl = np.empty((2, ss.size, xs.size))
     for rows in _s_blocks(ss.size, tables[0].nodes.size):
         block = ss[rows, None]
         offset = np.zeros((2, block.shape[0], 1))
-        for samples, side in zip(tables, (~right, right)):
+        for samples, side, w in zip(tables, sides, weights):
             nodes, q, d = samples.nodes, samples.q[0], samples.delta[0]
             h = float(nodes[1] - nodes[0])
             # the sin and cos channels as one (2, block, nodes) array
             integrand = q * np.stack([trig(block * d) for trig in (np.sin, np.cos)])
             running = cumulative_simpson(integrand, h)
-            kl[:, rows][:, :, side] = offset + hermite(nodes, running, integrand, xs[side])
+            kl[:, rows][:, :, side] = offset + hermite(nodes, running, integrand, xs[side], w)
             offset += running[..., -1:]
     kl *= 0.5
     k, l = kl

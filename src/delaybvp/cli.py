@@ -20,12 +20,12 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, is_dataclass
 
 import numpy as np
 
 from . import asymptotics, dde_solver, spectral
-from .exprlang import Expr, ExprDomainError, ExprError, Var, parse as parse_expr
+from ._frozen import Frozen
+from .exprlang import Expr, ExprDomainError, ExprError, Var, levels, parse as parse_expr
 from .problem import (HALF, Case1RequiredError, ProblemSpec,
                       check_refined_conditions, is_case1, validate)
 
@@ -47,14 +47,12 @@ class ConfigError(ValueError):
     """Malformed configuration; the message names the offending key."""
 
 
-@dataclass(frozen=True)
-class SolverSettings:
+class SolverSettings(Frozen):
     steps_per_segment: int = dde_solver.DEFAULT_STEPS
     refine_tol: float = spectral.DEFAULT_REFINE_TOL
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Frozen):
     problem: ProblemSpec
     solver: SolverSettings
     n_range: tuple[int, int] | None
@@ -87,7 +85,7 @@ def _section(doc: dict, name: str, required: bool = False) -> dict:
 
 def _uses_x(tree) -> bool:
     """True when an expression tree has a ``Var`` node anywhere."""
-    return isinstance(tree, Var) or any(_uses_x(v) for v in vars(tree).values() if is_dataclass(v))
+    return any(isinstance(node, Var) for level in levels(tree) for node in level)
 
 
 def _formula(raw: str, key: str) -> Expr:

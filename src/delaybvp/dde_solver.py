@@ -78,11 +78,11 @@ root of lambda, computed as exp(log(lambda)/3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from ._frozen import Frozen
 from .exprlang import Expr
 from .problem import (DEFAULT_STEPS, HALF, DelayRangeError, ProblemSpec, SegmentSamples,
                       segment_samples)
@@ -132,8 +132,7 @@ def lam_cbrt(lam):
     return np.exp(np.log(lam) / 3.0)
 
 
-@dataclass(frozen=True)
-class SolutionSegment:
+class SolutionSegment(Frozen):
     """Dense-output solution of one subinterval at a fixed lambda.
 
     Stores node values of y, y' and y''; evaluation between nodes is cubic
@@ -165,8 +164,7 @@ class SolutionSegment:
         return self._hermite(x, self.derivs, self.second_derivs)
 
 
-@dataclass(frozen=True)
-class ShootingResult:
+class ShootingResult(Frozen):
     """The two matched segments built from the initial conditions at 0 and
     the transmission mapping at pi/2."""
 

@@ -21,7 +21,12 @@ domain (log and sqrt) and the reason an error gives; tan and exp, which have
 no argument test, fail when their result is not finite.  There are no
 user-defined functions and no conditionals; piecewise coefficients are
 expressed at the configuration level with one formula per subinterval.
-Trees are immutable after parsing and safe to share across threads.
+Trees are immutable after parsing and safe to share across threads: each
+node is a value of the package's frozen base, ``_frozen.Frozen``, equal to
+another node of its class with equal fields and hashed once.  ``levels``
+walks a tree's nodes one depth at a time without recursion, through their
+fields: ``ProblemSpec`` bounds the height of a tree built without ``parse``
+with it, and the CLI looks for x with it.
 
 The scanner is one regular expression whose alternatives are whitespace,
 an operator, a number, an identifier and any other character, which is an
@@ -38,10 +43,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+
+from ._frozen import Frozen
 
 __all__ = [
     "Expr",
@@ -56,6 +62,7 @@ __all__ = [
     "ExprDomainError",
     "parse",
     "unparse",
+    "levels",
 ]
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
@@ -94,22 +101,19 @@ class ExprDomainError(ExprError):
 # --- syntax tree ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(Frozen):
     value: float
 
     def eval(self, x):
         return self.value if np.isscalar(x) else np.full_like(x, self.value, dtype=float)
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Frozen):
     def eval(self, x):
         return x
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(Frozen):
     name: str
 
     def eval(self, x):
@@ -117,16 +121,14 @@ class Const:
         return v if np.isscalar(x) else np.full_like(x, v, dtype=float)
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(Frozen):
     operand: "Expr"
 
     def eval(self, x):
         return -self.operand.eval(x)
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(Frozen):
     op: str
     left: "Expr"
     right: "Expr"
@@ -153,8 +155,7 @@ class BinOp:
         return out
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(Frozen):
     func: str
     arg: "Expr"
 
@@ -184,6 +185,16 @@ _FUNCTIONS = {
 
 
 Expr = Union[Num, Var, Const, Neg, BinOp, Call]
+
+
+def levels(tree):
+    """The nodes of ``tree`` one depth at a time, a list each, from the
+    root's down: a walk through the nodes' fields without recursion."""
+    level = [tree]
+    while level:
+        yield level
+        level = [child for node in level if isinstance(node, Frozen)
+                 for child in vars(node).values() if isinstance(child, Frozen)]
 
 
 def _offending(x, mask):

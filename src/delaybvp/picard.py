@@ -25,7 +25,6 @@ the ~1e-6 agreement the oracle is meant to certify.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +57,6 @@ class PicardDivergedError(RuntimeError):
             f"(last sup-norm change {residual:.3e})")
 
 
-@dataclass(frozen=True)
 class PicardSegment(SolutionSegment):
     """Solution segment produced by the fixed-point iteration, annotated
     with the iteration count and the final sup-norm change."""

@@ -27,12 +27,12 @@ gives its node samples to the q norms and to K/L.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import exprlang
+from ._frozen import Frozen
 from .exprlang import Expr, ExprDomainError
 from .quadrature import cumulative_simpson
 
@@ -74,14 +74,15 @@ def _as_expr(value) -> Expr:
     return value if not isinstance(value, str) else exprlang.parse(value)
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(Frozen):
     """Immutable problem instance.
 
     ``q_left``/``retard_left`` apply on [0, pi/2), ``q_right``/``retard_right``
     on (pi/2, pi].  ``alpha`` and ``beta`` are the finite boundary angles in
     radians, ``coupling`` is the finite, nonzero transmission constant.  The
-    interface point is fixed at pi/2.
+    interface point is fixed at pi/2.  A tree nested more than
+    ``exprlang.MAX_DEPTH`` levels deep is refused, as ``parse`` refuses its
+    text, since evaluating and hashing it recurse once per level.
     """
 
     q_left: Expr
@@ -93,6 +94,9 @@ class ProblemSpec:
     coupling: float
 
     def __post_init__(self):
+        for name in ("q_left", "q_right", "retard_left", "retard_right"):
+            if sum(1 for _ in exprlang.levels(getattr(self, name))) > exprlang.MAX_DEPTH + 1:
+                raise ValueError(f"{name}: more than {exprlang.MAX_DEPTH} levels of nesting")
         for name in ("alpha", "beta", "coupling"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number")
@@ -114,24 +118,21 @@ class ProblemSpec:
         )
 
 
-@dataclass(frozen=True)
-class QNorms:
+class QNorms(Frozen):
     """Integrals of |q| over the two subintervals."""
 
     q1: float
     q2: float
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Frozen):
     name: str
     passed: bool
     worst_x: float | None
     detail: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Frozen):
     checks: tuple[CheckResult, ...]
 
     @property
@@ -147,8 +148,7 @@ class ValidationReport:
         return out
 
 
-@dataclass(frozen=True)
-class SegmentSamples:
+class SegmentSamples(Frozen):
     """q and Delta at the integrator's nodes ``linspace(a, b, steps+1)`` and
     half steps ``nodes[:-1] + h/2``, each a (nodes, half steps) pair or None
     if the domain check fails; the checks and the first failure's exception."""

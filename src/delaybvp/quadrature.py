@@ -6,14 +6,15 @@ integral is its last entry), for one row of samples or for many at once;
 odd-indexed nodes use the one-sided three-point rule so the result stays
 fourth-order accurate everywhere.  ``hermite`` reads node values and slopes
 between the nodes: the integrator's dense output, and K, L between
-quadrature nodes.
+quadrature nodes; ``hermite_weights`` gives the weights of a set of x
+once, for ``hermite`` to apply to many rows.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["cumulative_simpson", "hermite", "odd_point_count"]
+__all__ = ["cumulative_simpson", "hermite", "hermite_weights", "odd_point_count"]
 
 
 def odd_point_count(n: int) -> int:
@@ -53,11 +54,11 @@ def cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def hermite(nodes: np.ndarray, f: np.ndarray, df: np.ndarray, x):
-    """Cubic Hermite interpolant of values ``f`` and slopes ``df`` on the
-    uniform grid ``nodes`` at x (scalar or array), without a range check;
-    an x equal to a node bit-exactly gets that node's value exactly.  Rows
-    of ``f`` and ``df`` along leading axes are interpolated alike."""
+def hermite_weights(nodes: np.ndarray, x):
+    """Where x (scalar or array) falls on the uniform grid ``nodes`` and its
+    cubic Hermite weights: (j, (value weights at j and j+1, slope weights at
+    j and j+1), h), for ``hermite`` to apply to any rows of values and
+    slopes on that grid."""
     x = np.asarray(x, dtype=float)
     a = nodes[0]
     n = nodes.shape[0] - 1
@@ -68,7 +69,15 @@ def hermite(nodes: np.ndarray, f: np.ndarray, df: np.ndarray, x):
     t = np.where(x == nodes[j + 1], 1.0, (x - nodes[j]) / h)
     t2 = t * t
     t3 = t2 * t
-    out = ((2.0 * t3 - 3.0 * t2 + 1.0) * f[..., j]
-           + (-2.0 * t3 + 3.0 * t2) * f[..., j + 1]
-           + h * ((t3 - 2.0 * t2 + t) * df[..., j] + (t3 - t2) * df[..., j + 1]))
+    return j, (2.0 * t3 - 3.0 * t2 + 1.0, -2.0 * t3 + 3.0 * t2, t3 - 2.0 * t2 + t, t3 - t2), h
+
+
+def hermite(nodes: np.ndarray, f: np.ndarray, df: np.ndarray, x, weights=None):
+    """Cubic Hermite interpolant of values ``f`` and slopes ``df`` on the
+    uniform grid ``nodes`` at x (scalar or array), without a range check;
+    an x equal to a node bit-exactly gets that node's value exactly.  Rows
+    of ``f`` and ``df`` along leading axes are interpolated alike.
+    ``weights``, if given, is ``hermite_weights(nodes, x)``, reused."""
+    j, (w0, w1, v0, v1), h = hermite_weights(nodes, x) if weights is None else weights
+    out = w0 * f[..., j] + w1 * f[..., j + 1] + h * (v0 * df[..., j] + v1 * df[..., j + 1])
     return float(out) if out.ndim == 0 else out

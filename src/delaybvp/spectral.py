@@ -42,11 +42,11 @@ residual F at the root, from a sweep of the roots alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import dde_solver
+from ._frozen import Frozen
 from .exprlang import ExprDomainError
 from .problem import HALF, Case1RequiredError, DelayRangeError, ProblemSpec, is_case1
 
@@ -98,8 +98,7 @@ class ZeroOrManyError(RuntimeError):
         super().__init__(f"expected 1 sign change per window, found {listed}")
 
 
-@dataclass(frozen=True)
-class Eigenpair:
+class Eigenpair(Frozen):
     """A located eigenvalue: its index, its root s, ``lam == s * s`` and
     the slope ``dF_ds`` of F(s^2) there.
 
@@ -118,8 +117,7 @@ class Eigenpair:
     dF_ds: float
 
 
-@dataclass(frozen=True)
-class SimplicityCertificate:
+class SimplicityCertificate(Frozen):
     dF_dlambda: float
     h: float
     F_residual: float

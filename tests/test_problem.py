@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from delaybvp import dde_solver
-from delaybvp.exprlang import BinOp, Call, ExprDomainError, Num, Var
+from delaybvp.exprlang import MAX_DEPTH, BinOp, Call, ExprDomainError, Num, Var
 from delaybvp.problem import (HALF, DelayRangeError, ProblemSpec, check_refined_conditions,
                               is_case1, q_norms, validate)
 from test_exprlang import _random_tree
@@ -53,7 +53,7 @@ def test_delayed_reference_constraints_brute_force():
 
 
 def test_coupling_must_be_nonzero():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^transmission coupling must be nonzero$"):
         spec_of(delta=0.0)
 
 
@@ -63,6 +63,27 @@ def test_angles_and_coupling_must_be_finite(field, value):
     values = {"alpha": HALF, "beta": HALF, "coupling": 1.0, field: value}
     with pytest.raises(ValueError, match=f"^{field} must be a finite number$"):
         ProblemSpec.from_strings("0", "0", "0", "0", **values)
+
+
+def _chain(levels):
+    """A sum chain ``levels`` operators high, built without the parser, its
+    deeper operand alternately on the left and on the right."""
+    tree = Num(0.0)
+    for level in range(levels):
+        tree = BinOp("+", tree, Num(0.0)) if level % 2 else BinOp("+", Num(0.0), tree)
+    return tree
+
+
+@pytest.mark.parametrize("field", ["q_left", "q_right", "retard_left", "retard_right"])
+def test_trees_nested_past_the_parser_bound_are_refused(field):
+    # the parser's bound holds for trees built without it: a 3000-level tree
+    # would end hashing or evaluating it in a RecursionError
+    trees = dict.fromkeys(("q_left", "q_right", "retard_left", "retard_right"), Num(0.0))
+    for levels in (3000, MAX_DEPTH + 1):
+        with pytest.raises(ValueError, match=f"^{field}: more than {MAX_DEPTH} levels of nesting$"):
+            ProblemSpec(**{**trees, field: _chain(levels)}, alpha=HALF, beta=HALF, coupling=1.0)
+    spec = ProblemSpec(**{**trees, field: _chain(MAX_DEPTH)}, alpha=HALF, beta=HALF, coupling=1.0)
+    assert validate(spec, 64).passed
 
 
 def test_validate_min_grid():

@@ -1,7 +1,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from delaybvp.quadrature import cumulative_simpson, hermite
+from delaybvp.quadrature import cumulative_simpson, hermite, hermite_weights
 
 coefficient = st.floats(-10.0, 10.0)
 
@@ -85,3 +85,9 @@ def test_hermite_reproduces_cubics_and_snaps_to_nodes():
     both = hermite(nodes, rows, slopes, xs)
     assert np.array_equal(both[1], hermite(nodes, rows[1], slopes[1], xs))
     assert np.array_equal(both[0], hermite(nodes, f, df, xs))
+    # weights built once give every row bitwise what a call of its own does
+    weights = hermite_weights(nodes, xs)
+    for values, slopes_ in ((f, df), (rows, slopes), (rows[1], slopes[1])):
+        assert hermite(nodes, values, slopes_, xs, weights).tobytes() == \
+            hermite(nodes, values, slopes_, xs).tobytes()
+    assert hermite(nodes, f, df, 1.0, hermite_weights(nodes, 1.0)) == hermite(nodes, f, df, 1.0)
