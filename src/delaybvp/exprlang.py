@@ -14,13 +14,18 @@ minus tighter than ``*``/``/``)::
     power  := atom ('^' unary)?
     atom   := NUMBER | 'x' | 'pi' | 'e' | FUNC '(' expr ')' | '(' expr ')'
 
-Supported functions: sin cos tan exp log sqrt abs, one ``_FUNCTIONS``
-table that the parser's name check and ``Call.eval`` both read.  Each entry
-holds the numpy function, the test on its argument that leaves the real
-domain (log and sqrt) and the reason an error gives; tan and exp, which have
-no argument test, fail when their result is not finite.  There are no
-user-defined functions and no conditionals; piecewise coefficients are
-expressed at the configuration level with one formula per subinterval.
+Supported functions: sin cos tan exp log sqrt abs.  Operators and functions
+share one table form, ``_OPERATORS`` and ``_FUNCTIONS`` (the parser's name
+check reads the second): each entry holds the function, the test on its
+last argument that leaves the real domain (division, log and sqrt) and the
+reason an error gives; ``^``, tan and exp, which have no argument test, fail
+when their result is not finite.  ``BinOp`` and ``Call`` evaluate through
+the one ``_apply``, which runs the function with numpy's floating-point
+errors ignored, so evaluating a formula never warns: a result the table
+does not check (``1e308*10``, ``sin`` of an infinity) comes back non-finite
+for the caller to judge.  There are no user-defined functions and no
+conditionals; piecewise coefficients are expressed at the configuration
+level with one formula per subinterval.
 Trees are immutable after parsing and safe to share across threads: each
 node is a value of the package's frozen base, ``_frozen.Frozen``, equal to
 another node of its class with equal fields and hashed once.  ``levels``
@@ -42,6 +47,7 @@ recursion; neither exhausts the interpreter's recursion limit.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from typing import Union
 
@@ -134,25 +140,7 @@ class BinOp(Frozen):
     right: "Expr"
 
     def eval(self, x):
-        a = self.left.eval(x)
-        b = self.right.eval(x)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if self.op == "/":
-            if np.any(b == 0):
-                raise ExprDomainError(self, _offending(x, b == 0), "division by zero")
-            return a / b
-        # '^': np.power keeps negative-base fractional exponents real (nan),
-        # which the finiteness check below turns into a reported error
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            out = np.power(a, b)
-        if np.any(~np.isfinite(out)):
-            raise ExprDomainError(self, _offending(x, ~np.isfinite(out)), "non-finite power")
-        return out
+        return _apply(self, _OPERATORS[self.op], x, self.left.eval(x), self.right.eval(x))
 
 
 class Call(Frozen):
@@ -160,19 +148,19 @@ class Call(Frozen):
     arg: "Expr"
 
     def eval(self, x):
-        func, outside, reason = _FUNCTIONS[self.func]
-        v = self.arg.eval(x)
-        if outside is not None and np.any(outside(v)):
-            raise ExprDomainError(self, _offending(x, outside(v)), reason)
-        with np.errstate(over="ignore"):
-            out = func(v)
-        if outside is None and reason is not None and np.any(~np.isfinite(out)):
-            raise ExprDomainError(self, _offending(x, ~np.isfinite(out)), reason)
-        return out
+        return _apply(self, _FUNCTIONS[self.func], x, self.arg.eval(x))
 
 
-# name -> (numpy function, test for an argument outside its domain or None,
-#          error reason or None)
+# name -> (function, test for a last argument outside its domain or None,
+#          error reason or None); operator.* keep a scalar formula in Python
+# floats, and np.power keeps a negative base's fractional power real (nan)
+_OPERATORS = {
+    "+": (operator.add, None, None),
+    "-": (operator.sub, None, None),
+    "*": (operator.mul, None, None),
+    "/": (operator.truediv, lambda b: b == 0, "division by zero"),
+    "^": (np.power, None, "non-finite power"),
+}
 _FUNCTIONS = {
     "sin": (np.sin, None, None),
     "cos": (np.cos, None, None),
@@ -182,6 +170,20 @@ _FUNCTIONS = {
     "sqrt": (np.sqrt, lambda v: v < 0, "sqrt of a negative value"),
     "abs": (np.abs, None, None),
 }
+
+
+def _apply(node, rule, x, *args):
+    """rule's function of args, numpy warning of nothing: an argument that
+    fails the rule's test, or, for a rule with a reason and no test, a
+    result that is not finite, is a domain error at the first such x."""
+    func, outside, reason = rule
+    if outside is not None and np.any(outside(args[-1])):
+        raise ExprDomainError(node, _offending(x, outside(args[-1])), reason)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = func(*args)
+    if outside is None and reason is not None and np.any(~np.isfinite(out)):
+        raise ExprDomainError(node, _offending(x, ~np.isfinite(out)), reason)
+    return out
 
 
 Expr = Union[Num, Var, Const, Neg, BinOp, Call]

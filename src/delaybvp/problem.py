@@ -174,11 +174,10 @@ def _inequality_check(name, xs, values, threshold, tol=ZERO_TOL):
 
 
 def _sampled(expr: Expr, nodes: np.ndarray, half: np.ndarray) -> tuple:
-    """expr at the nodes and the half steps; a value that overflows to a
-    non-finite one (``*``, ``+`` and ``-`` raise nothing) is a domain error
-    at the first x where it does, and numpy emits no warning for it."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = tuple(np.asarray(expr.eval(xs), dtype=float) for xs in (nodes, half))
+    """expr at the nodes and the half steps.  Evaluating warns of nothing;
+    a value that is not finite where evaluation raised nothing (``1e308*10``,
+    ``sin`` of an infinity) is a domain error at the first x where it is."""
+    values = tuple(np.asarray(expr.eval(xs), dtype=float) for xs in (nodes, half))
     bad = np.concatenate([xs[~np.isfinite(v)] for xs, v in zip((nodes, half), values)])
     if bad.size:
         raise ExprDomainError(expr, float(bad.min()), "non-finite value")
@@ -232,12 +231,13 @@ def _one_sided_limit_check(name, expr: Expr, approach: str) -> CheckResult:
     offsets = 10.0 ** -np.arange(3, 10, dtype=float)
     xs = HALF + sign * offsets
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.asarray(expr.eval(xs), dtype=float)
+        vals = np.asarray(expr.eval(xs), dtype=float)
     except ExprDomainError as exc:
         return CheckResult(name, False, exc.x, str(exc))
-    cauchy = bool(np.all(np.isfinite(vals))
-                  and np.all(np.abs(np.diff(vals[-4:])) <= 1e-6 * (1.0 + abs(float(vals[-1])))))
+    # finite samples near the largest double may differ by an overflow: not settled
+    with np.errstate(over="ignore", invalid="ignore"):
+        cauchy = bool(np.all(np.isfinite(vals))
+                      and np.all(np.abs(np.diff(vals[-4:])) <= 1e-6 * (1.0 + abs(float(vals[-1])))))
     detail = (f"limit ~ {vals[-1]:.9g}" if cauchy
               else "samples do not settle approaching pi/2")
     return CheckResult(name, cauchy, float(xs[-1]), detail)
@@ -290,9 +290,11 @@ def check_refined_conditions(spec: ProblemSpec, steps: int = DEFAULT_STEPS) -> V
             checks.append(s.checks[0])
             continue
         xs, q, d = s.nodes, s.q[0], s.delta[0]
-        qp = np.gradient(q, s.h, edge_order=2)
-        dp = np.gradient(d, s.h, edge_order=2)
-        dpp = np.gradient(dp, s.h, edge_order=2)
+        # a difference that overflows is an unbounded derivative, reported by name
+        with np.errstate(over="ignore", invalid="ignore"):
+            qp = np.gradient(q, s.h, edge_order=2)
+            dp = np.gradient(d, s.h, edge_order=2)
+            dpp = np.gradient(dp, s.h, edge_order=2)
         checks.append(CheckResult(
             f"q_derivative_bounded_{name}", bool(np.all(np.isfinite(qp))),
             float(xs[int(np.argmax(np.abs(qp)))]),

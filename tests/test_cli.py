@@ -85,10 +85,16 @@ def test_s_range_without_roots_prints_the_header(tmp_path, capsys):
 
 
 def test_malformed_json_rejected(tmp_path, capsys):
+    # bad JSON, bytes that are not UTF-8, nesting past the recursion limit and
+    # an integer past Python's 4300-digit limit are each one config error
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    assert main(["solve", "--config", str(path)]) == 1
-    assert "config error" in capsys.readouterr().err
+    for content in (b"{not json", b'{"problem": "\xff"}', b"[" * 100000 + b"]" * 100000,
+                    b'{"range": {"n_min": ' + b"9" * 5000 + b"}}"):
+        path.write_bytes(content)
+        assert main(["solve", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: invalid JSON in {path}: ")
+        assert err.count("\n") == 1
 
 
 def test_missing_key_named(tmp_path, capsys):
@@ -326,7 +332,9 @@ def test_non_finite_solver_setting_rejected(tmp_path, capsys, key, value):
 @pytest.mark.parametrize("command", ["charfn", "solve", "validate"])
 @pytest.mark.parametrize("field, value", [("alpha", math.inf), ("alpha", math.nan),
                                           ("beta", math.nan), ("coupling", math.inf),
-                                          ("coupling", "1e308*10")])
+                                          ("coupling", "1e308*10"),
+                                          # sin of the overflow is nan, of which numpy warns
+                                          ("alpha", "sin(1e308*10)")])
 def test_non_finite_problem_constant_rejected(tmp_path, command, field, value):
     # a JSON NaN or Infinity, or an expression that overflows to inf, is one
     # named config error whichever command reads the config

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,8 @@ def test_unknown_function_does_not_evaluate():
     # a tree built without the parser can name any function; only the table's evaluate
     with pytest.raises(KeyError):
         Call("foo", Var()).eval(-2.0)
+    with pytest.raises(KeyError):
+        BinOp("%", Var(), Var()).eval(-2.0)
 
 
 @pytest.mark.parametrize("wrap", [
@@ -202,6 +205,23 @@ def test_roundtrip_eval_agreement():
             continue  # exp overflow on a wild composite; nothing to compare
         again = reparsed.eval(xs)
         assert np.allclose(direct, again, rtol=1e-14, atol=0.0, equal_nan=False)
+
+
+def test_evaluation_never_warns():
+    # every tree returns or raises a domain error at one of the points, in
+    # arrays and in scalars alike; numpy's overflow, invalid and divide
+    # warnings (x*x at 1e300, sin(inf)) never get out
+    points = [0.0, 1e-300, 1.0, math.pi / 2, math.pi, 1e300, -1e300]
+    rng = random.Random(7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for _ in range(300):
+            tree = _random_tree(rng, 4, total_only=False)
+            for x in (np.array(points), *points):
+                try:
+                    tree.eval(x)
+                except ExprDomainError as err:
+                    assert err.x in points
 
 
 def test_parse_of_wellformed_source_roundtrips():

@@ -156,6 +156,19 @@ def test_validate_passing_means_the_tables_build(seed, admissible_delay, steps):
 # --- refined conditions -----------------------------------------------------
 
 
+@pytest.mark.parametrize("q_l, refined_failed", [
+    ("1.7e308*sin(1e12*x)", set()),
+    ("1.7e308*sin(1000000*x)", {"q_derivative_bounded_left"}),
+])
+def test_differences_past_the_largest_double_fail_by_name(q_l, refined_failed):
+    # finite samples of q whose differences overflow fail by name and warn of
+    # nothing: the limit probe's tail always, q' where its grid differences do
+    spec = spec_of(q_l=q_l)
+    assert {c.name for c in validate(spec, 128).checks if not c.passed} == {"q_limit_left"}
+    report = check_refined_conditions(spec, 128)
+    assert {c.name for c in report.checks if not c.passed} == refined_failed
+
+
 def test_zero_delay_satisfies_condition_b(null_spec):
     report = check_refined_conditions(null_spec)
     by_name = {c.name: c for c in report.checks}
