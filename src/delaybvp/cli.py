@@ -9,7 +9,8 @@ primary output.
 Exit codes: 0 success, 1 config or validation error (a usage error
 included, and a problem outside what a command needs: one that fails the
 refined conditions for ``eigfn`` and ``verify``, and sin(alpha) = 0 or
-sin(beta) = 0 for a localization over an n-range), 2 solver failure, 3
+sin(beta) = 0 for a localization over an n-range), 2 solver failure (a
+resolution too coarse for the largest root a command localizes included), 3
 verification threshold failure.
 """
 
@@ -29,7 +30,7 @@ from .exprlang import Expr, ExprDomainError, ExprError, Var, levels, parse as pa
 from .problem import (HALF, Case1RequiredError, ProblemSpec,
                       check_refined_conditions, is_case1, validate)
 
-__all__ = ["main", "load_config", "RunConfig", "ConfigError"]
+__all__ = ["main", "load_config", "RunConfig", "ConfigError", "ResolutionError"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -37,14 +38,25 @@ EXIT_SOLVER = 2
 EXIT_VERIFY = 3
 
 # limits checked before anything is allocated: samples of an s- or x-grid,
-# indices of an n-range, and the largest s whose lambda = s^2 is finite
+# indices of an n-range, the largest s whose lambda = s^2 is finite, and
+# steps per segment (one lambda column of a sweep, 2 x 65537 x 8 B, near 1 MiB)
 MAX_SAMPLES = 2 ** 20
 MAX_INDICES = 2 ** 16
 S_LIMIT = math.sqrt(sys.float_info.max)
+MAX_STEPS = 65536
+# the largest phase error at which a root still lies in its own unit window
+# with room to spare: half the window's half width
+PHASE_LIMIT = 0.25
 
 
 class ConfigError(ValueError):
     """Malformed configuration; the message names the offending key."""
+
+
+class ResolutionError(RuntimeError):
+    """The configured steps are too few for the largest root a command
+    would localize: the scheme's phase error there could move it past
+    ``PHASE_LIMIT``, into another index's window."""
 
 
 class SolverSettings(Frozen):
@@ -180,10 +192,9 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"problem: {exc}") from exc
 
     sol = _section(doc, "solver")
-    # the upper bound keeps one lambda column of a sweep (2 x 65537 x 8 B) near 1 MiB
     settings = SolverSettings(
         steps_per_segment=_integer(sol.get("steps_per_segment", dde_solver.DEFAULT_STEPS),
-                                   "solver.steps_per_segment", minimum=2, maximum=65536),
+                                   "solver.steps_per_segment", minimum=2, maximum=MAX_STEPS),
         refine_tol=_positive(sol.get("refine_tol", spectral.DEFAULT_REFINE_TOL),
                              "solver.refine_tol"),
     )
@@ -276,6 +287,22 @@ def _validated_or_fail(cfg: RunConfig) -> None:
         raise ConfigError("\n".join([f"problem: fails {failed}"] + report.lines()))
 
 
+def _resolved_or_fail(cfg: RunConfig, s: float, where: str) -> None:
+    """Before any sweep: raise ResolutionError when the phase error at s,
+    the largest s the command localizes, exceeds ``PHASE_LIMIT``.  The
+    message names ``where`` and the steps at which the phase error's
+    leading term, s^5 h^4 / 120, meets ``refine_tol``."""
+    steps, tol = cfg.solver.steps_per_segment, cfg.solver.refine_tol
+    delta = dde_solver.phase_error(s, steps)
+    if abs(delta) > PHASE_LIMIT:
+        need = math.ceil(HALF * s ** 1.25 / (120.0 * tol) ** 0.25)
+        cap = f" (a config allows at most {MAX_STEPS})" if need > MAX_STEPS else ""
+        raise ResolutionError(
+            f"{where}: at {steps} steps per segment the phase error at s = {s:g} is "
+            f"{delta:.3g}, more than {PHASE_LIMIT} of the unit spacing of roots; "
+            f"refine_tol = {tol:g} needs steps_per_segment >= {need}{cap}")
+
+
 # --- subcommands ------------------------------------------------------------
 
 
@@ -284,11 +311,13 @@ def cmd_solve(cfg: RunConfig, out_path: str | None, fmt: str) -> int:
     steps = cfg.solver.steps_per_segment
     if cfg.n_range is not None:
         n_min, n_max = cfg.n_range
+        _resolved_or_fail(cfg, n_max + 0.5, f"n = {n_max}")
         pairs = spectral.localize_range(cfg.problem, range(n_min, n_max + 1),
                                         cfg.solver.refine_tol, steps)
     else:
+        _resolved_or_fail(cfg, cfg.s_range[1], f"s_max = {cfg.s_range[1]:g}")
         pairs = spectral.scan_roots(cfg.problem, *cfg.s_range, cfg.solver.refine_tol, steps)
-    certs = spectral.simplicity_certificates(cfg.problem, pairs, steps)
+    certs = spectral.simplicity_certificates(pairs)
     rows = [(p.index, p.s, p.lam, c.F_residual, bool(c.passed))
             for p, c in zip(pairs, certs)]
     _emit_table(["n", "s_n", "lambda_n", "F_residual", "simplicity_ok"],
@@ -316,6 +345,7 @@ def cmd_eigfn(cfg: RunConfig, n: int | None, out_path: str | None, fmt: str) -> 
     _validated_or_fail(cfg)
     steps = cfg.solver.steps_per_segment
     asymptotics.require_refined(cfg.problem, steps)
+    _resolved_or_fail(cfg, n + 0.5, f"n = {n}")
     pair = spectral.localize_near_n(cfg.problem, n, cfg.solver.refine_tol, steps)
     xs = np.linspace(0.0, math.pi, cfg.x_samples)
     xs = xs[np.abs(xs - HALF) > 1e-12]
@@ -348,6 +378,7 @@ def cmd_verify(cfg: RunConfig, out_path: str | None, format_flag: str | None) ->
         raise ConfigError(f"range.n_max: verify needs at least {asymptotics.MIN_RATE_INDICES} "
                           f"indices; n range [{n_min}, {n_max}] supplies {len(indices)}")
     steps = cfg.solver.steps_per_segment
+    _resolved_or_fail(cfg, n_max + 0.5, f"n = {n_max}")
     pairs = spectral.localize_range(cfg.problem, indices, cfg.solver.refine_tol, steps)
     report = asymptotics.verify_rates(cfg.problem, pairs, steps)
 
@@ -454,7 +485,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _SOLVER_ERRORS = (dde_solver.NonFiniteStateError, dde_solver.DelayRangeError,
-                  spectral.ZeroOrManyError)
+                  spectral.ZeroOrManyError, ResolutionError)
 
 
 def main(argv=None) -> int:

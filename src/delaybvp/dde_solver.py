@@ -98,6 +98,7 @@ __all__ = [
     "shoot_many",
     "shoot_endpoints",
     "lam_cbrt",
+    "phase_error",
 ]
 
 # bytes of one column block's (2, steps+1, width) state array: one bound on
@@ -130,6 +131,23 @@ class NonFiniteStateError(RuntimeError):
 def lam_cbrt(lam):
     """Real cube root of a positive spectral parameter."""
     return np.exp(np.log(lam) / 3.0)
+
+
+def phase_error(s: float, steps: int = DEFAULT_STEPS) -> float:
+    """How far above the exact root the scheme puts a root near s > 0.
+
+    On y'' = -s^2 y one step of h = (pi/2) / ``steps`` turns (y, y'/s)
+    through phi(theta) = atan2(theta (1 - theta^2/6), 1 - theta^2/2 +
+    theta^4/24), theta = s h, where the exact angle is theta, so the
+    numerical root sits s (theta / phi - 1) ~ s theta^4 / 120 above the
+    exact one, whatever q and Delta are (Hairer, Norsett & Wanner, Solving
+    ODEs I, II.4).  Past theta = sqrt(6) the step turns backwards and the
+    error is infinite.
+    """
+    theta = s * HALF / steps
+    theta2 = theta * theta
+    phi = math.atan2(theta * (1.0 - theta2 / 6.0), 1.0 - theta2 / 2.0 + theta2 * theta2 / 24.0)
+    return s * (theta / phi - 1.0) if phi > 0.0 else math.inf
 
 
 class SolutionSegment(Frozen):

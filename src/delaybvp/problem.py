@@ -173,6 +173,16 @@ def _inequality_check(name, xs, values, threshold, tol=ZERO_TOL):
     return CheckResult(name, passed, float(xs[worst]), detail)
 
 
+def _bounded_check(name, xs, values, label):
+    """Check that finite-difference values of ``label`` are all finite,
+    reporting the largest magnitude, or else the first node where one is not."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        return CheckResult(name, False, float(xs[bad.argmax()]), f"first non-finite {label}")
+    worst = int(np.argmax(np.abs(values)))
+    return CheckResult(name, True, float(xs[worst]), f"max |{label}| ~ {abs(values[worst]):.6g}")
+
+
 def _sampled(expr: Expr, nodes: np.ndarray, half: np.ndarray) -> tuple:
     """expr at the nodes and the half steps.  Evaluating warns of nothing;
     a value that is not finite where evaluation raised nothing (``1e308*10``,
@@ -276,7 +286,8 @@ def check_refined_conditions(spec: ProblemSpec, steps: int = DEFAULT_STEPS) -> V
     the grid K and L integrate.
 
     Condition a): q' and Delta'' exist and stay bounded on each subinterval
-    (estimated by finite differences).  Condition b): Delta'(x) <= 1 at the
+    (estimated by finite differences; where one is not finite, the check
+    fails at the first node where it is not).  Condition b): Delta'(x) <= 1 at the
     nodes, Delta(0) = 0 and Delta(pi/2 + 0) = 0 within 1e-9.  A subinterval
     whose samples fail their domain check reports that check instead.  The
     last check, ``case1_angles``, is the angle regime (sin(alpha) != 0 and
@@ -295,14 +306,9 @@ def check_refined_conditions(spec: ProblemSpec, steps: int = DEFAULT_STEPS) -> V
             qp = np.gradient(q, s.h, edge_order=2)
             dp = np.gradient(d, s.h, edge_order=2)
             dpp = np.gradient(dp, s.h, edge_order=2)
-        checks.append(CheckResult(
-            f"q_derivative_bounded_{name}", bool(np.all(np.isfinite(qp))),
-            float(xs[int(np.argmax(np.abs(qp)))]),
-            f"max |q'| ~ {np.max(np.abs(qp)):.6g}"))
-        checks.append(CheckResult(
-            f"delay_second_derivative_bounded_{name}", bool(np.all(np.isfinite(dpp))),
-            float(xs[int(np.argmax(np.abs(dpp)))]),
-            f"max |Delta''| ~ {np.max(np.abs(dpp)):.6g}"))
+        checks.append(_bounded_check(f"q_derivative_bounded_{name}", xs, qp, "q'"))
+        checks.append(_bounded_check(f"delay_second_derivative_bounded_{name}", xs, dpp,
+                                     "Delta''"))
         checks.append(_inequality_check(f"delay_slope_{name}", xs, -dp, -1.0))
         d0 = float(d[0])
         checks.append(CheckResult(f"delay_zero_at_{zero_at}", abs(d0) <= ZERO_TOL, s.a,

@@ -30,13 +30,14 @@ round at their inverse cubic root, which on the delayed problem saves one
 of three rounds.  Brackets for distinct roots are refined in lock-step so
 each round costs a single batched sweep of the integrator.
 
-Both locators return roots with the slope dF/ds that refinement measured
-on the way, the secant over the root's last bracket at least
-``SLOPE_WIDTH`` wide; a reader builds an eigenfunction with
-``dde_solver.shoot``.  All eigenvalues of the problem are simple;
-numerically that shows up as a transversal crossing of F, which
-``simplicity_certificates`` checks by weighing that slope against the
-residual F at the root, from a sweep of the roots alone.
+Both locators return as the root the end of its final bracket where |F|
+is smaller, with F there and the slope dF/ds that refinement measured on
+the way, the secant over the root's last bracket at least ``SLOPE_WIDTH``
+wide; a reader builds an eigenfunction with ``dde_solver.shoot``.  All
+eigenvalues of the problem are simple; numerically that shows up as a
+transversal crossing of F, which ``simplicity_certificates`` checks by
+weighing that slope against the residual F at the root, both measured by
+refinement, so a certificate costs no sweep.
 """
 
 from __future__ import annotations
@@ -99,22 +100,26 @@ class ZeroOrManyError(RuntimeError):
 
 
 class Eigenpair(Frozen):
-    """A located eigenvalue: its index, its root s, ``lam == s * s`` and
-    the slope ``dF_ds`` of F(s^2) there.
+    """A located eigenvalue: its index, its root s, ``lam == s * s``, the
+    slope ``dF_ds`` of F(s^2) there and the residual ``F_residual``.
 
     ``index`` is the window integer for localized roots and the ordinal
-    within the returned set for scanned roots.  ``dF_ds`` is refinement's
-    secant over the root's last bracket at least ``SLOPE_WIDTH`` wide (its
-    entry bracket if none was), so it costs no sweep of its own.  The
-    eigenfunction is ``dde_solver.shoot(spec, lam, steps)`` (it satisfies
-    the boundary condition at 0 by construction and the one at pi to the
-    residual).
+    within the returned set for scanned roots.  ``s`` is the end of the
+    root's final refinement bracket where |F| is smaller, and
+    ``F_residual`` is F there, as refinement evaluated it: by batch
+    invariance bitwise ``char_fn_samples(spec, [s], steps)``.  ``dF_ds``
+    is refinement's secant over the root's last bracket at least
+    ``SLOPE_WIDTH`` wide (its entry bracket if none was).  Neither costs a
+    sweep of its own.  The eigenfunction is ``dde_solver.shoot(spec, lam,
+    steps)`` (it satisfies the boundary condition at 0 by construction and
+    the one at pi to the residual).
     """
 
     index: int
     s: float
     lam: float
     dF_ds: float
+    F_residual: float
 
 
 class SimplicityCertificate(Frozen):
@@ -197,9 +202,10 @@ def _probe_centres(pts, vals, a, b, fa, fb):
 def _refine_brackets(spec: ProblemSpec, pts, vals, refine_tol: float, steps: int):
     """Shrink sign-change brackets in s to width < refine_tol.
 
-    Returns the bracket ends and, per bracket, the secant dF/ds over its
-    last bracket at least ``SLOPE_WIDTH`` wide, or over its entry bracket
-    if no round left one that wide.
+    Returns the bracket ends; per bracket, the secant dF/ds over its last
+    bracket at least ``SLOPE_WIDTH`` wide, or over its entry bracket if no
+    round left one that wide; and the root, the end with the smaller |F|
+    (``lo`` on a tie), with F there.
 
     Row i of ``pts`` holds k >= 2 sorted points in s and row i of ``vals``
     F there; the bracket is the first cell of the row with a sign change.
@@ -270,7 +276,7 @@ def _refine_brackets(spec: ProblemSpec, pts, vals, refine_tol: float, steps: int
             slope[wide] = (f_hi[wide] - f_lo[wide]) / (hi[wide] - lo[wide])
         # later rounds start from the bracket ends alone
         pts, vals = np.column_stack([lo, hi]), np.column_stack([f_lo, f_hi])
-    return lo, hi, slope
+    return lo, hi, slope, *np.where(np.abs(f_hi) < np.abs(f_lo), [hi, f_hi], [lo, f_lo])
 
 
 def scan_roots(spec: ProblemSpec, s_min: float, s_max: float, samples: int,
@@ -297,9 +303,9 @@ def scan_roots(spec: ProblemSpec, s_min: float, s_max: float, samples: int,
     neg = F[cols] <= 0.0
     cols[:, 0] = np.where(neg[:, 0] != neg[:, 1], cols[:, 1], cols[:, 0])
     cols[:, 3] = np.where(neg[:, 2] != neg[:, 3], cols[:, 2], cols[:, 3])
-    lo, hi, slope = _refine_brackets(spec, grid[cols], F[cols], refine_tol, steps)
-    return [Eigenpair(int(i), float(s), float(s * s), float(k))
-            for i, (s, k) in enumerate(zip(0.5 * (lo + hi), slope))]
+    _, _, slope, root, F_root = _refine_brackets(spec, grid[cols], F[cols], refine_tol, steps)
+    return [Eigenpair(int(i), float(s), float(s * s), float(k), float(f))
+            for i, (s, k, f) in enumerate(zip(root, slope, F_root))]
 
 
 def _screen(spec: ProblemSpec, grid: np.ndarray, steps: int):
@@ -400,9 +406,9 @@ def localize_range(spec: ProblemSpec, n_values, refine_tol: float = DEFAULT_REFI
     if not n_values:
         return []
     pts, vals = _window_brackets(spec, n_values, steps)
-    lo, hi, slope = _refine_brackets(spec, pts, vals, refine_tol, steps)
-    return [Eigenpair(int(i), float(s), float(s * s), float(k))
-            for i, s, k in zip(n_values, 0.5 * (lo + hi), slope)]
+    _, _, slope, root, F_root = _refine_brackets(spec, pts, vals, refine_tol, steps)
+    return [Eigenpair(int(i), float(s), float(s * s), float(k), float(f))
+            for i, s, k, f in zip(n_values, root, slope, F_root)]
 
 
 def localize_near_n(spec: ProblemSpec, n: int, refine_tol: float = DEFAULT_REFINE_TOL,
@@ -411,22 +417,19 @@ def localize_near_n(spec: ProblemSpec, n: int, refine_tol: float = DEFAULT_REFIN
     return localize_range(spec, [n], refine_tol, steps)[0]
 
 
-def simplicity_certificates(spec: ProblemSpec, pairs: list[Eigenpair],
-                            steps: int = dde_solver.DEFAULT_STEPS) -> list[SimplicityCertificate]:
-    """Transversality checks for a batch of eigenpairs (one shared sweep).
+def simplicity_certificates(pairs: list[Eigenpair]) -> list[SimplicityCertificate]:
+    """Transversality checks for a batch of eigenpairs, from the pairs alone.
 
-    The sweep takes F at each root s alone: by batch invariance bitwise F
-    from ``shoot(spec, lam, steps)``, the certificate's ``F_residual``.
-    The slope is refinement's, dF/dlambda = ``dF_ds / (2 s)``.  A
-    certificate passes when the slope clears 10x the residual over its
-    ``h`` = min(``CERT_STEP``, lambda/2).
+    The residual is the pair's ``F_residual``, F at its root s; the slope
+    is refinement's, dF/dlambda = ``dF_ds / (2 s)``.  A certificate passes
+    when the slope clears 10x the residual over its ``h`` =
+    min(``CERT_STEP``, lambda/2).
     """
-    F = char_fn_samples(spec, [p.s for p in pairs], steps)
     out = []
-    for p, f_at in zip(pairs, F):
+    for p in pairs:
         d = min(CERT_STEP, 0.5 * p.lam)
         slope = p.dF_ds / (2.0 * p.s)
         out.append(SimplicityCertificate(
-            dF_dlambda=slope, h=d, F_residual=float(f_at),
-            passed=bool(abs(slope) > 10.0 * abs(f_at) / d)))
+            dF_dlambda=slope, h=d, F_residual=p.F_residual,
+            passed=bool(abs(slope) > 10.0 * abs(p.F_residual) / d)))
     return out

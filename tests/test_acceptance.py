@@ -169,7 +169,7 @@ def test_criterion_9_simplicity(null_solve, constq_spec, delayed_spec,
     ok = all(r["simplicity_ok"] == "true" for r in rows)
     failures = 0
     for spec, pairs in ((constq_spec, constq_pairs), (delayed_spec, delayed_pairs)):
-        certs = spectral.simplicity_certificates(spec, pairs)
+        certs = spectral.simplicity_certificates(pairs)
         failures += sum(not c.passed for c in certs)
     check(9, f"transversal root crossings everywhere: {failures} failures "
              f"among localized pairs, null table all ok={ok}",

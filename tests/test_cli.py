@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from delaybvp import asymptotics, dde_solver
+from delaybvp import asymptotics, dde_solver, spectral
 from delaybvp.cli import load_config, main
 from delaybvp.exprlang import BinOp, Call, Num, Var, unparse
 from delaybvp.problem import HALF
@@ -188,12 +188,38 @@ DELAYED_PROBLEM = {"q_left": "sin(x)", "q_right": "cos(x)",
 @pytest.mark.parametrize("exponent", [100, 141, 150, 153])
 def test_overflowing_lambda_is_solver_error(tmp_path, capsys, exponent):
     # lambda = n^2 is finite but overflows the sweep's step coefficients;
-    # numpy once warned of it before the solver error was raised
+    # numpy once warned of it before the solver error was raised.  The CLI
+    # names the resolution first, before any sweep; localization itself
+    # still ends in the named overflow
     cfg = write_config(tmp_path, problem=DELAYED_PROBLEM,
                        solver={"steps_per_segment": 256})
-    assert main(["eigfn", "--config", cfg, "--n", str(10 ** exponent)]) == 2
+    n = 10 ** exponent
+    assert main(["eigfn", "--config", cfg, "--n", str(n)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("solver error: state became non-finite")
+    assert err.startswith(f"solver error: n = {n}: at 256 steps per segment")
+    with pytest.raises(dde_solver.NonFiniteStateError, match="state became non-finite"):
+        spectral.localize_near_n(load_config(cfg).problem, n, steps=256)
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "eigfn"])
+def test_index_past_the_resolution_is_solver_error(tmp_path, capsys, monkeypatch, command):
+    # at 4096 steps RK4 puts the root near s = 1508.5 1.24 too high, in the
+    # window of the next index: the CLI names the index and a resolution
+    # before it sweeps anything, where it printed s_1500 = 1500.21 and exit 0
+    doc = json.loads((CONFIG_DIR / "delayed.json").read_text())
+    doc["range"] = {"n_min": 1500, "n_max": 1508}
+    cfg = tmp_path / "large.json"
+    cfg.write_text(json.dumps(doc))
+    calls = []
+    monkeypatch.setattr(spectral, "char_fn_samples", lambda *args: calls.append(args))
+    argv = [command, "--config", str(cfg)] + (["--n", "1508"] if command == "eigfn" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "solver error: n = 1508: at 4096 steps per segment the phase error at s = 1508.5 "
+        "is 1.24, more than 0.25 of the unit spacing of roots; refine_tol = 1e-10 needs "
+        "steps_per_segment >= 1410933 (a config allows at most 65536)"]
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])
@@ -267,6 +293,20 @@ def test_validate_json_format(tmp_path):
                  "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["valid"] is True and doc["case1"] is True
+
+
+def test_validate_names_where_q_prime_stops_being_finite(tmp_path):
+    # q's samples are finite, but their differences overflow from a node
+    # inside the left interval on: validate reports that node, where the
+    # largest |q'| read nan at x = pi/2
+    cfg = write_config(tmp_path, problem={"q_left": "1.7e308*sin(1000000*x)*(x*x/2.5)"},
+                       solver={"steps_per_segment": 128})
+    out = tmp_path / "validate.json"
+    assert main(["validate", "--config", cfg, "--format", "json", "--out", str(out)]) == 1
+    [check] = [c for c in json.loads(out.read_text())["checks"]
+               if c["name"] == "q_derivative_bounded_left"]
+    assert check["passed"] is False and "non-finite" in check["detail"]
+    assert math.isfinite(check["worst_x"]) and 0.0 < check["worst_x"] < HALF
 
 
 def test_json_output_format(tmp_path):

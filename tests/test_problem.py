@@ -169,6 +169,24 @@ def test_differences_past_the_largest_double_fail_by_name(q_l, refined_failed):
     assert {c.name for c in report.checks if not c.passed} == refined_failed
 
 
+@pytest.mark.parametrize("q_l, at_origin", [("1.7e308*sin(1000000*x)", True),
+                                             ("1.7e308*sin(1000000*x)*(x*x/2.5)", False)])
+def test_non_finite_derivative_reports_its_first_node(q_l, at_origin):
+    # where q's differences overflow, the check fails at the first node
+    # whose q' is not finite and says so: x = 0 itself for the plain formula
+    # (q'(0) = 1.7e314), a node inside for the damped one, where the largest
+    # |q'| read nan at x = pi/2
+    spec = spec_of(q_l=q_l)
+    [check] = [c for c in check_refined_conditions(spec, 128).checks
+               if c.name == "q_derivative_bounded_left"]
+    nodes = np.linspace(0.0, HALF, 129)
+    with np.errstate(over="ignore", invalid="ignore"):
+        qp = np.gradient(spec.q_left.eval(nodes), nodes[1], edge_order=2)
+    first = nodes[np.argmax(~np.isfinite(qp))]
+    assert (check.passed, check.detail, check.worst_x) == (False, "first non-finite q'", first)
+    assert (first == 0.0) == at_origin
+
+
 def test_zero_delay_satisfies_condition_b(null_spec):
     report = check_refined_conditions(null_spec)
     by_name = {c.name: c for c in report.checks}

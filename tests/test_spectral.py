@@ -1,16 +1,20 @@
+import contextlib
+import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from delaybvp import asymptotics, dde_solver, picard, spectral
+from delaybvp import asymptotics, cli, dde_solver, picard, spectral
 from delaybvp.problem import Case1RequiredError, DelayRangeError, HALF, ProblemSpec
 from delaybvp.spectral import (ZeroOrManyError, _refine_brackets, _window_brackets,
                                char_fn_samples, localize_near_n, localize_range, scan_roots,
                                simplicity_certificates)
 
 PI = math.pi
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def spec_of(q_l="0", q_r="0", d_l="0", d_r="0", alpha=HALF, beta=HALF, delta=1.0):
@@ -65,14 +69,15 @@ def test_scan_below_first_root_is_empty(null_spec):
 
 
 def test_scan_roots_satisfy_residual_contract(constq_spec):
-    # for scanned and localized pairs alike, a certificate's F_residual is
-    # bitwise F at the root s from a shot of its own, at pi, and from a
-    # sweep of s alone
+    # for scanned and localized pairs alike, the F_residual that refinement
+    # measured, and the certificate reads, is bitwise F at the root s from a
+    # shot of its own, at pi, and from a sweep of s alone
     scanned = scan_roots(constq_spec, 0.5, 3.5, samples=350, steps=1024)
     localized = localize_range(constq_spec, range(4, 9), steps=1024)
     assert scanned and localized
     for pairs in (scanned, localized):
-        for p, cert in zip(pairs, simplicity_certificates(constq_spec, pairs, 1024)):
+        for p, cert in zip(pairs, simplicity_certificates(pairs)):
+            assert cert.F_residual == p.F_residual
             assert abs(cert.F_residual) < 1e-8
             right = dde_solver.shoot(constq_spec, p.lam, 1024).right
             assert cert.F_residual == spectral._assemble_F(constq_spec, right.values[-1],
@@ -162,12 +167,12 @@ def test_method_agreement_shooting_vs_picard(constq_spec, delayed_spec):
 
 
 def test_no_pairs_no_certificates(delayed_spec):
-    assert simplicity_certificates(delayed_spec, []) == []
+    assert simplicity_certificates([]) == []
 
 
 def test_simplicity_certificate_closed_form(null_spec):
     pair = localize_near_n(null_spec, 5)
-    [cert] = simplicity_certificates(null_spec, [pair])
+    [cert] = simplicity_certificates([pair])
     # d/d lambda of -s^(1/3) sin(s pi) at s = 5 is 5^(1/3) pi / 10
     oracle = 5.0 ** (1.0 / 3.0) * PI / 10.0
     assert cert.dF_dlambda == pytest.approx(oracle, abs=1e-4)
@@ -238,7 +243,7 @@ def bracket_of(pts, vals):
 
 def test_refinement_below_one_ulp_keeps_its_bracket(null_spec, alarm):
     F = char_fn_samples(null_spec, [2.5, 3.5], 256)
-    lo, hi, _ = _refine_brackets(null_spec, [[2.5, 3.5]], [F], 1e-17, 256)
+    lo, hi, *_ = _refine_brackets(null_spec, [[2.5, 3.5]], [F], 1e-17, 256)
     F = char_fn_samples(null_spec, [lo[0], hi[0]], 256)
     assert (F[0] <= 0.0) != (F[1] <= 0.0)
     assert 0.0 < hi[0] - lo[0] <= 2.0 * np.spacing(lo[0])
@@ -254,7 +259,7 @@ def test_refinement_keeps_a_bracket_for_any_tolerance(null_spec, alarm, exponent
     tol = 10.0 ** exponent
     lo0 = n - offset
     F = char_fn_samples(null_spec, [lo0, lo0 + 1.0], 256)
-    lo, hi, _ = _refine_brackets(null_spec, [[lo0, lo0 + 1.0]], [F], tol, 256)
+    lo, hi, *_ = _refine_brackets(null_spec, [[lo0, lo0 + 1.0]], [F], tol, 256)
     F = char_fn_samples(null_spec, [lo[0], hi[0]], 256)
     assert (F[0] <= 0.0) != (F[1] <= 0.0)
     assert lo0 <= lo[0] < hi[0] <= lo0 + 1.0
@@ -305,10 +310,11 @@ def test_exact_zero_at_a_sample_is_a_sign_change(null_spec, monkeypatch):
     assert np.array_equal(pts, [grid[18:22]]) and np.array_equal(vals, root - pts)
     lo, hi, f_lo, f_hi = bracket_of(pts, vals)
     assert (lo[0], hi[0], f_lo[0], f_hi[0]) == (grid[19], root, root - grid[19], 0.0)
-    lo, hi, _ = _refine_brackets(null_spec, pts, vals, 1e-10, 4096)
+    lo, hi, *_ = _refine_brackets(null_spec, pts, vals, 1e-10, 4096)
     assert lo[0] <= root <= hi[0] < lo[0] + 1e-10
     pairs = scan_roots(null_spec, 4.5, 5.5, samples=spectral.LOCALIZE_SUBGRID, steps=256)
-    assert [p.s for p in pairs] == pytest.approx([root], abs=1e-10)
+    # the root is the bracket end with the smaller |F|: the exact zero
+    assert [(p.s, p.F_residual) for p in pairs] == [(root, 0.0)]
 
 
 def full_resolution_screen(spec, n_values, steps):
@@ -457,7 +463,7 @@ def test_seeded_refinement_never_takes_more_rounds(alarm, monkeypatch, spec, ste
     a, b, f_a, f_b = bracket_of(pts, vals)
     calls = counted_sampling(monkeypatch)
     try:
-        lo, hi, _ = _refine_brackets(spec, pts, vals, tol, steps)
+        lo, hi, *_ = _refine_brackets(spec, pts, vals, tol, steps)
         seeded = len(calls)
         calls.clear()
         _refine_brackets(spec, np.stack([a, b], axis=1), np.stack([f_a, f_b], axis=1),
@@ -507,11 +513,55 @@ def test_refinement_slope_matches_a_central_difference(constq_spec, delayed_spec
         assert np.max(np.abs(secant / central - 1.0)) <= 1e-5
 
 
-def test_certificates_sweep_one_column_per_pair(delayed_spec, monkeypatch):
+def counted_sweeps(monkeypatch):
+    """Patches dde_solver.shoot_endpoints to log (columns, steps) per sweep."""
+    calls = []
+    swept = dde_solver.shoot_endpoints
+
+    def counted(spec, lams, steps):
+        calls.append((len(lams), steps))
+        return swept(spec, lams, steps)
+
+    monkeypatch.setattr(dde_solver, "shoot_endpoints", counted)
+    return calls
+
+
+def test_solve_sweeps_once_coarse_and_three_times_at_full_resolution(monkeypatch):
+    # delayed n = 5..50 at 4096 steps: the window screen at 265 steps, the
+    # confirmation of 4 columns per window and two refinement rounds of 2;
+    # the certificates add no sweep
+    calls = counted_sweeps(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["solve", "--config", str(CONFIG_DIR / "delayed.json")]) == 0
+    assert calls == [(2944, 265), (184, 4096), (92, 4096), (92, 4096)]
+    rows = out.getvalue().splitlines()[1:]
+    assert len(rows) == 46 and all(r.endswith(",true") for r in rows)
+
+
+@pytest.mark.parametrize("steps", [1024, 4096])
+def test_root_error_is_the_phase_error(constq_spec, steps):
+    # q = 1 with zero delay has the exact roots sqrt(n^2 - 1); where the
+    # error of a root refined far below it is above 1e-11 it is RK4's phase
+    # error at that s within 10% (below n = 8 the q term moves the
+    # frequency from s to sqrt(s^2 + 1), which the phase error leaves out)
+    n_values = [8, 12, 20, 35, 50, 100, 200]
+    pairs = localize_range(constq_spec, n_values, refine_tol=1e-13, steps=steps)
+    checked = 0
+    for p in pairs:
+        exact = math.sqrt(p.index ** 2 - 1)
+        if p.s - exact > 1e-11:
+            assert p.s - exact == pytest.approx(dde_solver.phase_error(exact, steps), rel=0.1)
+            checked += 1
+    assert checked >= 5
+
+
+def test_certificates_make_no_sweep(delayed_spec, monkeypatch):
+    # a certificate is arithmetic on its pair: refinement measured both the
+    # slope and the residual
     pairs = localize_range(delayed_spec, range(5, 13), steps=512)
     calls = counted_sampling(monkeypatch)
-    certs = simplicity_certificates(delayed_spec, pairs, 512)
-    assert calls == [(len(pairs), 512)]
+    certs = simplicity_certificates(pairs)
+    assert calls == []
     assert all(c.passed for c in certs)
 
 
@@ -522,8 +572,8 @@ def test_certificates_sweep_one_column_per_pair(delayed_spec, monkeypatch):
 @example(spec=spec_of("sin(x)", "cos(x)", "0.5*x*(pi/2 - x)", "(x - pi/2)*(pi - x)*0.25"),
          steps=512, n_values=list(range(5, 12)))
 def test_localized_slopes_are_batch_invariant(alarm, spec, steps, n_values):
-    # a pair of a batch, its slope included, is bitwise the pair localized
-    # alone.  Up to n = 11 every window is screened at SCREEN_MIN_STEPS,
+    # a pair of a batch, its slope and residual included, is bitwise the
+    # pair localized alone.  Up to n = 11 every window is screened at SCREEN_MIN_STEPS,
     # alone or in any batch; above that the coarse step count follows the
     # batch's largest n, and a window's seed points can move by a cell
     assert math.ceil(11.5 * HALF / spectral.SCREEN_SH) <= spectral.SCREEN_MIN_STEPS
@@ -533,7 +583,8 @@ def test_localized_slopes_are_batch_invariant(alarm, spec, steps, n_values):
         return
     for p in batch:
         alone = localize_near_n(spec, p.index, steps=steps)
-        assert (alone.s.hex(), alone.dF_ds.hex()) == (p.s.hex(), p.dF_ds.hex())
+        assert ((alone.s.hex(), alone.dF_ds.hex(), alone.F_residual.hex())
+                == (p.s.hex(), p.dF_ds.hex(), p.F_residual.hex()))
 
 
 @settings(max_examples=25, deadline=None,
