@@ -5,10 +5,9 @@ it, from methods every subclass shares: no code is generated, compiled or
 inspected per class, so defining a class costs one annotation read and
 importing the package stays cheap.
 
-- Its fields are its annotated names, a base class's fields first; a class
-  attribute of a field's name is that field's default.
-- ``__init__`` takes the fields positionally or by keyword, then runs
-  ``__post_init__``.
+- Its fields are its annotated names, a base class's fields first.
+- ``__init__`` takes every field, positionally or by keyword, then runs
+  ``__post_init__`` if the class has one.
 - An instance equals only an instance of the same class whose field values
   are equal; it hashes as the tuple of its field values, computed once.
 - The repr is ``Name(field=value, ...)``.
@@ -26,15 +25,13 @@ __all__ = ["Frozen"]
 class Frozen:
     __slots__ = ("_hash",)  # None until the first hash
     _fields = ()
-    _defaults = {}
-    _post_init = False  # whether __post_init__ is overridden
+    _post_init = False  # whether the class defines __post_init__
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         own = cls.__annotations__  # this class's own annotations alone
         cls._fields = tuple(dict.fromkeys((*cls._fields, *own)))
-        cls._defaults = {**cls._defaults, **{name: vars(cls)[name] for name in own if name in vars(cls)}}
-        cls._post_init = cls.__post_init__ is not Frozen.__post_init__
+        cls._post_init = hasattr(cls, "__post_init__")
 
     def __init__(self, *args, **kwargs):
         names = self._fields
@@ -47,20 +44,17 @@ class Frozen:
 
     def _bind(self, args, kwargs) -> list:
         """The field values of a call that does not pass every field
-        positionally: the rest by keyword or by their defaults."""
+        positionally: the rest by keyword."""
         names = self._fields
-        given = {**self._defaults, **kwargs}
+        given = dict(kwargs)
         try:
             values = [*args, *map(given.pop, names[len(args):])]
         except KeyError as exc:
             raise TypeError(f"{type(self).__qualname__}() missing argument {exc}") from None
         # a keyword left over is unknown or repeats a positional argument
-        if len(args) > len(names) or not given.keys().isdisjoint(kwargs):
+        if len(args) > len(names) or given:
             raise TypeError(f"{type(self).__qualname__}() takes the fields {names}, each once")
         return values
-
-    def __post_init__(self):
-        pass
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

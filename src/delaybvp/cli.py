@@ -60,8 +60,8 @@ class ResolutionError(RuntimeError):
 
 
 class SolverSettings(Frozen):
-    steps_per_segment: int = dde_solver.DEFAULT_STEPS
-    refine_tol: float = spectral.DEFAULT_REFINE_TOL
+    steps_per_segment: int
+    refine_tol: float
 
 
 class RunConfig(Frozen):

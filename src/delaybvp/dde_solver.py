@@ -169,7 +169,7 @@ class SolutionSegment(Frozen):
 
     def _hermite(self, x, f, df):
         x = np.asarray(x, dtype=float)
-        if np.any(x < self.a - 1e-12) or np.any(x > self.b + 1e-12):
+        if not np.all((x >= self.a - 1e-12) & (x <= self.b + 1e-12)):
             raise ValueError(f"evaluation outside [{self.a}, {self.b}]")
         return hermite(self.nodes, f, df, x)
 
@@ -594,14 +594,14 @@ def _non_finite(side: int, YV: np.ndarray, cols, absorbing: bool = False) -> lis
     of segment ``side`` (0 left, 1 right) by row, or [] if all are finite.
 
     ``absorbing`` says that every state of the block was computed from the
-    one before it with finite coefficients, as in a segment whose pieces are
-    all one step: a product with a non-finite operand is non-finite, 0 * inf
-    included, and so is a sum with a non-finite term, so the first
-    non-finite state makes every later one non-finite and a finite end row
-    clears the block without the scan.  A longer piece computes each row
-    from the piece's partial sums, not from the row before, so a row whose
-    product overflowed need not reach the end row, and its segment is
-    scanned."""
+    one before it, as in a segment whose pieces are all one step: a product
+    with a non-finite operand is non-finite, 0 * inf included, and so is a
+    sum with a non-finite term, so a step that uses a non-finite coefficient
+    gives a non-finite state, the first non-finite state makes every later
+    one non-finite, and a finite end row clears the block without the scan.
+    A longer piece computes each row from the piece's partial sums, not from
+    the row before, so a row whose product overflowed need not reach the end
+    row, and its segment is scanned."""
     if absorbing and np.isfinite(YV[:, -1]).all():
         return []
     # one channel at a time keeps the temporary at (steps+1, width) booleans
@@ -670,8 +670,7 @@ def _shoot_blocks(spec: ProblemSpec, lams: np.ndarray, steps: int, keep):
     are then dropped; yields (cols, left, right) per block, with what
     ``keep`` returned.  A non-finite state stops the yields and raises after
     the last block, naming the batch's first such column; a segment whose
-    pieces are all one step is checked at its end row while the block's
-    coefficients are finite, any other in full.
+    pieces are all one step is checked at its end row, any other in full.
     """
     if not np.all((lams > 0.0) & np.isfinite(lams)):
         raise ValueError("lambda must be positive and finite")
@@ -691,9 +690,8 @@ def _shoot_blocks(spec: ProblemSpec, lams: np.ndarray, steps: int, keep):
         for cols in np.split(group, range(width, group.shape[0], width)):
             z = lams[cols]
             coefficients = _coefficients(z, lt.h, longest, stages)
-            finite = bool(np.isfinite(coefficients[0]).all())
             YV = lt.sweep(z, math.sin(spec.alpha), -math.cos(spec.alpha), cap, coefficients)
-            failed += _non_finite(0, YV, cols, finite and one_step[0])
+            failed += _non_finite(0, YV, cols, one_step[0])
             left = None if failed else keep(lt, z, YV)
             # a tiny coupling overflows the mapping: the right sweep fails
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -701,7 +699,7 @@ def _shoot_blocks(spec: ProblemSpec, lams: np.ndarray, steps: int, keep):
                 y0, v0 = scale * YV[:, -1]
             del YV
             YV = rt.sweep(z, y0, v0, cap, coefficients)
-            failed += _non_finite(1, YV, cols, finite and one_step[1])
+            failed += _non_finite(1, YV, cols, one_step[1])
             right = None if failed else keep(rt, z, YV)
             del YV
             if not failed:

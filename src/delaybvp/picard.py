@@ -30,7 +30,7 @@ import numpy as np
 
 from .dde_solver import SolutionSegment, lam_cbrt
 from .problem import HALF, ProblemSpec, q_norms, segment_samples
-from .quadrature import cumulative_simpson, odd_point_count
+from .quadrature import cumulative_simpson
 
 __all__ = ["PicardSegment", "ContractionError", "PicardDivergedError",
            "picard_w1", "picard_w2"]
@@ -61,8 +61,8 @@ class PicardSegment(SolutionSegment):
     """Solution segment produced by the fixed-point iteration, annotated
     with the iteration count and the final sup-norm change."""
 
-    iterations: int = 0
-    residual: float = 0.0
+    iterations: int
+    residual: float
 
 
 def _segment(spec, lam, side, free_coef, grid_points, max_iters, tol):
@@ -84,7 +84,7 @@ def _segment(spec, lam, side, free_coef, grid_points, max_iters, tol):
     if s <= norm:
         raise ContractionError(f"need s > {norm_name} for the {side} oracle "
                                f"(s = {s:.6g}, {norm_name} = {norm:.6g})")
-    samples = segment_samples(q_expr, delta_expr, a, b, odd_point_count(grid_points) - 1)
+    samples = segment_samples(q_expr, delta_expr, a, b, grid_points - 1)
     if samples.error is not None:
         # the samples are cached and shared: raise their error afresh
         raise samples.error.with_traceback(None)

@@ -70,10 +70,6 @@ class DelayRangeError(ValueError):
     """A delayed argument left the admissible range [a, x]."""
 
 
-def _as_expr(value) -> Expr:
-    return value if not isinstance(value, str) else exprlang.parse(value)
-
-
 class ProblemSpec(Frozen):
     """Immutable problem instance.
 
@@ -108,10 +104,10 @@ class ProblemSpec(Frozen):
                      retard_right: str, alpha: float, beta: float,
                      coupling: float) -> "ProblemSpec":
         return cls(
-            q_left=_as_expr(q_left),
-            q_right=_as_expr(q_right),
-            retard_left=_as_expr(retard_left),
-            retard_right=_as_expr(retard_right),
+            q_left=exprlang.parse(q_left),
+            q_right=exprlang.parse(q_right),
+            retard_left=exprlang.parse(retard_left),
+            retard_right=exprlang.parse(retard_right),
             alpha=float(alpha),
             beta=float(beta),
             coupling=float(coupling),

@@ -14,13 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["cumulative_simpson", "hermite", "hermite_weights", "odd_point_count"]
-
-
-def odd_point_count(n: int) -> int:
-    """Round a requested point count up to the next odd value >= 3."""
-    n = max(int(n), 3)
-    return n if n % 2 == 1 else n + 1
+__all__ = ["cumulative_simpson", "hermite", "hermite_weights"]
 
 
 def cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:

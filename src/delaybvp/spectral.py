@@ -129,17 +129,13 @@ class SimplicityCertificate(Frozen):
     passed: bool
 
 
-def _assemble_F(spec: ProblemSpec, w_pi, wp_pi):
-    return w_pi * math.cos(spec.beta) + wp_pi * math.sin(spec.beta)
-
-
 def char_fn_samples(spec: ProblemSpec, s_values, steps: int = dde_solver.DEFAULT_STEPS) -> np.ndarray:
     """F(s^2) on a batch of s values (one batched sweep per segment)."""
     s_values = np.asarray(s_values, dtype=float)
     if not np.all((s_values > 0.0) & np.isfinite(s_values)):
         raise ValueError("s must be positive and finite")
     w, wp = dde_solver.shoot_endpoints(spec, s_values * s_values, steps)
-    return _assemble_F(spec, w, wp)
+    return w * math.cos(spec.beta) + wp * math.sin(spec.beta)
 
 
 def _sign_changes(F) -> np.ndarray:

@@ -212,6 +212,19 @@ def test_predict_s_many_matches_single_predictions(delayed_spec):
         predict_s_many(delayed_spec, [3, 0], 512)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda spec: kl_integrals(spec, 1.0, [[3.0, 4.0]], 64), "s must be a scalar or a 1-D array"),
+    (lambda spec: oscillatory_q_integral(spec, np.full((2, 2), 3.0), 64),
+     "s must be a scalar or a 1-D array"),
+    (lambda spec: predict_eigenfunction(spec, 5, 0.3, "middle"),
+     "order must be 'leading' or 'refined'"),
+    (lambda spec: predict_eigenfunction(spec, 0, 0.3), "n must be a positive integer"),
+], ids=["kl_integrals_2d", "oscillatory_q_integral_2d", "predict_order", "predict_index"])
+def test_asymptotics_arguments_named(delayed_spec, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(delayed_spec)
+
+
 # --- eigenfunction predictions --------------------------------------------------
 
 

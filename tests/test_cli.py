@@ -440,6 +440,9 @@ def problem_with(**fields):
     (problem_with(q_left=functools.reduce(lambda f, p: f"({f})" + "+x" * (100 - p),
                                           range(9, -1, -1), "x" + "+x" * 90)),
      "problem.q_left:"),
+    # a constant that fails evaluation names its key and the failed function
+    (problem_with(alpha="log(0)"),
+     "problem.alpha: log of a non-positive value in 'log(0.0)' at x = 0.0"),
 ])
 def test_config_errors_name_their_key(tmp_path, capsys, doc, prefix):
     path = tmp_path / "cfg.json"

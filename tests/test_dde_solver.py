@@ -12,6 +12,7 @@ from delaybvp import dde_solver
 from delaybvp.dde_solver import (DelayRangeError, NonFiniteStateError,
                                  integrate_segment, lam_cbrt, shoot,
                                  shoot_endpoints, shoot_many)
+from delaybvp.picard import picard_w1
 from delaybvp.problem import HALF, ProblemSpec, segment_samples
 
 PI = math.pi
@@ -133,6 +134,18 @@ def test_eval_outside_interval_rejected(null_spec):
         seg.eval(-0.5)
     with pytest.raises(ValueError):
         seg.eval(HALF + 0.1)
+
+
+@pytest.mark.parametrize("build", [lambda spec: shoot(spec, 25.0).left,
+                                   lambda spec: picard_w1(spec, 25.0)], ids=["shot", "picard"])
+def test_nan_evaluation_is_outside_the_interval(constq_spec, build):
+    # a NaN compares false both ways, so it must fail the range check
+    # rather than reach the Hermite lookup's integer cast
+    seg = build(constq_spec)
+    for evaluate in (seg.eval, seg.eval_deriv):
+        for x in (math.nan, np.array([0.5, math.nan])):
+            with pytest.raises(ValueError, match=re.escape(f"evaluation outside [0.0, {HALF!r}]")):
+                evaluate(x)
 
 
 def test_shoot_many_matches_single(delayed_spec):
@@ -305,8 +318,11 @@ def test_positive_lambda_required(null_spec):
 
 
 def test_interval_must_not_straddle_interface(null_spec):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must not straddle"):
         integrate_segment(null_spec, 1.0, (1.0, 2.0), 1.0, 0.0)
+    for interval in [(1.0, 1.0), (1.0, 0.5)]:
+        with pytest.raises(ValueError, match="interval must have positive length"):
+            integrate_segment(null_spec, 1.0, interval, 1.0, 0.0)
 
 
 def test_negative_retardation_aborts():
@@ -381,7 +397,7 @@ def test_end_row_finiteness_matches_the_full_scan(lams, width, block):
     def checked(side, YV, cols, absorbing_=False):
         got = scan(side, YV, cols, absorbing_)
         assert got == scan(side, YV, cols)
-        absorbing.append(absorbing_)
+        absorbing.append((side, absorbing_))
         return got
 
     for split in (contextlib.nullcontext(), split_sweeps(512, width, block)):
@@ -389,8 +405,9 @@ def test_end_row_finiteness_matches_the_full_scan(lams, width, block):
             mp.setattr(dde_solver, "_non_finite", checked)
             with contextlib.suppress(NonFiniteStateError):
                 shoot_endpoints(TINY_COUPLING, lams, 512)
-    # a lambda past about 1e154 overflows C, and its block is scanned
-    assert any(absorbing) or max(lams) > 1e150
+    # every block of the left segment, those past lambda = 1e154 whose
+    # coefficients overflow included, is checked at its end row
+    assert absorbing and all(a for side, a in absorbing if side == 0)
 
 
 def test_overflow_inside_a_piece_is_reported():

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 import delaybvp
-from delaybvp import dde_solver, spectral
 from delaybvp._frozen import Frozen
 from delaybvp.cli import RunConfig, SolverSettings
 from delaybvp.dde_solver import SolutionSegment
@@ -98,17 +97,15 @@ def test_assignment_and_deletion_raise(tree):
 
 
 def test_solver_settings_defaults_and_keywords():
-    default = SolverSettings()
-    assert (default.steps_per_segment, default.refine_tol) == (dde_solver.DEFAULT_STEPS,
-                                                               spectral.DEFAULT_REFINE_TOL)
-    assert SolverSettings(refine_tol=1e-6) == SolverSettings(dde_solver.DEFAULT_STEPS, 1e-6)
-    assert SolverSettings(512) == SolverSettings(steps_per_segment=512)
+    assert SolverSettings(512, refine_tol=1e-6) == SolverSettings(512, 1e-6)
+    assert SolverSettings(512, 1e-6) == SolverSettings(refine_tol=1e-6, steps_per_segment=512)
     assert repr(SolverSettings(512, 1e-6)) == "SolverSettings(steps_per_segment=512, refine_tol=1e-06)"
-    for args, kwargs in [((1, 2, 3), {}), ((1,), {"steps_per_segment": 2}), ((), {"steps": 2})]:
+    for args, kwargs in [((1, 2, 3), {}), ((1,), {"steps_per_segment": 2}), ((), {"steps": 2}),
+                         ((1,), {}), ((), {"refine_tol": 1e-6})]:
         with pytest.raises(TypeError):
             SolverSettings(*args, **kwargs)
     with pytest.raises(TypeError):
-        RunConfig(None, SolverSettings())  # five fields without a default missing
+        RunConfig(None, SolverSettings(512, 1e-6))  # five fields missing
 
 
 def test_picard_segment_fields_follow_the_solution_segment():
@@ -118,7 +115,8 @@ def test_picard_segment_fields_follow_the_solution_segment():
     assert repr(segment).startswith("PicardSegment(a=0.0, b=1.0, lam=4.0, nodes=array(")
     assert repr(segment).endswith(", iterations=7, residual=1e-11)")
     assert (segment.iterations, segment.residual) == (7, 1e-11)
-    assert (PicardSegment(*base).iterations, PicardSegment(*base).residual) == (0, 0.0)
+    with pytest.raises(TypeError):
+        PicardSegment(*base)
     # equality holds within one class only
     assert segment != SolutionSegment(*base)
     assert math.isclose(segment.eval(0.5), 0.5)

@@ -129,6 +129,15 @@ def test_oracle_rejects_what_the_stepper_rejects(constq_spec, side, retard, chec
             picard_w2(spec, 25.0, picard_w1(constq_spec, 25.0))
 
 
+def test_grid_points_are_taken_as_given(constq_spec):
+    # an even count is integrated as it is, its last node by the trailing
+    # rule; fewer than 3 points is the sampler's named error
+    seg = picard_w1(constq_spec, 25.0, grid_points=4096)
+    assert seg.nodes.shape == (4096,) and seg.residual < 1e-10
+    with pytest.raises(ValueError, match="need at least 2 steps per segment"):
+        picard_w1(constq_spec, 25.0, grid_points=2)
+
+
 def test_w1_lambda_mismatch_rejected(constq_spec):
     w1 = picard_w1(constq_spec, 25.0)
     with pytest.raises(ValueError):

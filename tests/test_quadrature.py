@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from delaybvp.quadrature import cumulative_simpson, hermite, hermite_weights
@@ -69,6 +70,12 @@ def test_cumulative_simpson_rows_match_one_dimensional_calls(rows, count, h, dat
         assert np.array_equal(out[r], cumulative_simpson(y[r], h))
         assert np.array_equal(out[r], _simpson_loop(y[r], h))
     assert np.array_equal(cumulative_simpson(y[:, None, :], h)[:, 0], out)
+
+
+def test_cumulative_simpson_needs_three_samples():
+    for y in ([1.0, 2.0], [[1.0, 2.0], [3.0, 4.0]]):
+        with pytest.raises(ValueError, match="need at least 3 samples"):
+            cumulative_simpson(y, 0.5)
 
 
 def test_hermite_reproduces_cubics_and_snaps_to_nodes():

@@ -80,8 +80,9 @@ def test_scan_roots_satisfy_residual_contract(constq_spec):
             assert cert.F_residual == p.F_residual
             assert abs(cert.F_residual) < 1e-8
             right = dde_solver.shoot(constq_spec, p.lam, 1024).right
-            assert cert.F_residual == spectral._assemble_F(constq_spec, right.values[-1],
-                                                           right.derivs[-1])
+            beta = constq_spec.beta
+            assert cert.F_residual == (right.values[-1] * math.cos(beta)
+                                       + right.derivs[-1] * math.sin(beta))
             assert cert.F_residual == char_fn_samples(constq_spec, [p.s], 1024)[0]
 
 
@@ -194,6 +195,16 @@ def test_positive_s_required(null_spec):
         scan_roots(null_spec, 0.0, 2.0, 201)
     with pytest.raises(ValueError, match="need 0 < s_min < s_max"):
         scan_roots(null_spec, 1.0, math.inf, 201)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda spec: scan_roots(spec, 1.0, 2.0, 1), "need at least 2 samples"),
+    (lambda spec: localize_range(spec, [3, 0]), "indices must be positive integers"),
+    (lambda spec: localize_near_n(spec, 0), "indices must be positive integers"),
+], ids=["scan_samples", "localize_range_index", "localize_near_n_index"])
+def test_sample_count_and_indices_named(null_spec, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(null_spec)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-10])
