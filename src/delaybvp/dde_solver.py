@@ -32,13 +32,11 @@ from one gather.  The linear recurrence inside it has the closed form
 u[b+1+l] = A^(l+1) (u[b] + sum_{k<=l} A^-(k+1) B g[b+k]), so the sweep
 loops over pieces, not steps: one contraction of the stage triples with
 A^-(k+1) B, one cumulative sum from u[b] and one product with A^(l+1),
-the powers A^-L .. A^L built by doubling once per sweep.  A piece of one
-step is the step above.  Runs are cut into pieces of at most
-(steps + 1) // ``PIECE_SHARE`` steps (85 at the default resolution), and
-per lambda at most the longest power of two that keeps the inverse powers
-within a bit (64 steps from s h ~ 0.98 on).  Below 383 steps that cap would
-be under ``SHORTEST_PIECE`` steps, where a piece saves fewer numpy calls than
-its partial sums and powers cost on a wide batch, and pieces are one step.
+the powers A^-L .. A^L built by doubling once per column block.  A piece
+of one step is the step above.  Runs are cut into pieces of at most a
+share of the steps, ``PIECE_SHARE``, and per lambda at most the longest
+power of two that keeps the inverse powers within a bit (``piece_caps``);
+on short segments every piece is one step (``SHORTEST_PIECE``).
 
 The arrays are laid out so that every contraction sums over an axis in
 front of a contiguous (piece rows, lambda columns) block: the states are
@@ -57,19 +55,21 @@ and end stages, and copies its node stage from the step before.
 Every coefficient sample, stencil and run is independent of lambda, so they
 are computed once per problem and the integration runs vectorized over a
 batch of lambda values -- eigenvalue scans and bracket refinements pay for
-one sweep per round instead of one per lambda.  One loop over column
-blocks, ``_shoot_blocks``, drives every shooting call; a block's width is
-bounded by ``SWEEP_BYTES`` and ``PIECE_BYTES``, and the loop holds one
-block's state array at a time.  The width never sets a piece, and it
-changes no column's arithmetic: the pieces depend on the steps and on the
-column's own lambda only, every 2x2 product is written out elementwise,
-and both forms of a contraction add each column's products, each rounded
-on its own, in the same order.  So a lambda gives bit-identical results
-alone, in any batch and in any block.  That the einsum form rounds each
-product before adding it, with no fused multiply-add, is a property of the
-numpy build (it holds for numpy 2.4.6 with SIMD baseline X86_V2); on a
-build that fused them, a column's last bits would depend on its block's
-width, and the tests comparing wide and narrow blocks would fail.
+one sweep per round instead of one per lambda.  One loop,
+``_shoot_blocks``, drives every sweep: over column blocks, and in each over
+the segments, each started by the transmission mapping from the end of the
+one before; a block's width is bounded by ``SWEEP_BYTES`` and
+``PIECE_BYTES``, and the loop holds one segment's state array at a time.
+The width never sets a piece, and it changes no column's arithmetic: the
+pieces depend on the steps and on the column's own lambda only, every 2x2
+product is written out elementwise, and both forms of a contraction add
+each column's products, each rounded on its own, in the same order.  So a
+lambda gives bit-identical results alone, in any batch and in any block.
+That the einsum form rounds each product before adding it, with no fused
+multiply-add, is a property of the numpy build (it holds for numpy 2.4.6
+with SIMD baseline X86_V2); on a build that fused them, a column's last
+bits would depend on its block's width, and the tests comparing wide and
+narrow blocks would fail.
 
 Only lambda > 0 is addressed; the transmission scaling uses the real cube
 root of lambda, computed as exp(log(lambda)/3).
@@ -86,7 +86,7 @@ from ._frozen import Frozen
 from .exprlang import Expr
 from .problem import (DEFAULT_STEPS, HALF, DelayRangeError, ProblemSpec, SegmentSamples,
                       segment_samples)
-from .quadrature import hermite
+from .quadrature import hermite, hermite_basis
 
 __all__ = [
     "SolutionSegment",
@@ -238,8 +238,8 @@ class _SegmentTables:
     read and the segment is one run.  Any piece of a run is a run itself;
     ``pieces`` cuts them at ``breaks`` and to at most ``piece_cap`` steps,
     (steps + 1) // ``PIECE_SHARE``, or one step when that is under
-    ``SHORTEST_PIECE``.  ``sweep`` integrates one column block at one cap;
-    the block loop of ``_shoot_blocks`` picks the blocks.
+    ``SHORTEST_PIECE``.  ``sweep`` integrates one column block at one cap
+    with the coefficients that ``_shoot_blocks`` builds for the block.
     """
 
     def __init__(self, samples: SegmentSamples):
@@ -301,10 +301,8 @@ class _SegmentTables:
         order[self.node_rows[bounds[1:]] - 1] = end[bounds[1:] - 1]
         order[-1] = 2 * n
         j, theta = j[order], theta[order]
-        t2 = theta * theta
-        t3 = t2 * theta
-        self.weights = np.stack([2.0 * t3 - 3.0 * t2 + 1.0, -2.0 * t3 + 3.0 * t2,
-                                 h * (t3 - 2.0 * t2 + theta), h * (t3 - t2)])[..., None]
+        self.weights = np.stack(hermite_basis(theta))[..., None]
+        self.weights[2:] *= h
         self.weights *= negq[order, None]
         self.gather = j + _ROW_OFFSET[:, None]
         self.gather += _CHANNEL[:, None] * (n + 1)
@@ -377,12 +375,13 @@ class _SegmentTables:
             longest = np.where(det < 1.0, 1.0 + math.log(4.0) / -np.log(det), np.inf)
         return np.minimum(self.piece_cap, 2.0 ** np.floor(np.log2(longest))).astype(np.int64)
 
-    def sweep(self, z: np.ndarray, y0, v0, cap: int, coefficients=None) -> np.ndarray:
+    def sweep(self, z: np.ndarray, y0, v0, cap: int, coefficients: tuple) -> np.ndarray:
         """The states (y, y') at every node of one column block, shape
         (2, steps+1, m), integrated in pieces of at most ``cap`` steps from
-        y0 and v0, scalars or one value per column, with ``coefficients``
-        (C, powers, K) from ``_coefficients``, built for this segment when
-        not given.  A state may overflow; the caller checks with
+        y0 and v0, scalars or one value per column, with the block's
+        ``coefficients`` (C, powers, K) from ``_coefficients``, built by
+        ``_shoot_blocks`` for pieces at least as long as this segment's
+        longest.  A state may overflow; the driver checks with
         ``_non_finite``.
 
         A step is u[i+1] = C (u[i], g[i]) with C = [A | B] the (2, 5) scheme
@@ -420,8 +419,6 @@ class _SegmentTables:
         # with q = 0 every stage is zero: no stencil is read, and the only
         # input of a piece is u[b], so each of its partial sums is A u[b]
         stages = not self.q_zero
-        if coefficients is None:
-            coefficients = _coefficients(z, self.h, longest, stages)
         C, powers, K = coefficients
         A = C[:, :2]
         YV = np.empty((2, self.steps + 1, m))
@@ -632,15 +629,66 @@ def _segments(tables: _SegmentTables, lams: np.ndarray, YV: np.ndarray) -> list[
             for k, lam in enumerate(lams)]
 
 
+def _shoot_blocks(spec: ProblemSpec, segments: tuple, start, lams: np.ndarray, keep):
+    """The one sweep driver: a loop over column blocks, and in each over
+    ``segments``, the tables of consecutive subintervals of one step.
+
+    The first segment starts from ``start``, (y, y') at its left end; each
+    next one from the transmission mapping y(pi/2+) = lambda^(-1/3)
+    delta^(-1) y(pi/2-) (and likewise for y') of the end of the one before.
+    A block holds lambda columns of one piece cap (the segments have the
+    same step, so the same caps), as many as the two byte budgets allow,
+    and one set of scheme coefficients, built for the longest piece of any
+    segment and passed to every sweep.  Each segment's states go to
+    ``keep(tables, z, states)`` as soon as they are swept and are then
+    dropped; yields (cols, kept, ...) per block, with what ``keep``
+    returned for each segment.  A non-finite state stops the yields and
+    raises after the last block, naming the batch's first such column; a
+    segment whose pieces are all one step is checked at its end row, any
+    other in full.
+    """
+    if not np.all((lams > 0.0) & np.isfinite(lams)):
+        raise ValueError("lambda must be positive and finite")
+    first = segments[0]
+    # one coefficient set serves every segment
+    assert all(tables.h == first.h for tables in segments)
+    stages = not all(tables.q_zero for tables in segments)
+    caps = first.piece_caps(lams)
+    failed = []
+    for cap in sorted(set(caps.tolist())):
+        group = np.flatnonzero(caps == cap)
+        longest = max(tables.pieces(cap)[1] for tables in segments)
+        width = max(1, min(SWEEP_BYTES // (2 * 8 * (first.steps + 1)),
+                           PIECE_BYTES // (4 * 3 * 8 * longest)))
+        for cols in np.split(group, range(width, group.shape[0], width)):
+            z = lams[cols]
+            coefficients = _coefficients(z, first.h, longest, stages)
+            y0, v0 = start
+            kept = []
+            for side, tables in enumerate(segments):
+                YV = tables.sweep(z, y0, v0, cap, coefficients)
+                failed += _non_finite(side, YV, cols, tables.pieces(cap)[1] == 1)
+                kept.append(None if failed else keep(tables, z, YV))
+                # the transmission mapping starts the next segment (after
+                # the last it goes unused); a tiny coupling overflows it,
+                # and that sweep fails
+                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                    y0, v0 = 1.0 / (lam_cbrt(z) * spec.coupling) * YV[:, -1]
+                del YV
+            if not failed:
+                yield cols, *kept
+    _raise_first(failed, segments, lams)
+
+
 def integrate_segment(spec: ProblemSpec, lam: float, interval, y0: float, dy0: float,
                       steps: int = DEFAULT_STEPS) -> SolutionSegment:
     """Integrate one subinterval with given initial data at its left end.
 
     ``interval`` must lie within [0, pi/2] or within [pi/2, pi]; the matching
-    coefficient expressions of the problem are used.
+    coefficient expressions of the problem are used.  The subinterval is the
+    one segment of a ``_shoot_blocks`` call, so from (sin alpha, -cos alpha)
+    on [0, pi/2] the result is bitwise ``shoot``'s left segment.
     """
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise ValueError("lambda must be positive and finite")
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise ValueError("interval must have positive length")
@@ -650,68 +698,24 @@ def integrate_segment(spec: ProblemSpec, lam: float, interval, y0: float, dy0: f
         tabs = _tables(spec.q_right, spec.retard_right, a, b, steps)
     else:
         raise ValueError("interval must not straddle the interface point pi/2")
-    lam_arr = np.array([float(lam)])
-    YV = tabs.sweep(lam_arr, float(y0), float(dy0), int(tabs.piece_caps(lam_arr)[0]))
-    _raise_first(_non_finite(0, YV, [0]), (tabs,), lam_arr)
-    return _segments(tabs, lam_arr, YV)[0]
+    [(_, [segment])] = _shoot_blocks(spec, (tabs,), (float(y0), float(dy0)),
+                                     np.array([float(lam)]), _segments)
+    return segment
 
 
-def _shoot_blocks(spec: ProblemSpec, lams: np.ndarray, steps: int, keep):
-    """The one sweep driver: a loop over column blocks.
-
-    The left segment starts from y(0) = sin(alpha), y'(0) = -cos(alpha); the
-    right segment continues from the transmission mapping
-    y(pi/2+) = lambda^(-1/3) delta^(-1) y(pi/2-) (and likewise for y').
-    A block holds lambda columns of one piece cap (both segments have the
-    same step, so the same caps), as many as the two byte budgets allow,
-    and one set of scheme coefficients, built for the longer of the two
-    segments' longest pieces and passed to both sweeps.  Each segment's
-    states go to ``keep(tables, z, states)`` as soon as they are swept and
-    are then dropped; yields (cols, left, right) per block, with what
-    ``keep`` returned.  A non-finite state stops the yields and raises after
-    the last block, naming the batch's first such column; a segment whose
-    pieces are all one step is checked at its end row, any other in full.
-    """
-    if not np.all((lams > 0.0) & np.isfinite(lams)):
-        raise ValueError("lambda must be positive and finite")
-    lt = _left_tables(spec, steps)
-    rt = _right_tables(spec, steps)
-    # both segments are pi/2 long: one coefficient set serves both
-    assert lt.h == rt.h
-    stages = not (lt.q_zero and rt.q_zero)
-    caps = lt.piece_caps(lams)
-    failed = []
-    for cap in sorted(set(caps.tolist())):
-        group = np.flatnonzero(caps == cap)
-        longest = max(lt.pieces(cap)[1], rt.pieces(cap)[1])
-        one_step = [tables.pieces(cap)[1] == 1 for tables in (lt, rt)]
-        width = max(1, min(SWEEP_BYTES // (2 * 8 * (steps + 1)),
-                           PIECE_BYTES // (4 * 3 * 8 * longest)))
-        for cols in np.split(group, range(width, group.shape[0], width)):
-            z = lams[cols]
-            coefficients = _coefficients(z, lt.h, longest, stages)
-            YV = lt.sweep(z, math.sin(spec.alpha), -math.cos(spec.alpha), cap, coefficients)
-            failed += _non_finite(0, YV, cols, one_step[0])
-            left = None if failed else keep(lt, z, YV)
-            # a tiny coupling overflows the mapping: the right sweep fails
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                scale = 1.0 / (lam_cbrt(z) * spec.coupling)
-                y0, v0 = scale * YV[:, -1]
-            del YV
-            YV = rt.sweep(z, y0, v0, cap, coefficients)
-            failed += _non_finite(1, YV, cols, one_step[1])
-            right = None if failed else keep(rt, z, YV)
-            del YV
-            if not failed:
-                yield cols, left, right
-    _raise_first(failed, (lt, rt), lams)
+def _halves(spec: ProblemSpec, steps: int) -> tuple:
+    """The tables of [0, pi/2] and [pi/2, pi] and the start
+    (sin alpha, -cos alpha) at 0, the arguments of a shooting sweep."""
+    return ((_left_tables(spec, steps), _right_tables(spec, steps)),
+            (math.sin(spec.alpha), -math.cos(spec.alpha)))
 
 
 def shoot_many(spec: ProblemSpec, lams, steps_per_segment: int = DEFAULT_STEPS) -> list[ShootingResult]:
     """Shooting solutions for a batch of positive lambda values."""
     lams = np.asarray(lams, dtype=float)
     out: list[ShootingResult] = [None] * lams.shape[0]
-    for cols, left, right in _shoot_blocks(spec, lams, steps_per_segment, _segments):
+    for cols, left, right in _shoot_blocks(spec, *_halves(spec, steps_per_segment), lams,
+                                           _segments):
         for k, l, r in zip(cols.tolist(), left, right):
             out[k] = ShootingResult(left=l, right=r)
     return out
@@ -727,12 +731,14 @@ def shoot_endpoints(spec: ProblemSpec, lams, steps_per_segment: int = DEFAULT_ST
 
     Skips segment construction entirely and keeps of each block only the
     last node of its right segment; this is the fast path behind
-    characteristic-function scans.
+    characteristic-function scans.  Every state is still checked: a row
+    that overflows inside a piece longer than one step raises
+    ``NonFiniteStateError`` even where the end values are finite.
     """
     lams = np.asarray(lams, dtype=float)
     ends = np.empty((2, lams.shape[0]))
     # a copy of the end row: a view would keep the block alive into the next
-    for cols, _, right in _shoot_blocks(spec, lams, steps_per_segment,
+    for cols, _, right in _shoot_blocks(spec, *_halves(spec, steps_per_segment), lams,
                                         lambda tables, z, YV: YV[:, -1].copy()):
         ends[:, cols] = right
     return ends[0], ends[1]

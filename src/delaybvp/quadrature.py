@@ -7,14 +7,16 @@ odd-indexed nodes use the one-sided three-point rule so the result stays
 fourth-order accurate everywhere.  ``hermite`` reads node values and slopes
 between the nodes: the integrator's dense output, and K, L between
 quadrature nodes; ``hermite_weights`` gives the weights of a set of x
-once, for ``hermite`` to apply to many rows.
+once, for ``hermite`` to apply to many rows.  ``hermite_basis`` is the one
+form of the four cubic Hermite weights, which the integrator's delayed
+lookups use too.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["cumulative_simpson", "hermite", "hermite_weights"]
+__all__ = ["cumulative_simpson", "hermite", "hermite_basis", "hermite_weights"]
 
 
 def cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
@@ -48,6 +50,15 @@ def cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def hermite_basis(t):
+    """The four cubic Hermite weights at t (scalar or array) in [0, 1] of a
+    unit interval: the value weights at its ends, then the slope weights,
+    which a step h scales by h."""
+    t2 = t * t
+    t3 = t2 * t
+    return 2.0 * t3 - 3.0 * t2 + 1.0, -2.0 * t3 + 3.0 * t2, t3 - 2.0 * t2 + t, t3 - t2
+
+
 def hermite_weights(nodes: np.ndarray, x):
     """Where x (scalar or array) falls on the uniform grid ``nodes`` and its
     cubic Hermite weights: (j, (value weights at j and j+1, slope weights at
@@ -61,9 +72,7 @@ def hermite_weights(nodes: np.ndarray, x):
     # x on the upper node of its interval: t = 1 exactly, where the weights
     # are exactly (0, 1, 0, 0); on the lower node t is 0 exactly already
     t = np.where(x == nodes[j + 1], 1.0, (x - nodes[j]) / h)
-    t2 = t * t
-    t3 = t2 * t
-    return j, (2.0 * t3 - 3.0 * t2 + 1.0, -2.0 * t3 + 3.0 * t2, t3 - 2.0 * t2 + t, t3 - t2), h
+    return j, hermite_basis(t), h
 
 
 def hermite(nodes: np.ndarray, f: np.ndarray, df: np.ndarray, x, weights=None):

@@ -124,10 +124,16 @@ def test_charfn_closed_form_pattern(tmp_path):
     assert [float(r["lambda"]) for r in rows] == [1.0, 2.25, 4.0]
 
 
-def test_charfn_requires_s_range(tmp_path, capsys):
-    cfg = write_config(tmp_path, range_={"n_min": 1, "n_max": 9})
-    assert main(["charfn", "--config", cfg]) == 1
-    assert "s-range" in capsys.readouterr().err
+@pytest.mark.parametrize("command, range_, message", [
+    ("charfn", {"n_min": 1, "n_max": 9}, "s-range"),
+    ("verify", {"s_min": 1.0, "s_max": 2.0, "samples": 3},
+     "config error: range: verify needs an n-range (n_min/n_max)\n"),
+], ids=["charfn", "verify"])
+def test_charfn_requires_s_range(tmp_path, capsys, command, range_, message):
+    # each command refuses the other kind of range
+    cfg = write_config(tmp_path, range_=range_)
+    assert main([command, "--config", cfg]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_zero_samples_is_config_error(tmp_path, capsys):

@@ -157,6 +157,32 @@ def test_shoot_many_matches_single(delayed_spec):
         assert np.array_equal(res.right.eval(xs), single.right.eval(xs))
 
 
+# the problems of configs/null.json, constant_q.json and delayed.json
+SHIPPED = [("0", "0", "0", "0"), ("1", "1", "0", "0"),
+           ("sin(x)", "cos(x)", "0.5*x*(pi/2 - x)", "(x - pi/2)*(pi - x)*0.25")]
+
+
+@pytest.mark.parametrize("problem", SHIPPED, ids=["null", "constant_q", "delayed"])
+@settings(max_examples=15, deadline=None)
+@given(alpha=st.floats(-PI, PI), sh=st.floats(0.01, 1.5), steps=st.integers(2, 2048))
+@example(alpha=HALF, sh=0.98, steps=2048)
+@example(alpha=0.3, sh=1.3, steps=1024)
+@example(alpha=-1.0, sh=0.5, steps=383)
+@example(alpha=2.0, sh=1.2, steps=382)
+def test_integrate_segment_is_the_left_half_of_shoot(problem, alpha, sh, steps):
+    # both sweep through the one driver: from (sin alpha, -cos alpha) on
+    # [0, pi/2] the segment is bitwise shoot's left one, also from 383 steps
+    # on, where pieces are longer than one step, their length depends on
+    # lambda, and shoot builds the coefficients for the longer pieces of
+    # both halves
+    spec = spec_of(*problem, alpha=alpha)
+    lam = (sh * steps / HALF) ** 2
+    want = shoot(spec, lam, steps).left
+    got = integrate_segment(spec, lam, LEFT, math.sin(alpha), -math.cos(alpha), steps)
+    for name in ("values", "derivs", "second_derivs"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
 BATCH_SPECS = [spec_of("sin(x)", "cos(x)", "0.5*x*(pi/2 - x)", "(x - pi/2)*(pi - x)*0.25"),
                spec_of("1", "1")]
 
@@ -177,12 +203,19 @@ def split_sweeps(steps, width, block=None):
 def driver_blocks(spec, lams, steps):
     """The columns of every block the sweep driver works through, in order,
     with each segment sweep replaced by zero states."""
-    def zeros(tables, z, y0, v0, cap, coefficients=None):
+    def zeros(tables, z, y0, v0, cap, coefficients):
         return np.zeros((2, tables.steps + 1, z.shape[0]))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dde_solver._SegmentTables, "sweep", zeros)
         return [cols.tolist() for cols, _, _ in dde_solver._shoot_blocks(
-            spec, np.asarray(lams, dtype=float), steps, lambda tables, z, YV: None)]
+            spec, *dde_solver._halves(spec, steps), np.asarray(lams, dtype=float),
+            lambda tables, z, YV: None)]
+
+
+def driver_coefficients(tables, lams, cap):
+    """The scheme coefficients the sweep driver builds for ``tables`` swept
+    alone at piece cap ``cap``."""
+    return dde_solver._coefficients(lams, tables.h, tables.pieces(cap)[1], not tables.q_zero)
 
 
 def test_sweep_width_follows_the_byte_budget(null_spec, constq_spec):
@@ -663,7 +696,8 @@ def test_sweep_at_full_resolution_matches_stepwise(delayed_spec):
     lams = np.array([4.0, 625.0, 2500.0])
     for tables, samples in zip(both_tables(delayed_spec, 4096), both_samples(delayed_spec, 4096)):
         assert tables.piece_caps(lams).tolist() == [tables.piece_cap] * 3
-        got = tables.sweep(lams, 1.0, 0.5, tables.piece_cap)
+        cap = tables.piece_cap
+        got = tables.sweep(lams, 1.0, 0.5, cap, driver_coefficients(tables, lams, cap))
         want = stepwise_sweep(samples, lams, 1.0, 0.5)[0]
         scale = np.abs(want).max(axis=(0, 1))
         assert np.all(np.abs(got - want).max(axis=(0, 1)) <= 1e-11 * scale)
@@ -689,7 +723,7 @@ def test_wide_gather_adds_the_stencil_terms_in_order(delayed_spec, monkeypatch):
         [cap] = set(tables.piece_caps(lams).tolist())
         stages.clear()
         monkeypatch.setattr(dde_solver.np, "einsum", recording)
-        YV = tables.sweep(lams, 1.0, 0.5, cap)
+        YV = tables.sweep(lams, 1.0, 0.5, cap, driver_coefficients(tables, lams, cap))
         monkeypatch.undo()
         rows = YV.reshape(-1, lams.shape[0])
         # every piece gathers its stages but the peeled step 0
@@ -726,7 +760,7 @@ def test_one_step_stages_add_the_stencil_terms_in_order(delayed_spec, monkeypatc
         assert any(b not in shared for b in tables.breaks if 2 <= b < tables.steps)
         states.clear()
         monkeypatch.setattr(dde_solver.np, "einsum", recording)
-        YV = tables.sweep(lams, 1.0, 0.5, 1)
+        YV = tables.sweep(lams, 1.0, 0.5, 1, driver_coefficients(tables, lams, 1))
         monkeypatch.undo()
         rows = YV.reshape(-1, lams.shape[0])
         assert len(states) == tables.steps
