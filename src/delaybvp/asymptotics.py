@@ -214,10 +214,9 @@ def kl_integrals(spec: ProblemSpec, x, s, steps: int = DEFAULT_STEPS):
         offset = np.zeros((2, block.shape[0], 1))
         for samples, side, w in zip(tables, sides, weights):
             nodes, q, d = samples.nodes, samples.q[0], samples.delta[0]
-            h = float(nodes[1] - nodes[0])
             # the sin and cos channels as one (2, block, nodes) array
             integrand = q * np.stack([trig(block * d) for trig in (np.sin, np.cos)])
-            running = cumulative_simpson(integrand, h)
+            running = cumulative_simpson(integrand, samples.h)
             kl[:, rows][:, :, side] = offset + hermite(nodes, running, integrand, xs[side], w)
             offset += running[..., -1:]
     kl *= 0.5
@@ -395,11 +394,10 @@ def oscillatory_q_integral(spec: ProblemSpec, s, steps: int = DEFAULT_STEPS):
     ss = _s_values(s)
     left = coefficient_samples(spec, steps)[0]
     xs, q, d = left.nodes, left.q[0], left.delta[0]
-    h = float(xs[1] - xs[0])
     phase = 2.0 * xs - d
     out = np.empty(ss.size)
     for rows in _s_blocks(ss.size, xs.size):
-        out[rows] = cumulative_simpson(q * np.cos(ss[rows, None] * phase), h)[:, -1]
+        out[rows] = cumulative_simpson(q * np.cos(ss[rows, None] * phase), left.h)[:, -1]
     return out if np.ndim(s) > 0 else float(out[0])
 
 

@@ -133,8 +133,9 @@ def lam_cbrt(lam):
     return np.exp(np.log(lam) / 3.0)
 
 
-def phase_error(s: float, steps: int = DEFAULT_STEPS) -> float:
-    """How far above the exact root the scheme puts a root near s > 0.
+def phase_error(s, steps: int = DEFAULT_STEPS):
+    """How far above the exact root the scheme puts a root near s > 0, for
+    a float or elementwise for an array of s.
 
     On y'' = -s^2 y one step of h = (pi/2) / ``steps`` turns (y, y'/s)
     through phi(theta) = atan2(theta (1 - theta^2/6), 1 - theta^2/2 +
@@ -144,10 +145,12 @@ def phase_error(s: float, steps: int = DEFAULT_STEPS) -> float:
     ODEs I, II.4).  Past theta = sqrt(6) the step turns backwards and the
     error is infinite.
     """
-    theta = s * HALF / steps
-    theta2 = theta * theta
-    phi = math.atan2(theta * (1.0 - theta2 / 6.0), 1.0 - theta2 / 2.0 + theta2 * theta2 / 24.0)
-    return s * (theta / phi - 1.0) if phi > 0.0 else math.inf
+    s = np.asarray(s, dtype=float)
+    with np.errstate(all="ignore"):
+        theta = s * HALF / steps
+        theta2 = theta * theta
+        phi = np.arctan2(theta * (1.0 - theta2 / 6.0), 1.0 - theta2 / 2.0 + theta2 * theta2 / 24.0)
+        return np.where(phi > 0.0, s * (theta / phi - 1.0), np.inf)[()]
 
 
 class SolutionSegment(Frozen):

@@ -88,8 +88,7 @@ def _segment(spec, lam, side, free_coef, grid_points, max_iters, tol):
     if samples.error is not None:
         # the samples are cached and shared: raise their error afresh
         raise samples.error.with_traceback(None)
-    xs = samples.nodes
-    h = float(xs[1] - xs[0])
+    xs, h = samples.nodes, samples.h
     q_vals, xi = samples.q[0], xs - samples.delta[0]
     sin_sx, cos_sx = np.sin(s * xs), np.cos(s * xs)
     sin_st, cos_st = np.sin(s * (xs - a)), np.cos(s * (xs - a))

@@ -329,6 +329,6 @@ def coefficient_samples(spec: ProblemSpec, steps: int = DEFAULT_STEPS) -> tuple:
 
 def q_norms(spec: ProblemSpec, steps: int = DEFAULT_STEPS) -> QNorms:
     """Composite-Simpson integrals of |q| over each subinterval's nodes at ``steps`` steps."""
-    q1, q2 = (cumulative_simpson(np.abs(s.q[0]), float(s.nodes[1] - s.nodes[0]))[-1]
+    q1, q2 = (cumulative_simpson(np.abs(s.q[0]), s.h)[-1]
               for s in coefficient_samples(spec, steps))
     return QNorms(q1=float(q1), q2=float(q2))

@@ -15,8 +15,10 @@ that finds the unique root in the unit window around each integer n, which
 is the regime the asymptotic theory guarantees.  A sign change needs no
 accuracy beyond its sign, so localization screens its windows on a coarse
 integrator grid (s h <= ``SCREEN_SH``) and confirms each window's
-sign-change cell with four full-resolution values around it; only windows
-the coarse screen cannot settle are screened again at full resolution.
+sign-change cell with four full-resolution values: at the subgrid points
+one cell outside it, and beside the coarse root moved by the phase error
+between the two grids (``dde_solver.phase_error``); only windows the coarse
+screen cannot settle are screened again at full resolution.
 One sign rule holds throughout: F <= 0 counts as negative, so an F that is
 exactly zero at a sample still makes a sign change.  Refinement keeps a
 sign-change bracket throughout: each round probes every bracket on both
@@ -26,14 +28,17 @@ previous round did not halve it, so it never needs more than twice
 bisection's rounds.  The confirmation is refinement's round 0: its four
 full-resolution values (or, for a window screened at full resolution and
 for a scan, the four grid values around the sign change) seed the first
-round at their inverse cubic root, which on the delayed problem saves one
-of three rounds.  Brackets for distinct roots are refined in lock-step so
-each round costs a single batched sweep of the integrator.
+round at their inverse cubic root.  Its two inner points straddle the
+root on every window of the shipped configs, so that round closes the
+bracket, where from four grid points it took two.  Brackets for distinct
+roots are refined in lock-step so each round costs a single batched sweep
+of the integrator.
 
 Both locators return as the root the end of its final bracket where |F|
 is smaller, with F there and the slope dF/ds that refinement measured on
-the way, the secant over the root's last bracket at least ``SLOPE_WIDTH``
-wide; a reader builds an eigenfunction with ``dde_solver.shoot``.  All
+the way, the secant over the narrowest span at least ``SLOPE_WIDTH`` wide
+between sampled points that holds the root's final bracket; a reader
+builds an eigenfunction with ``dde_solver.shoot``.  All
 eigenvalues of the problem are simple; numerically that shows up as a
 transversal crossing of F, which ``simplicity_certificates`` checks by
 weighing that slope against the residual F at the root, both measured by
@@ -73,14 +78,24 @@ SCREEN_MIN_STEPS = 64
 # its residual, lambda/2 below lambda = 2e-3; the slope itself is
 # refinement's secant, ``Eigenpair.dF_ds``
 CERT_STEP = 1e-3
-# a root's slope dF/ds is the secant over its last refinement bracket at
-# least this wide: narrower brackets lose digits to rounding in F
+# a root's slope dF/ds is the secant over the narrowest span of the points
+# refinement sampled around it that is at least this wide: narrower spans
+# lose digits to rounding in F
 SLOPE_WIDTH = 1e-9
 # the first refinement round probes at x_c +- SEED |x_c - x_q| around the
 # inverse cubic root x_c, where x_q are the inverse quadratic roots; its
 # error is at most 0.036 |x_c - x_q| from n = 4 on across the sine specs
 # of the seeded-refinement property, more only further below
 SEED = 0.1
+# the confirmation samples each window at x -+ d, where x is its coarse
+# inverse cubic root x_c moved by the phase error between the coarse and the
+# full steps, and d = REMAINDER x^3 h^4 plus the spread max |x_q - x_c|,
+# h = (pi/2) / coarse.  Past that spread the full-resolution root was at
+# most 0.092 x^3 h^4 from x from n = 2 on (6.6 at n = 1), across the
+# delayed, constant-q, null and sine specs of the screening property at 512
+# to 4096 steps; and with d past about 1e-4 (0.18 x^3 h^4 at n = 12 and 66
+# coarse steps) refinement's first round no longer ends below refine_tol
+REMAINDER = 0.12
 
 
 class ZeroOrManyError(RuntimeError):
@@ -108,8 +123,9 @@ class Eigenpair(Frozen):
     root's final refinement bracket where |F| is smaller, and
     ``F_residual`` is F there, as refinement evaluated it: by batch
     invariance bitwise ``char_fn_samples(spec, [s], steps)``.  ``dF_ds``
-    is refinement's secant over the root's last bracket at least
-    ``SLOPE_WIDTH`` wide (its entry bracket if none was).  Neither costs a
+    is refinement's secant over the narrowest span at least ``SLOPE_WIDTH``
+    wide between points it sampled that holds the root's final bracket
+    (over that bracket if no span is that wide).  Neither costs a
     sweep of its own.  The eigenfunction is ``dde_solver.shoot(spec, lam,
     steps)`` (it satisfies the boundary condition at 0 by construction and
     the one at pi to the residual).
@@ -195,13 +211,31 @@ def _probe_centres(pts, vals, a, b, fa, fb):
     return x, spread
 
 
+def _secants(pts, vals, lo, hi, f_lo, f_hi):
+    """Per row, the secant dF/ds over the narrowest span between two of its
+    points (a NaN point holds nothing) that holds [lo, hi] and is at least
+    ``SLOPE_WIDTH`` wide, or over [lo, hi] where no span is."""
+    a, b = pts[:, :, None], pts[:, None, :]
+    rows, k = np.arange(len(pts)), pts.shape[1]
+    # with a tiny coupling F is finite but can be large enough that the
+    # difference overflows: the slope is then infinite
+    with np.errstate(all="ignore"):
+        width = np.where((a <= lo[:, None, None]) & (b >= hi[:, None, None])
+                         & (b - a >= SLOPE_WIDTH), b - a, np.inf).reshape(len(pts), k * k)
+        i, j = np.divmod(width.argmin(axis=1), k)
+        return np.where(np.isfinite(width.min(axis=1)),
+                        (vals[rows, j] - vals[rows, i]) / (pts[rows, j] - pts[rows, i]),
+                        (f_hi - f_lo) / (hi - lo))
+
+
 def _refine_brackets(spec: ProblemSpec, pts, vals, refine_tol: float, steps: int):
     """Shrink sign-change brackets in s to width < refine_tol.
 
-    Returns the bracket ends; per bracket, the secant dF/ds over its last
-    bracket at least ``SLOPE_WIDTH`` wide, or over its entry bracket if no
-    round left one that wide; and the root, the end with the smaller |F|
-    (``lo`` on a tie), with F there.
+    Returns the bracket ends; per bracket, the secant dF/ds over the
+    narrowest span at least ``SLOPE_WIDTH`` wide between two of the points
+    it sampled, its row's and every round's probes, that holds the final
+    bracket, or over that bracket if none is that wide (``_secants``); and
+    the root, the end with the smaller |F| (``lo`` on a tie), with F there.
 
     Row i of ``pts`` holds k >= 2 sorted points in s and row i of ``vals``
     F there; the bracket is the first cell of the row with a sign change.
@@ -214,8 +248,9 @@ def _refine_brackets(spec: ProblemSpec, pts, vals, refine_tol: float, steps: int
     bracket closes from both sides.  From the four points around a window
     bracket the first round starts at the inverse cubic root (the
     interpolation step of Alefeld, Potra & Shi, Algorithm 748, ACM TOMS 21,
-    1995), about 250x closer than the regula-falsi point on delayed
-    windows; if F is not strictly monotone across the points (a clipped
+    1995): from a confirmation whose inner points straddle the root, close
+    enough that its probes x -+ refine_tol/4 end refinement; if F is not
+    strictly monotone across the points (a clipped
     repeat included) or that root is not strictly inside the bracket, the
     round starts at the regula-falsi point.  A bracket that the previous
     round did not halve, or whose probes beside x both fall outside it, is
@@ -234,10 +269,9 @@ def _refine_brackets(spec: ProblemSpec, pts, vals, refine_tol: float, steps: int
     first = _sign_changes(vals).argmax(axis=1)
     lo, hi = pts[rows, first], pts[rows, first + 1]
     f_lo, f_hi = vals[rows, first], vals[rows, first + 1]
-    # with a tiny coupling F is finite but can be large enough that the
-    # difference overflows: the slope is then infinite
-    with np.errstate(all="ignore"):
-        slope = (f_hi - f_lo) / (hi - lo)
+    # for the slope, every point sampled and F there (NaN where a round
+    # probed less), as (2, rows, points) blocks
+    sampled = [np.stack([pts, vals])]
     halved = np.ones(rows.size, dtype=bool)
     while True:
         act = np.nonzero(hi - lo >= refine_tol)[0]
@@ -255,6 +289,9 @@ def _refine_brackets(spec: ProblemSpec, pts, vals, refine_tol: float, steps: int
             break
         F = np.empty_like(probes)
         F[inside] = char_fn_samples(spec, probes[inside], steps)
+        probed = np.full((2, rows.size, 3), np.nan)
+        probed[:, act] = np.where(inside, np.stack([probes, F]), np.nan)
+        sampled.append(probed)
         # a dropped probe becomes a copy of hi, which adds no sign change
         seen = np.column_stack([a, np.where(inside, probes, b[:, None]), b])
         seen_F = np.column_stack([fa, np.where(inside, F, fb[:, None]), fb])
@@ -267,11 +304,9 @@ def _refine_brackets(spec: ProblemSpec, pts, vals, refine_tol: float, steps: int
         halved[act] = new_hi - new_lo <= 0.5 * w
         lo[act], hi[act] = new_lo, new_hi
         f_lo[act], f_hi[act] = seen_F[at, cut], seen_F[at, cut + 1]
-        wide = act[new_hi - new_lo >= SLOPE_WIDTH]
-        with np.errstate(all="ignore"):
-            slope[wide] = (f_hi[wide] - f_lo[wide]) / (hi[wide] - lo[wide])
         # later rounds start from the bracket ends alone
         pts, vals = np.column_stack([lo, hi]), np.column_stack([f_lo, f_hi])
+    slope = _secants(*np.concatenate(sampled, axis=2), lo, hi, f_lo, f_hi)
     return lo, hi, slope, *np.where(np.abs(f_hi) < np.abs(f_lo), [hi, f_hi], [lo, f_lo])
 
 
@@ -315,13 +350,14 @@ def _screen(spec: ProblemSpec, grid: np.ndarray, steps: int):
 def _confirm(spec: ProblemSpec, pts: np.ndarray, coarse: np.ndarray, steps: int):
     """Check coarse one-sign-change brackets at full resolution.
 
-    ``pts`` holds per row the points cell - 1 .. cell + 2 around the coarse
-    sign-change cell, clipped to the window (a clipped point repeats its
-    neighbour and adds no sign change), and ``coarse`` the coarse F there.
-    F is evaluated at them in one batched sweep.  A row is confirmed when
-    these four values change sign exactly once and the outer two keep the
-    signs the coarse F had there.  Returns per row whether it is confirmed
-    and the four full-resolution values.
+    ``pts`` holds per row four sorted points: the outer two are the subgrid
+    points cell - 1 and cell + 2 around the coarse sign-change cell, clipped
+    to the window (a clipped or repeated point adds no sign change), and
+    ``coarse`` holds the coarse F at the subgrid points cell - 1 .. cell + 2.
+    F is evaluated at the four points in one batched sweep.  A row is
+    confirmed when these four values change sign exactly once and the outer
+    two keep the signs the coarse F had there.  Returns per row whether it
+    is confirmed and the four full-resolution values.
     """
     F = char_fn_samples(spec, pts.ravel(), steps).reshape(pts.shape)
     ok = ((_sign_changes(F).sum(axis=1) == 1) & ((F[:, 0] <= 0.0) == (coarse[:, 0] <= 0.0))
@@ -337,19 +373,26 @@ def _window_brackets(spec: ProblemSpec, n_values, steps: int):
     first screened at ``coarse`` steps, the fewest (at least
     ``SCREEN_MIN_STEPS``, at most ``steps``) that keep s * h <= ``SCREEN_SH``
     at the largest s.  A window with exactly one coarse sign change is then
-    confirmed at full resolution from four points around it (``_confirm``),
-    all windows in one sweep; the cell that changes sign there is its
-    bracket.  Every window not confirmed is screened again at full
+    confirmed at full resolution (``_confirm``), all windows in one sweep,
+    from its subgrid points cell - 1 and cell + 2 and the two points x -+ d,
+    all clamped into the span of the outer two: x is the root x_c of the
+    inverse cubic through the coarse F at cell - 1 .. cell + 2 (of the
+    quadratic through the three distinct points where the window's edge
+    clips one) minus the difference of the phase errors at the coarse and
+    the full steps, and d = ``REMAINDER`` x^3 h^4 plus max |x_q - x_c| over
+    the inverse quadratic roots x_q, h = (pi/2) / coarse.  The cell that
+    changes sign there is its bracket: x -+ d when they straddle the root,
+    else a cell beside them.  Every window not confirmed is screened again at full
     resolution.  When ``coarse == steps`` the coarse screen already is the
     full one, and so it is when the coarse grid's samples of q and Delta
     fail their checks (it samples points ``validate`` at ``steps`` does
-    not).  The brackets are therefore those of a full-resolution screen
-    whenever the coarse and full-resolution F agree in sign away from the
-    confirmed cells.
+    not).  Each bracket is therefore a full-resolution sign change within
+    the cells around a full-resolution screen's whenever the coarse and
+    full-resolution F agree in sign away from the confirmed cells.
 
-    Returns, one row per window, four sorted subgrid points around its
-    bracket and the full-resolution F there: the ``_confirm`` points, or
-    for a window screened at full resolution the points cell - 1 .. cell + 2,
+    Returns, one row per window, four sorted points around its bracket and
+    the full-resolution F there: the ``_confirm`` points, or for a window
+    screened at full resolution the subgrid points cell - 1 .. cell + 2,
     clipped as ``_confirm`` clips.  Raises ZeroOrManyError naming every
     window whose full-resolution subgrid does not show exactly one sign
     change.
@@ -366,22 +409,39 @@ def _window_brackets(spec: ProblemSpec, n_values, steps: int):
         coarse = steps
         F, count, cell = _screen(spec, grid, steps)
     cols = _neighbourhood(cell, LOCALIZE_SUBGRID)
-    vals = F[rows, cols]
+    pts, vals = grid[rows, cols], F[rows, cols]
     if coarse < steps:
         single = np.nonzero(count == 1)[0]
         ok = np.zeros(len(n_values), dtype=bool)
         if single.size:
-            ok[single], vals[single] = _confirm(spec, grid[rows[single], cols[single]],
-                                                vals[single], steps)
+            at = pts[single]
+            lo, hi = at[:, :1], at[:, 3:]
+            # the coarse inverse cubic root, moved by the phase error between
+            # the coarse and the full steps; at a window's edge a clipped
+            # point repeats, the cubic is NaN and the quadratic through the
+            # three distinct points stands in.  fmax and fmin skip a NaN and
+            # clamp into the outer span
+            with np.errstate(all="ignore"):
+                x_c, x_q = _inverse_interpolants(at, vals[single])
+                x_c = np.where(np.isnan(x_c), np.fmax(x_q[:, 0], x_q[:, 1]), x_c)
+                x = x_c - (dde_solver.phase_error(x_c, coarse) - dde_solver.phase_error(x_c, steps))
+                x = np.fmin(np.fmax(x[:, None], lo), hi)
+                spread = np.abs(x_q - x_c[:, None])
+                d = (REMAINDER * x * x * x * (HALF / coarse) ** 4
+                     + np.fmax(spread[:, :1], spread[:, 1:]))
+                at[:, 1:3] = np.fmin(np.fmax(x + d * [-1.0, 1.0], lo), hi)
+            ok[single], vals[single] = _confirm(spec, at, vals[single], steps)
+            pts[single] = at
         redo = np.nonzero(~ok)[0]
         if redo.size:
             F, count[redo], cell[redo] = _screen(spec, grid[redo], steps)
-            cols[redo] = _neighbourhood(cell[redo], LOCALIZE_SUBGRID)
-            vals[redo] = F[np.arange(redo.size)[:, None], cols[redo]]
+            cols = _neighbourhood(cell[redo], LOCALIZE_SUBGRID)
+            pts[redo] = grid[redo[:, None], cols]
+            vals[redo] = F[np.arange(redo.size)[:, None], cols]
     failed = {n: int(c) for n, c in zip(n_values, count) if c != 1}
     if failed:
         raise ZeroOrManyError(failed)
-    return grid[rows, cols], vals
+    return pts, vals
 
 
 def localize_range(spec: ProblemSpec, n_values, refine_tol: float = DEFAULT_REFINE_TOL,

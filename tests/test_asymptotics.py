@@ -117,6 +117,7 @@ def test_quadrature_reads_the_integrators_node_samples(delayed_spec):
     # K/L, the oscillatory integral and the q norms integrate q and Delta as
     # the integrator samples them at 4096 steps: the same bits as evaluating
     # the expressions directly on linspace(a, b, 4097) and integrating there
+    # with the integrator's step, (b - a) / 4096
     spec, xs, s = delayed_spec, np.array([0.3, HALF, 2.0, PI]), 7.5
     kl_ref = np.empty((2, xs.size))
     offset = np.zeros(2)
@@ -125,7 +126,7 @@ def test_quadrature_reads_the_integrators_node_samples(delayed_spec):
             (spec.q_left, spec.retard_left, 0.0, HALF, xs <= HALF),
             (spec.q_right, spec.retard_right, HALF, PI, xs > HALF)):
         nodes = np.linspace(a, b, 4097)
-        h = float(nodes[1] - nodes[0])
+        h = (b - a) / 4096
         q, d = q_expr.eval(nodes), d_expr.eval(nodes)
         norms.append(float(cumulative_simpson(np.abs(q), h)[-1]))
         if a == 0.0:

@@ -312,20 +312,32 @@ def test_refinement_rounds_and_roots_against_bisection(delayed_spec, monkeypatch
 
 def test_exact_zero_at_a_sample_is_a_sign_change(null_spec, monkeypatch):
     # a synthetic F that is exactly 0.0 at one subgrid point of the window
-    # around n = 5 (and of a scan on the same grid)
+    # around n = 5, screened at full resolution (at SCREEN_MIN_STEPS the
+    # coarse screen is the full one), and of a scan on the same grid
     grid = np.linspace(4.5, 5.5, spectral.LOCALIZE_SUBGRID)
-    root = grid[20]
+    root, steps = grid[20], spectral.SCREEN_MIN_STEPS
     monkeypatch.setattr(spectral, "char_fn_samples",
                         lambda spec, s_values, steps: root - np.asarray(s_values, dtype=float))
-    pts, vals = _window_brackets(null_spec, [5], 4096)
+    pts, vals = _window_brackets(null_spec, [5], steps)
     assert np.array_equal(pts, [grid[18:22]]) and np.array_equal(vals, root - pts)
     lo, hi, f_lo, f_hi = bracket_of(pts, vals)
     assert (lo[0], hi[0], f_lo[0], f_hi[0]) == (grid[19], root, root - grid[19], 0.0)
-    lo, hi, *_ = _refine_brackets(null_spec, pts, vals, 1e-10, 4096)
+    lo, hi, *_ = _refine_brackets(null_spec, pts, vals, 1e-10, steps)
     assert lo[0] <= root <= hi[0] < lo[0] + 1e-10
     pairs = scan_roots(null_spec, 4.5, 5.5, samples=spectral.LOCALIZE_SUBGRID, steps=256)
     # the root is the bracket end with the smaller |F|: the exact zero
     assert [(p.s, p.F_residual) for p in pairs] == [(root, 0.0)]
+    # at 4096 steps, a full-resolution F that is exactly 0.0 at the upper of
+    # the two points the confirmation places beside the coarse root
+    upper = _window_brackets(null_spec, [5], 4096)[0][0, 2]
+    monkeypatch.setattr(spectral, "char_fn_samples", lambda spec, s_values, steps: (
+        (root if steps < 4096 else upper) - np.asarray(s_values, dtype=float)))
+    pts, vals = _window_brackets(null_spec, [5], 4096)
+    assert pts[0, 2] == upper and vals[0, 2] == 0.0
+    lo, hi, *_ = bracket_of(pts, vals)
+    assert (lo[0], hi[0]) == (pts[0, 1], upper)
+    pair = localize_near_n(null_spec, 5, steps=4096)
+    assert (pair.s, pair.F_residual) == (upper, 0.0)
 
 
 def full_resolution_screen(spec, n_values, steps):
@@ -348,13 +360,6 @@ def full_resolution_screen(spec, n_values, steps):
     return grid, F, np.array(cols)
 
 
-def full_resolution_brackets(spec, n_values, steps):
-    """Window neighbourhoods from screening every subgrid point at ``steps``."""
-    grid, F, cols = full_resolution_screen(spec, n_values, steps)
-    rows = np.arange(len(n_values))[:, None]
-    return grid[rows, cols], F[rows, cols]
-
-
 def test_windows_the_coarse_screen_gets_wrong_are_screened_again(null_spec, monkeypatch):
     # synthetic F with one root per window at full resolution; the coarse F
     # agrees in window 5, has its root 0.3 away in window 7 (confirmation
@@ -374,14 +379,21 @@ def test_windows_the_coarse_screen_gets_wrong_are_screened_again(null_spec, monk
         return F
 
     monkeypatch.setattr(spectral, "char_fn_samples", synthetic)
-    expected = full_resolution_brackets(null_spec, n_values, steps)
+    grid, F, cols = full_resolution_screen(null_spec, n_values, steps)
     calls.clear()
-    got = _window_brackets(null_spec, n_values, steps)
-    for g, e in zip(got, expected):
-        assert np.array_equal(g, e)
+    pts, vals = _window_brackets(null_spec, n_values, steps)
     # one coarse screen, then 4 confirmation points for windows 5 and 7 and
-    # a full screen of windows 7, 9 and 11; window 5 keeps its 4 points
+    # a full screen of windows 7, 9 and 11, which keep that screen's points;
+    # window 5 keeps its confirmation points, whose outer two are the full
+    # screen's and whose bracket holds the root
     assert calls == [(256, 64), (8, steps), (192, steps)]
+    rows = np.arange(len(n_values))[:, None]
+    assert np.array_equal(pts[1:], grid[rows[1:], cols[1:]])
+    assert np.array_equal(vals[1:], F[rows[1:], cols[1:]])
+    assert np.array_equal(pts[0, [0, 3]], grid[0, cols[0, [0, 3]]])
+    assert np.array_equal(vals[0], roots[0] - pts[0])
+    lo, hi, *_ = bracket_of(pts, vals)
+    assert lo[0] < roots[0] <= hi[0]
 
 
 @st.composite
@@ -404,10 +416,11 @@ def screening_specs(draw):
 @given(spec=screening_specs(), steps=st.integers(256, 1024),
        n_values=st.lists(st.integers(1, 12), min_size=1, max_size=12, unique=True).map(sorted))
 def test_coarse_screening_matches_full_resolution(alarm, spec, steps, n_values):
-    # the coarse screen, its confirmation and its fallback give bitwise the
-    # brackets and F values of a full-resolution screen, or the same error;
-    # the four points around each bracket are consecutive subgrid points
-    # (clipped) with bitwise their full-resolution F
+    # the coarse screen, its confirmation and its fallback raise the error of
+    # a full-resolution screen, or give per window a sign-change bracket
+    # inside that screen's points cell - 1 .. cell + 2, with bitwise the
+    # full-resolution F at all four points, and a root within refine_tol of
+    # the one refined from that screen's four points
     try:
         grid, F, cols = full_resolution_screen(spec, n_values, steps)
     except ZeroOrManyError as err:
@@ -417,11 +430,15 @@ def test_coarse_screening_matches_full_resolution(alarm, spec, steps, n_values):
         return
     pts, vals = _window_brackets(spec, n_values, steps)
     rows = np.arange(len(n_values))[:, None]
-    for g, e in zip(bracket_of(pts, vals), bracket_of(grid[rows, cols], F[rows, cols])):
-        assert np.array_equal(g, e)
-    at = np.array([np.searchsorted(row, p) for row, p in zip(grid, pts)])
-    assert np.array_equal(at, np.clip(at[:, 2:3] + np.arange(-2, 2), 0, spectral.LOCALIZE_SUBGRID - 1))
-    assert np.array_equal(pts, grid[rows, at]) and np.array_equal(vals, F[rows, at])
+    span = grid[rows, cols]
+    lo, hi, f_lo, f_hi = bracket_of(pts, vals)
+    assert np.all((f_lo <= 0.0) != (f_hi <= 0.0))
+    assert np.all((span[:, 0] <= lo) & (hi <= span[:, 3]))
+    assert vals.tobytes() == char_fn_samples(spec, pts.ravel(), steps).tobytes()
+    tol = spectral.DEFAULT_REFINE_TOL
+    root = _refine_brackets(spec, pts, vals, tol, steps)[3]
+    full = _refine_brackets(spec, span, F[rows, cols], tol, steps)[3]
+    assert np.all(np.abs(root - full) < tol)
 
 
 def test_screening_confirms_with_four_columns_per_window(delayed_spec, monkeypatch):
@@ -490,21 +507,70 @@ def test_seeded_refinement_never_takes_more_rounds(alarm, monkeypatch, spec, ste
 
 
 @pytest.mark.parametrize("n", [5, 50])
-def test_localization_refines_in_two_sweeps_after_the_confirmation(delayed_spec, monkeypatch,
-                                                                    n):
-    # the confirmation's four values seed refinement, which then needs two
-    # rounds where the regula-falsi start needed three
+def test_localization_refines_in_one_sweep_after_the_confirmation(delayed_spec, monkeypatch, n):
+    # the confirmation samples beside the coarse root moved by the phase
+    # error, and its four values seed refinement, which then closes the
+    # bracket in one round
     calls = counted_sampling(monkeypatch)
     localize_near_n(delayed_spec, n, steps=4096)
-    assert calls[1:] == [(4, 4096), (2, 4096), (2, 4096)]
+    assert calls[0][1] < 4096 and calls[1:] == [(4, 4096), (2, 4096)]
 
 
-def test_localize_range_sweeps_three_times_at_full_resolution(delayed_spec, monkeypatch):
+def test_localize_range_sweeps_twice_at_full_resolution(delayed_spec, monkeypatch):
     n_values = range(5, 51)
     calls = counted_sampling(monkeypatch)
     localize_range(delayed_spec, n_values, steps=4096)
     assert calls[0] == (len(n_values) * spectral.LOCALIZE_SUBGRID, 265)
-    assert [steps for _, steps in calls[1:]] == [4096] * 3
+    assert [steps for _, steps in calls[1:]] == [4096] * 2
+
+
+def test_a_confirmation_that_misses_the_root_still_brackets_it(null_spec, monkeypatch):
+    # a synthetic full-resolution root 1e-6 past the upper of the two points
+    # the confirmation places beside the coarse root: the window is confirmed
+    # from its outer points, not screened again, refinement narrows its
+    # bracket below refine_tol within three rounds, and the slope is the
+    # narrowest secant at least SLOPE_WIDTH wide, not the entry bracket's
+    steps, tol, root = 4096, spectral.DEFAULT_REFINE_TOL, [5.1]
+    calls = []
+
+    def full(s):
+        return np.sin(PI * (root[0] - np.asarray(s, dtype=float)))
+
+    def synthetic(spec, s_values, steps_):
+        calls.append((len(s_values), steps_))
+        return full(s_values) if steps_ == steps else np.sin(PI * (5.1 - np.asarray(s_values)))
+
+    monkeypatch.setattr(spectral, "char_fn_samples", synthetic)
+    root[0] = _window_brackets(null_spec, [5], steps)[0][0, 2] + 1e-6
+    calls.clear()
+    pts, vals = _window_brackets(null_spec, [5], steps)
+    assert pts[0, 1] < pts[0, 2] < root[0] < pts[0, 3]
+    lo, hi, slope, s, _ = _refine_brackets(null_spec, pts, vals, tol, steps)
+    assert calls[:2] == [(spectral.LOCALIZE_SUBGRID, spectral.SCREEN_MIN_STEPS), (4, steps)]
+    assert 1 <= len(calls[2:]) <= 3 and all(columns <= 3 for columns, _ in calls[2:])
+    F = full([lo[0], hi[0]])
+    assert (F[0] <= 0.0) != (F[1] <= 0.0) and hi[0] - lo[0] < tol
+    h = 1e-4
+    central = (full(s[0] + h) - full(s[0] - h)) / (2.0 * h)
+    assert abs(slope[0] / central - 1.0) <= 1e-5
+
+
+@pytest.mark.parametrize("beta", [PI - 0.0063, 0.0063])
+def test_a_root_in_an_edge_cell_of_its_window_is_confirmed_beside_it(monkeypatch, beta):
+    # beta near pi (near 0) puts the root near 4.5 (5.5), in the first (last)
+    # cell of the window around n = 5: a clipped point repeats and the coarse
+    # cubic is NaN, so the confirmation samples beside the root of the
+    # quadratic through the three distinct points, and one round ends
+    # refinement
+    spec = spec_of(beta=beta)
+    grid = np.linspace(4.5, 5.5, spectral.LOCALIZE_SUBGRID)
+    pts, vals = _window_brackets(spec, [5], 4096)
+    assert (pts[0, 0], pts[0, 3]) == ((grid[0], grid[2]) if beta > 1.0 else (grid[61], grid[63]))
+    lo, hi, *_ = bracket_of(pts, vals)
+    assert (lo[0], hi[0]) == (pts[0, 1], pts[0, 2])
+    calls = counted_sampling(monkeypatch)
+    _refine_brackets(spec, pts, vals, spectral.DEFAULT_REFINE_TOL, 4096)
+    assert calls == [(2, 4096)]
 
 
 def test_refinement_slope_matches_a_central_difference(constq_spec, delayed_spec):
@@ -537,14 +603,14 @@ def counted_sweeps(monkeypatch):
     return calls
 
 
-def test_solve_sweeps_once_coarse_and_three_times_at_full_resolution(monkeypatch):
+def test_solve_sweeps_once_coarse_and_twice_at_full_resolution(monkeypatch):
     # delayed n = 5..50 at 4096 steps: the window screen at 265 steps, the
-    # confirmation of 4 columns per window and two refinement rounds of 2;
+    # confirmation of 4 columns per window and one refinement round of 2;
     # the certificates add no sweep
     calls = counted_sweeps(monkeypatch)
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert cli.main(["solve", "--config", str(CONFIG_DIR / "delayed.json")]) == 0
-    assert calls == [(2944, 265), (184, 4096), (92, 4096), (92, 4096)]
+    assert calls == [(2944, 265), (184, 4096), (92, 4096)]
     rows = out.getvalue().splitlines()[1:]
     assert len(rows) == 46 and all(r.endswith(",true") for r in rows)
 
